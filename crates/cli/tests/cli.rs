@@ -47,6 +47,53 @@ fn instrument_writes_fig3_priorities() {
 }
 
 #[test]
+fn each_submit_file_is_instrumented_once_in_first_reference_order() {
+    let dir = tempdir("submit-order");
+    let dag = "\
+JOB a y.submit
+JOB b x.submit
+SUBDAG EXTERNAL inner inner.dag
+JOB c y.submit
+JOB d gone.submit
+JOB e z.submit
+JOB f x.submit
+PARENT a b CHILD c
+PARENT c CHILD d e f inner
+";
+    std::fs::write(dir.join("w.dag"), dag).unwrap();
+    for name in ["x.submit", "y.submit", "z.submit"] {
+        std::fs::write(dir.join(name), "universe = vanilla\nqueue\n").unwrap();
+    }
+    let out = prio(&["run", "w.dag"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let steps: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("prio: instrumented ")
+                .or_else(|| l.strip_prefix("prio: note: submit file "))
+        })
+        .map(|rest| {
+            let path = rest.trim_end_matches(" not found, skipped");
+            path.rsplit(['/', '\\']).next().unwrap()
+        })
+        .collect();
+    assert_eq!(
+        steps,
+        vec!["y.submit", "x.submit", "gone.submit", "z.submit"],
+        "stderr: {stderr}"
+    );
+    for name in ["x.submit", "y.submit", "z.submit"] {
+        let jsdf = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(
+            jsdf.matches("priority = $(jobpriority)").count(),
+            1,
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn instrument_in_place_overwrites() {
     let dir = tempdir("inplace");
     std::fs::write(dir.join("IV.dag"), FIG3).unwrap();

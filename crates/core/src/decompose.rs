@@ -112,6 +112,10 @@ pub struct Decomposition {
     pub comp_removed: Vec<usize>,
     /// How many detach iterations used the general minimal-`C(s)` search.
     pub general_search_iterations: usize,
+    /// Parent-list entries the bipartite block attempts visited, summed
+    /// over every attempt: a deterministic measure of the fast path's
+    /// work (wall time on a shared machine is noise).
+    pub block_parent_visits: usize,
 }
 
 /// Decomposes `g` (assumed shortcut-free; the caller runs the transitive
@@ -146,18 +150,21 @@ pub fn decompose_in(
     arena: &mut ScratchArena,
 ) -> Decomposition {
     let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
-    let (seeds, comp_removed, general_search_iterations) = peel(g, opts, arena);
+    let (seeds, comp_removed, general_search_iterations, block_parent_visits) =
+        peel(g, opts, arena);
     let superdag = build_superdag(g, &seeds, &comp_removed, threads);
     let parts = materialize_parts(g, seeds, threads);
 
     prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
     prio_obs::counter("core.decompose.general_search_iterations")
         .add(general_search_iterations as u64);
+    prio_obs::counter("core.decompose.block_parent_visits").add(block_parent_visits as u64);
     Decomposition {
         parts,
         superdag,
         comp_removed,
         general_search_iterations,
+        block_parent_visits,
     }
 }
 
@@ -172,19 +179,36 @@ struct PartSeed {
 
 /// The peel loop: repeatedly picks a block (bipartite fast path, general
 /// minimal-`C(s)` search as fallback) and detaches it from the remnant.
-/// Returns the part seeds in detach order, the removed-in-part map and the
-/// general-search iteration count.
+/// Returns the part seeds in detach order, the removed-in-part map, the
+/// general-search iteration count and the block attempts' parent visits.
 fn peel(
     g: &Dag,
     opts: DecomposeOptions,
     arena: &mut ScratchArena,
-) -> (Vec<PartSeed>, Vec<usize>, usize) {
+) -> (Vec<PartSeed>, Vec<usize>, usize, usize) {
     let _span = prio_obs::span("decompose.peel");
     let n = g.num_nodes();
     let mut alive = arena.take_bools();
     alive.resize(n, true);
     let mut alive_indeg = arena.take_u32s();
     alive_indeg.extend(g.node_ids().map(|u| g.in_degree(u) as u32));
+    // `blocking[w]` = alive parents of `w` that are not remnant sources. A
+    // block attempt reaching `w` as a sink fails exactly when it is
+    // nonzero, so the check is O(1) instead of a scan of `w`'s parents —
+    // on SDSS that scan covered the collector join's whole fan-in once per
+    // retried chain tail. Built in one sequential pass over the CSR
+    // children; afterwards each arc is decremented once, when its tail
+    // stops being an alive non-source (it becomes a source or is removed).
+    let mut blocking = arena.take_u32s();
+    blocking.resize(n, 0);
+    for u in g.node_ids() {
+        if g.in_degree(u) != 0 {
+            for &v in g.children(u) {
+                blocking[v.index()] += 1;
+            }
+        }
+    }
+    let mut block_parent_visits = 0usize;
     // Candidate remnant sources as a lazy min-heap: entries may be stale
     // (node removed, deferred, or duplicated) and are validated on pop.
     // The heap replaces an ordered source *set* — membership deletions
@@ -203,16 +227,19 @@ fn peel(
     let mut stamp = 0u32;
 
     // Failure deferral for the fast path. A failed seed attempt visits a
-    // set of sources and fails at one internal "blocker" parent; the
-    // attempt's outcome cannot change until one of those visited nodes is
-    // removed or the blocker becomes a source, so all visited sources are
-    // deferred as a group and re-enabled only when a watched node fires.
-    // Without this, dags in which a wide join's parents become ready one
-    // by one (e.g. SDSS's 14k per-target chains feeding one collector)
-    // re-scan every dead-end seed on every detach — a cubic blowup.
-    // All three structures are dense (indexed by node / group id) — the
-    // hash-set variant paid a SipHash probe per membership test on the
-    // hottest peel-loop branch.
+    // set of sources and fails at one sink with a nonzero `blocking`
+    // count; the attempt's outcome cannot change until one of those
+    // visited sources is removed or that count reaches 0, so all visited
+    // sources are deferred as a group and re-enabled only when a watched
+    // node fires. Without this, dags in which a wide join's parents become
+    // ready one by one (e.g. SDSS's 10.8k per-target chains feeding one
+    // collector) re-scan every dead-end seed on every detach — a cubic
+    // blowup. Watching the count rather than one blocking parent also
+    // keeps each chain tail's retry from firing on every other tail that
+    // becomes a source: the join's group fires once, when its last
+    // non-source parent goes. All three structures are dense (indexed by
+    // node / group id) — the hash-set variant paid a SipHash probe per
+    // membership test on the hottest peel-loop branch.
     let mut deferred = arena.take_bools();
     deferred.resize(n, false);
     let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -234,6 +261,18 @@ fn peel(
             }
         };
     }
+    // `$u` stops being an alive non-source: its children lose one
+    // blocking parent, and a sink whose count reaches 0 fires.
+    macro_rules! unblock_children {
+        ($u:expr) => {
+            for &w in g.children($u) {
+                blocking[w.index()] -= 1;
+                if blocking[w.index()] == 0 {
+                    fire_watch!(w);
+                }
+            }
+        };
+    }
 
     while remaining > 0 {
         let mut via_fast_path = false;
@@ -250,7 +289,17 @@ fn peel(
                     continue;
                 }
                 stamp += 1;
-                match bipartite_block(g, &alive, &alive_indeg, s, &mut stamp_of, stamp, arena) {
+                let attempt = bipartite_block(
+                    g,
+                    &alive,
+                    &blocking,
+                    s,
+                    &mut stamp_of,
+                    stamp,
+                    arena,
+                    &mut block_parent_visits,
+                );
+                match attempt {
                     Ok(nodes) => {
                         // `s` stays in the heap; the detach below kills it
                         // (block sources are always removed), so the entry
@@ -266,7 +315,7 @@ fn peel(
                             deferred[src.index()] = true;
                             watchers[src.index()].push(gid);
                         }
-                        watchers[failure.blocker.index()].push(gid);
+                        watchers[failure.blocked_sink.index()].push(gid);
                         groups.push(Some(failure.visited_sources));
                     }
                 }
@@ -348,6 +397,9 @@ fn peel(
             alive[u.index()] = false;
             comp_removed[u.index()] = part_index;
             deferred[u.index()] = false;
+            if alive_indeg[u.index()] != 0 {
+                unblock_children!(u);
+            }
             fire_watch!(u);
             remaining -= 1;
             for &v in g.children(u) {
@@ -356,7 +408,7 @@ fn peel(
                 alive_indeg[vi] -= 1;
                 if alive_indeg[vi] == 0 && alive[vi] {
                     candidates.push(Reverse(v));
-                    fire_watch!(v);
+                    unblock_children!(v);
                 }
             }
         }
@@ -370,8 +422,14 @@ fn peel(
     arena.put_bools(alive);
     arena.put_bools(deferred);
     arena.put_u32s(alive_indeg);
+    arena.put_u32s(blocking);
     arena.put_u32s(stamp_of);
-    (seeds, comp_removed, general_search_iterations)
+    (
+        seeds,
+        comp_removed,
+        general_search_iterations,
+        block_parent_visits,
+    )
 }
 
 /// Builds each seed's local induced dag and bipartiteness flag — the
@@ -470,30 +528,35 @@ fn build_superdag(g: &Dag, seeds: &[PartSeed], comp_removed: &[usize], threads: 
 }
 
 /// Why a bipartite-block attempt failed: the sources visited before the
-/// failure (they would all fail identically) and the internal parent that
-/// forced the closure past bipartiteness. The attempt's outcome cannot
-/// change while every visited source stays a live source and the blocker
-/// stays a live non-source, which is what the deferral machinery watches.
+/// failure (they would all fail identically) and the sink with an alive
+/// non-source parent that forced the closure past bipartiteness. The
+/// attempt's outcome cannot change while every visited source stays a
+/// live source and the sink's `blocking` count stays nonzero, which is
+/// what the deferral machinery watches.
 struct BlockFailure {
     visited_sources: Vec<NodeId>,
-    blocker: NodeId,
+    blocked_sink: NodeId,
 }
 
 /// Tries to grow a connected bipartite block from remnant source `s`:
 /// sources `S`, sinks `T`, closed under children-of-`S` and
 /// parents-of-`T`, where every parent of a `T` node must itself be a
 /// remnant source (otherwise no bipartite block containing `s` exists).
+/// `blocking[w]` counts `w`'s alive non-source parents, so that condition
+/// is checked before `w`'s parent list is walked; `parent_visits`
+/// accumulates the parent-list entries walked.
 ///
 /// Returns the sorted node set on success, or the failure witness.
 #[allow(clippy::too_many_arguments)]
 fn bipartite_block(
     g: &Dag,
     alive: &[bool],
-    alive_indeg: &[u32],
+    blocking: &[u32],
     s: NodeId,
     stamp_of: &mut [u32],
     stamp: u32,
     arena: &mut ScratchArena,
+    parent_visits: &mut usize,
 ) -> Result<Vec<NodeId>, BlockFailure> {
     let mut nodes = arena.take_nodes();
     let mut visited_sources = arena.take_nodes();
@@ -511,22 +574,22 @@ fn bipartite_block(
             nodes.push(w);
             // Every alive parent of a block sink must itself be a remnant
             // source (otherwise the closure is forced past bipartiteness).
-            for &p in g.parents(w) {
-                if alive[p.index()] {
-                    if alive_indeg[p.index()] != 0 {
-                        arena.put_nodes(nodes);
-                        arena.put_nodes(src_queue);
-                        return Err(BlockFailure {
-                            visited_sources,
-                            blocker: p,
-                        });
-                    }
-                    if stamp_of[p.index()] != stamp {
-                        stamp_of[p.index()] = stamp;
-                        nodes.push(p);
-                        visited_sources.push(p);
-                        src_queue.push(p);
-                    }
+            if blocking[w.index()] != 0 {
+                arena.put_nodes(nodes);
+                arena.put_nodes(src_queue);
+                return Err(BlockFailure {
+                    visited_sources,
+                    blocked_sink: w,
+                });
+            }
+            let parents = g.parents(w);
+            *parent_visits += parents.len();
+            for &p in parents {
+                if alive[p.index()] && stamp_of[p.index()] != stamp {
+                    stamp_of[p.index()] = stamp;
+                    nodes.push(p);
+                    visited_sources.push(p);
+                    src_queue.push(p);
                 }
             }
         }

@@ -159,8 +159,8 @@ impl Prioritizer {
         let Decomposition {
             parts,
             superdag,
-            comp_removed: _,
             general_search_iterations,
+            ..
         } = decompose_in(
             reduced,
             self.opts.decompose,

@@ -8,7 +8,7 @@
 
 use crate::error::DagmanError;
 use prio_graph::{Dag, DagBuilder, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// An interned job name.
@@ -177,6 +177,19 @@ impl DagmanFile {
             Statement::Job {
                 name, submit_file, ..
             } if &**name == job => Some(submit_file.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The distinct submit files the `JOB` statements declare, each once,
+    /// in the order they are first referenced. One pass over the
+    /// statements, unlike calling [`DagmanFile::submit_file`] per job.
+    pub fn submit_files(&self) -> impl Iterator<Item = &str> {
+        let mut seen: HashSet<&str> = HashSet::new();
+        self.statements.iter().filter_map(move |s| match s {
+            Statement::Job { submit_file, .. } if seen.insert(submit_file) => {
+                Some(submit_file.as_str())
+            }
             _ => None,
         })
     }

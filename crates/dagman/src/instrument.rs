@@ -64,14 +64,16 @@ pub fn instrument_dagman_with(
 ) -> Result<(), DagmanError> {
     let _span = prio_obs::span(prio_obs::stage::WRITE);
     // Verify coverage first.
-    for name in file.job_names() {
-        if !priorities.contains_key(name) {
+    let names = file.job_names();
+    for name in &names {
+        if !priorities.contains_key(*name) {
             return Err(DagmanError::UnknownJob {
                 line: 0,
                 job: name.to_string(),
             });
         }
     }
+    let num_nodes = names.len();
     // Update existing definitions in place. Cloning an interned JobName is
     // a refcount bump, so the updated-set costs no string allocations.
     let mut updated: std::collections::HashSet<JobName> = std::collections::HashSet::new();
@@ -97,36 +99,40 @@ pub fn instrument_dagman_with(
         }
     }
     prio_obs::counter("dagman.instrument.statements_updated").add(updated.len() as u64);
-    // Insert after each node statement lacking one.
+    // Rebuild the statement list in one pass, pushing the new statement
+    // right after each node statement lacking one (an in-place insert per
+    // job would shift the tail every time: quadratic in the file size).
+    let old = std::mem::take(&mut file.statements);
+    let mut statements = Vec::with_capacity(old.len() + num_nodes);
     let mut inserted = 0u64;
-    let mut i = 0;
-    while i < file.statements.len() {
-        let node = match &file.statements[i] {
+    for s in old {
+        let node = match &s {
             Statement::Job { name, .. } => Some((name.clone(), false)),
             Statement::Subdag { name, .. } => Some((name.clone(), true)),
             _ => None,
         };
-        if let Some((name, is_subdag)) = node {
-            if !updated.contains(&name) {
-                let p = priorities[&*name];
-                let stmt = if mode == InstrumentMode::PriorityStatement || is_subdag {
-                    Statement::Priority {
-                        job: name,
-                        value: p as i64,
-                    }
-                } else {
-                    Statement::Vars {
-                        job: name,
-                        pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
-                    }
-                };
-                file.statements.insert(i + 1, stmt);
-                inserted += 1;
-                i += 1; // skip the inserted statement
-            }
+        statements.push(s);
+        let Some((name, is_subdag)) = node else {
+            continue;
+        };
+        if updated.contains(&name) {
+            continue;
         }
-        i += 1;
+        let p = priorities[&*name];
+        statements.push(if mode == InstrumentMode::PriorityStatement || is_subdag {
+            Statement::Priority {
+                job: name,
+                value: p as i64,
+            }
+        } else {
+            Statement::Vars {
+                job: name,
+                pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
+            }
+        });
+        inserted += 1;
     }
+    file.statements = statements;
     prio_obs::counter("dagman.instrument.statements_inserted").add(inserted);
     Ok(())
 }
@@ -246,6 +252,114 @@ PARENT c CHILD d e
         let text = write_dagman(&f);
         assert!(text.contains("VARS a jobpriority=\"2\""));
         assert!(text.contains("PRIORITY inner 1"));
+    }
+
+    /// A file mixing every statement kind instrumentation touches or must
+    /// leave alone, in the writer's canonical spelling.
+    const MIXED: &str = "\
+# header comment
+JOB a a.sub
+VARS a jobpriority=\"99\"
+JOB b b.sub
+RETRY b 3
+SUBDAG EXTERNAL inner inner.dag
+JOB c c.sub DIR work
+PRIORITY c 7
+JOB d d.sub
+VARS d other=\"x\"
+SUBDAG EXTERNAL outer outer.dag
+PRIORITY outer 1
+
+PARENT a CHILD b c
+PARENT b c CHILD d inner
+PARENT d CHILD outer
+";
+
+    /// The specification, one text line at a time: existing definitions
+    /// (`PRIORITY` lines, and `VARS … jobpriority` in `VARS` mode) get the
+    /// new value; every other node gets its statement on the line right
+    /// after its `JOB`/`SUBDAG` line.
+    fn line_oracle(text: &str, p: &BTreeMap<String, u32>, mode: InstrumentMode) -> String {
+        let vars_mode = mode == InstrumentMode::VarsMacro;
+        let tokens =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };
+        let mut defined = std::collections::HashSet::new();
+        for line in text.lines() {
+            let t = tokens(line);
+            let is_def = match t.first().map(String::as_str) {
+                Some("PRIORITY") => true,
+                Some("VARS") => vars_mode && t[2..].iter().any(|kv| kv.starts_with("jobpriority=")),
+                _ => false,
+            };
+            if is_def {
+                defined.insert(t[1].clone());
+            }
+        }
+        let mut out = String::new();
+        for line in text.lines() {
+            let t = tokens(line);
+            let (rewritten, node) = match t.first().map(String::as_str) {
+                Some("PRIORITY") => (format!("PRIORITY {} {}", t[1], p[&t[1]]), None),
+                Some("VARS") if vars_mode => {
+                    let pairs: Vec<String> = t[2..]
+                        .iter()
+                        .map(|kv| match kv.strip_prefix("jobpriority=") {
+                            Some(_) => format!("jobpriority=\"{}\"", p[&t[1]]),
+                            None => kv.clone(),
+                        })
+                        .collect();
+                    (format!("VARS {} {}", t[1], pairs.join(" ")), None)
+                }
+                Some("JOB") => (line.to_string(), Some((t[1].clone(), false))),
+                Some("SUBDAG") => (line.to_string(), Some((t[2].clone(), true))),
+                _ => (line.to_string(), None),
+            };
+            out.push_str(&rewritten);
+            out.push('\n');
+            if let Some((name, is_subdag)) = node {
+                if !defined.contains(&name) {
+                    if is_subdag || !vars_mode {
+                        out.push_str(&format!("PRIORITY {name} {}\n", p[&name]));
+                    } else {
+                        out.push_str(&format!("VARS {name} jobpriority=\"{}\"\n", p[&name]));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_instrumentation_matches_the_line_oracle_in_both_modes() {
+        let mut parsed = parse_dagman(MIXED).unwrap();
+        assert_eq!(write_dagman(&parsed), MIXED, "MIXED must be canonical");
+        parsed.to_dag().unwrap();
+        let first = priorities_by_job(["d", "a", "inner", "c", "outer", "b"]);
+        let second = priorities_by_job(["outer", "c", "b", "inner", "a", "d"]);
+        for mode in [InstrumentMode::VarsMacro, InstrumentMode::PriorityStatement] {
+            let mut f = parsed.clone();
+            instrument_dagman_with(&mut f, &first, mode).unwrap();
+            let once = write_dagman(&f);
+            assert_eq!(once, line_oracle(MIXED, &first, mode), "{mode:?}");
+            // Idempotent: the same priorities again change nothing...
+            instrument_dagman_with(&mut f, &first, mode).unwrap();
+            assert_eq!(write_dagman(&f), once, "{mode:?}");
+            // ...and new ones update the inserted statements in place.
+            instrument_dagman_with(&mut f, &second, mode).unwrap();
+            assert_eq!(
+                write_dagman(&f),
+                line_oracle(&once, &second, mode),
+                "{mode:?}"
+            );
+        }
+        // The statements the oracle says to insert, spot-checked.
+        instrument_dagman(&mut parsed, &first).unwrap();
+        let text = write_dagman(&parsed);
+        assert!(text.contains("JOB b b.sub\nVARS b jobpriority=\"1\"\nRETRY b 3\n"));
+        assert!(text.contains("SUBDAG EXTERNAL inner inner.dag\nPRIORITY inner 4\n"));
+        assert!(text.contains("JOB d d.sub\nVARS d jobpriority=\"6\"\nVARS d other=\"x\"\n"));
+        assert!(text.contains("VARS a jobpriority=\"5\"\n"));
+        assert_eq!(text.matches("PRIORITY c").count(), 1);
     }
 
     #[test]

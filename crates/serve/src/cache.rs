@@ -38,7 +38,6 @@
 use prio_graph::{Dag, NodeId};
 use prio_ir::{FormatId, Workflow};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -50,17 +49,91 @@ pub const SHARDS: usize = 16;
 /// schedule order itself: the key, the tick, the two map entries.
 const ENTRY_OVERHEAD_BYTES: usize = 96;
 
-/// A 128-bit content hash of a workflow's CSR (labels + arcs): two
-/// independent 64-bit [`prio_graph::labelhash::NameHasher`] streams with
-/// distinct domain-separation prefixes. At 2^64 the single-stream
-/// birthday bound would start to matter for a long-lived daemon; at
-/// 2^128 collisions are out of the picture.
+/// Multiplier and xor-shift distance of a key's first 64-bit stream.
+const MUL_A: u64 = 0x517c_c1b7_2722_0a95;
+const SHIFT_A: u32 = 32;
+/// The second stream's: a different multiplier and shift, so the two
+/// streams are different functions of the input, not one function
+/// behind two prefixes.
+const MUL_B: u64 = 0x9e37_79b9_7f4a_7c15;
+const SHIFT_B: u32 = 29;
+
+/// The cache's 128-bit key hasher: two 64-bit streams fed in one pass.
+/// Each folds 8-byte chunks like [`prio_graph::labelhash::NameHasher`],
+/// but xor-shifts its state after every multiply. A multiply alone only
+/// carries a difference toward the high bits, so two names differing in
+/// a chunk's top byte (`fresh_9942` vs `fresh_9149`) kept their
+/// difference in the top bits, where the next chunk could cancel it — in
+/// both streams at once, since they shared the mix. The shift folds the
+/// high bits back down before the next chunk. The two multiply chains
+/// are independent, so one pass costs about one stream's latency.
+/// `NameHasher` itself stays as it is: interning speed depends on it,
+/// and its hash tables compare keys on every probe, while this cache
+/// trusts its keys.
+struct KeyHasher {
+    a: u64,
+    b: u64,
+    /// Total bytes written, folded into both final values.
+    len: u64,
+}
+
+impl KeyHasher {
+    /// A hasher whose streams start from the key kind's `domain`, so
+    /// equal bytes hashed as different key kinds give unrelated keys.
+    fn new(domain: u64) -> KeyHasher {
+        let mut h = KeyHasher {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6a09_e667_f3bc_c908,
+            len: 0,
+        };
+        h.write(&domain.to_le_bytes());
+        h
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let (mut a, mut b) = (self.a, self.b);
+        let mut round = |v: u64| {
+            let x = (a.rotate_left(5) ^ v).wrapping_mul(MUL_A);
+            a = x ^ (x >> SHIFT_A);
+            let y = (b.rotate_left(5) ^ v).wrapping_mul(MUL_B);
+            b = y ^ (y >> SHIFT_B);
+        };
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            round(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = 0u64;
+        for &byte in chunks.remainder() {
+            tail = (tail << 8) | u64::from(byte);
+        }
+        round(tail);
+        (self.a, self.b) = (a, b);
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+    }
+
+    fn finish(&self) -> (u64, u64) {
+        let avalanche = |h: u64| {
+            let mut h = h ^ self.len;
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^ (h >> 33)
+        };
+        (avalanche(self.a), avalanche(self.b))
+    }
+}
+
+/// A 128-bit content hash of a workflow's CSR (labels + arcs): the two
+/// 64-bit streams of a [`KeyHasher`]. At 2^64 the single-stream birthday
+/// bound would start to matter for a long-lived daemon; at 2^128
+/// collisions are out of the picture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey(pub u64, pub u64);
 
-fn hash_dag(dag: &Dag, domain: u64) -> u64 {
-    let mut h = prio_graph::labelhash::NameHashBuild.build_hasher();
-    h.write(&domain.to_le_bytes());
+/// The content-hash key for `dag`: covers the labels (in index order) and
+/// the CSR child structure — exactly what [`prio_core::prioritize`]
+/// reads — and nothing else.
+pub fn workflow_key(dag: &Dag) -> CacheKey {
+    let mut h = KeyHasher::new(0x5052494f_u64);
     h.write(&(dag.num_nodes() as u64).to_le_bytes());
     h.write(&(dag.num_arcs() as u64).to_le_bytes());
     for u in dag.node_ids() {
@@ -77,14 +150,8 @@ fn hash_dag(dag: &Dag, domain: u64) -> u64 {
         // (children [1][2] vs [1,2][] differ even at equal arc counts).
         h.write(&u32::MAX.to_le_bytes());
     }
-    h.finish()
-}
-
-/// The content-hash key for `dag`: covers the labels (in index order) and
-/// the CSR child structure — exactly what [`prio_core::prioritize`]
-/// reads — and nothing else.
-pub fn workflow_key(dag: &Dag) -> CacheKey {
-    CacheKey(hash_dag(dag, 0x5052494f_u64), hash_dag(dag, 0x53455256_u64))
+    let (a, b) = h.finish();
+    CacheKey(a, b)
 }
 
 /// A 128-bit hash of a request's *raw text* plus its effective format
@@ -93,23 +160,16 @@ pub fn workflow_key(dag: &Dag) -> CacheKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TextKey(pub u64, pub u64);
 
-fn hash_text(format: &str, text: &str, domain: u64) -> u64 {
-    let mut h = prio_graph::labelhash::NameHashBuild.build_hasher();
-    h.write(&domain.to_le_bytes());
+/// The text-memo key for a request: the effective input format name
+/// (`"auto"` when detection applies) and the exact workflow text.
+pub fn text_key(format: &str, text: &str) -> TextKey {
+    let mut h = KeyHasher::new(0x54455854_u64);
     // Separate writes: the hasher folds per-write lengths, so a format
     // name cannot alias into the text.
     h.write(format.as_bytes());
     h.write(text.as_bytes());
-    h.finish()
-}
-
-/// The text-memo key for a request: the effective input format name
-/// (`"auto"` when detection applies) and the exact workflow text.
-pub fn text_key(format: &str, text: &str) -> TextKey {
-    TextKey(
-        hash_text(format, text, 0x54455854_u64),
-        hash_text(format, text, 0x4d454d4f_u64),
-    )
+    let (a, b) = h.finish();
+    TextKey(a, b)
 }
 
 /// A 64-bit hash of everything an exporter reads *besides* the CSR and
@@ -119,8 +179,7 @@ pub fn text_key(format: &str, text: &str) -> TextKey {
 /// under this in addition to the output format — the [`CacheKey`] alone
 /// only proves the *schedule* is shared, not the rendered bytes.
 pub fn render_key(workflow: &Workflow) -> u64 {
-    let mut h = prio_graph::labelhash::NameHashBuild.build_hasher();
-    h.write(&0x4d455441_u64.to_le_bytes());
+    let mut h = KeyHasher::new(0x4d455441_u64);
     h.write(workflow.source().name().as_bytes());
     for u in workflow.dag().node_ids() {
         for (k, v) in workflow.meta_of(u) {
@@ -131,7 +190,7 @@ pub fn render_key(workflow: &Workflow) -> u64 {
             h.write(v.as_bytes());
         }
     }
-    h.finish()
+    h.finish().0
 }
 
 /// One cached schedule: the PRIO order over the workflow's node indices.
@@ -512,6 +571,33 @@ mod tests {
         let a = dag(&["a", "b", "c", "d"], &[(0, 2), (0, 3)]);
         let b = dag(&["a", "b", "c", "d"], &[(0, 2), (1, 3)]);
         assert_ne!(workflow_key(&a), workflow_key(&b));
+    }
+
+    /// Single-label variants of one workflow — `fresh_0000` … `fresh_9999`
+    /// prepended as a new job — differ only in the top bytes of one 8-byte
+    /// chunk and in the tail word. Each 64-bit stream of both key kinds
+    /// must keep all 10k apart on its own (the streams used to collide in
+    /// the same pairs, so two of them gave no more than one).
+    #[test]
+    fn fresh_label_family_never_collides_in_either_stream() {
+        const VARIANTS: usize = 10_000;
+        let base_labels = ["mProject_0", "mProject_1", "mDiff_0", "mBackground_0"];
+        let base_arcs = [(1u32, 3u32), (2, 3), (3, 4), (0, 1)];
+        let base_text = "mProject_0\tmDiff_0\nmProject_1\tmDiff_0\nmDiff_0\tmBackground_0\n";
+        let mut streams: [std::collections::HashSet<u64>; 4] = Default::default();
+        for i in 0..VARIANTS {
+            let fresh = format!("fresh_{i:04}");
+            let mut labels = vec![fresh.as_str()];
+            labels.extend(base_labels);
+            let key = workflow_key(&dag(&labels, &base_arcs));
+            let text = text_key("edges", &format!("{fresh}\n{base_text}"));
+            for (set, h) in streams.iter_mut().zip([key.0, key.1, text.0, text.1]) {
+                set.insert(h);
+            }
+        }
+        for (stream, set) in ["key.0", "key.1", "text.0", "text.1"].iter().zip(&streams) {
+            assert_eq!(set.len(), VARIANTS, "{stream}: colliding variants");
+        }
     }
 
     #[test]

@@ -138,6 +138,19 @@ cmp target/format-matrix/priorities.dagman.tsv target/format-matrix/priorities.j
 cmp target/format-matrix/priorities.dagman.tsv target/format-matrix/priorities.edges.tsv \
   || { echo "check.sh: dagman/edges priorities diverged" >&2; exit 1; }
 echo "check.sh: format matrix ok (9 conversions, 3 prioritized formats agree)"
+# Paper-size SDSS smoke: `prio run` on the 48,013-job DAGMan file must
+# instrument every job and finish inside 30 s. It takes well under a
+# second; quadratic instrument, submit-file or peel loops take ~25 s.
+# Artifacts land in target/sdss-smoke.
+mkdir -p target/sdss-smoke
+./target/release/prio generate sdss --output target/sdss-smoke/sdss.dag
+timeout 30 ./target/release/prio run target/sdss-smoke/sdss.dag \
+  --output target/sdss-smoke/sdss.prio.dag 2> target/sdss-smoke/run.stderr \
+  || { echo "check.sh: paper-size SDSS run failed or took over 30 s" >&2; exit 1; }
+sdss_vars=$(grep -c '^VARS .* jobpriority=' target/sdss-smoke/sdss.prio.dag || true)
+[ "$sdss_vars" = "48013" ] \
+  || { echo "check.sh: paper-size SDSS has $sdss_vars jobpriority VARS lines, want 48013" >&2; exit 1; }
+echo "check.sh: paper-size SDSS run ok (48,013 jobs instrumented)"
 # Serve daemon smoke: start `prio serve` on an ephemeral port, drive one
 # prioritize request per frontend format plus the stats verb through
 # bash's /dev/tcp, and shut down gracefully with the shutdown verb. The

@@ -6,7 +6,9 @@
 //!
 //! This suite lives in its own integration-test binary (its own process
 //! under `cargo test`) because it asserts on deltas of process-global
-//! `serve.*` counters, which the other serve suites also bump.
+//! `serve.*` counters, which the other serve suites also bump. Its own
+//! tests shed into the same counters too, so they take [`SERIAL`] and run
+//! one at a time.
 
 use std::io::{Cursor, Write};
 use std::sync::{Arc, Mutex};
@@ -14,6 +16,18 @@ use std::time::Duration;
 
 use dagprio::obs::json::{parse, JsonValue};
 use dagprio::serve::{encode_control, encode_request, serve_streams, ServeConfig};
+
+/// Held by every test in this file: each one sheds into the
+/// process-global `serve.queue.shed` counter, and the exact-delta
+/// assertion below only holds while no other test is shedding.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // A panicking test poisons the lock; the counters stay meaningful.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -36,6 +50,7 @@ fn u64_field(v: &JsonValue, key: &str) -> u64 {
 
 #[test]
 fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
+    let _serial = serial();
     let shed_before = dagprio::obs::counter("serve.queue.shed").get();
 
     // Capacity 2 and a single deliberately slow worker: the reader
@@ -112,6 +127,7 @@ fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
 /// a slow worker, `ping` and `stats` still answer immediately.
 #[test]
 fn control_verbs_answer_inline_while_the_queue_is_saturated() {
+    let _serial = serial();
     let config = ServeConfig {
         threads: 1,
         queue_capacity: 2,
