@@ -8,7 +8,7 @@ use prio_core::prio::{PrioOptions, Prioritizer};
 use prio_core::PrioContext;
 use prio_workloads::montage::{montage, MontageParams};
 
-fn bench_pipeline(c: &mut Criterion) {
+fn pipeline_throughput(c: &mut Criterion) {
     let dag = montage(MontageParams::scaled(0.13));
     let mut group = c.benchmark_group(format!("pipeline_montage_{}", dag.num_nodes()));
     group.sample_size(20);
@@ -35,5 +35,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline);
+criterion_group!(benches, pipeline_throughput);
 criterion_main!(benches);

@@ -12,15 +12,12 @@
 //! | §3.5 engineering speedups | `cargo bench -p prio-bench --bench decompose` / `--bench combine`, `cargo run -p prio-bench --release --bin ablations` |
 //! | §3.6 overhead table | `cargo bench -p prio-bench --bench overhead`, `cargo run -p prio-bench --release --bin table_overhead` |
 //!
-//! The library part holds shared plumbing: plain-text table/TSV rendering
-//! ([`report`]), a byte-counting global allocator used to estimate the
-//! §3.6 memory column ([`mem`]), and the pipeline-throughput measurement
-//! shared by `bench_pipeline` and the `bench_check` regression guard
-//! ([`pipeline`]).
+//! The end-to-end cost of `prio run`, `prio serve` and `prio simulate` is
+//! measured by the separate runner in `benchmark/` (`bash benchmark/run.sh`,
+//! workloads declared in `BENCHMARK.json`). The library part holds shared
+//! plumbing: plain-text table/TSV rendering ([`report`]) and Montage-like
+//! dags at arbitrary job counts ([`scaling`]), which that runner and the
+//! trace-cost test in `tests/trace_cost.rs` build their inputs from.
 
-pub mod mem;
-pub mod obs_overhead;
-pub mod pipeline;
 pub mod report;
 pub mod scaling;
-pub mod serve;

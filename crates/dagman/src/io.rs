@@ -5,14 +5,6 @@
 //! O(log n) times and transiently holds ~2× the file size. [`read_input`]
 //! pre-sizes the buffer from file metadata so the text is read exactly
 //! once into exactly one allocation.
-//!
-//! The `mmap` cargo feature selects the zero-copy-intentioned input path
-//! explicitly. A true `mmap(2)` is deliberately **not** implemented: this
-//! crate is `#![forbid(unsafe_code)]` and the workspace bakes in no libc
-//! bindings, and memory-mapping is impossible under both constraints. The
-//! feature instead guarantees the pre-sized single-read implementation
-//! (and reserves the name so an unsafe-permitting build could swap a real
-//! mapping in behind the same API without callers changing).
 
 use std::fs::File;
 use std::io::{self, Read};

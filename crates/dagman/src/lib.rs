@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod direct;
 pub mod error;
 pub mod frontend;
 pub mod instrument;
@@ -38,7 +37,6 @@ pub mod scan;
 pub mod write;
 
 pub use ast::{DagmanFile, JobName, Statement};
-pub use direct::parse_dagman_to_dag;
 pub use error::DagmanError;
 pub use frontend::{registry, DagmanFrontend};
 pub use instrument::{

@@ -29,8 +29,8 @@ use std::sync::Arc;
 /// names into the graph without any copy.
 pub type Label = Arc<str>;
 
-/// Arc-chunk floor below which the parallel CSR/sort paths fall back to
-/// the serial implementation: spawning scoped threads for a few thousand
+/// Arc-chunk floor below which the parallel CSR build falls back to the
+/// serial implementation: spawning scoped threads for a few thousand
 /// arcs costs more than the passes themselves.
 const MIN_PARALLEL_ARCS: usize = 1 << 16;
 
@@ -301,37 +301,6 @@ impl Dag {
             .iter()
             .all(|&(u, v)| u.index() < labels.len() && v.index() < labels.len()));
         Dag::from_sorted_unique_arcs_par(labels, arcs, threads)
-    }
-
-    /// Validating bulk constructor: sorts and deduplicates `arcs`, checks
-    /// endpoints, self-loops and acyclicity, and builds the CSR arrays —
-    /// the bulk equivalent of a [`DagBuilder`] loop without the per-arc
-    /// bounds chatter or the label map.
-    ///
-    /// `threads > 1` parallelizes the arc sort (chunk sorts + pairwise
-    /// merges) and the CSR fill; the result is bit-identical to the
-    /// serial path for every thread count.
-    pub fn assemble(
-        labels: Vec<Label>,
-        mut arcs: Vec<(NodeId, NodeId)>,
-        threads: usize,
-    ) -> Result<Dag, GraphError> {
-        let len = labels.len() as u32;
-        for &(u, v) in &arcs {
-            for w in [u, v] {
-                if w.0 >= len {
-                    return Err(GraphError::InvalidNode { index: w.0, len });
-                }
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { index: u.0 });
-            }
-        }
-        par_sort_arcs(&mut arcs, threads);
-        arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs_par(labels, &arcs, threads);
-        kahn_acyclicity_check(&dag)?;
-        Ok(dag)
     }
 
     /// Number of nodes (jobs).
@@ -755,94 +724,13 @@ impl DagBuilder {
 
     /// Finalizes the graph, verifying acyclicity.
     pub fn build(self) -> Result<Dag, GraphError> {
-        self.build_with_threads(0)
-    }
-
-    /// [`DagBuilder::build`] with the sort/dedup and CSR fill spread over
-    /// `threads` scoped worker threads (`0`/`1` = serial). Bit-identical
-    /// to the serial build for every thread count.
-    pub fn build_with_threads(self, threads: usize) -> Result<Dag, GraphError> {
         let mut arcs = self.arcs;
-        par_sort_arcs(&mut arcs, threads);
+        arcs.sort_unstable();
         arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs_par(self.labels, &arcs, threads);
+        let dag = Dag::from_sorted_unique_arcs(self.labels, &arcs);
         kahn_acyclicity_check(&dag)?;
         Ok(dag)
     }
-}
-
-/// Sorts an arc list lexicographically; `threads > 1` splits it into
-/// per-thread chunk sorts followed by rounds of pairwise merges (each
-/// round's merges run concurrently into disjoint output ranges). Sorting
-/// is deterministic, so the result is identical to `sort_unstable`.
-fn par_sort_arcs(arcs: &mut Vec<(NodeId, NodeId)>, threads: usize) {
-    let m = arcs.len();
-    if threads <= 1 || m < MIN_PARALLEL_ARCS {
-        arcs.sort_unstable();
-        return;
-    }
-    let t = threads.min(m);
-    let mut bounds: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-    {
-        let mut slices: Vec<&mut [(NodeId, NodeId)]> = Vec::with_capacity(t);
-        let mut rest = arcs.as_mut_slice();
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for slice in slices {
-                scope.spawn(|| slice.sort_unstable());
-            }
-        });
-    }
-    // Pairwise merge rounds between two buffers; each merge owns a
-    // disjoint contiguous output range, so merges of one round run
-    // concurrently.
-    let mut src = std::mem::take(arcs);
-    let mut dst = vec![(NodeId(0), NodeId(0)); m];
-    while bounds.len() > 2 {
-        {
-            let mut out_rest = dst.as_mut_slice();
-            let mut taken = 0usize;
-            std::thread::scope(|scope| {
-                let mut i = 0;
-                while i + 1 < bounds.len() {
-                    let lo = bounds[i];
-                    let mid = bounds[i + 1];
-                    let hi = *bounds.get(i + 2).unwrap_or(&mid);
-                    let (out, tail) = out_rest.split_at_mut(hi - lo);
-                    out_rest = tail;
-                    taken += hi - lo;
-                    let (a, b) = (&src[lo..mid], &src[mid..hi]);
-                    scope.spawn(move || {
-                        let (mut x, mut y) = (0usize, 0usize);
-                        for slot in out.iter_mut() {
-                            *slot = if y >= b.len() || (x < a.len() && a[x] <= b[y]) {
-                                x += 1;
-                                a[x - 1]
-                            } else {
-                                y += 1;
-                                b[y - 1]
-                            };
-                        }
-                    });
-                    i += 2;
-                }
-            });
-            debug_assert_eq!(taken, m);
-        }
-        std::mem::swap(&mut src, &mut dst);
-        // Keep every other boundary (merged pairs), always keeping the end.
-        let end = *bounds.last().expect("non-empty bounds");
-        let mut kept: Vec<usize> = bounds.iter().copied().step_by(2).collect();
-        if *kept.last().expect("non-empty") != end {
-            kept.push(end);
-        }
-        bounds = kept;
-    }
-    *arcs = src;
 }
 
 /// Kahn's algorithm purely to detect cycles; the topological sort itself

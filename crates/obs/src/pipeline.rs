@@ -95,9 +95,6 @@ struct Shared<T> {
     /// Set by [`TracePipeline::finish`]; the writer drains what is left
     /// and exits.
     closed: AtomicBool,
-    /// When true the writer thread parks until `closed` is set instead
-    /// of draining concurrently (see [`TracePipeline::start_deferred`]).
-    deferred: bool,
     enqueued: AtomicU64,
     dropped: AtomicU64,
     /// The `obs.sink.dropped_events` handle, resolved once at start so
@@ -150,39 +147,6 @@ impl<T: Send + 'static> TracePipeline<T> {
     where
         F: FnMut(&T, &mut String) + Send + 'static,
     {
-        Self::start_impl(sink, capacity, sample, Box::new(encode), false)
-    }
-
-    /// Like [`TracePipeline::start`], but the writer thread stays parked
-    /// (consuming no CPU) until [`TracePipeline::finish`], which then
-    /// drains everything in one pass. Overhead-measurement mode: with
-    /// the writer quiescent, the wall time of the producing phase is
-    /// exactly the overhead tracing imposes on the producing thread, and
-    /// the drain time is exactly the writer's encode+write throughput —
-    /// on any core count. Requires a ring large enough for the whole
-    /// trace (overflow is counted-and-dropped as usual, so an undersized
-    /// ring is loud, not wrong), and [`TracePipeline::control`] must not
-    /// be called before `finish` on a full ring (it would spin against a
-    /// parked writer).
-    pub fn start_deferred<F>(
-        sink: JsonlSink,
-        capacity: usize,
-        sample: u64,
-        encode: F,
-    ) -> TracePipeline<T>
-    where
-        F: FnMut(&T, &mut String) + Send + 'static,
-    {
-        Self::start_impl(sink, capacity, sample, Box::new(encode), true)
-    }
-
-    fn start_impl(
-        sink: JsonlSink,
-        capacity: usize,
-        sample: u64,
-        encode: Encoder<T>,
-        deferred: bool,
-    ) -> TracePipeline<T> {
         // Resolve the drop counter up front: exposition always shows it
         // (a healthy run exports an explicit 0, not an absence) and the
         // drop path never takes the registry lock.
@@ -191,7 +155,6 @@ impl<T: Send + 'static> TracePipeline<T> {
         let shared = Arc::new(Shared {
             ring: Ring::with_capacity(capacity),
             closed: AtomicBool::new(false),
-            deferred,
             enqueued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             drop_counter,
@@ -199,7 +162,7 @@ impl<T: Send + 'static> TracePipeline<T> {
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
             .name("prio-trace-writer".into())
-            .spawn(move || writer_loop(writer_shared, sink, encode))
+            .spawn(move || writer_loop(writer_shared, sink, Box::new(encode)))
             .expect("spawn trace writer thread");
         TracePipeline {
             shared,
@@ -279,8 +242,6 @@ impl<T: Send + 'static> TracePipeline<T> {
     pub fn finish(mut self) -> (JsonlSink, PipelineStats, io::Result<()>) {
         self.shared.closed.store(true, Ordering::Release);
         let writer = self.writer.take().expect("finish called once");
-        // A deferred writer is parked; wake it to drain (no-op otherwise).
-        writer.thread().unpark();
         let (sink, written, result) = match writer.join() {
             Ok(out) => out,
             Err(panic) => std::panic::resume_unwind(panic),
@@ -301,7 +262,6 @@ impl<T: Send + 'static> Drop for TracePipeline<T> {
         // paths stop the writer so the process does not hang on exit.
         if let Some(writer) = self.writer.take() {
             self.shared.closed.store(true, Ordering::Release);
-            writer.thread().unpark();
             let _ = writer.join();
         }
     }
@@ -402,13 +362,6 @@ fn writer_loop<T>(
         written: 0,
         first_err: Ok(()),
     };
-    if shared.deferred {
-        // Overhead-measurement mode: stay off the CPU until close, then
-        // drain in one pass. park() can wake spuriously, so re-check.
-        while !shared.closed.load(Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
     loop {
         match shared.ring.pop() {
             Some(record) => out.record(record),
@@ -566,31 +519,6 @@ mod tests {
         assert_eq!(err.to_string(), "disk full");
         assert_eq!(stats.written, 0);
         assert_eq!(stats.enqueued, 2);
-    }
-
-    #[test]
-    fn deferred_pipeline_stays_quiet_until_finish_then_drains_in_order() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::to_writer(Box::new(SharedBuf(buf.clone())));
-        let pipeline: TracePipeline<String> =
-            TracePipeline::start_deferred(sink, 1 << 12, 1, |line: &String, out| {
-                out.push_str(line)
-            });
-        for i in 0..1000 {
-            pipeline.event(format!("{{\"i\":{i}}}"));
-        }
-        // The parked writer must not have touched the sink yet — that
-        // quiescence is the whole point of deferred mode.
-        assert!(buf.lock().unwrap().is_empty());
-        let (_sink, stats, result) = pipeline.finish();
-        result.unwrap();
-        assert_eq!(
-            (stats.enqueued, stats.written, stats.dropped),
-            (1000, 1000, 0)
-        );
-        let drained = lines(&buf);
-        assert_eq!(drained.len(), 1000);
-        assert_eq!(drained[17], "{\"i\":17}");
     }
 
     #[test]

@@ -177,7 +177,8 @@ pub fn parse_request(line: &str, first_version: &mut Option<u64>) -> Result<Requ
 }
 
 /// Builds one request line (without the trailing newline) — the client
-/// half of the protocol, used by `bench_serve` and the test suites.
+/// half of the protocol, used by the benchmark's `serve-mix` load
+/// generator (`benchmark/`) and the test suites.
 pub fn encode_request(
     id: &str,
     workflow: &str,

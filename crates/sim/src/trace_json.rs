@@ -55,8 +55,8 @@ const _: () = assert!(SCHEMA_VERSION == 3);
 /// shortest-round-trip writer ([`event_json_into`]) and a formatting
 /// memo cache (the trace pipeline's writer thread). Everything else is
 /// literal pushes and a fmt-free digit loop — on the writer thread this
-/// runs per event for multi-million-event traces, and its cost is what
-/// the `obs_overhead` bench gates.
+/// runs per event for multi-million-event traces, and its cost shows in
+/// the end-to-end time of `prio simulate --trace-out`.
 fn encode_event(event: &TraceEvent, buf: &mut String, f: &mut impl FnMut(f64, &mut String)) {
     let job_time = |kind_prefix: &str,
                     time: f64,
@@ -178,23 +178,6 @@ fn encode_event(event: &TraceEvent, buf: &mut String, f: &mut impl FnMut(f64, &m
 pub fn event_pipeline(sink: JsonlSink, capacity: usize, sample: u64) -> TracePipeline<TraceEvent> {
     let mut cache = F64Cache::new();
     TracePipeline::start(sink, capacity, sample, move |event, buf| {
-        encode_event(event, buf, &mut |v, out| cache.write(v, out))
-    })
-}
-
-/// [`event_pipeline`] with a parked writer (see
-/// [`TracePipeline::start_deferred`]): the producing phase's wall time
-/// is pure producer-side overhead, the `finish` call is pure writer
-/// throughput. This is what the `obs_overhead` bench measures; the
-/// caller must size `capacity` (in 256-event chunk records) for the
-/// whole trace.
-pub fn event_pipeline_deferred(
-    sink: JsonlSink,
-    capacity: usize,
-    sample: u64,
-) -> TracePipeline<TraceEvent> {
-    let mut cache = F64Cache::new();
-    TracePipeline::start_deferred(sink, capacity, sample, move |event, buf| {
         encode_event(event, buf, &mut |v, out| cache.write(v, out))
     })
 }
@@ -336,10 +319,6 @@ pub struct StreamingTraceWriter<'a> {
     /// batching divides it by the chunk size.
     buffer: std::cell::RefCell<Vec<TraceEvent>>,
     chunk: usize,
-    /// Pre-faulted replacement buffers ([`Self::with_chunk_pool`]);
-    /// empty for ordinary writers, which allocate replacements on
-    /// demand.
-    pool: std::cell::RefCell<Vec<Vec<TraceEvent>>>,
 }
 
 /// Events buffered locally per ring push. Amortizes queue traffic to a
@@ -373,38 +352,7 @@ impl<'a> StreamingTraceWriter<'a> {
             sampler,
             buffer: std::cell::RefCell::new(Vec::with_capacity(chunk)),
             chunk,
-            pool: std::cell::RefCell::new(Vec::new()),
         }
-    }
-
-    /// Like [`StreamingTraceWriter::new`], but with `pool_chunks`
-    /// replacement buffers allocated — and their pages faulted in — up
-    /// front. Ordinary (concurrent-drain) writers do not need this: the
-    /// writer thread frees chunks as it drains, so the allocator
-    /// recycles warm memory and steady-state chunk swaps touch no new
-    /// pages. A *deferred-drain* pipeline instead buffers the whole
-    /// trace, and every replacement buffer would fault fresh pages
-    /// inside whatever the caller is measuring; pre-faulting moves that
-    /// one-time cost into setup. The pool is best-effort — when it runs
-    /// dry the writer falls back to plain allocation.
-    pub fn with_chunk_pool(
-        pipeline: &'a TracePipeline<TraceEvent>,
-        sampler: JobSampler,
-        pool_chunks: usize,
-    ) -> StreamingTraceWriter<'a> {
-        let writer = Self::new(pipeline, sampler);
-        let filler = TraceEvent::WorkerUp { time: 0.0 };
-        let pool = (0..pool_chunks)
-            .map(|_| {
-                // `vec![filler; n]` writes every element, faulting the
-                // buffer's pages; clearing keeps the warm capacity.
-                let mut buf = vec![filler; writer.chunk];
-                buf.clear();
-                buf
-            })
-            .collect();
-        *writer.pool.borrow_mut() = pool;
-        writer
     }
 
     /// The node id an event is scoped to, if it is job-scoped.
@@ -435,12 +383,7 @@ impl TraceConsumer for StreamingTraceWriter<'_> {
         let mut buffer = self.buffer.borrow_mut();
         buffer.push(*event);
         if buffer.len() >= self.chunk {
-            let replacement = self
-                .pool
-                .borrow_mut()
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(self.chunk));
-            let full = std::mem::replace(&mut *buffer, replacement);
+            let full = std::mem::replace(&mut *buffer, Vec::with_capacity(self.chunk));
             self.pipeline.chunk(full);
         }
     }
@@ -466,12 +409,7 @@ impl TraceConsumer for StreamingTraceWriter<'_> {
             buffer.extend_from_slice(head);
             rest = tail;
             if buffer.len() >= self.chunk {
-                let replacement = self
-                    .pool
-                    .borrow_mut()
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(self.chunk));
-                let full = std::mem::replace(&mut *buffer, replacement);
+                let full = std::mem::replace(&mut *buffer, Vec::with_capacity(self.chunk));
                 self.pipeline.chunk(full);
             }
         }

@@ -1,7 +1,7 @@
 //! Parallel-vs-serial bit-identity properties.
 //!
-//! Every parallel path in the front half of the pipeline — CSR assembly,
-//! transitive reduction, decomposition, and the two DAGMan parse paths —
+//! Every parallel path in the front half of the pipeline — CSR build,
+//! transitive reduction, decomposition, and the chunked DAGMan parse —
 //! promises results *bit-identical* to its serial twin for every thread
 //! count. The properties here hold that promise on random dags and
 //! catalog-family compositions; the `*_at_scale` tests additionally cross
@@ -10,7 +10,7 @@
 
 use dagprio::core::decompose::{decompose_in, DecomposeOptions, Decomposition};
 use dagprio::core::prio::{PrioOptions, Prioritizer};
-use dagprio::dagman::{parse_dagman, parse_dagman_threads, parse_dagman_to_dag};
+use dagprio::dagman::{parse_dagman, parse_dagman_threads};
 use dagprio::graph::reduction::{shortcut_arcs_into, shortcut_arcs_par_into};
 use dagprio::graph::{Dag, GraphScratch, Label, NodeId, ScratchArena};
 use proptest::prelude::*;
@@ -55,12 +55,13 @@ fn arb_composed() -> impl Strategy<Value = Dag> {
     })
 }
 
-/// The arc list of `dag` in a scrambled (reverse) order, as `assemble`
-/// input — the constructor must sort it back itself.
-fn scrambled_arcs(dag: &Dag) -> Vec<(NodeId, NodeId)> {
-    let mut arcs: Vec<(NodeId, NodeId)> = dag.arcs().collect();
-    arcs.reverse();
-    arcs
+/// Rebuilds `dag`'s CSR arrays from its arc list with `threads` workers
+/// (the build decompose uses for its part and superdag dags). CSR order
+/// is lexicographic, so the list meets the constructor's sorted,
+/// duplicate-free contract as it comes.
+fn rebuild(dag: &Dag, threads: usize) -> Dag {
+    let arcs: Vec<(NodeId, NodeId)> = dag.arcs().collect();
+    Dag::from_sorted_arcs_unchecked(labels_of(dag), &arcs, threads)
 }
 
 fn labels_of(dag: &Dag) -> Vec<Label> {
@@ -104,14 +105,13 @@ fn to_dagman_text(dag: &Dag) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// CSR assembly is thread-count invariant (including offset arrays and
-    /// both adjacency directions, via `Dag`'s structural equality).
+    /// The CSR build is thread-count invariant (including offset arrays
+    /// and both adjacency directions, via `Dag`'s structural equality).
     #[test]
-    fn assemble_is_thread_count_invariant(dag in arb_dag(24, 0.25)) {
-        let serial = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 0).unwrap();
+    fn csr_build_is_thread_count_invariant(dag in arb_dag(24, 0.25)) {
+        let serial = rebuild(&dag, 0);
         for threads in [1, 2, 4] {
-            let par = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), threads).unwrap();
-            prop_assert_eq!(&par, &serial);
+            prop_assert_eq!(&rebuild(&dag, threads), &serial);
         }
         prop_assert_eq!(&serial, &dag);
     }
@@ -167,18 +167,13 @@ proptest! {
         }
     }
 
-    /// Both DAGMan front doors — the AST path and the zero-copy direct
-    /// path — produce the same dag, at every thread count.
+    /// The chunked DAGMan parse yields the serial parse's dag.
     #[test]
     fn dagman_parse_paths_agree(dag in arb_dag(16, 0.3)) {
         let text = to_dagman_text(&dag);
         let ast = parse_dagman(&text).unwrap().to_dag().unwrap();
         let chunked = parse_dagman_threads(&text, 4).unwrap().to_dag().unwrap();
         prop_assert_eq!(&chunked, &ast);
-        for threads in [0, 1, 3] {
-            let direct = parse_dagman_to_dag(&text, threads).unwrap();
-            prop_assert_eq!(&direct, &ast, "threads={}", threads);
-        }
     }
 }
 
@@ -208,22 +203,25 @@ fn scale_dag() -> Dag {
 fn parallel_csr_build_bit_identical_at_scale() {
     let dag = scale_dag();
     assert!(dag.num_arcs() > 1 << 16, "must cross MIN_PARALLEL_ARCS");
-    let serial = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 0).unwrap();
-    let par = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 4).unwrap();
-    assert_eq!(par, serial);
+    let serial = rebuild(&dag, 0);
+    assert_eq!(rebuild(&dag, 4), serial);
+    assert_eq!(serial, dag);
 }
 
 /// The four scientific workloads at a reduced-but-structural scale:
-/// every stage — CSR assembly, reduction, decomposition, the full
+/// every stage — CSR build, reduction, decomposition, the full
 /// pipeline — is thread-count invariant on each of them.
 #[test]
 fn workload_suite_is_thread_count_invariant() {
     for w in dagprio::workloads::scaled_suite(0.25) {
         let dag = w.dag();
 
-        let serial = Dag::assemble(labels_of(dag), scrambled_arcs(dag), 0).unwrap();
-        let par = Dag::assemble(labels_of(dag), scrambled_arcs(dag), 4).unwrap();
-        assert_eq!(par, serial, "{}: assemble diverged", w.name);
+        assert_eq!(
+            rebuild(dag, 4),
+            rebuild(dag, 0),
+            "{}: CSR build diverged",
+            w.name
+        );
 
         let mut scratch = GraphScratch::new();
         let mut shortcuts_serial = Vec::new();
