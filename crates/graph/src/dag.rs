@@ -16,6 +16,7 @@
 use crate::error::GraphError;
 use crate::labelhash::NameHashBuild;
 use crate::scratch::SubgraphScratch;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -684,12 +685,17 @@ impl DagBuilder {
     /// Adds a node whose label must be new, erroring on duplicates.
     pub fn add_unique_node(&mut self, label: impl Into<Label>) -> Result<NodeId, GraphError> {
         let label = label.into();
-        if self.by_label.contains_key(&*label) {
-            return Err(GraphError::DuplicateLabel {
+        let id = NodeId(self.labels.len() as u32);
+        match self.by_label.entry(label.clone()) {
+            Entry::Occupied(_) => Err(GraphError::DuplicateLabel {
                 label: label.to_string(),
-            });
+            }),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                self.labels.push(label);
+                Ok(id)
+            }
         }
-        Ok(self.add_node(label))
     }
 
     /// Returns the node previously added with `label` (first occurrence), or

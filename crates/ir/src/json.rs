@@ -24,8 +24,9 @@
 use crate::error::{ImportError, PrioError};
 use crate::frontend::Frontend;
 use crate::workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};
-use prio_obs::json::{escape, parse, JsonValue};
-use std::fmt::Write as _;
+use prio_graph::NodeId;
+use prio_obs::json::{write_escaped, write_json_u64, Reader};
+use std::borrow::Cow;
 
 /// The value of the `"format"` tag this frontend reads and writes.
 pub const FORMAT_TAG: &str = "prio-workflow-v1";
@@ -37,14 +38,231 @@ fn err(message: impl Into<String>) -> PrioError {
     ImportError::whole_file(FormatId::Json, message).into()
 }
 
-/// The value as an `i64`, if numeric and integral.
-fn as_i64(v: &JsonValue) -> Option<i64> {
-    match v.as_f64() {
-        Some(n) if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&n) => {
-            Some(n as i64)
+/// `n` as an `i64`, if integral and in range.
+fn as_i64(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&n)).then_some(n as i64)
+}
+
+/// A value as the importer needs it: strings and numbers are read,
+/// anything else is skipped.
+enum Scalar<'a> {
+    Str(Cow<'a, str>),
+    Num(f64),
+    Other,
+}
+
+fn scalar<'a>(r: &mut Reader<'a>) -> Result<Scalar<'a>, String> {
+    Ok(match r.peek() {
+        Some(b'"') => Scalar::Str(r.string()?),
+        Some(b'-' | b'0'..=b'9') => Scalar::Num(r.number()?),
+        _ => {
+            r.skip_value()?;
+            Scalar::Other
         }
-        _ => None,
+    })
+}
+
+/// Where a top-level member's value starts, and its item count if it is
+/// an array.
+#[derive(Clone, Copy)]
+struct Member {
+    pos: usize,
+    items: usize,
+}
+
+/// What pass 1 records about the top-level object: the last value of
+/// each member the import reads (later duplicates win, as in an object
+/// parsed into a map).
+#[derive(Default)]
+struct Layout {
+    format: Option<Member>,
+    jobs: Option<Member>,
+    arcs: Option<Member>,
+}
+
+/// Pass 1: validates the whole document, so syntax errors take
+/// precedence over every semantic one. `None` if the top level is not an
+/// object.
+fn layout(text: &str) -> Result<Option<Layout>, String> {
+    let mut r = Reader::new(text);
+    r.skip_ws();
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        r.finish()?;
+        return Ok(None);
     }
+    let mut layout = Layout::default();
+    if r.begin_object()? {
+        loop {
+            let member = match &*r.key()? {
+                "format" => Some(&mut layout.format),
+                "jobs" => Some(&mut layout.jobs),
+                "arcs" => Some(&mut layout.arcs),
+                _ => None,
+            };
+            match member {
+                Some(member) => {
+                    let pos = r.pos();
+                    let items = skip_counting_items(&mut r)?;
+                    *member = Some(Member { pos, items });
+                }
+                None => r.skip_value()?,
+            }
+            if !r.next_member()? {
+                break;
+            }
+        }
+    }
+    r.finish()?;
+    Ok(Some(layout))
+}
+
+/// Skips one value, returning its item count if it is an array (else 0).
+fn skip_counting_items(r: &mut Reader) -> Result<usize, String> {
+    if r.peek() != Some(b'[') {
+        r.skip_value()?;
+        return Ok(0);
+    }
+    let mut items = 0;
+    if r.begin_array()? {
+        loop {
+            r.skip_value()?;
+            items += 1;
+            if !r.next_item()? {
+                break;
+            }
+        }
+    }
+    Ok(items)
+}
+
+fn new_job(b: &mut WorkflowBuilder, i: usize, name: &str) -> Result<NodeId, String> {
+    b.new_job(name)
+        .ok_or_else(|| format!("jobs[{i}]: duplicate job {name:?}"))
+}
+
+/// Pass 2 over the (validated) `"jobs"` array. A job object's members
+/// are handled in key order with the last duplicate winning, so errors
+/// come out in the same order as from an object parsed into a map.
+fn read_jobs<'a>(r: &mut Reader<'a>, b: &mut WorkflowBuilder) -> Result<(), String> {
+    // One scratch buffer for every job object's members.
+    let mut members: Vec<(Cow<'a, str>, Scalar<'a>)> = Vec::new();
+    if !r.begin_array()? {
+        return Ok(());
+    }
+    for i in 0.. {
+        match r.peek() {
+            Some(b'"') => {
+                new_job(b, i, &r.string()?)?;
+            }
+            Some(b'{') => {
+                members.clear();
+                if r.begin_object()? {
+                    loop {
+                        let key = r.key()?;
+                        members.push((key, scalar(r)?));
+                        if !r.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                // Reversed, a stable sort puts each key's last value first.
+                members.reverse();
+                members.sort_by(|x, y| x.0.cmp(&y.0));
+                members.dedup_by(|later, first| later.0 == first.0);
+                let name = match members.iter().find(|(k, _)| k == "name") {
+                    Some((_, Scalar::Str(name))) => name,
+                    _ => return Err(format!("jobs[{i}]: missing string \"name\"")),
+                };
+                let u = new_job(b, i, name)?;
+                for (key, value) in &members {
+                    match (&**key, value) {
+                        ("name", _) => {}
+                        ("priority", value) => {
+                            let p = match value {
+                                Scalar::Num(n) => as_i64(*n),
+                                _ => None,
+                            };
+                            let p = p.ok_or_else(|| {
+                                format!("jobs[{i}]: \"priority\" must be an integer")
+                            })?;
+                            b.set_priority(u, p);
+                        }
+                        (key, Scalar::Str(v)) => b.set_meta(u, key, &**v),
+                        (key, _) => {
+                            return Err(format!("jobs[{i}]: metadata {key:?} must be a string"))
+                        }
+                    }
+                }
+            }
+            _ => return Err(format!("jobs[{i}]: must be an object or a string")),
+        }
+        if !r.next_item()? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Pass 2 over the (validated) `"arcs"` array, after every job is known.
+fn read_arcs(r: &mut Reader, b: &mut WorkflowBuilder) -> Result<(), String> {
+    if !r.begin_array()? {
+        return Ok(());
+    }
+    for i in 0.. {
+        if r.peek() != Some(b'[') {
+            return Err(format!("arcs[{i}]: must be a [parent, child] pair"));
+        }
+        let mut ends = [Scalar::Other, Scalar::Other];
+        let mut len = 0;
+        if r.begin_array()? {
+            loop {
+                let end = scalar(r)?;
+                if let Some(slot) = ends.get_mut(len) {
+                    *slot = end;
+                }
+                len += 1;
+                if !r.next_item()? {
+                    break;
+                }
+            }
+        }
+        if len != 2 {
+            return Err(format!("arcs[{i}]: must have exactly two entries"));
+        }
+        let [Scalar::Str(p), Scalar::Str(c)] = &ends else {
+            return Err(format!("arcs[{i}]: entries must be job names"));
+        };
+        let (Some(pu), Some(cu)) = (b.get(p), b.get(c)) else {
+            let missing: &str = if b.get(p).is_none() { p } else { c };
+            return Err(format!("arcs[{i}]: unknown job {missing:?}"));
+        };
+        b.arc(pu, cu).map_err(|e| format!("arcs[{i}]: {e}"))?;
+        if !r.next_item()? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The export's length when no string needs escaping (escapes only add
+/// to it), so the output is written into one allocation.
+fn export_len(workflow: &Workflow, priorities: &Priorities) -> usize {
+    // Header and footer lines, then `    [p, c],\n` around each arc's names.
+    let mut len = 96 + 10 * workflow.num_arcs();
+    for u in workflow.node_ids() {
+        let name = workflow.job_name(u).len() + 2;
+        // `    {"name": …},\n`, plus the name once per incident arc.
+        len += 16 + name * (1 + workflow.out_degree(u) + workflow.in_degree(u));
+        if priorities.get(u).is_some() {
+            // `, "priority": ` and up to 20 characters of `i64`.
+            len += 34;
+        }
+        for (k, v) in workflow.meta_of(u) {
+            len += 8 + k.len() + v.len();
+        }
+    }
+    len
 }
 
 impl Frontend for JsonFrontend {
@@ -61,80 +279,38 @@ impl Frontend for JsonFrontend {
         t.starts_with('{') && t.contains("\"jobs\"")
     }
 
+    /// Two passes over `text` and no document tree: pass 1 validates the
+    /// document and records where the last `"format"`, `"jobs"` and
+    /// `"arcs"` values start; pass 2 reads those values in place, feeding
+    /// names borrowed from `text` to the builder.
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
         let _span = prio_obs::span(prio_obs::stage::PARSE);
-        let doc = parse(text).map_err(err)?;
-        if !doc.is_object() {
-            return Err(err("top level must be an object"));
-        }
-        if let Some(tag) = doc.get("format") {
-            match tag.as_str() {
-                Some(FORMAT_TAG) => {}
-                Some(other) => return Err(err(format!("unsupported format tag {other:?}"))),
-                None => return Err(err("\"format\" must be a string")),
+        let layout = layout(text)
+            .map_err(err)?
+            .ok_or_else(|| err("top level must be an object"))?;
+        if let Some(format) = layout.format {
+            match scalar(&mut Reader::at(text, format.pos)).map_err(err)? {
+                Scalar::Str(tag) if tag == FORMAT_TAG => {}
+                Scalar::Str(other) => {
+                    return Err(err(format!("unsupported format tag {:?}", &*other)))
+                }
+                _ => return Err(err("\"format\" must be a string")),
             }
         }
-        let JsonValue::Arr(jobs) = doc.get("jobs").ok_or_else(|| err("missing \"jobs\""))? else {
+        let is_array = |m: &Member| text.as_bytes()[m.pos] == b'[';
+        let jobs = layout.jobs.ok_or_else(|| err("missing \"jobs\""))?;
+        if !is_array(&jobs) {
             return Err(err("\"jobs\" must be an array"));
-        };
-        let arcs = match doc.get("arcs") {
-            None => &[][..],
-            Some(JsonValue::Arr(arcs)) => arcs.as_slice(),
-            Some(_) => return Err(err("\"arcs\" must be an array")),
-        };
-
-        let mut b = WorkflowBuilder::with_capacity(FormatId::Json, jobs.len(), arcs.len());
-        for (i, entry) in jobs.iter().enumerate() {
-            let (name, obj) = match entry {
-                JsonValue::Str(name) => (name.as_str(), None),
-                JsonValue::Obj(map) => {
-                    let name = map
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| err(format!("jobs[{i}]: missing string \"name\"")))?;
-                    (name, Some(map))
-                }
-                _ => return Err(err(format!("jobs[{i}]: must be an object or a string"))),
-            };
-            if b.get(name).is_some() {
-                return Err(err(format!("jobs[{i}]: duplicate job {name:?}")));
-            }
-            let u = b.job(name);
-            if let Some(map) = obj {
-                for (key, value) in map {
-                    match key.as_str() {
-                        "name" => {}
-                        "priority" => {
-                            let p = as_i64(value).ok_or_else(|| {
-                                err(format!("jobs[{i}]: \"priority\" must be an integer"))
-                            })?;
-                            b.set_priority(u, p);
-                        }
-                        _ => {
-                            let v = value.as_str().ok_or_else(|| {
-                                err(format!("jobs[{i}]: metadata {key:?} must be a string"))
-                            })?;
-                            b.set_meta(u, key.clone(), v);
-                        }
-                    }
-                }
-            }
         }
-        for (i, entry) in arcs.iter().enumerate() {
-            let JsonValue::Arr(pair) = entry else {
-                return Err(err(format!("arcs[{i}]: must be a [parent, child] pair")));
-            };
-            let [p, c] = pair.as_slice() else {
-                return Err(err(format!("arcs[{i}]: must have exactly two entries")));
-            };
-            let (Some(p), Some(c)) = (p.as_str(), c.as_str()) else {
-                return Err(err(format!("arcs[{i}]: entries must be job names")));
-            };
-            let (Some(pu), Some(cu)) = (b.get(p), b.get(c)) else {
-                let missing = if b.get(p).is_none() { p } else { c };
-                return Err(err(format!("arcs[{i}]: unknown job {missing:?}")));
-            };
-            b.arc(pu, cu).map_err(|e| err(format!("arcs[{i}]: {e}")))?;
+        if layout.arcs.is_some_and(|arcs| !is_array(&arcs)) {
+            return Err(err("\"arcs\" must be an array"));
+        }
+
+        let arcs = layout.arcs.map_or(0, |arcs| arcs.items);
+        let mut b = WorkflowBuilder::with_capacity(FormatId::Json, jobs.items, arcs);
+        read_jobs(&mut Reader::at(text, jobs.pos), &mut b).map_err(err)?;
+        if let Some(arcs) = layout.arcs {
+            read_arcs(&mut Reader::at(text, arcs.pos), &mut b).map_err(err)?;
         }
         let wf = b.build()?;
         prio_obs::counter("json.parse.files").add(1);
@@ -145,28 +321,35 @@ impl Frontend for JsonFrontend {
 
     fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
         let _span = prio_obs::span(prio_obs::stage::WRITE);
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": {},", escape(FORMAT_TAG));
-        out.push_str("  \"jobs\": [\n");
+        let name = |u| workflow.job_name(u);
+        let mut out = String::with_capacity(export_len(workflow, priorities));
+        out.push_str("{\n  \"format\": ");
+        write_escaped(FORMAT_TAG, &mut out);
+        out.push_str(",\n  \"jobs\": [\n");
         let n = workflow.num_nodes();
         for u in workflow.node_ids() {
-            let mut line = format!("    {{\"name\": {}", escape(workflow.job_name(u)));
+            out.push_str("    {\"name\": ");
+            write_escaped(name(u), &mut out);
             if let Some(p) = priorities.get(u) {
-                let _ = write!(line, ", \"priority\": {p}");
+                out.push_str(", \"priority\": ");
+                if p < 0 {
+                    out.push('-');
+                }
+                write_json_u64(p.unsigned_abs(), &mut out);
             }
             for (k, v) in workflow.meta_of(u) {
-                let _ = write!(line, ", {}: {}", escape(k), escape(v));
+                out.push_str(", ");
+                write_escaped(k, &mut out);
+                out.push_str(": ");
+                write_escaped(v, &mut out);
             }
-            line.push('}');
+            out.push('}');
             if u.index() + 1 < n {
-                line.push(',');
+                out.push(',');
             }
-            out.push_str(&line);
             out.push('\n');
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"arcs\": [\n");
+        out.push_str("  ],\n  \"arcs\": [\n");
         let mut first = true;
         for u in workflow.node_ids() {
             for &c in workflow.children(u) {
@@ -174,12 +357,11 @@ impl Frontend for JsonFrontend {
                     out.push_str(",\n");
                 }
                 first = false;
-                let _ = write!(
-                    out,
-                    "    [{}, {}]",
-                    escape(workflow.job_name(u)),
-                    escape(workflow.job_name(c))
-                );
+                out.push_str("    [");
+                write_escaped(name(u), &mut out);
+                out.push_str(", ");
+                write_escaped(name(c), &mut out);
+                out.push(']');
             }
         }
         if !first {
@@ -193,7 +375,6 @@ impl Frontend for JsonFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prio_graph::NodeId;
 
     fn sample() -> Workflow {
         let mut b = WorkflowBuilder::new(FormatId::Json);

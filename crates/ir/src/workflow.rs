@@ -257,6 +257,12 @@ impl WorkflowBuilder {
         self.dag.node_for_label(name)
     }
 
+    /// Inserts a job that must be new, in one lookup: `None` if `name` is
+    /// already a job.
+    pub fn new_job(&mut self, name: &str) -> Option<NodeId> {
+        self.dag.add_unique_node(name).ok()
+    }
+
     /// Looks a job up without inserting.
     pub fn get(&self, name: &str) -> Option<NodeId> {
         self.dag.get(name)

@@ -1,11 +1,15 @@
 //! A hand-rolled JSON writer and a minimal parser — enough to emit JSONL
 //! event lines and to validate/replay them, with no external dependency.
+//! The parser is one pull [`Reader`]; [`parse`] builds a [`JsonValue`]
+//! tree on top of it, and streaming consumers (the workflow importer)
+//! walk a document with it in place.
 //!
 //! The writer escapes per RFC 8259 (quotes, backslashes, control
 //! characters); non-ASCII passes through as UTF-8, which is valid JSON
 //! and keeps DAGMan job names readable. Non-finite floats serialize as
 //! `null` (JSON has no NaN/Infinity).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -362,27 +366,56 @@ impl JsonValue {
 
 /// Parses one JSON document. Errors carry a byte offset and message.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut r = Reader::new(text);
+    r.skip_ws();
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON text: the single scanner under both
+/// [`parse`] (which builds a [`JsonValue`] tree on top of it) and
+/// streaming consumers that walk a document in place without building one.
+///
+/// Strings come back borrowed from the input; only one with escapes is
+/// copied. [`Reader::skip_value`] validates a value without building it.
+/// Every method reports errors with the same byte offsets and messages as
+/// [`parse`].
+///
+/// Structure is walked with paired calls. An array is
+/// `if r.begin_array()? { loop { /* one value */ if !r.next_item()? { break } } }`;
+/// an object is the same with [`Reader::begin_object`], [`Reader::key`]
+/// before each value, and [`Reader::next_member`] after it.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0 }
+    }
+
+    /// A reader at byte `pos` of `text` — e.g. a value start recorded by
+    /// an earlier pass ([`Reader::pos`]).
+    pub fn at(text: &'a str, pos: usize) -> Reader<'a> {
+        Reader { text, pos }
+    }
+
+    /// The current byte offset.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// Skips JSON whitespace.
+    pub fn skip_ws(&mut self) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -391,11 +424,13 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The next byte, without consuming it.
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Consumes byte `b`, or fails if the next byte is anything else.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -404,15 +439,48 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Skips trailing whitespace and fails unless the input ends there.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads one value into a [`JsonValue`] tree.
+    pub fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                if self.begin_object()? {
+                    loop {
+                        let key = self.key()?.into_owned();
+                        map.insert(key, self.value()?);
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(JsonValue::Obj(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.begin_array()? {
+                    loop {
+                        items.push(self.value()?);
+                        if !self.next_item()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(JsonValue::Arr(items))
+            }
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Num),
             Some(other) => Err(format!(
                 "unexpected {:?} at byte {}",
                 other as char, self.pos
@@ -421,16 +489,54 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Validates one value and moves past it without building it. Fails
+    /// exactly where [`Reader::value`] would.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                if self.begin_object()? {
+                    loop {
+                        self.key()?;
+                        self.skip_value()?;
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                if self.begin_array()? {
+                    loop {
+                        self.skip_value()?;
+                        if !self.next_item()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            // The error cases are the tree builder's.
+            _ => self.value().map(drop),
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Reads a number.
+    pub fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -441,21 +547,27 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(JsonValue::Num)
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a string, borrowed from the input unless it contains escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.unescaped_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -497,88 +609,108 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume a maximal run of unescaped bytes at once —
-                    // validating per scalar would rescan the rest of the
-                    // document for every character (quadratic on MB-sized
-                    // inputs). A run can only end at a quote, backslash,
-                    // or control byte, none of which is a UTF-8
-                    // continuation byte, so it never splits a scalar.
                     let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if matches!(b, b'"' | b'\\') || b < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
+                    self.unescaped_run();
                     if self.pos == start {
                         return Err(format!("raw control character at byte {}", self.pos));
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(run);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
+    /// Consumes a maximal run of bytes that need no unescaping, in one
+    /// step — per-scalar work would rescan MB-sized inputs. A run can
+    /// only end at a quote, backslash or control byte, none of which is
+    /// a UTF-8 continuation byte, so it never splits a scalar and the
+    /// run is a valid `&str` slice.
+    fn unescaped_run(&mut self) {
+        while let Some(&b) = self.bytes().get(self.pos) {
+            if matches!(b, b'"' | b'\\') || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
     fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.text.len() {
             return Err("truncated \\u escape".into());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| "non-ASCII in \\u escape")?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape {hex:?}: {e}"))
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    /// Consumes `[` and any whitespace after it. Returns whether the
+    /// array has items; an empty array is consumed whole.
+    pub fn begin_array(&mut self) -> Result<bool, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(false);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+        Ok(true)
+    }
+
+    /// After an array item: consumes `,` (returning `true`, another item
+    /// follows) or the closing `]` (returning `false`).
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or ']' at byte {}", self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    /// Consumes `{` and any whitespace after it. Returns whether the
+    /// object has members; an empty object is consumed whole.
+    pub fn begin_object(&mut self) -> Result<bool, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(map));
+            return Ok(false);
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+        Ok(true)
+    }
+
+    /// Reads a member's key and the `:` after it, leaving the reader at
+    /// the member's value.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// After a member's value: consumes `,` (returning `true`, another
+    /// member follows) or the closing `}` (returning `false`).
+    pub fn next_member(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
+            Some(b'}') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or '}}' at byte {}", self.pos)),
         }
     }
 }
@@ -728,6 +860,43 @@ mod tests {
             "1 2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn reader_borrows_strings_without_escapes() {
+        let mut r = Reader::new(r#" "plain" "esc\n\u00e9" "#);
+        r.skip_ws();
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain")));
+        r.skip_ws();
+        assert!(matches!(r.string().unwrap(), Cow::Owned(s) if s == "esc\né"));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skip_value_fails_exactly_where_parse_does() {
+        for text in [
+            r#"{"a":[1,2,{"b":null}],"c":true,"d":-1.5e3}"#,
+            r#"{"s":"a\u00e9b\ud83e\uddeac"}"#,
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "\"unterminated",
+            "\"bad \\x escape\"",
+            "\"\\ud800\\u0041\"",
+            "1 2",
+            "-",
+            "[1e+]",
+            "",
+            "  ",
+            "[\"raw \u{1} control\"]",
+        ] {
+            let mut r = Reader::new(text);
+            r.skip_ws();
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert_eq!(skipped.err(), parse(text).err(), "{text:?}");
         }
     }
 

@@ -720,7 +720,13 @@ mod tests {
     fn warm_cache_is_byte_identical_and_flagged() {
         let line = crate::protocol::encode_request("r", "a\tb\nb\tc\n", None, None);
         let input = format!("{line}\n{line}\n");
-        let (lines, stats) = serve_text(&input, ServeConfig::default());
+        // One worker: with two, both pipelined copies could miss the
+        // cache before either result is stored.
+        let config = ServeConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let (lines, stats) = serve_text(&input, config);
         assert_eq!(lines.len(), 2);
         let a = prio_obs::json::parse(&lines[0]).unwrap();
         let b = prio_obs::json::parse(&lines[1]).unwrap();

@@ -151,6 +151,25 @@ sdss_vars=$(grep -c '^VARS .* jobpriority=' target/sdss-smoke/sdss.prio.dag || t
 [ "$sdss_vars" = "48013" ] \
   || { echo "check.sh: paper-size SDSS has $sdss_vars jobpriority VARS lines, want 48013" >&2; exit 1; }
 echo "check.sh: paper-size SDSS run ok (48,013 jobs instrumented)"
+# JSON smoke at the same size: convert the SDSS file to prio-workflow-v1,
+# convert that JSON to JSON again (the canonical export is a fixed point,
+# so the two files must be identical), then `prio run` the JSON file and
+# count one "priority" field per job. The import and export are linear;
+# a quadratic one takes far longer than 30 s here. Artifacts land in
+# target/json-smoke.
+mkdir -p target/json-smoke
+./target/release/prio convert target/sdss-smoke/sdss.dag target/json-smoke/sdss.json --to json
+./target/release/prio convert target/json-smoke/sdss.json target/json-smoke/sdss.again.json \
+  --from json --to json
+cmp target/json-smoke/sdss.json target/json-smoke/sdss.again.json \
+  || { echo "check.sh: JSON export is not a fixed point of JSON import" >&2; exit 1; }
+timeout 30 ./target/release/prio run target/json-smoke/sdss.json \
+  --output target/json-smoke/sdss.prio.json 2> target/json-smoke/run.stderr \
+  || { echo "check.sh: paper-size SDSS JSON run failed or took over 30 s" >&2; exit 1; }
+json_prios=$(grep -o '"priority":' target/json-smoke/sdss.prio.json | wc -l)
+[ "$json_prios" -eq 48013 ] \
+  || { echo "check.sh: paper-size SDSS JSON has $json_prios priorities, want 48013" >&2; exit 1; }
+echo "check.sh: paper-size SDSS JSON ok (fixed-point convert, 48,013 priorities)"
 # Serve daemon smoke: start `prio serve` on an ephemeral port, drive one
 # prioritize request per frontend format plus the stats verb through
 # bash's /dev/tcp, and shut down gracefully with the shutdown verb. The
