@@ -6,7 +6,7 @@
 use prio_bench::report::Table;
 use prio_core::optimal::{is_ic_optimal, DEFAULT_STATE_LIMIT};
 use prio_core::prio::prioritize;
-use prio_dagman::instrument::{instrument_dagman, priorities_by_job};
+use prio_dagman::instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
 use prio_dagman::jsdf::Jsdf;
 use prio_dagman::parse::parse_dagman;
 use prio_dagman::write::write_dagman;
@@ -58,7 +58,8 @@ fn main() {
     println!("\n{}", t.render());
 
     let priorities = priorities_by_job(names.iter().copied());
-    instrument_dagman(&mut file, &priorities).expect("instrumentation succeeds");
+    instrument_dagman_with(&mut file, &priorities, InstrumentMode::VarsMacro)
+        .expect("instrumentation succeeds");
     println!("instrumented IV.dag:\n{}", write_dagman(&file));
 
     let mut jsdf = Jsdf::parse(C_SUBMIT);

@@ -3,95 +3,48 @@
 //! Scans `<dir>` for workflow files by extension — `*.dag` plus, with
 //! `--format` or by default, every extension a registered frontend claims
 //! (`*.json`, `*.edges`, `*.tsv`) — sorted by name and skipping previous
-//! `*.prio.*` outputs. All dags run through one
-//! [`prio_core::Prioritizer::prioritize_many`] call — so scratch buffers
-//! are shared across the whole batch — and each result is written next to
-//! its input as `<stem>.prio.<ext>`. DAGMan inputs keep the paper's
-//! line-faithful instrumentation; other formats re-export through their
-//! frontend with priorities attached.
+//! `*.prio.*` outputs. Each file runs through the same per-file pipeline
+//! as `prio run` ([`prio_dagman::pipeline::prioritize_file`]), with one
+//! scratch context shared across the batch, and is written next to its
+//! input as `<stem>.prio.<ext>`. A DAGMan input's submit files are
+//! instrumented next to that input, as `prio run` does by default.
 //!
 //! Per-file failures do not abort the batch: every remaining file is still
 //! processed, failures are reported to stderr, and the exit code reflects
 //! the worst failure class seen (internal 70 beats input 1).
 
 use crate::args::Args;
+use crate::commands::instrument::{input_dir, instrument_submit_files, output_path, prio_options};
+use crate::commands::{named_frontend, resolve_frontend};
 use crate::error::CliError;
-use prio_core::prio::{PrioOptions, Prioritizer};
-use prio_core::PrioError;
-use prio_dagman::ast::DagmanFile;
-use prio_dagman::instrument::{instrument_dagman, priorities_by_job};
-use prio_dagman::parse::parse_dagman_threads;
+use prio_core::PrioContext;
+use prio_dagman::pipeline::{prioritize_file, FileOptions};
 use prio_dagman::registry;
-use prio_dagman::write::write_dagman;
-use prio_graph::Dag;
-use prio_ir::{FormatId, FormatRegistry, Workflow};
+use prio_ir::{FormatId, FormatRegistry};
 use std::path::{Path, PathBuf};
-
-/// One parsed input, keeping the DAGMan AST when the paper's line-faithful
-/// instrumentation applies.
-enum Parsed {
-    Dagman(Box<DagmanFile>, Dag),
-    Ir(FormatId, Workflow),
-}
-
-impl Parsed {
-    fn dag(&self) -> &Dag {
-        match self {
-            Parsed::Dagman(_, dag) => dag,
-            Parsed::Ir(_, wf) => wf.dag(),
-        }
-    }
-}
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let dir = args.one_positional()?.to_string();
-    let search: usize = args.get_parsed("search", 0)?;
-    let threads: usize = args.get_parsed("threads", 0)?;
-    let reg = registry();
-    let only: Option<FormatId> = match args.get("format") {
-        None => None,
-        Some(name) if name.eq_ignore_ascii_case("auto") => None,
-        Some(name) => Some(
-            reg.by_name(name)
-                .ok_or_else(|| {
-                    CliError::usage(format!(
-                        "unknown --format {name:?} (auto|dagman|json|edges)"
-                    ))
-                })?
-                .id(),
-        ),
+    let opts = FileOptions {
+        prio: prio_options(&args)?,
+        ..FileOptions::default()
     };
+    let reg = registry();
+    let format = args.get("format");
+    let only = named_frontend(&reg, format)?.map(|f| f.id());
 
     let paths = workflow_files(&dir, &reg, only)?;
     if paths.is_empty() {
         return Err(CliError::input(format!("{dir}: no workflow files found")));
     }
 
-    // Parse every file up front; parse failures are reported but do not
-    // stop the batch.
+    let mut ctx = PrioContext::new();
     let mut failures: Vec<(PathBuf, CliError)> = Vec::new();
-    let mut parsed: Vec<(PathBuf, Parsed)> = Vec::new();
-    for path in paths {
-        match read_one(&path, &reg, only, threads) {
-            Ok(p) => parsed.push((path, p)),
-            Err(e) => failures.push((path, e)),
-        }
-    }
-
-    // One batch call over all parsed dags, sharing scratch state.
-    let prioritizer = Prioritizer::with_options(PrioOptions {
-        optimal_search_limit: search,
-        threads,
-        ..PrioOptions::default()
-    });
-    let results = prioritizer.prioritize_many(parsed.iter().map(|(_, p)| p.dag()));
-
     let mut written = 0usize;
-    for ((path, input), result) in parsed.into_iter().zip(results) {
-        let jobs = input.dag().num_nodes();
-        match write_one(&path, input, result, &reg) {
-            Ok(out) => {
+    for path in paths {
+        match prioritize_one(&path, &reg, format, &opts, &mut ctx) {
+            Ok((out, jobs)) => {
                 written += 1;
                 eprintln!("prio: wrote {} ({} jobs)", out.display(), jobs);
             }
@@ -150,72 +103,21 @@ fn workflow_files(
     Ok(paths)
 }
 
-fn read_one(
+/// Prioritizes one file of the batch, returning the output path and the
+/// job count. Errors do not repeat `path`; the batch report prefixes it.
+fn prioritize_one(
     path: &Path,
     reg: &FormatRegistry,
-    only: Option<FormatId>,
-    threads: usize,
-) -> Result<Parsed, CliError> {
-    let shown = path.display();
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::input(format!("{shown}: {e}")))?;
-    let frontend = match only {
-        Some(id) => reg
-            .get(id)
-            .expect("restricted format came from the registry"),
-        None => path
-            .to_str()
-            .and_then(|p| reg.by_extension(p))
-            .ok_or_else(|| CliError::input(format!("{shown}: unrecognized extension")))?,
-    };
-    if frontend.id() == FormatId::Dagman {
-        let file = parse_dagman_threads(&text, threads)
-            .map_err(|e| CliError::input(format!("{shown}: {}", PrioError::from(e))))?;
-        let dag = file
-            .to_dag()
-            .map_err(|e| CliError::input(format!("{shown}: {}", PrioError::from(e))))?;
-        Ok(Parsed::Dagman(Box::new(file), dag))
-    } else {
-        let wf = frontend
-            .import(&text)
-            .map_err(|e| CliError::input(format!("{shown}: {e}")))?;
-        Ok(Parsed::Ir(frontend.id(), wf))
-    }
-}
-
-fn write_one(
-    path: &Path,
-    input: Parsed,
-    result: Result<prio_core::PrioResult, PrioError>,
-    reg: &FormatRegistry,
-) -> Result<PathBuf, CliError> {
-    let result = result?;
-    let (rendered, ext) = match input {
-        Parsed::Dagman(mut file, dag) => {
-            let names = result.schedule.order().iter().map(|&u| dag.label(u));
-            let priorities = priorities_by_job(names);
-            instrument_dagman(&mut file, &priorities)?;
-            (write_dagman(&file), "dag".to_string())
-        }
-        Parsed::Ir(id, wf) => {
-            let frontend = reg.get(id).expect("parsed with a registered frontend");
-            let ext = path
-                .extension()
-                .and_then(|s| s.to_str())
-                .unwrap_or(id.extension())
-                .to_string();
-            (frontend.export(&wf, &result.priorities()), ext)
-        }
-    };
-    let out = output_path(path, &ext);
-    std::fs::write(&out, rendered)
-        .map_err(|e| CliError::input(format!("{}: {e}", out.display())))?;
-    Ok(out)
-}
-
-/// `foo.dag` -> `foo.prio.dag` (and `foo.json` -> `foo.prio.json`), next
-/// to the input.
-fn output_path(path: &Path, ext: &str) -> PathBuf {
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("out");
-    path.with_file_name(format!("{stem}.prio.{ext}"))
+    format: Option<&str>,
+    opts: &FileOptions,
+    ctx: &mut PrioContext,
+) -> Result<(PathBuf, usize), CliError> {
+    let text = std::fs::read_to_string(path).map_err(|e| CliError::input(e.to_string()))?;
+    let frontend = resolve_frontend(reg, format, path.to_str(), &text)?;
+    let out = prioritize_file(frontend, &text, opts, ctx)?;
+    instrument_submit_files(&input_dir(path), &out.submit_files)?;
+    let dest = output_path(path, frontend);
+    std::fs::write(&dest, &out.text)
+        .map_err(|e| CliError::input(format!("{}: {e}", dest.display())))?;
+    Ok((dest, out.dag.num_nodes()))
 }

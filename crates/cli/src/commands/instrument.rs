@@ -1,25 +1,21 @@
 //! `prio instrument` (alias `run`) — the paper's tool: prioritize a
 //! workflow file.
 //!
-//! DAGMan inputs get the paper's line-faithful treatment: `jobpriority`
-//! `VARS` statements are inserted into a minimal diff of the original
-//! file and each referenced job-submit description file found on disk is
-//! instrumented with `priority = $(jobpriority)`. Other formats
-//! (`--format json|edges`, or auto-detected) go through their frontend:
-//! import to the IR, prioritize, and export the same format with the
-//! computed priorities attached.
+//! The work is [`prio_dagman::pipeline::prioritize_file`]: DAGMan inputs
+//! get `jobpriority` statements inserted into a minimal diff of the
+//! original file, other formats (`--format json|edges`, or auto-detected)
+//! are re-exported with the computed priorities attached. This module is
+//! the shell around it: flags, file I/O, and the submit-file edits that
+//! `prio batch` shares.
 
 use crate::args::Args;
 use crate::commands::resolve_frontend;
 use crate::error::CliError;
-use prio_core::prio::{PrioOptions, Prioritizer};
-use prio_dagman::instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
-use prio_dagman::jsdf::Jsdf;
-use prio_dagman::parse::parse_dagman_threads;
-use prio_dagman::registry;
-use prio_dagman::write::write_dagman;
+use prio_core::{PrioContext, PrioOptions, Stage};
+use prio_dagman::pipeline::{prioritize_file, FileOptions};
+use prio_dagman::{registry, InstrumentMode, Jsdf};
 use prio_graph::Dag;
-use prio_ir::FormatId;
+use prio_ir::Frontend;
 use std::path::{Path, PathBuf};
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
@@ -29,122 +25,122 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         std::fs::read_to_string(&path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
     let reg = registry();
     let frontend = resolve_frontend(&reg, args.get("format"), Some(&path), &text)?;
+    let opts = FileOptions {
+        prio: prio_options(&args)?,
+        mode: mode_option(&args)?,
+    };
 
-    let search: usize = args.get_parsed("search", 0)?;
-    let threads: usize = args.get_parsed("threads", 0)?;
-    let prioritizer = Prioritizer::with_options(PrioOptions {
-        optimal_search_limit: search,
-        threads,
-        ..PrioOptions::default()
-    });
-
-    let (instrumented, dag, stats_line) = if frontend.id() == FormatId::Dagman {
-        // Paper-exact path: minimal diff of the original DAGMan text.
-        let mode = match args.get("mode") {
-            None | Some("vars") => InstrumentMode::VarsMacro,
-            Some("priority") => InstrumentMode::PriorityStatement,
-            Some(other) => {
-                return Err(CliError::usage(format!(
-                    "unknown --mode {other:?} (vars|priority)"
-                )))
-            }
-        };
-        let mut file = parse_dagman_threads(&text, threads)
-            .map_err(|e| CliError::input(format!("{path}: {}", prio_core::PrioError::from(e))))?;
-        let dag = file
-            .to_dag()
-            .map_err(|e| CliError::input(format!("{path}: {}", prio_core::PrioError::from(e))))?;
-        let result = prioritizer.prioritize(&dag)?;
-        let names = result.schedule.order().iter().map(|&u| dag.label(u));
-        let priorities = priorities_by_job(names);
-        instrument_dagman_with(&mut file, &priorities, mode)?;
-        let stats = format!(
-            "{} components, {} shortcuts removed",
-            result.stats.num_components, result.stats.shortcuts_removed
-        );
-
-        // Instrument each referenced JSDF we can locate.
-        let jsdf_dir = args
-            .get("jsdf-dir")
-            .map(PathBuf::from)
-            .or_else(|| Path::new(&path).parent().map(Path::to_path_buf))
-            .unwrap_or_else(|| PathBuf::from("."));
-        for submit in file.submit_files() {
-            let jsdf_path = jsdf_dir.join(submit);
-            match std::fs::read_to_string(&jsdf_path) {
-                Ok(jsdf_text) => {
-                    let mut jsdf = Jsdf::parse(&jsdf_text);
-                    jsdf.instrument_priority();
-                    std::fs::write(&jsdf_path, jsdf.to_text())
-                        .map_err(|e| CliError::input(format!("{}: {e}", jsdf_path.display())))?;
-                    eprintln!("prio: instrumented {}", jsdf_path.display());
-                }
-                Err(_) => {
-                    eprintln!(
-                        "prio: note: submit file {} not found, skipped",
-                        jsdf_path.display()
-                    );
-                }
-            }
+    let out = prioritize_file(frontend, &text, &opts, &mut PrioContext::new()).map_err(|e| {
+        // Input errors name the file; later stages keep their class.
+        if e.stage() == Stage::Parse {
+            CliError::input(format!("{path}: {e}"))
+        } else {
+            CliError::from(e)
         }
-        (write_dagman(&file), dag, stats)
-    } else {
-        // Generic frontend path: IR in, same format out with priorities.
-        let workflow = frontend
-            .import(&text)
-            .map_err(|e| CliError::input(format!("{path}: {e}")))?;
-        let result = prioritizer.prioritize_workflow(&workflow)?;
-        let rendered = frontend.export(&workflow, &result.priorities());
-        let stats = format!(
-            "{} components, {} shortcuts removed",
-            result.stats.num_components, result.stats.shortcuts_removed
-        );
-        (rendered, workflow.into_dag(), stats)
+    })?;
+    let jsdf_dir = match args.get("jsdf-dir") {
+        Some(dir) => PathBuf::from(dir),
+        None => input_dir(Path::new(&path)),
     };
+    instrument_submit_files(&jsdf_dir, &out.submit_files)?;
 
-    let output: PathBuf = if args.has("in-place") {
+    let output = if args.has("in-place") {
         PathBuf::from(&path)
-    } else if let Some(out) = args.get("output") {
-        PathBuf::from(out)
+    } else if let Some(dest) = args.get("output") {
+        PathBuf::from(dest)
     } else {
-        // foo.dag -> foo.prio.dag (and foo.json -> foo.prio.json, …)
-        let p = Path::new(&path);
-        let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("out");
-        let ext = p
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or_else(|| frontend.id().extension());
-        p.with_file_name(format!("{stem}.prio.{ext}"))
+        output_path(Path::new(&path), frontend)
     };
-    std::fs::write(&output, instrumented)
+    std::fs::write(&output, &out.text)
         .map_err(|e| CliError::input(format!("{}: {e}", output.display())))?;
+    let stats = &out.result.stats;
     eprintln!(
-        "prio: wrote {} ({} jobs, {stats_line})",
+        "prio: wrote {} ({} jobs, {} components, {} shortcuts removed)",
         output.display(),
-        dag.num_nodes(),
+        out.dag.num_nodes(),
+        stats.num_components,
+        stats.shortcuts_removed,
     );
 
     // Structured snapshot of the pipeline's spans and counters as JSONL.
-    if let Some(out) = args.get("trace-out") {
-        write_trace(out, &path, &dag)?;
+    if let Some(trace) = args.get("trace-out") {
+        write_trace(trace, &path, &out.dag)?;
     }
     Ok(())
 }
 
+/// The scheduler flags `run` and `batch` share: `--search N` and
+/// `--threads T`.
+pub(crate) fn prio_options(args: &Args) -> Result<PrioOptions, CliError> {
+    Ok(PrioOptions {
+        optimal_search_limit: args.get_parsed("search", 0)?,
+        threads: args.get_parsed("threads", 0)?,
+        ..PrioOptions::default()
+    })
+}
+
+/// `--mode vars|priority`: how priorities are written into DAGMan files.
+fn mode_option(args: &Args) -> Result<InstrumentMode, CliError> {
+    match args.get("mode") {
+        None | Some("vars") => Ok(InstrumentMode::VarsMacro),
+        Some("priority") => Ok(InstrumentMode::PriorityStatement),
+        Some(other) => Err(CliError::usage(format!(
+            "unknown --mode {other:?} (vars|priority)"
+        ))),
+    }
+}
+
+/// The directory an input's submit files are resolved against by
+/// default: the input's own.
+pub(crate) fn input_dir(path: &Path) -> PathBuf {
+    path.parent()
+        .map(Path::to_path_buf)
+        .unwrap_or_else(|| PathBuf::from("."))
+}
+
+/// Adds `priority = $(jobpriority)` to each submit file found under
+/// `dir`; missing ones are noted and skipped.
+pub(crate) fn instrument_submit_files(dir: &Path, files: &[String]) -> Result<(), CliError> {
+    for submit in files {
+        let jsdf_path = dir.join(submit);
+        let Ok(jsdf_text) = std::fs::read_to_string(&jsdf_path) else {
+            eprintln!(
+                "prio: note: submit file {} not found, skipped",
+                jsdf_path.display()
+            );
+            continue;
+        };
+        let mut jsdf = Jsdf::parse(&jsdf_text);
+        jsdf.instrument_priority();
+        std::fs::write(&jsdf_path, jsdf.to_text())
+            .map_err(|e| CliError::input(format!("{}: {e}", jsdf_path.display())))?;
+        eprintln!("prio: instrumented {}", jsdf_path.display());
+    }
+    Ok(())
+}
+
+/// `foo.dag` -> `foo.prio.dag` (and `foo.json` -> `foo.prio.json`, …),
+/// next to the input; an input without extension gets the format's.
+pub(crate) fn output_path(path: &Path, frontend: &dyn Frontend) -> PathBuf {
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("out");
+    let ext = path
+        .extension()
+        .and_then(|s| s.to_str())
+        .unwrap_or_else(|| frontend.id().extension());
+    path.with_file_name(format!("{stem}.prio.{ext}"))
+}
+
 fn write_trace(out: &str, path: &str, dag: &Dag) -> Result<(), CliError> {
-    let sink = prio_obs::JsonlSink::to_file(Path::new(out))
-        .map_err(|e| CliError::input(format!("{out}: {e}")))?;
+    let io = |e: std::io::Error| CliError::input(format!("{out}: {e}"));
+    let sink = prio_obs::JsonlSink::to_file(Path::new(out)).map_err(io)?;
     sink.write_meta(
         "instrument",
         &format!("input={path} jobs={}", dag.num_nodes()),
     )
-    .map_err(|e| CliError::input(format!("{out}: {e}")))?;
-    sink.write_span_snapshot()
-        .map_err(|e| CliError::input(format!("{out}: {e}")))?;
-    sink.write_metrics_snapshot()
-        .map_err(|e| CliError::input(format!("{out}: {e}")))?;
-    sink.flush()
-        .map_err(|e| CliError::input(format!("{out}: {e}")))?;
+    .map_err(io)?;
+    sink.write_span_snapshot().map_err(io)?;
+    sink.write_metrics_snapshot().map_err(io)?;
+    sink.flush().map_err(io)?;
     eprintln!("prio: wrote timing snapshot to {out}");
     Ok(())
 }

@@ -19,32 +19,43 @@ use crate::args::Args;
 use crate::error::CliError;
 use prio_dagman::registry;
 use prio_graph::Dag;
-use prio_ir::{FormatRegistry, Frontend, Workflow};
+use prio_ir::{FormatRegistry, Frontend, ResolveError, Workflow};
 use prio_workloads::spec::{paper_workload, scaled_suite};
 
-/// Resolves which frontend handles `text`: an explicit `--format` name
-/// wins, otherwise the registry auto-detects by file extension and then
-/// by content sniffing.
+/// Resolves which frontend handles `text` ([`FormatRegistry::resolve`]):
+/// an explicit `--format` name wins, otherwise the registry auto-detects
+/// by file extension and then by content sniffing.
 pub fn resolve_frontend<'r>(
     registry: &'r FormatRegistry,
     format_flag: Option<&str>,
     path: Option<&str>,
     text: &str,
 ) -> Result<&'r dyn Frontend, CliError> {
+    registry
+        .resolve(format_flag, path, text)
+        .map_err(|e| match e {
+            ResolveError::UnknownName(name) => CliError::usage(format!(
+                "unknown --format {name:?} (auto|dagman|json|edges)"
+            )),
+            ResolveError::Undetected => CliError::input(format!(
+                "{}: cannot detect workflow format (use --format dagman|json|edges)",
+                path.unwrap_or("<input>")
+            )),
+        })
+}
+
+/// Validates a `--format` value before any input is read: `None` when
+/// the format is detected per input (no flag, or `auto`), else the named
+/// frontend.
+pub fn named_frontend<'r>(
+    registry: &'r FormatRegistry,
+    format_flag: Option<&str>,
+) -> Result<Option<&'r dyn Frontend>, CliError> {
     match format_flag {
         Some(name) if !name.eq_ignore_ascii_case("auto") => {
-            registry.by_name(name).ok_or_else(|| {
-                CliError::usage(format!(
-                    "unknown --format {name:?} (auto|dagman|json|edges)"
-                ))
-            })
+            resolve_frontend(registry, format_flag, None, "").map(Some)
         }
-        _ => registry.detect(path, text).ok_or_else(|| {
-            let shown = path.unwrap_or("<input>");
-            CliError::input(format!(
-                "{shown}: cannot detect workflow format (use --format dagman|json|edges)"
-            ))
-        }),
+        _ => Ok(None),
     }
 }
 

@@ -16,6 +16,7 @@
 //! histogram and the `serve.queue.shed` counter — when the daemon exits.
 
 use crate::args::Args;
+use crate::commands::named_frontend;
 use crate::error::CliError;
 use prio_serve::{serve_stdio, ServeConfig, ServeStats, Server};
 
@@ -35,19 +36,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         queue_capacity: args.get_parsed("queue-cap", default.queue_capacity)?,
         cache_bytes: args.get_parsed("cache-bytes", default.cache_bytes)?,
         max_request_bytes: args.get_parsed("max-request-bytes", default.max_request_bytes)?,
-        default_format: match args.get("format") {
-            None => None,
-            Some(name) if name.eq_ignore_ascii_case("auto") => None,
-            Some(name) => {
-                // Fail at startup, not per request, on a bad flag value.
-                prio_dagman::registry().by_name(name).ok_or_else(|| {
-                    CliError::usage(format!(
-                        "unknown --format {name:?} (auto|dagman|json|edges)"
-                    ))
-                })?;
-                Some(name.to_string())
-            }
-        },
+        // Fail at startup, not per request, on a bad flag value.
+        default_format: named_frontend(&prio_dagman::registry(), args.get("format"))?
+            .and(args.get("format"))
+            .map(str::to_string),
         worker_delay: std::time::Duration::ZERO,
     };
     if config.threads == 0 {

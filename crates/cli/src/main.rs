@@ -209,6 +209,12 @@ USAGE:
                     [--cache-bytes N] [--max-request-bytes N] [--format F]
     prio help
 
+MODES (instrument --mode, DAGMan input only):
+    vars     a VARS <job> jobpriority=\"P\" line per job, plus
+             priority = $(jobpriority) in each submit file found (default)
+    priority a PRIORITY <job> P line per job; DAGMan sets JobPrio from it,
+             so submit files are left unchanged
+
 FORMATS (--format / --from / --to):
     auto     detect by file extension, then by content (default)
     dagman   DAGMan input files            (*.dag)
@@ -235,7 +241,8 @@ SUBCOMMANDS:
     convert     translate a workflow between formats, keeping jobs, arcs,
                 metadata, and priorities
     batch       prioritize every workflow file in a directory, writing each
-                result next to its input as <stem>.prio.<ext>
+                result next to its input as <stem>.prio.<ext> (DAGMan
+                inputs also instrument their submit files, like instrument)
     schedule    print the schedule, one job name per line
     compare     print E_PRIO(t) - E_FIFO(t) per step (the paper's Fig. 4)
     generate    emit a synthetic scientific dag as a DAGMan file

@@ -273,6 +273,82 @@ fn batch_continues_past_bad_files_and_exits_nonzero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("1 prioritized, 1 failed"), "{stderr}");
     assert!(stderr.contains("parse:"), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("parse:"))
+        .expect("error line");
+    assert_eq!(line.matches("bad.dag").count(), 1, "{line}");
+}
+
+/// Every file in `dir` whose name passes `keep`, with its bytes.
+fn files(dir: &std::path::Path, keep: impl Fn(&str) -> bool) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?.to_string();
+            keep(&name).then(|| (name, std::fs::read(&p).unwrap()))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn batch_writes_what_run_writes_including_submit_files() {
+    let inputs: [(&str, &[u8]); 6] = [
+        ("iv.dag", FIG3.as_bytes()),
+        ("a.submit", b"universe = vanilla\nqueue\n"),
+        ("c.submit", b"universe = vanilla\npriority = 3\nqueue\n"),
+        ("e.submit", b"universe = vanilla\nqueue\n"),
+        (
+            "wf.json",
+            br#"{"format":"prio-workflow-v1","jobs":[{"name":"x"},{"name":"y"},{"name":"z"}],"arcs":[["x","y"],["x","z"]]}"#,
+        ),
+        ("wf.edges", b"p\tq\nr\tq\nr\ts\n"),
+    ];
+    let batch_dir = tempdir("batchvsrun-batch");
+    let run_dir = tempdir("batchvsrun-run");
+    for (name, bytes) in inputs {
+        std::fs::write(batch_dir.join(name), bytes).unwrap();
+        std::fs::write(run_dir.join(name), bytes).unwrap();
+    }
+    let out = prio(&["batch", "."], &batch_dir);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for input in ["iv.dag", "wf.json", "wf.edges"] {
+        let out = prio(&["run", input], &run_dir);
+        assert!(out.status.success(), "run {input} failed");
+    }
+    let outputs = |name: &str| name.contains(".prio.") || name.ends_with(".submit");
+    let batch = files(&batch_dir, outputs);
+    assert_eq!(batch.len(), 6, "three outputs, three submit files");
+    assert_eq!(batch, files(&run_dir, outputs));
+    let (_, c_submit) = batch.iter().find(|(n, _)| n == "c.submit").unwrap();
+    assert!(String::from_utf8_lossy(c_submit).contains("priority = $(jobpriority)"));
+}
+
+#[test]
+fn priority_mode_leaves_submit_files_unchanged() {
+    let dir = tempdir("prioritymode");
+    let submit = "universe = vanilla\nqueue\n";
+    std::fs::write(dir.join("IV.dag"), FIG3).unwrap();
+    std::fs::write(dir.join("c.submit"), submit).unwrap();
+    let out = prio(&["run", "IV.dag", "--mode", "priority"], &dir);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let instrumented = std::fs::read_to_string(dir.join("IV.prio.dag")).unwrap();
+    assert!(instrumented.contains("PRIORITY c 5"), "{instrumented}");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("c.submit")).unwrap(),
+        submit
+    );
 }
 
 #[test]

@@ -232,15 +232,6 @@ impl Prioritizer {
         self.prioritize_in(workflow.dag(), ctx)
     }
 
-    /// Prioritizes a batch of workflows with one shared scratch context
-    /// (the IR-level [`Prioritizer::prioritize_many`]).
-    pub fn prioritize_workflows<'a, I>(&self, workflows: I) -> Vec<Result<PrioResult, PrioError>>
-    where
-        I: IntoIterator<Item = &'a Workflow>,
-    {
-        self.prioritize_many(workflows.into_iter().map(Workflow::dag))
-    }
-
     /// Step 3: schedules every component of `reduced` and tallies the
     /// per-source statistics. With `opts.threads > 1` the independent
     /// components are scheduled across scoped worker threads; results are

@@ -42,15 +42,6 @@ pub enum InstrumentMode {
     PriorityStatement,
 }
 
-/// Instruments `file` in place with the paper's `VARS` mechanism
-/// (see [`instrument_dagman_with`]).
-pub fn instrument_dagman(
-    file: &mut DagmanFile,
-    priorities: &BTreeMap<String, u32>,
-) -> Result<(), DagmanError> {
-    instrument_dagman_with(file, priorities, InstrumentMode::VarsMacro)
-}
-
 /// Instruments `file` in place: after each `JOB`/`SUBDAG` statement,
 /// inserts (or updates) the statement carrying the node's priority.
 ///
@@ -171,7 +162,7 @@ PARENT c CHILD d e
     #[test]
     fn instrumentation_inserts_vars_after_each_job() {
         let mut f = parse_dagman(FIG3).unwrap();
-        instrument_dagman(&mut f, &fig3_priorities()).unwrap();
+        instrument_dagman_with(&mut f, &fig3_priorities(), InstrumentMode::VarsMacro).unwrap();
         let text = write_dagman(&f);
         let expected = "\
 JOB a a.submit
@@ -193,19 +184,19 @@ PARENT c CHILD d e
     #[test]
     fn instrumentation_is_idempotent() {
         let mut f = parse_dagman(FIG3).unwrap();
-        instrument_dagman(&mut f, &fig3_priorities()).unwrap();
+        instrument_dagman_with(&mut f, &fig3_priorities(), InstrumentMode::VarsMacro).unwrap();
         let once = write_dagman(&f);
-        instrument_dagman(&mut f, &fig3_priorities()).unwrap();
+        instrument_dagman_with(&mut f, &fig3_priorities(), InstrumentMode::VarsMacro).unwrap();
         assert_eq!(write_dagman(&f), once);
     }
 
     #[test]
     fn reinstrumentation_updates_values() {
         let mut f = parse_dagman(FIG3).unwrap();
-        instrument_dagman(&mut f, &fig3_priorities()).unwrap();
+        instrument_dagman_with(&mut f, &fig3_priorities(), InstrumentMode::VarsMacro).unwrap();
         // New schedule: a first.
         let new = priorities_by_job(["a", "b", "c", "d", "e"]);
-        instrument_dagman(&mut f, &new).unwrap();
+        instrument_dagman_with(&mut f, &new, InstrumentMode::VarsMacro).unwrap();
         assert_eq!(f.vars_value("a", JOBPRIORITY), Some("5"));
         assert_eq!(f.vars_value("c", JOBPRIORITY), Some("3"));
     }
@@ -215,7 +206,7 @@ PARENT c CHILD d e
         let mut f = parse_dagman(FIG3).unwrap();
         let partial = priorities_by_job(["a", "b"]);
         assert!(matches!(
-            instrument_dagman(&mut f, &partial),
+            instrument_dagman_with(&mut f, &partial, InstrumentMode::VarsMacro),
             Err(DagmanError::UnknownJob { .. })
         ));
     }
@@ -248,7 +239,7 @@ PARENT c CHILD d e
             parse_dagman("JOB a a.sub\nSUBDAG EXTERNAL inner inner.dag\nPARENT a CHILD inner\n")
                 .unwrap();
         let p = priorities_by_job(["a", "inner"]);
-        instrument_dagman(&mut f, &p).unwrap();
+        instrument_dagman_with(&mut f, &p, InstrumentMode::VarsMacro).unwrap();
         let text = write_dagman(&f);
         assert!(text.contains("VARS a jobpriority=\"2\""));
         assert!(text.contains("PRIORITY inner 1"));
@@ -353,7 +344,7 @@ PARENT d CHILD outer
             );
         }
         // The statements the oracle says to insert, spot-checked.
-        instrument_dagman(&mut parsed, &first).unwrap();
+        instrument_dagman_with(&mut parsed, &first, InstrumentMode::VarsMacro).unwrap();
         let text = write_dagman(&parsed);
         assert!(text.contains("JOB b b.sub\nVARS b jobpriority=\"1\"\nRETRY b 3\n"));
         assert!(text.contains("SUBDAG EXTERNAL inner inner.dag\nPRIORITY inner 4\n"));
@@ -366,7 +357,8 @@ PARENT d CHILD outer
     fn preserves_unrelated_statements() {
         let text = "# hdr\nJOB a a.sub\nRETRY a 2\n";
         let mut f = parse_dagman(text).unwrap();
-        instrument_dagman(&mut f, &priorities_by_job(["a"])).unwrap();
+        instrument_dagman_with(&mut f, &priorities_by_job(["a"]), InstrumentMode::VarsMacro)
+            .unwrap();
         let out = write_dagman(&f);
         assert!(out.contains("# hdr"));
         assert!(out.contains("RETRY a 2"));

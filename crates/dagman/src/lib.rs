@@ -19,9 +19,11 @@
 //! [`prio_ir::Frontend`], importing DAGMan text into a
 //! [`prio_ir::Workflow`] and exporting workflows back to canonical DAGMan
 //! text, and [`frontend::registry()`] assembles the full format registry
-//! (DAGMan + JSON + edge list). Composing frontends with the scheduler
-//! lives in the `dagprio` facade and the `prio` CLI, mirroring how the
-//! paper's tool wraps the heuristic.
+//! (DAGMan + JSON + edge list). [`pipeline::prioritize_file`] composes a
+//! frontend with the scheduler for one whole file — text in, prioritized
+//! text and the submit files to instrument out — and is what `prio run`,
+//! `prio batch` and the `dagprio` facade call, mirroring how the paper's
+//! tool wraps the heuristic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,15 +35,15 @@ pub mod instrument;
 pub mod io;
 pub mod jsdf;
 pub mod parse;
+pub mod pipeline;
 pub mod scan;
 pub mod write;
 
 pub use ast::{DagmanFile, JobName, Statement};
 pub use error::DagmanError;
 pub use frontend::{registry, DagmanFrontend};
-pub use instrument::{
-    instrument_dagman, instrument_dagman_with, priorities_by_job, InstrumentMode,
-};
+pub use instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
 pub use io::read_input;
 pub use jsdf::Jsdf;
 pub use parse::{parse_dagman, parse_dagman_threads};
+pub use pipeline::{prioritize_file, FileOptions, PrioritizedFile};

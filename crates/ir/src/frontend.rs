@@ -6,7 +6,7 @@
 //! (in registration order, so put the most specific sniffers first and
 //! the permissive edge-list last).
 
-use crate::error::PrioError;
+use crate::error::{ImportError, PrioError};
 use crate::workflow::{FormatId, Priorities, Workflow};
 
 /// One importer/exporter pair for a workflow text format.
@@ -81,6 +81,23 @@ impl FormatRegistry {
         self.get(FormatId::from_name(name)?)
     }
 
+    /// Resolves the frontend for an input: an explicit `name` (anything
+    /// but `auto`) must be registered; no name, or `auto`, detects (see
+    /// [`FormatRegistry::detect`]).
+    pub fn resolve(
+        &self,
+        name: Option<&str>,
+        path: Option<&str>,
+        text: &str,
+    ) -> Result<&dyn Frontend, ResolveError> {
+        match name.filter(|n| !n.eq_ignore_ascii_case("auto")) {
+            Some(name) => self
+                .by_name(name)
+                .ok_or_else(|| ResolveError::UnknownName(name.to_string())),
+            None => self.detect(path, text).ok_or(ResolveError::Undetected),
+        }
+    }
+
     /// Auto-detects the frontend for an input: first by the extension of
     /// `path` (when given), then by content sniff in registration order.
     pub fn detect(&self, path: Option<&str>, text: &str) -> Option<&dyn Frontend> {
@@ -102,6 +119,29 @@ impl FormatRegistry {
         let ext = extension_of(path)?.to_ascii_lowercase();
         self.frontends()
             .find(|f| f.extensions().contains(&ext.as_str()))
+    }
+}
+
+/// Why [`FormatRegistry::resolve`] found no frontend. Each caller renders
+/// it in its own words; the conversion to [`PrioError`] is the library
+/// one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolveError {
+    /// An explicit format name no registered frontend claims.
+    UnknownName(String),
+    /// Neither the extension nor the content matched a frontend.
+    Undetected,
+}
+
+impl From<ResolveError> for PrioError {
+    /// A whole-file parse error; no frontend was picked, so it carries
+    /// DAGMan provenance, the default format.
+    fn from(e: ResolveError) -> PrioError {
+        let message = match e {
+            ResolveError::UnknownName(name) => format!("unknown format {name:?}"),
+            ResolveError::Undetected => "cannot detect workflow format".to_string(),
+        };
+        ImportError::whole_file(FormatId::Dagman, message).into()
     }
 }
 
@@ -145,6 +185,31 @@ mod tests {
             r.detect(None, "a\tb\n").map(|f| f.id()),
             Some(FormatId::Edges)
         );
+    }
+
+    #[test]
+    fn resolve_honours_names_and_detects_on_auto() {
+        let r = FormatRegistry::with_builtins();
+        let id = |res: Result<&dyn Frontend, ResolveError>| res.map(|f| f.id());
+        assert_eq!(
+            id(r.resolve(Some("JSON"), None, "a\tb\n")),
+            Ok(FormatId::Json)
+        );
+        assert_eq!(
+            id(r.resolve(Some("auto"), None, "a\tb\n")),
+            Ok(FormatId::Edges)
+        );
+        assert_eq!(id(r.resolve(None, Some("wf.json"), "")), Ok(FormatId::Json));
+        assert_eq!(
+            id(r.resolve(Some("nope"), None, "")),
+            Err(ResolveError::UnknownName("nope".into()))
+        );
+        assert_eq!(
+            id(r.resolve(Some("dagman"), None, "")),
+            Err(ResolveError::UnknownName("dagman".into()))
+        );
+        let err = PrioError::from(ResolveError::Undetected).to_string();
+        assert_eq!(err, "parse: dagman: cannot detect workflow format");
     }
 
     #[test]

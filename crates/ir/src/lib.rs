@@ -35,7 +35,7 @@ pub mod workflow;
 
 pub use edges::EdgesFrontend;
 pub use error::{ImportError, PrioError, Stage};
-pub use frontend::{FormatRegistry, Frontend};
+pub use frontend::{FormatRegistry, Frontend, ResolveError};
 pub use intern::{JobName, NameInterner};
 pub use json::JsonFrontend;
 pub use workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};

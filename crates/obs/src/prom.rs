@@ -109,7 +109,24 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
-        metrics::counter("test.prom.det").add(1);
-        assert_eq!(render_snapshot(), render_snapshot());
+        // Other tests update the shared registry concurrently, so compare
+        // only the families this test owns.
+        for name in ["test.prom.det.b", "test.prom.det.a", "test.prom.det.c"] {
+            metrics::counter(name).add(1);
+        }
+        let own = |text: String| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.contains("prio_test_prom_det_"))
+                .map(str::to_string)
+                .collect()
+        };
+        let first = own(render_snapshot());
+        assert_eq!(first, own(render_snapshot()));
+        let families: Vec<&str> = first
+            .iter()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(families.len(), 3, "{first:?}");
+        assert!(families.windows(2).all(|w| w[0] < w[1]), "{families:?}");
     }
 }

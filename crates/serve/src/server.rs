@@ -43,7 +43,7 @@ use crate::protocol::{
 };
 use crate::queue::RequestQueue;
 use prio_core::{PrioContext, PrioError, Prioritizer};
-use prio_ir::{FormatId, Frontend, Priorities, Workflow};
+use prio_ir::{Frontend, Priorities, Workflow};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -227,29 +227,6 @@ fn shutdown_response(id: &str) -> String {
         .finish()
 }
 
-/// Resolves the input frontend for a request exactly like the one-shot
-/// facade: an explicit name (anything but `auto`) must be registered; no
-/// name (or `auto`) falls back to content detection.
-fn resolve_frontend<'r>(
-    registry: &'r prio_ir::FormatRegistry,
-    name: Option<&str>,
-    text: &str,
-) -> Result<&'r dyn Frontend, PrioError> {
-    match name.filter(|n| !n.eq_ignore_ascii_case("auto")) {
-        Some(name) => registry.by_name(name).ok_or_else(|| {
-            prio_ir::ImportError::whole_file(FormatId::Dagman, format!("unknown format {name:?}"))
-                .into()
-        }),
-        None => registry.detect(None, text).ok_or_else(|| {
-            prio_ir::ImportError::whole_file(
-                FormatId::Dagman,
-                "cannot detect workflow format".to_string(),
-            )
-            .into()
-        }),
-    }
-}
-
 /// Runs one prioritize request to a response line. `ctx` is the calling
 /// worker's scratch context; on an internal pipeline error it is replaced
 /// with a fresh one so the failure cannot poison later requests.
@@ -304,18 +281,10 @@ fn try_fast_path(
     let Some((key, in_fmt, n, render)) = shared.cache.memo_get(tk) else {
         return Ok(None);
     };
-    let out_id = match request.output.as_deref() {
-        Some(name) => match shared.registry.by_name(name) {
-            Some(f) => f.id(),
-            None => {
-                return Err(PrioError::from(prio_ir::ImportError::whole_file(
-                    in_fmt,
-                    format!("unknown output format {name:?}"),
-                )))
-            }
-        },
-        None => in_fmt,
+    let Some(input) = shared.registry.get(in_fmt) else {
+        return Ok(None);
     };
+    let out_id = output_frontend(&shared.registry, request.output.as_deref(), input)?.id();
     Ok(shared
         .cache
         .rendered_hit(key, n, render, out_id)
@@ -335,7 +304,7 @@ fn prioritize_request(
     if let Some(line) = try_fast_path(shared, request, tk)? {
         return Ok(line);
     }
-    let frontend = resolve_frontend(&shared.registry, format, &request.workflow)?;
+    let frontend = shared.registry.resolve(format, None, &request.workflow)?;
     let workflow: Workflow = frontend.import(&request.workflow)?;
     let n = workflow.num_jobs();
     let key = workflow_key(workflow.dag());

@@ -1,22 +1,16 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests, formatting, lints.
 #
-# The workspace has no registry dependencies (everything external is
-# shimmed under compat/), so when the network or the registry is
-# unavailable every cargo invocation still works with --offline — tried
-# automatically if the plain invocation fails to resolve.
+# The workspace has no registry dependencies (everything external is a
+# path dependency or shimmed under compat/), so every cargo invocation
+# runs --offline, once: a flaky test fails the gate instead of passing
+# on a retry.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
 run_cargo() {
-  # Try online first (no-op resolve when Cargo.lock is fresh); fall back
-  # to --offline so an unreachable registry never fails the gate.
-  if ! cargo "$@"; then
-    echo "check.sh: retrying with --offline: cargo $*" >&2
-    cargo "--offline" "$@" || return 1
-  fi
-  return 0
+  cargo --offline "$@"
 }
 
 set -e

@@ -61,11 +61,10 @@ pub use prio_sim as sim;
 pub use prio_stats as stats;
 pub use prio_workloads as workloads;
 
-use prio_core::prio::{PrioOptions, Prioritizer};
-use prio_dagman::instrument::{instrument_dagman, priorities_by_job};
-use prio_dagman::parse::parse_dagman_threads;
-use prio_dagman::write::write_dagman;
-use prio_ir::{Frontend, Workflow};
+use prio_core::{PrioContext, PrioOptions};
+use prio_dagman::pipeline::{prioritize_file, FileOptions};
+use prio_dagman::DagmanFrontend;
+use prio_ir::Workflow;
 
 /// The result of running the `prio` pipeline over DAGMan text.
 #[derive(Debug, Clone)]
@@ -98,53 +97,42 @@ pub fn prioritize_dagman_text_threads(
     text: &str,
     threads: usize,
 ) -> Result<PrioritizedDagman, prio_core::PrioError> {
-    let mut file = parse_dagman_threads(text, threads)?;
-    let dag = file.to_dag()?;
-    let result = Prioritizer::with_options(PrioOptions {
-        threads,
-        ..PrioOptions::default()
-    })
-    .prioritize(&dag)?;
-    let schedule_names: Vec<String> = result
+    let opts = FileOptions {
+        prio: PrioOptions {
+            threads,
+            ..PrioOptions::default()
+        },
+        ..FileOptions::default()
+    };
+    let out = prioritize_file(&DagmanFrontend, text, &opts, &mut PrioContext::new())?;
+    let schedule_names = out
+        .result
         .schedule
         .order()
         .iter()
-        .map(|&u| dag.label(u).to_string())
+        .map(|&u| out.dag.label(u).to_string())
         .collect();
-    let priorities = priorities_by_job(schedule_names.iter().map(String::as_str));
-    instrument_dagman(&mut file, &priorities)?;
     Ok(PrioritizedDagman {
-        instrumented: write_dagman(&file),
+        instrumented: out.text,
         schedule_names,
-        dag,
-        result,
+        dag: out.dag,
+        result: out.result,
     })
 }
 
 /// One-call convenience over the IR path: import `text` through the
 /// auto-detected (or named) frontend, prioritize, and export the same
 /// format with priorities attached. `path` is an optional file name used
-/// for extension-based detection.
+/// for extension-based detection; a `format` of `None` or `"auto"`
+/// detects. DAGMan output is the frontend's canonical export, not the
+/// line-faithful diff [`prioritize_dagman_text`] writes.
 pub fn prioritize_workflow_text(
     text: &str,
     path: Option<&str>,
     format: Option<&str>,
 ) -> Result<(Workflow, String), prio_core::PrioError> {
     let reg = prio_dagman::registry();
-    let frontend: &dyn Frontend = match format {
-        Some(name) => reg.by_name(name).ok_or_else(|| {
-            prio_ir::ImportError::whole_file(
-                prio_ir::FormatId::Dagman,
-                format!("unknown format {name:?}"),
-            )
-        })?,
-        None => reg.detect(path, text).ok_or_else(|| {
-            prio_ir::ImportError::whole_file(
-                prio_ir::FormatId::Dagman,
-                "cannot detect workflow format".to_string(),
-            )
-        })?,
-    };
+    let frontend = reg.resolve(format, path, text)?;
     let workflow = frontend.import(text)?;
     let result = prio_core::prioritize(&workflow)?;
     let rendered = frontend.export(&workflow, &result.priorities());
@@ -178,6 +166,8 @@ mod tests {
         let (_, edges) = prioritize_workflow_text("a\tb\n", None, Some("edges")).unwrap();
         assert!(edges.contains("@priority\ta\t2"), "{edges}");
         assert!(prioritize_workflow_text("a\tb\n", None, Some("nope")).is_err());
+        let (_, auto) = prioritize_workflow_text("a\tb\n", None, Some("auto")).unwrap();
+        assert_eq!(auto, edges, "`auto` detects, like serve");
     }
 
     #[test]
