@@ -23,6 +23,7 @@ use prio_graph::topo::{linear_extension_violation, ExtensionViolation};
 use prio_graph::{Dag, NodeId};
 use prio_ir::{Priorities, Workflow};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Options for the PRIO pipeline. The defaults reproduce the paper's tool;
@@ -297,10 +298,10 @@ impl Prioritizer {
 /// eligibility profile.
 type ScheduledPart = (Vec<NodeId>, ScheduleSource, Vec<usize>);
 
-/// Schedules `parts` across `workers` scoped threads pulling component
-/// indices from a shared channel. Each result is placed back at its
+/// Schedules `parts` across `workers` scoped threads claiming component
+/// indices from a shared atomic counter. Each result is placed back at its
 /// component's index, so the returned vector is independent of thread
-/// count, scheduling order and channel timing.
+/// count and scheduling order.
 fn schedule_parts_parallel(
     reduced: &Dag,
     parts: &[Part],
@@ -308,20 +309,20 @@ fn schedule_parts_parallel(
     workers: usize,
 ) -> Vec<ScheduledPart> {
     let n = parts.len();
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..n {
-        let _ = tx.send(i);
-    }
-    drop(tx);
-
+    let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, ScheduledPart)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let rx = rx.clone();
-            let collected = &collected;
+            let (next, collected) = (&next, &collected);
             scope.spawn(move || {
                 let mut local = Vec::new();
-                while let Ok(i) = rx.recv() {
+                loop {
+                    // Relaxed: the counter publishes no data; results
+                    // reach the caller through the mutex and the join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
                     local.push((i, schedule_part(reduced, &parts[i], limit)));
                 }
                 let mut sink = collected
@@ -332,8 +333,8 @@ fn schedule_parts_parallel(
         }
     });
 
-    // Every index was sent exactly once and every worker drained its
-    // receipts into `collected`, so each slot is written exactly once.
+    // Every index was claimed exactly once and every worker drained its
+    // results into `collected`, so each slot is written exactly once.
     // Slots are pre-filled with trivial placeholders rather than unwrapped
     // options; a (impossible) miss would surface as an emit-stage
     // invariant error, not a panic.

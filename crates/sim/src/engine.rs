@@ -35,22 +35,6 @@ use rand::Rng as _;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Totally ordered f64 for the event heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// A heap event. The derived order breaks equal-time ties: completions
 /// first (by job id, as the reliable engine always did), then releases,
 /// then churn transitions.
@@ -66,6 +50,62 @@ enum Ev {
     /// The worker pool comes back up.
     PoolUp,
 }
+
+/// An event at a time, packed into integers whose derived order is
+/// `(time, event)` ordered by `f64::total_cmp` and then by [`Ev`]'s
+/// derived order.
+///
+/// `time_key` is the time's bits under the monotone map that orders like
+/// `total_cmp`, so `-0.0` (a possible `Exponential` sample) sorts before
+/// `+0.0`. `tag` is the variant rank in bits 32.. and the job id below;
+/// `generation` is the completion's generation (0 for the other kinds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    time_key: u64,
+    tag: u64,
+    generation: u32,
+}
+
+const SIGN: u64 = 1 << 63;
+
+impl EventKey {
+    fn new(time: f64, ev: Ev) -> EventKey {
+        let bits = time.to_bits();
+        let time_key = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+        let (rank, job, generation) = match ev {
+            Ev::Completion(job, generation) => (0, job.0, generation),
+            Ev::Release(job) => (1, job.0, 0),
+            Ev::PoolDown => (2, 0, 0),
+            Ev::PoolUp => (3, 0, 0),
+        };
+        EventKey {
+            time_key,
+            tag: (rank << 32) | u64::from(job),
+            generation,
+        }
+    }
+
+    fn time(self) -> f64 {
+        f64::from_bits(if self.time_key & SIGN != 0 {
+            self.time_key ^ SIGN
+        } else {
+            !self.time_key
+        })
+    }
+
+    fn event(self) -> Ev {
+        let job = NodeId(self.tag as u32);
+        match self.tag >> 32 {
+            0 => Ev::Completion(job, self.generation),
+            1 => Ev::Release(job),
+            2 => Ev::PoolDown,
+            _ => Ev::PoolUp,
+        }
+    }
+}
+
+/// The pending events, earliest first.
+type EventHeap = BinaryHeap<Reverse<EventKey>>;
 
 /// How one job ended, when the fault layer is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,6 +357,7 @@ fn run<S: TraceConsumer + ?Sized>(
     let mut rng = seeded_rng(seed);
     let interarrival = model.interarrival();
     let runtime = model.runtime();
+    let batch_size = model.batch_size();
     let failures = model.failure_probability;
 
     // Fault layer: allocated only when active so the reliable hot path
@@ -351,11 +392,11 @@ fn run<S: TraceConsumer + ?Sized>(
         queue.push(u);
     }
 
-    let mut events: BinaryHeap<Reverse<(Time, Ev)>> = BinaryHeap::new();
+    let mut events = EventHeap::new();
     if let Some(fs) = fs.as_mut() {
         if let Some(churn) = fs.churn_rng.as_mut() {
             let first_down = fs.mttf.sample(churn);
-            events.push(Reverse((Time(first_down), Ev::PoolDown)));
+            events.push(Reverse(EventKey::new(first_down, Ev::PoolDown)));
         }
     }
     let mut trace = TraceEmitter {
@@ -425,7 +466,7 @@ fn run<S: TraceConsumer + ?Sized>(
         // workers this is "unexecuted and unassigned"; with failures a job
         // can re-enter this state (and jobs in retry backoff stay in it).
         let unassigned = n - resolved - in_flight;
-        let next_event = events.peek().map(|Reverse((t, _))| t.0);
+        let next_event = events.peek().map(|Reverse(key)| key.time());
         // Completions win ties so a batch arriving at the same instant sees
         // the freed dependencies. With reliable workers, batches after the
         // last assignment cannot matter and are skipped entirely (keeping
@@ -435,8 +476,9 @@ fn run<S: TraceConsumer + ?Sized>(
             None => false,
         };
         if take_event {
-            let Reverse((Time(t), ev)) = events.pop().expect("peeked");
-            match ev {
+            let Reverse(key) = events.pop().expect("peeked");
+            let t = key.time();
+            match key.event() {
                 Ev::Completion(job, generation) => {
                     // Stale completion: this assignment was killed by pool
                     // churn; its failure was already processed then.
@@ -595,7 +637,7 @@ fn run<S: TraceConsumer + ?Sized>(
                     let fsm = fs.as_mut().expect("checked");
                     let churn = fsm.churn_rng.as_mut().expect("churn event needs rng");
                     let up_at = t + fsm.mttr.sample(churn);
-                    events.push(Reverse((Time(up_at), Ev::PoolUp)));
+                    events.push(Reverse(EventKey::new(up_at, Ev::PoolUp)));
                 }
                 Ev::PoolUp => {
                     let fsm = fs.as_mut().expect("churn only exists with faults");
@@ -605,7 +647,7 @@ fn run<S: TraceConsumer + ?Sized>(
                     }
                     let churn = fsm.churn_rng.as_mut().expect("churn event needs rng");
                     let down_at = t + fsm.mttf.sample(churn);
-                    events.push(Reverse((Time(down_at), Ev::PoolDown)));
+                    events.push(Reverse(EventKey::new(down_at, Ev::PoolDown)));
                 }
             }
             // Rollover ablation: parked workers grab newly eligible jobs
@@ -620,8 +662,8 @@ fn run<S: TraceConsumer + ?Sized>(
                     fs.assigned_at[job.index()] = t;
                     fs.generation[job.index()]
                 });
-                events.push(Reverse((
-                    Time(completes_at),
+                events.push(Reverse(EventKey::new(
+                    completes_at,
                     Ev::Completion(job, generation),
                 )));
                 in_flight += 1;
@@ -655,7 +697,7 @@ fn run<S: TraceConsumer + ?Sized>(
             // While the pool is down, arriving workers never reach the
             // server: the batch is neither observed nor parked.
             let t = next_batch;
-            let size = model.sample_batch_size(&mut rng);
+            let size = batch_size.sample(&mut rng);
             let pool_up = fs.as_ref().is_none_or(|fs| fs.pool_up);
             if unassigned > 0 && pool_up {
                 batches_observed += 1;
@@ -676,8 +718,8 @@ fn run<S: TraceConsumer + ?Sized>(
                         fs.assigned_at[job.index()] = t;
                         fs.generation[job.index()]
                     });
-                    events.push(Reverse((
-                        Time(completes_at),
+                    events.push(Reverse(EventKey::new(
+                        completes_at,
                         Ev::Completion(job, generation),
                     )));
                     in_flight += 1;
@@ -791,8 +833,8 @@ struct Totals<'a> {
 fn process_fault<S: TraceConsumer + ?Sized>(
     site: FaultSite<'_>,
     fs: &mut FaultState,
-    queue: &mut crate::policy::PolicyQueue,
-    events: &mut BinaryHeap<Reverse<(Time, Ev)>>,
+    queue: &mut crate::policy::PolicyQueue<'_>,
+    events: &mut EventHeap,
     trace: &mut TraceEmitter<'_, S>,
     telem: &mut Option<TelemetryState>,
     totals: &mut Totals<'_>,
@@ -830,7 +872,7 @@ fn process_fault<S: TraceConsumer + ?Sized>(
     } else {
         let delay = fs.retry.backoff.delay(attempt);
         if delay > 0.0 {
-            events.push(Reverse((Time(t + delay), Ev::Release(job))));
+            events.push(Reverse(EventKey::new(t + delay, Ev::Release(job))));
         } else {
             queue.push(job);
             if let Some(ts) = telem.as_mut() {
@@ -1422,5 +1464,53 @@ mod tests {
             })
             .unwrap();
         assert_eq!(first_assigned, NodeId(1));
+    }
+
+    #[test]
+    fn event_key_orders_like_total_cmp_then_ev() {
+        let times = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        let events = [
+            Ev::Completion(NodeId(0), 0),
+            Ev::Completion(NodeId(0), u32::MAX),
+            Ev::Completion(NodeId(7), 0),
+            Ev::Completion(NodeId(7), u32::MAX),
+            Ev::Completion(NodeId(u32::MAX), u32::MAX),
+            Ev::Release(NodeId(0)),
+            Ev::Release(NodeId(7)),
+            Ev::Release(NodeId(u32::MAX)),
+            Ev::PoolDown,
+            Ev::PoolUp,
+        ];
+        let pairs: Vec<(f64, Ev)> = times
+            .iter()
+            .flat_map(|&t| events.iter().map(move |&e| (t, e)))
+            .collect();
+        for &(t1, e1) in &pairs {
+            let k1 = EventKey::new(t1, e1);
+            assert_eq!(k1.time().to_bits(), t1.to_bits(), "time round-trips");
+            assert_eq!(k1.event(), e1, "event round-trips");
+            for &(t2, e2) in &pairs {
+                let expected = t1.total_cmp(&t2).then(e1.cmp(&e2));
+                assert_eq!(
+                    k1.cmp(&EventKey::new(t2, e2)),
+                    expected,
+                    "({t1:?}, {e1:?}) vs ({t2:?}, {e2:?})"
+                );
+            }
+        }
     }
 }

@@ -92,13 +92,32 @@ impl GridModel {
         TruncatedNormal::new(self.runtime_mean, self.runtime_sd, 1e-3)
     }
 
-    /// Draws one batch size.
-    pub fn sample_batch_size<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// The batch-size distribution, built once per run.
+    pub fn batch_size(&self) -> BatchSize {
         match self.batch_size_model {
-            BatchSizeModel::Geometric => Geometric::new(self.mean_batch_size).sample(rng),
+            BatchSizeModel::Geometric => BatchSize::Geometric(Geometric::new(self.mean_batch_size)),
             BatchSizeModel::CeilExponential => {
-                CeilExponential::new(self.mean_batch_size).sample(rng)
+                BatchSize::CeilExponential(CeilExponential::new(self.mean_batch_size))
             }
+        }
+    }
+}
+
+/// A batch-size sampler under one [`BatchSizeModel`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BatchSize {
+    /// See [`BatchSizeModel::Geometric`].
+    Geometric(Geometric),
+    /// See [`BatchSizeModel::CeilExponential`].
+    CeilExponential(CeilExponential),
+}
+
+impl BatchSize {
+    /// Draws one batch size.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match self {
+            BatchSize::Geometric(d) => d.sample(rng),
+            BatchSize::CeilExponential(d) => d.sample(rng),
         }
     }
 }
@@ -125,8 +144,9 @@ mod tests {
                 batch_size_model: model,
                 ..GridModel::paper(1.0, 4.0)
             };
+            let d = m.batch_size();
             for _ in 0..1000 {
-                assert!(m.sample_batch_size(&mut rng) >= 1);
+                assert!(d.sample(&mut rng) >= 1);
             }
         }
     }
@@ -136,7 +156,8 @@ mod tests {
         let mut rng = seeded_rng(2);
         let m = GridModel::paper(1.0, 64.0);
         let n = 20_000;
-        let total: u64 = (0..n).map(|_| m.sample_batch_size(&mut rng)).sum();
+        let d = m.batch_size();
+        let total: u64 = (0..n).map(|_| d.sample(&mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 64.0).abs() / 64.0 < 0.05, "mean {mean}");
     }

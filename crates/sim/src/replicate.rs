@@ -3,8 +3,8 @@
 //!
 //! A *sample* is the average of `q` independent simulated measurements;
 //! `p` samples form the empirical sampling distribution of each metric.
-//! Replications are embarrassingly parallel: a crossbeam work queue feeds
-//! run indices to worker threads, and every run's seed is derived
+//! Replications are embarrassingly parallel: worker threads claim run
+//! indices from a shared atomic counter, and every run's seed is derived
 //! deterministically from the plan's master seed and the run index, so the
 //! result is bit-identical regardless of thread count.
 
@@ -15,6 +15,7 @@ use crate::policy::PolicySpec;
 use prio_graph::Dag;
 use prio_stats::rng::derive_seed;
 use prio_stats::SamplingDistribution;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many runs to perform and how to seed them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,19 +114,20 @@ pub fn sampling_distributions_with(
             *slot = run_one(dag, policy, model, faults, plan.seed, i);
         }
     } else {
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-        for i in 0..total {
-            tx.send(i).expect("queue open");
-        }
-        drop(tx);
+        let next = AtomicUsize::new(0);
         let chunks = std::sync::Mutex::new(Vec::<(usize, [f64; 5])>::with_capacity(total));
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let rx = rx.clone();
-                let chunks = &chunks;
+                let (next, chunks) = (&next, &chunks);
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    while let Ok(i) = rx.recv() {
+                    loop {
+                        // Relaxed: the counter publishes no data; results
+                        // reach the caller through the mutex and the join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= total {
+                            break;
+                        }
                         local.push((i, run_one(dag, policy, model, faults, plan.seed, i)));
                     }
                     chunks.lock().expect("collector lock").extend(local);

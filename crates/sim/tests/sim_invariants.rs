@@ -369,3 +369,79 @@ fn paper_workflows_match_pre_fault_trace_hashes() {
         "airsn-prio: reliable trace diverged from the pre-fault engine"
     );
 }
+
+/// PRIO's schedule for `dag`, as `prio simulate` builds it.
+fn prio_policy(dag: &Dag) -> PolicySpec {
+    PolicySpec::Oblivious(prio_core::prio::prioritize(dag).unwrap().schedule)
+}
+
+/// More pins over the same recipe (`GridModel::paper(1.0, 16.0)`, seed
+/// 20060401), captured before the ready set became a bitmap over
+/// schedule positions and the event heap became integer-keyed: PRIO on
+/// the other paper workflows, the throttled Condor queue, and one faulty
+/// run whose transient faults, fixed backoff and pool churn put
+/// `Release`, `PoolDown` and `PoolUp` events on the heap.
+#[test]
+fn queue_and_event_heap_paths_match_pinned_trace_hashes() {
+    let model = GridModel::paper(1.0, 16.0);
+    let seed = 20060401;
+    let hash = |out: &prio_sim::SimOutcome| trace_hash(out.trace.as_ref().unwrap(), out.makespan);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+
+    let inspiral = prio_workloads::inspiral::inspiral_paper();
+    let montage = prio_workloads::montage::montage_paper();
+    let sdss = prio_workloads::spec::scaled_suite(0.1)
+        .pop()
+        .unwrap()
+        .workflow
+        .into_dag();
+    for (name, dag) in [
+        ("inspiral-prio", &inspiral),
+        ("montage-prio", &montage),
+        ("sdss-prio", &sdss),
+    ] {
+        got.push((
+            name,
+            hash(&simulate_traced(dag, &prio_policy(dag), &model, seed)),
+        ));
+    }
+
+    let throttled = PolicySpec::ThrottledOblivious {
+        schedule: prio_core::prio::prioritize(&montage).unwrap().schedule,
+        maxjobs: 64,
+    };
+    got.push((
+        "montage-throttled-64",
+        hash(&simulate_traced(&montage, &throttled, &model, seed)),
+    ));
+
+    let airsn = prio_workloads::airsn::airsn_paper();
+    let faults = FaultConfig {
+        model: FaultModel::with_rate(0.3).with_churn(8.0, 2.0),
+        retry: RetryPolicy {
+            max_attempts: 4,
+            backoff: Backoff::Fixed(0.5),
+        },
+    };
+    let out = simulate_faulty_traced(&airsn, &prio_policy(&airsn), &model, &faults, seed);
+    for kind in ["JobRetried", "WorkerDown", "WorkerUp"] {
+        assert!(
+            out.trace
+                .as_ref()
+                .unwrap()
+                .iter()
+                .any(|e| format!("{e:?}").starts_with(kind)),
+            "the faulty pin must exercise {kind}"
+        );
+    }
+    got.push(("airsn-prio-faulty", hash(&out)));
+
+    let expected: [(&str, u64); 5] = [
+        ("inspiral-prio", 0x4EEC19E60A8C9D18),
+        ("montage-prio", 0xA7E4D808ECBF21C3),
+        ("sdss-prio", 0x767F176CF2529BA7),
+        ("montage-throttled-64", 0x830C0482615A492E),
+        ("airsn-prio-faulty", 0x6BA6B450E4F02158),
+    ];
+    assert_eq!(got, expected, "a trace diverged from its pin");
+}

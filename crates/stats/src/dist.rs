@@ -113,6 +113,8 @@ impl TruncatedNormal {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     mean: f64,
+    /// `ln(1 - p)`, computed once: `-inf` when `p = 1`.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -122,7 +124,11 @@ impl Geometric {
             mean >= 1.0 && mean.is_finite(),
             "geometric mean must be >= 1, got {mean}"
         );
-        Geometric { mean }
+        let p = 1.0 / mean;
+        Geometric {
+            mean,
+            ln_q: (1.0 - p).ln(),
+        }
     }
 
     /// The configured mean.
@@ -132,12 +138,11 @@ impl Geometric {
 
     /// Draws a sample by inverse CDF: `1 + floor(ln(1-U) / ln(1-p))`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let p = 1.0 / self.mean;
-        if p >= 1.0 {
+        if self.ln_q == f64::NEG_INFINITY {
             return 1;
         }
         let u: f64 = rng.gen();
-        let k = 1.0 + ((1.0 - u).ln() / (1.0 - p).ln()).floor();
+        let k = 1.0 + ((1.0 - u).ln() / self.ln_q).floor();
         // Guard against numerical blow-ups in the extreme tail.
         k.max(1.0).min(u64::MAX as f64) as u64
     }
