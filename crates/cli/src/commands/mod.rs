@@ -7,6 +7,7 @@ pub mod batch;
 pub mod compare;
 pub mod convert;
 pub mod generate;
+pub mod ingest;
 pub mod instrument;
 pub mod report;
 pub mod schedule;

@@ -9,20 +9,21 @@
 //! curve), per-job latency histograms, and — when exactly two policies
 //! are present (one file with both, or two files) — a PRIO-vs-FIFO
 //! side-by-side comparison. `--json` emits the same summary as a single
-//! JSON document on stdout. A path of `-` reads stdin; an input mixing
-//! records of different explicit schema versions is rejected whole
-//! rather than half-parsed.
+//! JSON document on stdout. A path of `-` reads stdin. The input is read
+//! through the ingest layer shared with `prio trace` ([`super::ingest`]):
+//! schema v3 only, and a malformed record is an error naming its line.
 //!
 //! Everything derived from the simulator telemetry is deterministic per
 //! seed, which is what the golden-output test pins; span timings are
 //! wall-clock and vary run to run.
 
+use super::ingest::{self, count, fmt, num, text, Item, PipelineMeta, TsRecord};
 use crate::args::Args;
 use crate::error::CliError;
 use prio_bench::report::Table;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
-use prio_obs::stream::{self, JsonlReader, Record};
-use std::io::BufRead;
+use prio_obs::stream::Record;
+use prio_sim::trace::TraceEvent;
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
@@ -37,26 +38,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         .iter()
         .map(|path| Source::load(path))
         .collect::<Result<Vec<_>, _>>()?;
-    // Lossy traces must never be summarized silently: the warning goes
-    // to stderr in both modes so `--json` pipelines still see it.
+    // Lossy traces must never be summarized silently.
     for source in &sources {
         if let Some(p) = &source.pipeline {
-            if p.dropped > 0 {
-                eprintln!(
-                    "prio: WARNING: {}: lossy trace — {} of {} events were dropped at capture \
-                     (ring overflow); event counts and curves underestimate the run",
-                    source.path,
-                    p.dropped,
-                    p.dropped + p.enqueued,
-                );
-            }
-            if p.sample > 1 {
-                eprintln!(
-                    "prio: note: {}: sampled trace (~1/{} of job lifecycles kept; \
-                     telemetry digests stay exact)",
-                    source.path, p.sample,
-                );
-            }
+            p.warn(&source.path);
         }
     }
     let comparison = comparison(&sources);
@@ -66,28 +51,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         print!("{}", render_text(&sources, &comparison));
     }
     Ok(())
-}
-
-/// The trailing drop-accounting record the trace pipeline appends
-/// (`meta` with `command=trace_pipeline`).
-#[derive(Debug, Clone, Copy)]
-struct PipelineMeta {
-    enqueued: u64,
-    dropped: u64,
-    sample: u64,
-}
-
-/// One time-series telemetry record (`type: "ts"`).
-#[derive(Debug)]
-struct TsRecord {
-    series: String,
-    pushed: u64,
-    peak: f64,
-    peak_t: f64,
-    mean: f64,
-    last_t: f64,
-    last_v: f64,
-    samples: Vec<(f64, f64)>,
 }
 
 /// One histogram summary record (`type: "hist"`).
@@ -143,8 +106,8 @@ struct SpanRow {
     count: u64,
     total_ms: f64,
     max_ms: f64,
-    /// `(p50, p90, p99)` in ms; absent on v1 traces.
-    percentiles: Option<(f64, f64, f64)>,
+    /// `(p50, p90, p99)` in ms.
+    percentiles: (f64, f64, f64),
 }
 
 /// One parsed trace file.
@@ -164,16 +127,10 @@ struct Source {
 }
 
 impl Source {
+    /// Streams the trace at `path` into a `Source`: the reader holds one
+    /// line at a time, so memory stays bounded by the digest being
+    /// built, not the trace size.
     fn load(path: &str) -> Result<Source, CliError> {
-        let reader = stream::open(path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
-        Source::from_reader(path, reader)
-    }
-
-    /// Streams records into a `Source`: the reader holds one line at a
-    /// time, so memory stays bounded by the digest being built, not the
-    /// trace size. Version violations (future or mixed schemas) surface
-    /// as structured input errors.
-    fn from_reader<R: BufRead>(path: &str, reader: JsonlReader<R>) -> Result<Source, CliError> {
         let mut source = Source {
             path: path.to_string(),
             metas: Vec::new(),
@@ -184,12 +141,8 @@ impl Source {
             pipeline: None,
         };
         let mut current = String::from("-");
-        for record in reader {
-            let record = record.map_err(|e| CliError::input(format!("{path}: {e}")))?;
-            source
-                .ingest(&record, &mut current)
-                .map_err(|e| CliError::input(format!("{path}: line {}: {e}", record.line_no)))?;
-        }
+        let pipeline = ingest::read(path, |item| source.ingest(item, &mut current))?;
+        source.pipeline = pipeline;
         Ok(source)
     }
 
@@ -204,114 +157,82 @@ impl Source {
         self.groups.last_mut().expect("just pushed")
     }
 
-    fn ingest(&mut self, record: &Record, current_policy: &mut String) -> Result<(), String> {
-        let v = &record.value;
-        let kind = record.kind.as_str();
-        let f = |key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let u = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or("-")
-                .to_string()
-        };
-        match kind {
-            "meta" => {
-                let detail = s("detail");
-                // `trace` meta lines open a per-policy segment; the
-                // pipeline's trailing record carries drop accounting;
-                // everything else is header material.
-                let command = s("command");
-                if command == "trace" {
-                    if let Some(policy) = detail
-                        .split_whitespace()
-                        .find_map(|kv| kv.strip_prefix("policy="))
-                    {
-                        *current_policy = policy.to_string();
-                    }
-                } else if command == "trace_pipeline" {
-                    self.pipeline = Some(PipelineMeta {
-                        enqueued: u("enqueued"),
-                        dropped: u("dropped"),
-                        sample: u("sample").max(1),
-                    });
+    fn ingest(&mut self, item: Item<'_>, current_policy: &mut String) -> Result<(), String> {
+        match item {
+            // `trace` meta lines open a per-policy segment; every meta
+            // line is also header material.
+            Item::Meta {
+                command,
+                detail,
+                policy,
+            } => {
+                if let Some(policy) = policy {
+                    *current_policy = policy.to_string();
                 }
                 self.metas.push(format!("{command} {detail}"));
             }
-            "span" => {
-                let percentiles = match (
-                    v.get("p50_ms").and_then(JsonValue::as_f64),
-                    v.get("p90_ms").and_then(JsonValue::as_f64),
-                    v.get("p99_ms").and_then(JsonValue::as_f64),
-                ) {
-                    (Some(p50), Some(p90), Some(p99)) => Some((p50, p90, p99)),
-                    _ => None,
-                };
-                self.spans.push(SpanRow {
-                    path: s("path"),
-                    count: u("count"),
-                    total_ms: f("total_ms"),
-                    max_ms: f("max_ms"),
-                    percentiles,
-                });
-            }
-            "counter" | "gauge" => self.counters += 1,
-            "batch_arrived" => {
-                let events = &mut self.group_mut(current_policy).events;
-                events.batches += 1;
-                events.requests += u("size");
-                if v.get("stalled").and_then(JsonValue::as_bool) == Some(true) {
-                    events.stalled += 1;
+            Item::Event(event) => match event {
+                TraceEvent::BatchArrived { size, stalled, .. } => {
+                    let events = &mut self.group_mut(current_policy).events;
+                    events.batches += 1;
+                    events.requests += size;
+                    events.stalled += u64::from(stalled);
                 }
+                TraceEvent::JobAssigned { .. } => {
+                    self.group_mut(current_policy).events.assigned += 1
+                }
+                TraceEvent::JobCompleted { .. } => {
+                    self.group_mut(current_policy).events.completed += 1
+                }
+                TraceEvent::JobFailed { .. } => self.group_mut(current_policy).events.failed += 1,
+                TraceEvent::JobRetried { .. } => self.group_mut(current_policy).events.retried += 1,
+                TraceEvent::WorkerDown { .. } => {
+                    self.group_mut(current_policy).events.worker_down += 1
+                }
+                TraceEvent::JobSubmitted { .. }
+                | TraceEvent::JobEligible { .. }
+                | TraceEvent::WorkerUp { .. } => {}
+            },
+            Item::Series(ts) => {
+                let policy = ts.policy.clone();
+                self.group_mut(&policy).series.push(ts);
             }
-            "job_assigned" => self.group_mut(current_policy).events.assigned += 1,
-            "job_completed" => self.group_mut(current_policy).events.completed += 1,
-            "job_failed" => self.group_mut(current_policy).events.failed += 1,
-            "job_retried" => self.group_mut(current_policy).events.retried += 1,
-            "worker_down" => self.group_mut(current_policy).events.worker_down += 1,
-            "ts" => {
-                let samples = match v.get("samples") {
-                    Some(JsonValue::Arr(items)) => items
-                        .iter()
-                        .filter_map(|pair| match pair {
-                            JsonValue::Arr(tv) if tv.len() == 2 => {
-                                Some((tv[0].as_f64()?, tv[1].as_f64()?))
-                            }
-                            _ => None,
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                let policy = s("policy");
-                self.group_mut(&policy).series.push(TsRecord {
-                    series: s("series"),
-                    pushed: u("pushed"),
-                    peak: f("peak"),
-                    peak_t: f("peak_t"),
-                    mean: f("mean"),
-                    last_t: f("last_t"),
-                    last_v: f("last_v"),
-                    samples,
-                });
-            }
+            Item::Other(record) => self.ingest_other(record)?,
+        }
+        Ok(())
+    }
+
+    /// Spans, scalar metrics and histograms: the records only the report
+    /// reads.
+    fn ingest_other(&mut self, record: &Record) -> Result<(), String> {
+        let v = &record.value;
+        match record.kind.as_str() {
+            "span" => self.spans.push(SpanRow {
+                path: text(v, "path")?.to_string(),
+                count: count(v, "count")?,
+                total_ms: num(v, "total_ms")?,
+                max_ms: num(v, "max_ms")?,
+                percentiles: (num(v, "p50_ms")?, num(v, "p90_ms")?, num(v, "p99_ms")?),
+            }),
+            "counter" | "gauge" => self.counters += 1,
             "hist" => {
-                let record = HistRecord {
-                    name: s("name"),
-                    count: u("count"),
-                    mean: f("mean"),
-                    p50: u("p50"),
-                    p90: u("p90"),
-                    p99: u("p99"),
-                    max: u("max"),
+                let hist = HistRecord {
+                    name: text(v, "name")?.to_string(),
+                    count: count(v, "count")?,
+                    mean: num(v, "mean")?,
+                    p50: count(v, "p50")?,
+                    p90: count(v, "p90")?,
+                    p99: count(v, "p99")?,
+                    max: count(v, "max")?,
                 };
                 // Telemetry histograms carry a policy tag; registry
                 // histograms (pipeline-side) do not.
                 match v.get("policy").and_then(JsonValue::as_str) {
                     Some(policy) => {
                         let policy = policy.to_string();
-                        self.group_mut(&policy).hists.push(record);
+                        self.group_mut(&policy).hists.push(hist);
                     }
-                    None => self.registry_hists.push(record),
+                    None => self.registry_hists.push(hist),
                 }
             }
             _ => {}
@@ -443,10 +364,6 @@ fn sparkline(samples: &[(f64, f64)], width: usize) -> String {
         .collect()
 }
 
-fn fmt(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 fn ratio(a: f64, b: f64) -> String {
     if b == 0.0 {
         "-".to_string()
@@ -486,7 +403,6 @@ fn render_text(sources: &[Source], comparison: &Option<Comparison>) -> String {
         }
     }
 
-    let opt = |p: Option<f64>| p.map(fmt).unwrap_or_else(|| "-".to_string());
     let mut spans = Table::new(&[
         "source", "span", "count", "total_ms", "max_ms", "p50_ms", "p90_ms", "p99_ms",
     ]);
@@ -500,9 +416,9 @@ fn render_text(sources: &[Source], comparison: &Option<Comparison>) -> String {
                 row.count.to_string(),
                 fmt(row.total_ms),
                 fmt(row.max_ms),
-                opt(row.percentiles.map(|p| p.0)),
-                opt(row.percentiles.map(|p| p.1)),
-                opt(row.percentiles.map(|p| p.2)),
+                fmt(row.percentiles.0),
+                fmt(row.percentiles.1),
+                fmt(row.percentiles.2),
             ]);
         }
     }
@@ -677,16 +593,19 @@ fn render_json(sources: &[Source], comparison: &Option<Comparison>) -> String {
     let mut span_objs = Vec::new();
     for (i, source) in sources.iter().enumerate() {
         for row in &source.spans {
-            let mut obj = JsonObject::new()
-                .u64("file", i as u64)
-                .str("path", &row.path)
-                .u64("count", row.count)
-                .f64("total_ms", row.total_ms)
-                .f64("max_ms", row.max_ms);
-            if let Some((p50, p90, p99)) = row.percentiles {
-                obj = obj.f64("p50_ms", p50).f64("p90_ms", p90).f64("p99_ms", p99);
-            }
-            span_objs.push(obj.finish());
+            let (p50, p90, p99) = row.percentiles;
+            span_objs.push(
+                JsonObject::new()
+                    .u64("file", i as u64)
+                    .str("path", &row.path)
+                    .u64("count", row.count)
+                    .f64("total_ms", row.total_ms)
+                    .f64("max_ms", row.max_ms)
+                    .f64("p50_ms", p50)
+                    .f64("p90_ms", p90)
+                    .f64("p99_ms", p99)
+                    .finish(),
+            );
         }
     }
     out.push_str(&join(span_objs));
@@ -806,22 +725,22 @@ mod tests {
 
     fn trace_text() -> String {
         [
-            r#"{"type":"meta","v":2,"command":"simulate","detail":"workload=w seed=1"}"#,
-            r#"{"type":"meta","v":2,"command":"trace","detail":"policy=prio seed=1"}"#,
-            r#"{"type":"batch_arrived","v":2,"time":0,"size":2,"assigned":2,"stalled":false}"#,
-            r#"{"type":"job_assigned","v":2,"time":0,"job":0,"completes_at":1}"#,
-            r#"{"type":"job_completed","v":2,"time":1,"job":0}"#,
-            r#"{"type":"ts","v":2,"policy":"prio","series":"eligible_pool","pushed":2,"peak":3,"peak_t":0,"mean":2.5,"last_t":1,"last_v":2,"samples":[[0,3],[1,2]]}"#,
-            r#"{"type":"ts","v":2,"policy":"prio","series":"utilization","pushed":2,"peak":1,"peak_t":1,"mean":0.75,"last_t":1,"last_v":1,"samples":[[0,0.5],[1,1]]}"#,
-            r#"{"type":"hist","v":2,"policy":"prio","name":"job_wait_milli","count":2,"mean":250,"p50":0,"p90":500,"p99":500,"max":500}"#,
-            r#"{"type":"meta","v":2,"command":"trace","detail":"policy=fifo seed=1"}"#,
-            r#"{"type":"job_failed","v":2,"time":0.5,"job":1}"#,
-            r#"{"type":"ts","v":2,"policy":"fifo","series":"eligible_pool","pushed":2,"peak":2,"peak_t":0,"mean":2,"last_t":2,"last_v":2,"samples":[[0,2],[2,2]]}"#,
-            r#"{"type":"ts","v":2,"policy":"fifo","series":"utilization","pushed":2,"peak":0.5,"peak_t":2,"mean":0.5,"last_t":2,"last_v":0.5,"samples":[[0,0.5],[2,0.5]]}"#,
-            r#"{"type":"hist","v":2,"policy":"fifo","name":"job_wait_milli","count":2,"mean":750,"p50":500,"p90":1000,"p99":1000,"max":1000}"#,
-            r#"{"type":"span","v":2,"path":"prio/decompose","count":1,"total_ms":1.5,"max_ms":1.5,"p50_ms":1.5,"p90_ms":1.5,"p99_ms":1.5}"#,
-            r#"{"type":"counter","v":2,"name":"sim.runs","value":1}"#,
-            r#"{"type":"hist","v":2,"name":"pipeline.ns","count":1,"mean":10,"p50":10,"p90":10,"p99":10,"max":10}"#,
+            r#"{"type":"meta","v":3,"command":"simulate","detail":"workload=w seed=1"}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio seed=1"}"#,
+            r#"{"type":"batch_arrived","v":3,"time":0,"size":2,"assigned":2,"stalled":false}"#,
+            r#"{"type":"job_assigned","v":3,"time":0,"job":0,"completes_at":1,"worker":1}"#,
+            r#"{"type":"job_completed","v":3,"time":1,"job":0}"#,
+            r#"{"type":"ts","v":3,"policy":"prio","series":"eligible_pool","pushed":2,"peak":3,"peak_t":0,"mean":2.5,"last_t":1,"last_v":2,"samples":[[0,3],[1,2]]}"#,
+            r#"{"type":"ts","v":3,"policy":"prio","series":"utilization","pushed":2,"peak":1,"peak_t":1,"mean":0.75,"last_t":1,"last_v":1,"samples":[[0,0.5],[1,1]]}"#,
+            r#"{"type":"hist","v":3,"policy":"prio","name":"job_wait_milli","count":2,"mean":250,"p50":0,"p90":500,"p99":500,"max":500}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=fifo seed=1"}"#,
+            r#"{"type":"job_failed","v":3,"time":0.5,"job":1}"#,
+            r#"{"type":"ts","v":3,"policy":"fifo","series":"eligible_pool","pushed":2,"peak":2,"peak_t":0,"mean":2,"last_t":2,"last_v":2,"samples":[[0,2],[2,2]]}"#,
+            r#"{"type":"ts","v":3,"policy":"fifo","series":"utilization","pushed":2,"peak":0.5,"peak_t":2,"mean":0.5,"last_t":2,"last_v":0.5,"samples":[[0,0.5],[2,0.5]]}"#,
+            r#"{"type":"hist","v":3,"policy":"fifo","name":"job_wait_milli","count":2,"mean":750,"p50":500,"p90":1000,"p99":1000,"max":1000}"#,
+            r#"{"type":"span","v":3,"path":"prio/decompose","count":1,"total_ms":1.5,"max_ms":1.5,"p50_ms":1.5,"p90_ms":1.5,"p99_ms":1.5}"#,
+            r#"{"type":"counter","v":3,"name":"sim.runs","value":1}"#,
+            r#"{"type":"hist","v":3,"name":"pipeline.ns","count":1,"mean":10,"p50":10,"p90":10,"p99":10,"max":10}"#,
         ]
         .join("\n")
     }
@@ -901,20 +820,20 @@ mod tests {
 
     fn faulty_trace_text() -> String {
         [
-            r#"{"type":"meta","v":2,"command":"trace","detail":"policy=prio seed=1"}"#,
-            r#"{"type":"job_assigned","v":2,"time":0,"job":0,"completes_at":1}"#,
-            r#"{"type":"job_failed","v":2,"time":0.5,"job":0}"#,
-            r#"{"type":"job_retried","v":2,"time":0.5,"job":0,"attempt":2,"delay":0}"#,
-            r#"{"type":"worker_down","v":2,"time":0.7,"lost":1}"#,
-            r#"{"type":"worker_up","v":2,"time":0.9}"#,
-            r#"{"type":"job_completed","v":2,"time":1.5,"job":0}"#,
-            r#"{"type":"ts","v":2,"policy":"prio","series":"eligible_pool","pushed":2,"peak":1,"peak_t":0,"mean":1,"last_t":1.5,"last_v":0,"samples":[[0,1],[1.5,0]]}"#,
-            r#"{"type":"hist","v":2,"policy":"prio","name":"job_attempts","count":2,"mean":2,"p50":2,"p90":2,"p99":2,"max":2}"#,
-            r#"{"type":"hist","v":2,"policy":"prio","name":"wasted_work_milli","count":1,"mean":500,"p50":500,"p90":500,"p99":500,"max":500}"#,
-            r#"{"type":"meta","v":2,"command":"trace","detail":"policy=fifo seed=1"}"#,
-            r#"{"type":"job_assigned","v":2,"time":0,"job":0,"completes_at":1}"#,
-            r#"{"type":"job_completed","v":2,"time":1,"job":0}"#,
-            r#"{"type":"ts","v":2,"policy":"fifo","series":"eligible_pool","pushed":2,"peak":1,"peak_t":0,"mean":1,"last_t":1,"last_v":0,"samples":[[0,1],[1,0]]}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio seed=1"}"#,
+            r#"{"type":"job_assigned","v":3,"time":0,"job":0,"completes_at":1,"worker":1}"#,
+            r#"{"type":"job_failed","v":3,"time":0.5,"job":0}"#,
+            r#"{"type":"job_retried","v":3,"time":0.5,"job":0,"attempt":2,"delay":0}"#,
+            r#"{"type":"worker_down","v":3,"time":0.7,"lost":1}"#,
+            r#"{"type":"worker_up","v":3,"time":0.9}"#,
+            r#"{"type":"job_completed","v":3,"time":1.5,"job":0}"#,
+            r#"{"type":"ts","v":3,"policy":"prio","series":"eligible_pool","pushed":2,"peak":1,"peak_t":0,"mean":1,"last_t":1.5,"last_v":0,"samples":[[0,1],[1.5,0]]}"#,
+            r#"{"type":"hist","v":3,"policy":"prio","name":"job_attempts","count":2,"mean":2,"p50":2,"p90":2,"p99":2,"max":2}"#,
+            r#"{"type":"hist","v":3,"policy":"prio","name":"wasted_work_milli","count":1,"mean":500,"p50":500,"p90":500,"p99":500,"max":500}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=fifo seed=1"}"#,
+            r#"{"type":"job_assigned","v":3,"time":0,"job":0,"completes_at":1,"worker":1}"#,
+            r#"{"type":"job_completed","v":3,"time":1,"job":0}"#,
+            r#"{"type":"ts","v":3,"policy":"fifo","series":"eligible_pool","pushed":2,"peak":1,"peak_t":0,"mean":1,"last_t":1,"last_v":0,"samples":[[0,1],[1,0]]}"#,
         ]
         .join("\n")
     }
@@ -967,19 +886,59 @@ mod tests {
         assert!(err.to_string().contains("newer"), "{err}");
     }
 
-    #[test]
-    fn mixed_schema_versions_are_rejected_not_half_parsed() {
-        let text = concat!(
-            "{\"type\":\"ts\",\"v\":2,\"policy\":\"prio\",\"series\":\"x\"}\n",
-            "{\"type\":\"ts\",\"v\":3,\"policy\":\"prio\",\"series\":\"y\"}\n",
-        );
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("prio_report_mixed_{}.jsonl", std::process::id()));
+    /// Loads `text` from a scratch file, expecting an input error.
+    fn load_err(name: &str, text: &str) -> CliError {
+        let path =
+            std::env::temp_dir().join(format!("prio_report_{name}_{}.jsonl", std::process::id()));
         std::fs::write(&path, text).unwrap();
         let err = Source::load(path.to_str().unwrap()).unwrap_err();
         let _ = std::fs::remove_file(&path);
-        assert!(err.to_string().contains("mixed"), "{err}");
-        assert_eq!(err.exit_code(), 1, "input error, not usage");
+        assert_eq!(err.exit_code(), 1, "input error, not usage: {err}");
+        err
+    }
+
+    #[test]
+    fn old_schema_versions_are_rejected_not_half_parsed() {
+        let head = r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio"}"#;
+        for (name, second, version) in [
+            (
+                "v2",
+                r#"{"type":"job_completed","v":2,"time":1,"job":0}"#,
+                "v2",
+            ),
+            ("v1", r#"{"type":"job_completed","time":1,"job":0}"#, "v1"),
+        ] {
+            let err = load_err(name, &format!("{head}\n{second}\n")).to_string();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains(version), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_errors_not_zero_counts() {
+        let head = r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio"}"#;
+        for (name, bad, missing) in [
+            (
+                "time",
+                r#"{"type":"batch_arrived","v":3,"time":"soon"}"#,
+                "time",
+            ),
+            ("job", r#"{"type":"job_completed","v":3,"time":1}"#, "job"),
+            (
+                "span",
+                r#"{"type":"span","v":3,"path":"p","count":1}"#,
+                "total_ms",
+            ),
+            (
+                "ts",
+                r#"{"type":"ts","v":3,"policy":"prio","series":"x"}"#,
+                "pushed",
+            ),
+        ] {
+            let err = load_err(name, &format!("{head}\n{bad}\n")).to_string();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains(&format!("missing {missing}")), "{err}");
+        }
     }
 
     #[test]
@@ -1034,7 +993,7 @@ mod tests {
 
     #[test]
     fn comparison_needs_exactly_two_policies() {
-        let one = r#"{"type":"ts","v":2,"policy":"prio","series":"eligible_pool","pushed":1,"peak":1,"peak_t":0,"mean":1,"last_t":1,"last_v":1,"samples":[[0,1]]}"#;
+        let one = r#"{"type":"ts","v":3,"policy":"prio","series":"eligible_pool","pushed":1,"peak":1,"peak_t":0,"mean":1,"last_t":1,"last_v":1,"samples":[[0,1]]}"#;
         let sources = vec![load(one)];
         assert!(comparison(&sources).is_none());
     }

@@ -29,13 +29,12 @@
 //! and `job_failed`, exactly mirroring the engine's
 //! `queue.len() + in_flight` sampled after each processed event.
 
+use super::ingest::{self, fmt, opt, Item, PipelineMeta};
 use crate::args::Args;
 use crate::error::CliError;
 use prio_bench::report::Table;
-use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
-use prio_obs::stream;
+use prio_obs::json::{escape, JsonObject, SCHEMA_VERSION};
 use prio_sim::trace::TraceEvent;
-use prio_sim::trace_json::event_from_value;
 
 const USAGE: &str = "usage: prio trace <timeline|critical-path|curve|diff> ...\n\
     prio trace timeline      <trace.jsonl | -> [--json]\n\
@@ -225,119 +224,37 @@ impl Segment {
     }
 }
 
-/// Capture-pipeline accounting read from the trailing `trace_pipeline`
-/// meta record. Traces from older builds (or written directly by the
-/// sink) carry no such record and default to complete/full-rate.
-#[derive(Debug, Clone, Copy)]
-struct TraceHealth {
-    /// Events dropped at capture (ring overflow): the lifecycle record
-    /// is incomplete and reconstructions are unsound.
-    dropped: u64,
-    /// Sampling modulus (1 = every job's lifecycle present).
-    sample: u64,
-}
-
-impl Default for TraceHealth {
-    fn default() -> TraceHealth {
-        TraceHealth {
-            dropped: 0,
-            sample: 1,
-        }
-    }
-}
-
-/// Prints the loud stderr warnings every analysis owes the user when the
-/// trace was captured lossily or sampled.
-fn warn_health(path: &str, health: &TraceHealth) {
-    if health.dropped > 0 {
-        eprintln!(
-            "prio: WARNING: {path}: lossy trace — {} events were dropped at capture \
-             (ring overflow); lifecycle analyses underestimate the run",
-            health.dropped
-        );
-    }
-    if health.sample > 1 {
-        eprintln!(
-            "prio: note: {path}: sampled trace — lifecycle events cover ~1/{} of jobs",
-            health.sample
-        );
-    }
-}
-
 /// Streams one trace file into its policy segments. Events before the
 /// first `policy=` meta line land in a `"-"` segment.
-fn load_segments(path: &str) -> Result<(Vec<Segment>, TraceHealth), CliError> {
-    let reader = stream::open(path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
+fn load_segments(path: &str) -> Result<(Vec<Segment>, PipelineMeta), CliError> {
     let mut segments: Vec<Segment> = Vec::new();
-    let mut health = TraceHealth::default();
-    for record in reader {
-        let record = record.map_err(|e| CliError::input(format!("{path}: {e}")))?;
-        let v = &record.value;
-        let str_of = |key: &str| v.get(key).and_then(JsonValue::as_str).unwrap_or("");
-        match record.kind.as_str() {
-            "meta" => {
-                if str_of("command") == "trace" {
-                    if let Some(policy) = str_of("detail")
-                        .split_whitespace()
-                        .find_map(|kv| kv.strip_prefix("policy="))
-                    {
-                        segments.push(Segment::new(policy));
-                    }
-                } else if str_of("command") == "trace_pipeline" {
-                    health.dropped = v.get("dropped").and_then(JsonValue::as_u64).unwrap_or(0);
-                    health.sample = v
-                        .get("sample")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(1)
-                        .max(1);
+    let pipeline = ingest::read(path, |item| {
+        match item {
+            Item::Meta {
+                policy: Some(policy),
+                ..
+            } => segments.push(Segment::new(policy)),
+            Item::Series(ts) if ts.series == "eligible_pool" => {
+                if let Some(seg) = segments.iter_mut().rev().find(|s| s.policy == ts.policy) {
+                    seg.samples.extend(ts.samples);
                 }
             }
-            "ts" => {
-                if str_of("series") == "eligible_pool" {
-                    let policy = str_of("policy").to_string();
-                    if let Some(seg) = segments.iter_mut().rev().find(|s| s.policy == policy) {
-                        if let Some(JsonValue::Arr(items)) = v.get("samples") {
-                            for pair in items {
-                                if let JsonValue::Arr(tv) = pair {
-                                    if let (Some(t), Some(val)) = (
-                                        tv.first().and_then(JsonValue::as_f64),
-                                        tv.get(1).and_then(JsonValue::as_f64),
-                                    ) {
-                                        seg.samples.push((t, val));
-                                    }
-                                }
-                            }
-                        }
-                    }
+            Item::Event(event) => {
+                if segments.is_empty() {
+                    segments.push(Segment::new("-"));
                 }
+                segments.last_mut().expect("non-empty").apply(&event);
             }
-            _ => {
-                let event = event_from_value(v).map_err(|e| {
-                    CliError::input(format!("{path}: line {}: {e}", record.line_no))
-                })?;
-                if let Some(event) = event {
-                    if segments.is_empty() {
-                        segments.push(Segment::new("-"));
-                    }
-                    segments.last_mut().expect("non-empty").apply(&event);
-                }
-            }
+            _ => {}
         }
-    }
+        Ok(())
+    })?;
     if segments.is_empty() {
         return Err(CliError::input(format!(
             "{path}: no trace events found (was this written with --trace-out?)"
         )));
     }
-    Ok((segments, health))
-}
-
-fn fmt(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-fn opt(v: Option<f64>) -> String {
-    v.map(fmt).unwrap_or_else(|| "-".to_string())
+    Ok((segments, pipeline.unwrap_or_default()))
 }
 
 // ---------------------------------------------------------------- timeline
@@ -346,7 +263,7 @@ fn timeline(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let path = args.one_positional()?;
     let (segments, health) = load_segments(path)?;
-    warn_health(path, &health);
+    health.warn(path);
     if args.has("json") {
         println!("{}", timeline_json(path, &segments));
     } else {
@@ -419,13 +336,13 @@ fn job_json(id: usize, job: &JobRow) -> String {
 
 fn timeline_json(path: &str, segments: &[Segment]) -> String {
     let mut out = format!("{{\"type\":\"trace_timeline\",\"v\":{SCHEMA_VERSION}");
-    out.push_str(&format!(",\"path\":{}", quoted(path)));
+    out.push_str(&format!(",\"path\":{}", escape(path)));
     out.push_str(",\"segments\":[");
     for (i, seg) in segments.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"policy\":{},\"jobs\":[", quoted(&seg.policy)));
+        out.push_str(&format!("{{\"policy\":{},\"jobs\":[", escape(&seg.policy)));
         let rows: Vec<String> = seg
             .jobs
             .iter()
@@ -437,13 +354,6 @@ fn timeline_json(path: &str, segments: &[Segment]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// JSON string literal (delegates escaping to the object writer).
-fn quoted(s: &str) -> String {
-    let obj = JsonObject::new().str("k", s).finish();
-    // {"k":"…"} → take everything after the first colon, minus the brace.
-    obj[5..obj.len() - 1].to_string()
 }
 
 // ----------------------------------------------------------- critical path
@@ -503,7 +413,7 @@ fn critical_path(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let path = args.one_positional()?;
     let (segments, health) = load_segments(path)?;
-    warn_health(path, &health);
+    health.warn(path);
     // The backward walk links each job's eligibility to the completion
     // that caused it; with only 1/N of lifecycles present the chain has
     // holes, so a sampled (or lossy) trace cannot yield a realized path.
@@ -523,7 +433,7 @@ fn critical_path(argv: &[String]) -> Result<(), CliError> {
     }
     if args.has("json") {
         let mut out = format!("{{\"type\":\"trace_critical_path\",\"v\":{SCHEMA_VERSION}");
-        out.push_str(&format!(",\"path\":{}", quoted(path)));
+        out.push_str(&format!(",\"path\":{}", escape(path)));
         out.push_str(",\"segments\":[");
         for (i, seg) in segments.iter().enumerate() {
             if i > 0 {
@@ -547,7 +457,7 @@ fn critical_path(argv: &[String]) -> Result<(), CliError> {
                 .collect();
             out.push_str(&format!(
                 "{{\"policy\":{},\"makespan\":{},\"steps\":[{}]}}",
-                quoted(&seg.policy),
+                escape(&seg.policy),
                 seg.makespan(),
                 steps.join(",")
             ));
@@ -602,7 +512,7 @@ fn curve(argv: &[String]) -> Result<(), CliError> {
         .get("out")
         .ok_or_else(|| CliError::usage("prio trace curve requires --out <file.tsv>"))?;
     let (segments, health) = load_segments(path)?;
-    warn_health(path, &health);
+    health.warn(path);
     if health.dropped > 0 {
         return Err(CliError::input(format!(
             "{path}: lossy trace ({} events dropped at capture): the eligibility curve \
@@ -705,8 +615,8 @@ fn diff(argv: &[String]) -> Result<(), CliError> {
     };
     let (segments_a, health_a) = load_segments(path_a)?;
     let (segments_b, health_b) = load_segments(path_b)?;
-    warn_health(path_a, &health_a);
-    warn_health(path_b, &health_b);
+    health_a.warn(path_a);
+    health_b.warn(path_b);
     let a = pick_segment(path_a, &segments_a, args.get("policy-a"))?;
     let b = pick_segment(path_b, &segments_b, args.get("policy-b"))?;
     if a.jobs.len() != b.jobs.len() {
@@ -731,13 +641,13 @@ fn diff(argv: &[String]) -> Result<(), CliError> {
         let mut out = format!("{{\"type\":\"trace_diff\",\"v\":{SCHEMA_VERSION}");
         out.push_str(&format!(
             ",\"a\":{{\"path\":{},\"policy\":{},\"makespan\":{ms_a}}}",
-            quoted(path_a),
-            quoted(&a.policy)
+            escape(path_a),
+            escape(&a.policy)
         ));
         out.push_str(&format!(
             ",\"b\":{{\"path\":{},\"policy\":{},\"makespan\":{ms_b}}}",
-            quoted(path_b),
-            quoted(&b.policy)
+            escape(path_b),
+            escape(&b.policy)
         ));
         let mut attribution = JsonObject::new().f64("makespan_delta", ms_b - ms_a);
         if let Some(j) = last_finisher(a) {
@@ -821,13 +731,23 @@ mod tests {
     use prio_obs::sink::JsonlSink;
     use prio_sim::model::GridModel;
     use prio_sim::policy::PolicySpec;
+    use prio_sim::trace::Trace;
     use prio_sim::trace_json::{write_telemetry, write_trace};
+    use prio_sim::SimOutcome;
+    use std::cell::RefCell;
     use std::path::PathBuf;
+
+    /// A run recorded in memory: the outcome and its events.
+    fn recorded(dag: &prio_graph::Dag, spec: &PolicySpec) -> (SimOutcome, Trace) {
+        let recorder = RefCell::new(Trace::new());
+        let model = GridModel::paper(0.3, 2.0);
+        let out = prio_sim::simulate_streamed(dag, spec, &model, None, 3, &recorder);
+        (out, recorder.into_inner())
+    }
 
     /// Writes a real simulator trace (both policies) and returns its path.
     fn simulated_trace(name: &str) -> PathBuf {
         let dag = prio_graph::Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
-        let model = GridModel::paper(0.3, 2.0);
         let path = std::env::temp_dir().join(format!(
             "prio_trace_test_{name}_{}.jsonl",
             std::process::id()
@@ -838,10 +758,10 @@ mod tests {
                 "prio" => PolicySpec::Oblivious(prio_core::fifo::fifo_schedule(&dag)),
                 _ => PolicySpec::Fifo,
             };
-            let out = prio_sim::engine::simulate_traced(&dag, &spec, &model, 3);
+            let (out, trace) = recorded(&dag, &spec);
             sink.write_meta("trace", &format!("policy={policy} seed=3"))
                 .unwrap();
-            write_trace(&sink, out.trace.as_ref().unwrap()).unwrap();
+            write_trace(&sink, &trace).unwrap();
             write_telemetry(&sink, policy, out.telemetry.as_ref().unwrap()).unwrap();
         }
         sink.flush().unwrap();
@@ -914,19 +834,14 @@ mod tests {
         let a = simulated_trace("diff_a");
         // A different dag size to trip the job-count check.
         let dag = prio_graph::Dag::from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let out = prio_sim::engine::simulate_traced(
-            &dag,
-            &PolicySpec::Fifo,
-            &GridModel::paper(0.3, 2.0),
-            3,
-        );
+        let (_, trace) = recorded(&dag, &PolicySpec::Fifo);
         let b = std::env::temp_dir().join(format!(
             "prio_trace_test_diff_b_{}.jsonl",
             std::process::id()
         ));
         let sink = JsonlSink::to_file(&b).unwrap();
         sink.write_meta("trace", "policy=fifo seed=3").unwrap();
-        write_trace(&sink, out.trace.as_ref().unwrap()).unwrap();
+        write_trace(&sink, &trace).unwrap();
         sink.flush().unwrap();
         let argv: Vec<String> = [a.to_str().unwrap(), b.to_str().unwrap()]
             .iter()
@@ -936,12 +851,6 @@ mod tests {
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
         assert!(err.to_string().contains("job count"), "{err}");
-    }
-
-    #[test]
-    fn quoted_escapes_json_strings() {
-        assert_eq!(quoted("plain"), "\"plain\"");
-        assert_eq!(quoted("a\"b"), "\"a\\\"b\"");
     }
 
     /// Appends a capture-pipeline accounting record to a trace file.
@@ -993,16 +902,16 @@ mod tests {
             std::process::id()
         ));
         let lines = [
-            r#"{"type":"meta","command":"trace","detail":"policy=prio seed=1"}"#,
-            r#"{"type":"job_eligible","time":0,"job":0}"#,
-            r#"{"type":"job_eligible","time":0,"job":1}"#,
-            r#"{"type":"job_completed","time":2,"job":0}"#,
-            r#"{"type":"job_completed","time":3,"job":1}"#,
-            r#"{"type":"meta","command":"trace","detail":"policy=fifo seed=1"}"#,
-            r#"{"type":"job_eligible","time":0,"job":0}"#,
-            r#"{"type":"job_completed","time":2,"job":0}"#,
-            r#"{"type":"job_eligible","time":2,"job":1}"#,
-            r#"{"type":"job_completed","time":3,"job":1}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio seed=1"}"#,
+            r#"{"type":"job_eligible","v":3,"time":0,"job":0}"#,
+            r#"{"type":"job_eligible","v":3,"time":0,"job":1}"#,
+            r#"{"type":"job_completed","v":3,"time":2,"job":0}"#,
+            r#"{"type":"job_completed","v":3,"time":3,"job":1}"#,
+            r#"{"type":"meta","v":3,"command":"trace","detail":"policy=fifo seed=1"}"#,
+            r#"{"type":"job_eligible","v":3,"time":0,"job":0}"#,
+            r#"{"type":"job_completed","v":3,"time":2,"job":0}"#,
+            r#"{"type":"job_eligible","v":3,"time":2,"job":1}"#,
+            r#"{"type":"job_completed","v":3,"time":3,"job":1}"#,
         ];
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         path

@@ -500,3 +500,47 @@ fn batch_prioritizes_mixed_formats() {
     assert!(!dir.join("one.prio.prio.dag").exists());
     assert!(!dir.join("two.prio.prio.edges").exists());
 }
+
+/// `prio report` and every `prio trace` reader share one ingest layer:
+/// a malformed lifecycle record, an untagged (v1) record and a v2 record
+/// are each an input error naming the file, the line and what is wrong.
+#[test]
+fn trace_readers_reject_malformed_and_old_schema_records() {
+    let dir = tempdir("trace-hostile");
+    let meta = r#"{"type":"meta","v":3,"command":"trace","detail":"policy=prio seed=1"}"#;
+    let cases = [
+        (
+            "bad_time.jsonl",
+            r#"{"type":"batch_arrived","v":3,"time":"soon"}"#,
+            "missing time",
+        ),
+        (
+            "no_job.jsonl",
+            r#"{"type":"job_completed","v":3,"time":1}"#,
+            "missing job",
+        ),
+        (
+            "untagged.jsonl",
+            r#"{"type":"job_completed","time":1,"job":0}"#,
+            "schema v1",
+        ),
+        (
+            "v2.jsonl",
+            r#"{"type":"job_completed","v":2,"time":1,"job":0}"#,
+            "schema v2",
+        ),
+    ];
+    for (file, line, why) in cases {
+        std::fs::write(dir.join(file), format!("{meta}\n{line}\n")).unwrap();
+        for args in [vec!["report", file], vec!["trace", "timeline", file]] {
+            let out = prio(&args, &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{file}: line 2: ")) && stderr.contains(why),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} printed a summary");
+        }
+    }
+}

@@ -28,8 +28,9 @@ use std::fmt::Write as _;
 ///   `peak_bytes` fields on `span` records when allocation profiling is
 ///   enabled.
 ///
-/// Readers accept records without a `v` field (v1) and any `v` up to this
-/// value; larger versions should be rejected.
+/// Readers accept exactly this version: nothing writes the older ones
+/// any more, so an untagged (v1), v2 or newer record is an input error
+/// ([`crate::stream`]).
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Appends the JSON string literal for `s` (including the quotes) to

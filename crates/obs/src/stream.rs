@@ -3,19 +3,16 @@
 //! beyond) are analyzable line by line without slurping them.
 //!
 //! Each yielded [`Record`] is one parsed JSON object with its `type`
-//! discriminator, optional schema version tag, and 1-based line number.
-//! The reader enforces the schema contract as it goes:
+//! discriminator and 1-based line number. The reader enforces the schema
+//! contract as it goes:
 //!
 //! * blank lines are skipped;
 //! * a line that is not a JSON object, or lacks a `type` field, is a
 //!   [`StreamError::Parse`];
-//! * a record tagged with a version newer than [`SCHEMA_VERSION`] is a
-//!   [`StreamError::FutureVersion`];
-//! * two records with *different* explicit version tags in one stream
-//!   are a [`StreamError::MixedVersions`] — concatenated outputs of
-//!   different builds must be rejected, not silently half-parsed.
-//!   Untagged (v1) records carry no tag to conflict on and are accepted
-//!   alongside any tagged version.
+//! * every record must carry `"v": `[`SCHEMA_VERSION`]. An untagged
+//!   (v1), older or newer record is a [`StreamError::Version`]: nothing
+//!   writes the old schemas any more, and a file mixing builds is
+//!   rejected at its first foreign line rather than half-parsed.
 //!
 //! [`open`] builds a reader over a file path, with `-` meaning stdin —
 //! the ingestion contract of `prio report` and `prio trace`.
@@ -33,8 +30,6 @@ pub struct Record {
     pub line_no: usize,
     /// The record's `type` discriminator.
     pub kind: String,
-    /// The record's explicit `v` tag, if present (absent on v1 records).
-    pub version: Option<u64>,
     /// The full parsed object.
     pub value: JsonValue,
 }
@@ -52,21 +47,12 @@ pub enum StreamError {
         /// What went wrong.
         message: String,
     },
-    /// A record claimed a schema newer than this build supports.
-    FutureVersion {
+    /// A record's schema version is not the one this build reads.
+    Version {
         /// 1-based line number.
         line_no: usize,
-        /// The claimed version.
-        version: u64,
-    },
-    /// Two records carried different explicit schema versions.
-    MixedVersions {
-        /// 1-based line number of the conflicting record.
-        line_no: usize,
-        /// The stream's first explicit version.
-        first: u64,
-        /// The conflicting version.
-        found: u64,
+        /// Which version the record carried.
+        message: String,
     },
 }
 
@@ -74,23 +60,9 @@ impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::Io(e) => write!(f, "read error: {e}"),
-            StreamError::Parse { line_no, message } => {
+            StreamError::Parse { line_no, message } | StreamError::Version { line_no, message } => {
                 write!(f, "line {line_no}: {message}")
             }
-            StreamError::FutureVersion { line_no, version } => write!(
-                f,
-                "line {line_no}: record schema v{version} is newer than supported \
-                 v{SCHEMA_VERSION}"
-            ),
-            StreamError::MixedVersions {
-                line_no,
-                first,
-                found,
-            } => write!(
-                f,
-                "line {line_no}: mixed schema versions in one input \
-                 (v{found} after v{first}); refusing a partial parse"
-            ),
         }
     }
 }
@@ -103,13 +75,31 @@ impl From<io::Error> for StreamError {
     }
 }
 
+/// Accepts a record's `v` tag (`None` when untagged) iff it is
+/// [`SCHEMA_VERSION`]; otherwise says which version it found.
+fn check_schema_version(tag: Option<u64>) -> Result<(), String> {
+    match tag {
+        Some(SCHEMA_VERSION) => Ok(()),
+        Some(v) if v > SCHEMA_VERSION => Err(format!(
+            "record schema v{v} is newer than supported v{SCHEMA_VERSION}"
+        )),
+        Some(v) => Err(format!(
+            "record schema v{v} is no longer read (only v{SCHEMA_VERSION}); \
+             re-record the trace with this build"
+        )),
+        None => Err(format!(
+            "untagged record (schema v1) is no longer read (only v{SCHEMA_VERSION}); \
+             re-record the trace with this build"
+        )),
+    }
+}
+
 /// A bounded-memory iterator over the records of a JSONL stream. Holds
 /// one line at a time regardless of input size.
 #[derive(Debug)]
 pub struct JsonlReader<R: BufRead> {
     input: R,
     line_no: usize,
-    first_version: Option<u64>,
     buf: String,
 }
 
@@ -119,14 +109,8 @@ impl<R: BufRead> JsonlReader<R> {
         JsonlReader {
             input,
             line_no: 0,
-            first_version: None,
             buf: String::new(),
         }
-    }
-
-    /// The first explicit schema version seen so far, if any.
-    pub fn version(&self) -> Option<u64> {
-        self.first_version
     }
 
     fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
@@ -156,30 +140,11 @@ impl<R: BufRead> JsonlReader<R> {
                     message: "missing type field".into(),
                 })?
                 .to_owned();
-            let version = value.get("v").and_then(JsonValue::as_u64);
-            if let Some(v) = version {
-                if v > SCHEMA_VERSION {
-                    return Err(StreamError::FutureVersion {
-                        line_no,
-                        version: v,
-                    });
-                }
-                match self.first_version {
-                    None => self.first_version = Some(v),
-                    Some(first) if first != v => {
-                        return Err(StreamError::MixedVersions {
-                            line_no,
-                            first,
-                            found: v,
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
+            check_schema_version(value.get("v").and_then(JsonValue::as_u64))
+                .map_err(|message| StreamError::Version { line_no, message })?;
             return Ok(Some(Record {
                 line_no,
                 kind,
-                version,
                 value,
             }));
         }
@@ -216,15 +181,13 @@ mod tests {
 
     #[test]
     fn yields_typed_records_with_line_numbers() {
-        let text = "{\"type\":\"meta\",\"command\":\"x\"}\n\n{\"type\":\"ts\",\"v\":2}\n";
+        let text = "{\"type\":\"meta\",\"v\":3,\"command\":\"x\"}\n\n{\"type\":\"ts\",\"v\":3}\n";
         let records: Vec<Record> = reader(text).collect::<Result<_, _>>().unwrap();
         assert_eq!(records.len(), 2, "blank line skipped");
         assert_eq!(records[0].kind, "meta");
         assert_eq!(records[0].line_no, 1);
-        assert_eq!(records[0].version, None);
         assert_eq!(records[1].kind, "ts");
         assert_eq!(records[1].line_no, 3);
-        assert_eq!(records[1].version, Some(2));
     }
 
     #[test]
@@ -243,20 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn mixed_explicit_versions_are_rejected() {
-        let text = "{\"type\":\"ts\",\"v\":2}\n{\"type\":\"ts\",\"v\":3}\n";
-        let mut r = reader(text);
-        assert!(r.next().unwrap().is_ok());
-        let err = r.next().unwrap().unwrap_err();
-        assert!(err.to_string().contains("mixed"), "{err}");
-        assert_eq!(r.version(), Some(2));
-    }
-
-    #[test]
-    fn untagged_v1_records_mix_with_any_tagged_version() {
-        let text = "{\"type\":\"meta\"}\n{\"type\":\"ts\",\"v\":3}\n{\"type\":\"meta\"}\n";
-        let records: Vec<Record> = reader(text).collect::<Result<_, _>>().unwrap();
-        assert_eq!(records.len(), 3);
+    fn old_and_untagged_records_are_rejected_with_line_and_version() {
+        for (text, version) in [
+            (
+                "{\"type\":\"ts\",\"v\":3}\n{\"type\":\"ts\",\"v\":2}\n",
+                "v2",
+            ),
+            ("{\"type\":\"ts\",\"v\":3}\n{\"type\":\"meta\"}\n", "v1"),
+        ] {
+            let mut r = reader(text);
+            assert!(r.next().unwrap().is_ok());
+            let err = r.next().unwrap().unwrap_err();
+            assert!(
+                matches!(err, StreamError::Version { line_no: 2, .. }),
+                "{err}"
+            );
+            let message = err.to_string();
+            assert!(message.starts_with("line 2: "), "{message}");
+            assert!(message.contains(version), "{message}");
+        }
     }
 
     #[test]
@@ -270,6 +238,9 @@ mod tests {
         assert_eq!(records.len(), 100);
         assert!(records
             .iter()
-            .all(|r| r.version == Some(SCHEMA_VERSION) && r.kind == "job_completed"));
+            .all(
+                |r| r.value.get("v").and_then(JsonValue::as_u64) == Some(SCHEMA_VERSION)
+                    && r.kind == "job_completed"
+            ));
     }
 }

@@ -6,14 +6,19 @@
 //! children eligible). The run ends when all jobs have completed; the
 //! makespan is the last completion time.
 //!
-//! With a [`FaultConfig`] ([`simulate_faulty`]) two more event kinds
-//! appear: *releases* (a transiently failed job re-entering the eligible
-//! queue after its retry backoff) and *pool churn* (the worker pool going
-//! down — killing every in-flight job — and coming back up). Jobs whose
-//! retries exhaust, or whose fault is permanent, abort DAGMan-style: they
-//! resolve as failed-permanent and every descendant resolves as
-//! unreachable. The run then ends when every job is *resolved*
-//! (completed, failed-permanent, or unreachable).
+//! With a [`FaultConfig`] (passed to [`simulate_streamed`]) two more
+//! event kinds appear: *releases* (a transiently failed job re-entering
+//! the eligible queue after its retry backoff) and *pool churn* (the
+//! worker pool going down — killing every in-flight job — and coming
+//! back up). Jobs whose retries exhaust, or whose fault is permanent,
+//! abort DAGMan-style: they resolve as failed-permanent and every
+//! descendant resolves as unreachable. The run then ends when every job
+//! is *resolved* (completed, failed-permanent, or unreachable).
+//!
+//! There is one run loop, generic over the [`TraceConsumer`]: with
+//! [`NoTrace`] (what [`simulate`] passes) every emission site and the
+//! telemetry bookkeeping compile away. The loop picks the next event or
+//! batch and hands it to one handler of the per-run state (`Run`).
 //!
 //! Determinism: all randomness comes from seeded streams (the main stream
 //! plus dedicated fault/churn streams that the reliable path never
@@ -23,14 +28,15 @@
 //! exactly the reliable code path: same events, same RNG draws,
 //! bit-identical outcome.
 
-use crate::fault::{FaultConfig, RetryPolicy};
+use crate::fault::FaultConfig;
 use crate::metrics::RunMetrics;
 use crate::model::{GridModel, UnfilledRequests};
-use crate::policy::PolicySpec;
+use crate::policy::{PolicyQueue, PolicySpec};
 use crate::telemetry::SimTelemetry;
-use crate::trace::{Trace, TraceConsumer, TraceEvent, STREAM_BATCH_EVENTS};
+use crate::trace::{NoTrace, Trace, TraceConsumer, TraceEvent, STREAM_BATCH_EVENTS};
 use prio_graph::{Dag, NodeId};
-use prio_stats::{seeded_rng, Exponential};
+use prio_stats::rng::SimRng;
+use prio_stats::{seeded_rng, Exponential, TruncatedNormal};
 use rand::Rng as _;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -119,7 +125,7 @@ pub enum JobOutcome {
 }
 
 /// The raw counters of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimOutcome {
     /// Time at which the last job resolved (0 for an empty dag). Without
     /// faults every job completes and this is the last completion time.
@@ -149,9 +155,8 @@ pub struct SimOutcome {
     pub wasted_time: f64,
     /// Per-job resolution, when the fault layer was active.
     pub outcomes: Option<Vec<JobOutcome>>,
-    /// Event trace, when requested.
-    pub trace: Option<Trace>,
-    /// Time-series and latency telemetry, when requested (traced runs).
+    /// Time-series and latency telemetry, collected whenever the run
+    /// has a trace consumer (never under [`NoTrace`]).
     pub telemetry: Option<SimTelemetry>,
 }
 
@@ -175,46 +180,23 @@ impl SimOutcome {
 }
 
 /// Bookkeeping for telemetry collection during a traced run: the
-/// telemetry itself plus per-job timestamps used to derive wait and
-/// service latencies, and the running assignment count feeding the
+/// telemetry itself plus per-job eligibility timestamps used to derive
+/// wait latencies, and the running assignment count feeding the
 /// utilization series.
 struct TelemetryState {
     telemetry: SimTelemetry,
     eligible_at: Vec<f64>,
-    assigned_at: Vec<f64>,
     assigned_total: u64,
-}
-
-impl TelemetryState {
-    /// Records a job assignment at time `t`: its eligible → assigned wait
-    /// and the timestamp its eventual service time is measured from.
-    fn record_assignment(&mut self, t: f64, job: NodeId) {
-        self.telemetry
-            .record_wait(t - self.eligible_at[job.index()]);
-        self.assigned_at[job.index()] = t;
-        self.assigned_total += 1;
-    }
-
-    /// Samples all four series at time `t`. Utilization is the running
-    /// assigned / requested ratio (0 until the first request arrives).
-    fn record_step(&mut self, t: f64, eligible: usize, ready: usize, idle: u64, requests: u64) {
-        let util = if requests == 0 {
-            0.0
-        } else {
-            self.assigned_total as f64 / requests as f64
-        };
-        self.telemetry.record_step(t, eligible, ready, idle, util);
-    }
 }
 
 /// Mutable fault-layer state for one run. Allocated only when the
 /// [`FaultConfig`] is active, so the reliable hot path pays nothing.
-struct FaultState {
+struct FaultState<'a> {
+    config: &'a FaultConfig,
     fault_seed: u64,
-    churn_rng: Option<prio_stats::rng::SimRng>,
+    churn_rng: Option<SimRng>,
     mttf: Exponential,
     mttr: Exponential,
-    retry: RetryPolicy,
     /// Attempts started per job (1-based once assigned).
     attempts: Vec<u32>,
     /// Assignment generation per job; completions of older generations
@@ -222,57 +204,56 @@ struct FaultState {
     generation: Vec<u32>,
     /// Whether the job is currently on a worker.
     running: Vec<bool>,
-    /// Assignment timestamps for wasted-work accounting.
-    assigned_at: Vec<f64>,
     /// Per-job resolution; `None` while undecided.
     outcomes: Vec<Option<JobOutcome>>,
     pool_up: bool,
 }
 
+impl<'a> FaultState<'a> {
+    fn new(config: &'a FaultConfig, n: usize, seed: u64) -> FaultState<'a> {
+        let churn_rng = config.model.worker_mttf.map(|_| {
+            let mut churn = seeded_rng(crate::fault::churn_seed(seed));
+            // Burn one draw so the first uptime is independent of the
+            // stream head shared with other salts.
+            let _: u64 = churn.gen();
+            churn
+        });
+        FaultState {
+            config,
+            fault_seed: crate::fault::fault_seed(seed),
+            churn_rng,
+            mttf: Exponential::new(config.model.worker_mttf.unwrap_or(1.0)),
+            mttr: Exponential::new(config.model.worker_mttr.max(f64::MIN_POSITIVE)),
+            attempts: vec![0; n],
+            generation: vec![0; n],
+            running: vec![false; n],
+            outcomes: vec![None; n],
+            pool_up: true,
+        }
+    }
+
+    /// The next churn transition: `t` plus an uptime (`up`) or a repair
+    /// time (`!up`) drawn from the churn stream.
+    fn churn_after(&mut self, t: f64, up: bool) -> f64 {
+        let churn = self.churn_rng.as_mut().expect("churn event needs rng");
+        t + if up { &self.mttf } else { &self.mttr }.sample(churn)
+    }
+}
+
 /// Simulates one execution of `dag` under `policy` and `model` with the
-/// given `seed` (the paper's reliable grid).
+/// given `seed` (the paper's reliable grid), untraced.
 pub fn simulate(dag: &Dag, policy: &PolicySpec, model: &GridModel, seed: u64) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, None, seed, false, None)
+    simulate_streamed(dag, policy, model, None, seed, &NoTrace)
 }
 
-/// Like [`simulate`] but records a full event trace and per-step
-/// telemetry ([`SimTelemetry`]) — slower; for `--trace-out` and tests.
-pub fn simulate_traced(dag: &Dag, policy: &PolicySpec, model: &GridModel, seed: u64) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, None, seed, true, None)
-}
-
-/// Simulates one execution with fault injection and recovery. An
-/// inactive `faults` config is bit-identical to [`simulate`].
-pub fn simulate_faulty(
-    dag: &Dag,
-    policy: &PolicySpec,
-    model: &GridModel,
-    faults: &FaultConfig,
-    seed: u64,
-) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, Some(faults), seed, false, None)
-}
-
-/// Like [`simulate_faulty`] but records the full event trace and
-/// telemetry.
-pub fn simulate_faulty_traced(
-    dag: &Dag,
-    policy: &PolicySpec,
-    model: &GridModel,
-    faults: &FaultConfig,
-    seed: u64,
-) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, Some(faults), seed, true, None)
-}
-
-/// Like [`simulate_faulty_traced`] but *streams* every trace event into
-/// `consumer` at its emission site instead of buffering the trace in
-/// memory (`SimOutcome::trace` stays `None`; telemetry is still
-/// collected in full, so aggregates remain exact even when the consumer
-/// samples or drops events). Event order and content are identical to
-/// the buffered trace of the same `(dag, policy, model, faults, seed)`.
-/// Pass `None` for `faults` to stream the reliable model.
-pub fn simulate_streamed<S: TraceConsumer + ?Sized>(
+/// Simulates one execution, with fault injection and recovery when
+/// `faults` is an active config, handing every trace event to
+/// `consumer` at its emission site. Unless the consumer is [`NoTrace`]
+/// the run also collects its [`SimTelemetry`] in full, so aggregates
+/// stay exact even when the consumer samples or drops events. Pass
+/// `None` (or an inactive config) for the reliable model: same events,
+/// same RNG draws, bit-identical outcome.
+pub fn simulate_streamed<S: TraceConsumer>(
     dag: &Dag,
     policy: &PolicySpec,
     model: &GridModel,
@@ -280,7 +261,7 @@ pub fn simulate_streamed<S: TraceConsumer + ?Sized>(
     seed: u64,
     consumer: &S,
 ) -> SimOutcome {
-    run(dag, policy, model, faults, seed, false, Some(consumer))
+    Run::new(dag, policy, model, faults, seed, consumer).finish(model)
 }
 
 /// Marks every unresolved descendant of `job` unreachable (none of them
@@ -304,588 +285,506 @@ fn mark_descendants_unreachable(
     marked
 }
 
-/// Routes trace events to an in-memory buffer (`simulate_traced`), a
-/// streaming [`TraceConsumer`] (`simulate_streamed`), or both — behind
-/// one `active()` test so the untraced hot path stays a single branch
-/// per emission site.
-struct TraceEmitter<'a, S: TraceConsumer + ?Sized> {
-    buffer: Option<Trace>,
-    stream: Option<&'a S>,
-    /// Pending events for `stream`, handed over in
-    /// [`STREAM_BATCH_EVENTS`]-sized runs so the hot emission path is a
-    /// plain `Vec` push and the consumer boundary (with its interior
-    /// mutability) is crossed once per batch.
+/// Hands trace events to the run's consumer in [`STREAM_BATCH_EVENTS`]
+/// -sized runs, so the hot emission path is a plain `Vec` push and the
+/// consumer boundary (with its interior mutability) is crossed once per
+/// batch. Under [`NoTrace`] every push compiles away.
+struct Emitter<'a, S: TraceConsumer> {
+    consumer: &'a S,
     batch: Trace,
 }
 
-impl<S: TraceConsumer + ?Sized> TraceEmitter<'_, S> {
-    /// `Some(self)` iff any destination is attached, mirroring the old
-    /// `Option<Trace>::as_mut()` shape at every emission site.
-    fn active(&mut self) -> Option<&mut Self> {
-        if self.buffer.is_some() || self.stream.is_some() {
-            Some(self)
-        } else {
-            None
-        }
-    }
-
+impl<S: TraceConsumer> Emitter<'_, S> {
+    #[inline]
     fn push(&mut self, event: TraceEvent) {
-        if let Some(stream) = self.stream {
+        if S::ENABLED {
             self.batch.push(event);
             if self.batch.len() == STREAM_BATCH_EVENTS {
-                stream.consume_batch(&self.batch);
+                self.consumer.consume_batch(&self.batch);
                 self.batch.clear();
             }
         }
-        if let Some(buffer) = self.buffer.as_mut() {
-            buffer.push(event);
+    }
+
+    /// Hands the consumer the partial batch, then lets a batching
+    /// consumer push its tail, so callers see every event without
+    /// knowing the consumer's internals.
+    fn flush(&mut self) {
+        if S::ENABLED {
+            if !self.batch.is_empty() {
+                self.consumer.consume_batch(&self.batch);
+                self.batch.clear();
+            }
+            self.consumer.flush();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run<S: TraceConsumer + ?Sized>(
-    dag: &Dag,
-    policy: &PolicySpec,
-    model: &GridModel,
-    faults: Option<&FaultConfig>,
-    seed: u64,
-    traced: bool,
-    stream: Option<&S>,
-) -> SimOutcome {
-    let n = dag.num_nodes();
-    let mut rng = seeded_rng(seed);
-    let interarrival = model.interarrival();
-    let runtime = model.runtime();
-    let batch_size = model.batch_size();
-    let failures = model.failure_probability;
+/// The state of one run. The loop in [`Run::finish`] decides which event
+/// comes next; each handler method applies one kind.
+struct Run<'a, S: TraceConsumer> {
+    dag: &'a Dag,
+    rng: SimRng,
+    runtime: TruncatedNormal,
+    /// Legacy per-completion failure probability (0 under the paper's
+    /// model).
+    failures: f64,
+    /// Rollover ablation: unfilled requests park as idle workers.
+    wait_mode: bool,
+    queue: PolicyQueue<'a>,
+    missing_parents: Vec<u32>,
+    events: EventHeap,
+    /// Fault layer, present only when the config is active.
+    fs: Option<FaultState<'a>>,
+    /// Telemetry, present only when the consumer is enabled.
+    telem: Option<TelemetryState>,
+    /// Assignment time per job, kept whenever failures are possible
+    /// (wasted work) or telemetry is on (service latency); empty
+    /// otherwise.
+    assigned_at: Vec<f64>,
+    trace: Emitter<'a, S>,
+    /// Serving-worker ids for trace assignment events: sequential over
+    /// granted requests, bumped only when tracing.
+    next_worker: u64,
+    in_flight: usize,
+    resolved: usize,
+    /// Parked workers (rollover ablation only; stays 0 under Discard).
+    idle_workers: u64,
+    /// The counters reported at the end; `outcomes` and `telemetry` are
+    /// filled in by [`Run::finish`].
+    out: SimOutcome,
+}
 
-    // Fault layer: allocated only when active so the reliable hot path
-    // (and its RNG stream) is exactly the pre-fault engine.
-    let faults = faults.filter(|f| f.is_active());
-    let mut fs: Option<FaultState> = faults.map(|f| {
-        let churn_rng = f.model.worker_mttf.map(|_| {
-            let mut churn = seeded_rng(crate::fault::churn_seed(seed));
-            // Burn one draw so the first uptime is independent of the
-            // stream head shared with other salts.
-            let _: u64 = churn.gen();
-            churn
-        });
-        FaultState {
-            fault_seed: crate::fault::fault_seed(seed),
-            churn_rng,
-            mttf: Exponential::new(f.model.worker_mttf.unwrap_or(1.0)),
-            mttr: Exponential::new(f.model.worker_mttr.max(f64::MIN_POSITIVE)),
-            retry: f.retry,
-            attempts: vec![0; n],
-            generation: vec![0; n],
-            running: vec![false; n],
-            assigned_at: vec![0.0; n],
-            outcomes: vec![None; n],
-            pool_up: true,
-        }
-    });
-
-    let mut queue = policy.make_queue(n);
-    let mut missing_parents: Vec<u32> = dag.node_ids().map(|u| dag.in_degree(u) as u32).collect();
-    for u in dag.sources() {
-        queue.push(u);
-    }
-
-    let mut events = EventHeap::new();
-    if let Some(fs) = fs.as_mut() {
-        if let Some(churn) = fs.churn_rng.as_mut() {
-            let first_down = fs.mttf.sample(churn);
-            events.push(Reverse(EventKey::new(first_down, Ev::PoolDown)));
-        }
-    }
-    let mut trace = TraceEmitter {
-        buffer: traced.then(Vec::new),
-        stream,
-        batch: Vec::with_capacity(if stream.is_some() {
-            STREAM_BATCH_EVENTS
-        } else {
-            0
-        }),
-    };
-    // Lifecycle prologue (schema v3): every job is submitted at run
-    // start, and the sources are immediately eligible. Emitted in
-    // node-id order so traces stay deterministic per seed.
-    if let Some(tr) = trace.active() {
-        for u in dag.node_ids() {
-            tr.push(TraceEvent::JobSubmitted { time: 0.0, job: u });
-        }
-        for u in dag.sources() {
-            tr.push(TraceEvent::JobEligible { time: 0.0, job: u });
-        }
-    }
-    // Serving-worker ids for trace assignment events: sequential over
-    // granted requests, bumped only when a trace destination is active.
-    let mut next_worker = 0u64;
-    // Telemetry rides along only on traced/streamed runs so the plain
-    // `simulate` hot path allocates nothing extra. Streamed runs always
-    // collect it in full — sampling happens in the consumer, so
-    // aggregates stay exact. `eligible_at` starts at 0.0 (sources are
-    // eligible from the start) and is overwritten whenever a job
-    // (re-)enters the ready queue.
-    let collect_telemetry = traced || stream.is_some();
-    let mut telem: Option<TelemetryState> = collect_telemetry.then(|| TelemetryState {
-        telemetry: SimTelemetry::new(),
-        eligible_at: vec![0.0; n],
-        assigned_at: vec![0.0; n],
-        assigned_total: 0,
-    });
-
-    let mut in_flight = 0usize;
-    let mut completed = 0usize;
-    let mut resolved = 0usize;
-    let mut failed_permanent = 0usize;
-    let mut unreachable = 0usize;
-    let mut failed_attempts = 0u64;
-    let mut wasted_time = 0.0f64;
-    let mut makespan = 0.0f64;
-    let mut batches_observed = 0u64;
-    let mut stalled_batches = 0u64;
-    let mut total_requests = 0u64;
-    // Parked workers (rollover ablation only; stays 0 under Discard).
-    let wait_mode = model.unfilled == UnfilledRequests::Wait;
-    let mut idle_workers = 0u64;
-
-    // The first batch arrives at time 0.
-    let mut next_batch = 0.0f64;
-
-    // Observability tallies are accumulated locally and flushed to the
-    // global registries once per run, so the hot loop touches no atomics.
-    let mut events_processed = 0u64;
-    let mut heap_high_water = 0usize;
-
-    while resolved < n {
-        events_processed += 1;
-        heap_high_water = heap_high_water.max(events.len());
-        // Jobs neither resolved nor currently on a worker — with reliable
-        // workers this is "unexecuted and unassigned"; with failures a job
-        // can re-enter this state (and jobs in retry backoff stay in it).
-        let unassigned = n - resolved - in_flight;
-        let next_event = events.peek().map(|Reverse(key)| key.time());
-        // Completions win ties so a batch arriving at the same instant sees
-        // the freed dependencies. With reliable workers, batches after the
-        // last assignment cannot matter and are skipped entirely (keeping
-        // the RNG stream identical to the paper's model).
-        let take_event = match next_event {
-            Some(tc) => (unassigned == 0 && failures == 0.0 && fs.is_none()) || tc <= next_batch,
-            None => false,
+impl<'a, S: TraceConsumer> Run<'a, S> {
+    fn new(
+        dag: &'a Dag,
+        policy: &'a PolicySpec,
+        model: &GridModel,
+        faults: Option<&'a FaultConfig>,
+        seed: u64,
+        consumer: &'a S,
+    ) -> Run<'a, S> {
+        let n = dag.num_nodes();
+        // Fault layer: allocated only when active so the reliable hot
+        // path (and its RNG stream) is exactly the pre-fault engine.
+        let fs = faults
+            .filter(|f| f.is_active())
+            .map(|f| FaultState::new(f, n, seed));
+        let failures = model.failure_probability;
+        let track_assignments = S::ENABLED || failures > 0.0 || fs.is_some();
+        let mut run = Run {
+            dag,
+            rng: seeded_rng(seed),
+            runtime: model.runtime(),
+            failures,
+            wait_mode: model.unfilled == UnfilledRequests::Wait,
+            queue: policy.make_queue(n),
+            missing_parents: dag.node_ids().map(|u| dag.in_degree(u) as u32).collect(),
+            events: EventHeap::new(),
+            fs,
+            // `eligible_at` starts at 0.0 (sources are eligible from the
+            // start) and is overwritten whenever a job (re-)enters the
+            // ready queue.
+            telem: S::ENABLED.then(|| TelemetryState {
+                telemetry: SimTelemetry::new(),
+                eligible_at: vec![0.0; n],
+                assigned_total: 0,
+            }),
+            assigned_at: if track_assignments {
+                vec![0.0; n]
+            } else {
+                Vec::new()
+            },
+            trace: Emitter {
+                consumer,
+                batch: Vec::with_capacity(if S::ENABLED { STREAM_BATCH_EVENTS } else { 0 }),
+            },
+            next_worker: 0,
+            in_flight: 0,
+            resolved: 0,
+            idle_workers: 0,
+            out: SimOutcome {
+                num_jobs: n,
+                ..SimOutcome::default()
+            },
         };
-        if take_event {
-            let Reverse(key) = events.pop().expect("peeked");
-            let t = key.time();
-            match key.event() {
-                Ev::Completion(job, generation) => {
-                    // Stale completion: this assignment was killed by pool
-                    // churn; its failure was already processed then.
-                    if let Some(fs) = fs.as_ref() {
-                        if fs.generation[job.index()] != generation {
+        for u in dag.sources() {
+            run.queue.push(u);
+        }
+        if let Some(fs) = run.fs.as_mut() {
+            if fs.churn_rng.is_some() {
+                let first_down = fs.churn_after(0.0, true);
+                run.events
+                    .push(Reverse(EventKey::new(first_down, Ev::PoolDown)));
+            }
+        }
+        // Lifecycle prologue (schema v3): every job is submitted at run
+        // start, and the sources are immediately eligible. Emitted in
+        // node-id order so traces stay deterministic per seed.
+        if S::ENABLED {
+            for u in dag.node_ids() {
+                run.trace
+                    .push(TraceEvent::JobSubmitted { time: 0.0, job: u });
+            }
+            for u in dag.sources() {
+                run.trace
+                    .push(TraceEvent::JobEligible { time: 0.0, job: u });
+            }
+        }
+        run
+    }
+
+    /// Runs the event loop to the end and returns the outcome.
+    fn finish(mut self, model: &GridModel) -> SimOutcome {
+        let n = self.dag.num_nodes();
+        let interarrival = model.interarrival();
+        let batch_size = model.batch_size();
+        // The first batch arrives at time 0.
+        let mut next_batch = 0.0f64;
+        // Observability tallies are accumulated locally and flushed to
+        // the global registries once per run, so the hot loop touches no
+        // atomics.
+        let mut events_processed = 0u64;
+        let mut heap_high_water = 0usize;
+
+        while self.resolved < n {
+            events_processed += 1;
+            heap_high_water = heap_high_water.max(self.events.len());
+            // Jobs neither resolved nor currently on a worker — with
+            // reliable workers this is "unexecuted and unassigned"; with
+            // failures a job can re-enter this state (and jobs in retry
+            // backoff stay in it).
+            let unassigned = n - self.resolved - self.in_flight;
+            let next_event = self.events.peek().map(|Reverse(key)| key.time());
+            // Completions win ties so a batch arriving at the same
+            // instant sees the freed dependencies. With reliable workers,
+            // batches after the last assignment cannot matter and are
+            // skipped entirely (keeping the RNG stream identical to the
+            // paper's model).
+            let take_event = match next_event {
+                Some(tc) => {
+                    (unassigned == 0 && self.failures == 0.0 && self.fs.is_none())
+                        || tc <= next_batch
+                }
+                None => false,
+            };
+            if take_event {
+                let Reverse(key) = self.events.pop().expect("peeked");
+                let t = key.time();
+                match key.event() {
+                    Ev::Completion(job, generation) => {
+                        // Stale completion: this assignment was killed by
+                        // pool churn; its failure was already processed
+                        // then.
+                        if self
+                            .fs
+                            .as_ref()
+                            .is_some_and(|fs| fs.generation[job.index()] != generation)
+                        {
                             continue;
                         }
+                        self.completion(t, job);
                     }
-                    in_flight -= 1;
-                    if let Some(fs) = fs.as_mut() {
-                        fs.running[job.index()] = false;
-                    }
-                    if failures > 0.0 && rng.gen_bool(failures) {
-                        // Legacy unreliable-worker model: the job becomes
-                        // eligible again immediately, with no retry cap.
-                        failed_attempts += 1;
-                        queue.push(job);
-                        if let Some(ts) = telem.as_mut() {
-                            wasted_time += t - ts.assigned_at[job.index()];
-                            ts.telemetry.record_waste(t - ts.assigned_at[job.index()]);
-                            ts.eligible_at[job.index()] = t;
-                        } else if let Some(fs) = fs.as_ref() {
-                            wasted_time += t - fs.assigned_at[job.index()];
-                        }
-                        if let Some(tr) = trace.active() {
-                            tr.push(TraceEvent::JobFailed { time: t, job });
-                            // The legacy model re-queues immediately.
-                            tr.push(TraceEvent::JobEligible { time: t, job });
-                        }
-                    } else if fs.as_ref().is_some_and(|fs| {
-                        faults
-                            .expect("fault state implies config")
-                            .model
-                            .attempt_fails(fs.fault_seed, job, fs.attempts[job.index()])
-                    }) {
-                        process_fault(
-                            FaultSite {
-                                dag,
-                                model: &faults.expect("fault state implies config").model,
-                                t,
-                                job,
-                                from_churn: false,
-                            },
-                            fs.as_mut().expect("checked"),
-                            &mut queue,
-                            &mut events,
-                            &mut trace,
-                            &mut telem,
-                            &mut Totals {
-                                resolved: &mut resolved,
-                                failed_permanent: &mut failed_permanent,
-                                unreachable: &mut unreachable,
-                                failed_attempts: &mut failed_attempts,
-                                wasted_time: &mut wasted_time,
-                                makespan: &mut makespan,
-                            },
-                        );
-                    } else {
-                        completed += 1;
-                        resolved += 1;
-                        makespan = makespan.max(t);
-                        if let Some(fs) = fs.as_mut() {
-                            fs.outcomes[job.index()] = Some(JobOutcome::Completed);
-                        }
-                        if let Some(ts) = telem.as_mut() {
-                            ts.telemetry.record_service(t - ts.assigned_at[job.index()]);
-                            if let Some(fs) = fs.as_ref() {
-                                ts.telemetry.record_attempts(fs.attempts[job.index()]);
-                            }
-                        }
-                        if let Some(tr) = trace.active() {
-                            tr.push(TraceEvent::JobCompleted { time: t, job });
-                        }
-                        for &child in dag.children(job) {
-                            let m = &mut missing_parents[child.index()];
-                            *m -= 1;
-                            // A child already marked unreachable (another
-                            // ancestor aborted) must never become eligible.
-                            let dead = fs
-                                .as_ref()
-                                .is_some_and(|fs| fs.outcomes[child.index()].is_some());
-                            if *m == 0 && !dead {
-                                queue.push(child);
-                                if let Some(ts) = telem.as_mut() {
-                                    ts.eligible_at[child.index()] = t;
-                                }
-                                if let Some(tr) = trace.active() {
-                                    tr.push(TraceEvent::JobEligible {
-                                        time: t,
-                                        job: child,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    Ev::Release(job) => self.release(t, job),
+                    Ev::PoolDown => self.pool_down(t),
+                    Ev::PoolUp => self.pool_up(t),
                 }
-                Ev::Release(job) => {
-                    let fs = fs.as_mut().expect("releases only exist with faults");
-                    queue.push(job);
-                    if let Some(ts) = telem.as_mut() {
-                        ts.eligible_at[job.index()] = t;
-                    }
-                    if let Some(tr) = trace.active() {
-                        tr.push(TraceEvent::JobRetried {
-                            time: t,
-                            job,
-                            attempt: fs.attempts[job.index()] + 1,
-                            delay: fs.retry.backoff.delay(fs.attempts[job.index()]),
-                        });
-                    }
+                // Rollover ablation: parked workers grab newly eligible
+                // jobs the moment they appear.
+                while self.wait_mode && self.idle_workers > 0 && self.queue.len() > 0 {
+                    let job = self.queue.pop().expect("non-empty");
+                    self.idle_workers -= 1;
+                    self.assign(t, job);
                 }
-                Ev::PoolDown => {
-                    let fsm = fs.as_mut().expect("churn only exists with faults");
-                    fsm.pool_up = false;
-                    // Parked workers are lost with the pool.
-                    idle_workers = 0;
-                    // Kill every in-flight job: each suffers a transient
-                    // fault at the outage instant. Their queued completion
-                    // events go stale via the generation bump.
-                    let victims: Vec<NodeId> =
-                        dag.node_ids().filter(|u| fsm.running[u.index()]).collect();
-                    if let Some(tr) = trace.active() {
-                        tr.push(TraceEvent::WorkerDown {
-                            time: t,
-                            lost: victims.len() as u64,
-                        });
-                    }
-                    for job in victims {
-                        let fsm = fs.as_mut().expect("checked");
-                        fsm.running[job.index()] = false;
-                        fsm.generation[job.index()] += 1;
-                        in_flight -= 1;
-                        process_fault(
-                            FaultSite {
-                                dag,
-                                model: &faults.expect("fault state implies config").model,
-                                t,
-                                job,
-                                from_churn: true,
-                            },
-                            fsm,
-                            &mut queue,
-                            &mut events,
-                            &mut trace,
-                            &mut telem,
-                            &mut Totals {
-                                resolved: &mut resolved,
-                                failed_permanent: &mut failed_permanent,
-                                unreachable: &mut unreachable,
-                                failed_attempts: &mut failed_attempts,
-                                wasted_time: &mut wasted_time,
-                                makespan: &mut makespan,
-                            },
-                        );
-                    }
-                    let fsm = fs.as_mut().expect("checked");
-                    let churn = fsm.churn_rng.as_mut().expect("churn event needs rng");
-                    let up_at = t + fsm.mttr.sample(churn);
-                    events.push(Reverse(EventKey::new(up_at, Ev::PoolUp)));
-                }
-                Ev::PoolUp => {
-                    let fsm = fs.as_mut().expect("churn only exists with faults");
-                    fsm.pool_up = true;
-                    if let Some(tr) = trace.active() {
-                        tr.push(TraceEvent::WorkerUp { time: t });
-                    }
-                    let churn = fsm.churn_rng.as_mut().expect("churn event needs rng");
-                    let down_at = t + fsm.mttf.sample(churn);
-                    events.push(Reverse(EventKey::new(down_at, Ev::PoolDown)));
-                }
+                self.record_step(t);
+            } else {
+                let t = next_batch;
+                let size = batch_size.sample(&mut self.rng);
+                self.batch(t, size, unassigned);
+                self.record_step(t);
+                next_batch = t + interarrival.sample(&mut self.rng);
             }
-            // Rollover ablation: parked workers grab newly eligible jobs
-            // the moment they appear.
-            while wait_mode && idle_workers > 0 && queue.len() > 0 {
-                let job = queue.pop().expect("non-empty");
-                idle_workers -= 1;
-                let completes_at = t + runtime.sample(&mut rng);
-                let generation = fs.as_mut().map_or(0, |fs| {
-                    fs.attempts[job.index()] += 1;
-                    fs.running[job.index()] = true;
-                    fs.assigned_at[job.index()] = t;
-                    fs.generation[job.index()]
-                });
-                events.push(Reverse(EventKey::new(
-                    completes_at,
-                    Ev::Completion(job, generation),
-                )));
-                in_flight += 1;
-                if let Some(ts) = telem.as_mut() {
-                    ts.record_assignment(t, job);
-                }
-                if let Some(tr) = trace.active() {
-                    next_worker += 1;
-                    tr.push(TraceEvent::JobAssigned {
-                        time: t,
-                        job,
-                        completes_at,
-                        worker: next_worker,
-                    });
-                }
-            }
-            if let Some(ts) = telem.as_mut() {
-                ts.record_step(
-                    t,
-                    queue.len() + in_flight,
-                    queue.len(),
-                    idle_workers,
-                    total_requests,
-                );
-            }
-        } else {
-            // Batch arrival. A batch is *observed* (counts toward the
-            // stalling and utilization denominators) iff pending
-            // unassigned work exists, which under reliable workers is
-            // exactly "until the batch when the last job was assigned".
-            // While the pool is down, arriving workers never reach the
-            // server: the batch is neither observed nor parked.
-            let t = next_batch;
-            let size = batch_size.sample(&mut rng);
-            let pool_up = fs.as_ref().is_none_or(|fs| fs.pool_up);
-            if unassigned > 0 && pool_up {
-                batches_observed += 1;
-                total_requests += size;
-                let available = queue.len();
-                let stalled = available == 0;
-                if stalled {
-                    stalled_batches += 1;
-                }
-                let workers = if wait_mode { size + idle_workers } else { size };
-                let to_assign = (workers as usize).min(available);
-                for _ in 0..to_assign {
-                    let job = queue.pop().expect("available > 0");
-                    let completes_at = t + runtime.sample(&mut rng);
-                    let generation = fs.as_mut().map_or(0, |fs| {
-                        fs.attempts[job.index()] += 1;
-                        fs.running[job.index()] = true;
-                        fs.assigned_at[job.index()] = t;
-                        fs.generation[job.index()]
-                    });
-                    events.push(Reverse(EventKey::new(
-                        completes_at,
-                        Ev::Completion(job, generation),
-                    )));
-                    in_flight += 1;
-                    if let Some(ts) = telem.as_mut() {
-                        ts.record_assignment(t, job);
-                    }
-                    if let Some(tr) = trace.active() {
-                        next_worker += 1;
-                        tr.push(TraceEvent::JobAssigned {
-                            time: t,
-                            job,
-                            completes_at,
-                            worker: next_worker,
-                        });
-                    }
-                }
-                if wait_mode {
-                    idle_workers = workers - to_assign as u64;
-                }
-                if let Some(tr) = trace.active() {
-                    tr.push(TraceEvent::BatchArrived {
-                        time: t,
-                        size,
-                        assigned: to_assign,
-                        stalled,
-                    });
-                }
-            } else if wait_mode && pool_up {
-                idle_workers += size;
-            }
-            if let Some(ts) = telem.as_mut() {
-                ts.record_step(
-                    t,
-                    queue.len() + in_flight,
-                    queue.len(),
-                    idle_workers,
-                    total_requests,
-                );
-            }
-            next_batch = t + interarrival.sample(&mut rng);
         }
-    }
+        self.trace.flush();
 
-    // The run is over: hand the consumer the partial batch, then let a
-    // batching consumer push its tail so callers see every event without
-    // knowing the consumer's internals.
-    if let Some(stream) = trace.stream {
-        if !trace.batch.is_empty() {
-            stream.consume_batch(&trace.batch);
-            trace.batch.clear();
+        let out = &mut self.out;
+        prio_obs::counter("sim.engine.runs").inc();
+        prio_obs::counter("sim.engine.events_processed").add(events_processed);
+        prio_obs::counter("sim.engine.stalled_batches").add(out.stalled_batches);
+        if out.failed_attempts > 0 {
+            prio_obs::counter("sim.engine.failed_attempts").add(out.failed_attempts);
         }
-        stream.flush();
-    }
+        let aborted = out.failed_permanent + out.unreachable;
+        if aborted > 0 {
+            prio_obs::counter("sim.engine.jobs_aborted").add(aborted as u64);
+        }
+        prio_obs::gauge("sim.engine.completion_heap_high_water").record_max(heap_high_water as u64);
 
-    prio_obs::counter("sim.engine.runs").inc();
-    prio_obs::counter("sim.engine.events_processed").add(events_processed);
-    prio_obs::counter("sim.engine.stalled_batches").add(stalled_batches);
-    if failed_attempts > 0 {
-        prio_obs::counter("sim.engine.failed_attempts").add(failed_attempts);
-    }
-    if failed_permanent + unreachable > 0 {
-        prio_obs::counter("sim.engine.jobs_aborted").add((failed_permanent + unreachable) as u64);
-    }
-    prio_obs::gauge("sim.engine.completion_heap_high_water").record_max(heap_high_water as u64);
-
-    SimOutcome {
-        makespan,
-        batches_observed,
-        stalled_batches,
-        total_requests,
-        num_jobs: n,
-        completed,
-        failed_permanent,
-        unreachable,
-        failed_attempts,
-        wasted_time,
-        outcomes: fs.map(|fs| {
+        out.outcomes = self.fs.map(|fs| {
             fs.outcomes
                 .into_iter()
                 .map(|o| o.expect("every job resolves before the run ends"))
                 .collect()
-        }),
-        trace: trace.buffer,
-        telemetry: telem.map(|ts| ts.telemetry),
+        });
+        out.telemetry = self.telem.map(|ts| ts.telemetry);
+        self.out
     }
-}
 
-/// Immutable context of one fault: where and when it struck.
-struct FaultSite<'a> {
-    dag: &'a Dag,
-    model: &'a crate::fault::FaultModel,
-    t: f64,
-    job: NodeId,
-    from_churn: bool,
-}
-
-/// Mutable run totals threaded into [`process_fault`].
-struct Totals<'a> {
-    resolved: &'a mut usize,
-    failed_permanent: &'a mut usize,
-    unreachable: &'a mut usize,
-    failed_attempts: &'a mut u64,
-    wasted_time: &'a mut f64,
-    makespan: &'a mut f64,
-}
-
-/// Handles one failed attempt of `site.job` at time `site.t`: records the
-/// waste, emits `JobFailed`, then either aborts the job (permanent fault
-/// or retries exhausted — marking descendants unreachable) or schedules
-/// its retry (immediately or after the backoff delay).
-fn process_fault<S: TraceConsumer + ?Sized>(
-    site: FaultSite<'_>,
-    fs: &mut FaultState,
-    queue: &mut crate::policy::PolicyQueue<'_>,
-    events: &mut EventHeap,
-    trace: &mut TraceEmitter<'_, S>,
-    telem: &mut Option<TelemetryState>,
-    totals: &mut Totals<'_>,
-) {
-    let FaultSite {
-        dag,
-        model,
-        t,
-        job,
-        from_churn,
-    } = site;
-    let attempt = fs.attempts[job.index()];
-    *totals.failed_attempts += 1;
-    let waste = t - fs.assigned_at[job.index()];
-    *totals.wasted_time += waste;
-    if let Some(ts) = telem.as_mut() {
-        ts.telemetry.record_waste(waste);
-    }
-    if let Some(tr) = trace.active() {
-        tr.push(TraceEvent::JobFailed { time: t, job });
-    }
-    let permanent = !from_churn && model.fault_is_permanent(fs.fault_seed, job, attempt);
-    let exhausted = attempt >= fs.retry.max_attempts;
-    if permanent || exhausted {
-        fs.outcomes[job.index()] = Some(JobOutcome::FailedPermanent);
-        *totals.resolved += 1;
-        *totals.failed_permanent += 1;
-        *totals.makespan = totals.makespan.max(t);
-        if let Some(ts) = telem.as_mut() {
-            ts.telemetry.record_attempts(attempt);
+    /// Samples the telemetry series after an event or batch at `t`.
+    /// Utilization is the running assigned / requested ratio (0 until the
+    /// first request arrives).
+    fn record_step(&mut self, t: f64) {
+        if let Some(ts) = self.telem.as_mut() {
+            let ready = self.queue.len();
+            let requests = self.out.total_requests;
+            let util = if requests == 0 {
+                0.0
+            } else {
+                ts.assigned_total as f64 / requests as f64
+            };
+            ts.telemetry
+                .record_step(t, ready + self.in_flight, ready, self.idle_workers, util);
         }
-        let marked = mark_descendants_unreachable(dag, job, &mut fs.outcomes);
-        *totals.resolved += marked;
-        *totals.unreachable += marked;
-    } else {
-        let delay = fs.retry.backoff.delay(attempt);
-        if delay > 0.0 {
-            events.push(Reverse(EventKey::new(t + delay, Ev::Release(job))));
-        } else {
-            queue.push(job);
-            if let Some(ts) = telem.as_mut() {
-                ts.eligible_at[job.index()] = t;
+    }
+
+    /// `job` enters the ready queue at `t`.
+    fn make_eligible(&mut self, t: f64, job: NodeId) {
+        self.queue.push(job);
+        if let Some(ts) = self.telem.as_mut() {
+            ts.eligible_at[job.index()] = t;
+        }
+    }
+
+    /// A live completion event of `job` at `t`: a legacy worker failure,
+    /// an injected fault, or a success that may free children.
+    fn completion(&mut self, t: f64, job: NodeId) {
+        self.in_flight -= 1;
+        if let Some(fs) = self.fs.as_mut() {
+            fs.running[job.index()] = false;
+        }
+        if self.failures > 0.0 && self.rng.gen_bool(self.failures) {
+            // Legacy unreliable-worker model: the job becomes eligible
+            // again immediately, with no retry cap.
+            self.out.failed_attempts += 1;
+            let waste = t - self.assigned_at[job.index()];
+            self.out.wasted_time += waste;
+            if let Some(ts) = self.telem.as_mut() {
+                ts.telemetry.record_waste(waste);
             }
-            if let Some(tr) = trace.active() {
-                tr.push(TraceEvent::JobRetried {
+            self.make_eligible(t, job);
+            self.trace.push(TraceEvent::JobFailed { time: t, job });
+            self.trace.push(TraceEvent::JobEligible { time: t, job });
+            return;
+        }
+        if let Some(fs) = self.fs.as_ref() {
+            let attempt = fs.attempts[job.index()];
+            if fs.config.model.attempt_fails(fs.fault_seed, job, attempt) {
+                self.fault(t, job, false);
+                return;
+            }
+        }
+        self.out.completed += 1;
+        self.resolved += 1;
+        self.out.makespan = self.out.makespan.max(t);
+        if let Some(fs) = self.fs.as_mut() {
+            fs.outcomes[job.index()] = Some(JobOutcome::Completed);
+        }
+        if let Some(ts) = self.telem.as_mut() {
+            ts.telemetry
+                .record_service(t - self.assigned_at[job.index()]);
+            if let Some(fs) = self.fs.as_ref() {
+                ts.telemetry.record_attempts(fs.attempts[job.index()]);
+            }
+        }
+        self.trace.push(TraceEvent::JobCompleted { time: t, job });
+        for &child in self.dag.children(job) {
+            let m = &mut self.missing_parents[child.index()];
+            *m -= 1;
+            // A child already marked unreachable (another ancestor
+            // aborted) must never become eligible.
+            let dead = self
+                .fs
+                .as_ref()
+                .is_some_and(|fs| fs.outcomes[child.index()].is_some());
+            if *m == 0 && !dead {
+                self.make_eligible(t, child);
+                self.trace.push(TraceEvent::JobEligible {
                     time: t,
-                    job,
-                    attempt: attempt + 1,
-                    delay: 0.0,
+                    job: child,
                 });
             }
+        }
+    }
+
+    /// A transiently failed `job` re-enters the ready queue after its
+    /// backoff.
+    fn release(&mut self, t: f64, job: NodeId) {
+        let fs = self.fs.as_ref().expect("releases only exist with faults");
+        let attempts = fs.attempts[job.index()];
+        let delay = fs.config.retry.backoff.delay(attempts);
+        self.make_eligible(t, job);
+        self.trace.push(TraceEvent::JobRetried {
+            time: t,
+            job,
+            attempt: attempts + 1,
+            delay,
+        });
+    }
+
+    /// The worker pool goes down at `t`: every in-flight job suffers a
+    /// transient fault, and parked workers are lost with the pool.
+    fn pool_down(&mut self, t: f64) {
+        let fs = self.fs.as_mut().expect("churn only exists with faults");
+        fs.pool_up = false;
+        self.idle_workers = 0;
+        // The victims' queued completion events go stale via the
+        // generation bump.
+        let victims: Vec<NodeId> = self
+            .dag
+            .node_ids()
+            .filter(|u| fs.running[u.index()])
+            .collect();
+        self.trace.push(TraceEvent::WorkerDown {
+            time: t,
+            lost: victims.len() as u64,
+        });
+        for job in victims {
+            let fs = self.fs.as_mut().expect("checked");
+            fs.running[job.index()] = false;
+            fs.generation[job.index()] += 1;
+            self.in_flight -= 1;
+            self.fault(t, job, true);
+        }
+        let up_at = self.fs.as_mut().expect("checked").churn_after(t, false);
+        self.events.push(Reverse(EventKey::new(up_at, Ev::PoolUp)));
+    }
+
+    /// The worker pool comes back up at `t`.
+    fn pool_up(&mut self, t: f64) {
+        let fs = self.fs.as_mut().expect("churn only exists with faults");
+        fs.pool_up = true;
+        self.trace.push(TraceEvent::WorkerUp { time: t });
+        let down_at = fs.churn_after(t, true);
+        self.events
+            .push(Reverse(EventKey::new(down_at, Ev::PoolDown)));
+    }
+
+    /// A batch of `size` worker requests arrives at `t`. It is
+    /// *observed* (counts toward the stalling and utilization
+    /// denominators) iff pending unassigned work exists, which under
+    /// reliable workers is exactly "until the batch when the last job
+    /// was assigned". While the pool is down, arriving workers never
+    /// reach the server: the batch is neither observed nor parked.
+    fn batch(&mut self, t: f64, size: u64, unassigned: usize) {
+        let pool_up = self.fs.as_ref().is_none_or(|fs| fs.pool_up);
+        if unassigned > 0 && pool_up {
+            self.out.batches_observed += 1;
+            self.out.total_requests += size;
+            let available = self.queue.len();
+            let stalled = available == 0;
+            if stalled {
+                self.out.stalled_batches += 1;
+            }
+            let workers = if self.wait_mode {
+                size + self.idle_workers
+            } else {
+                size
+            };
+            let to_assign = (workers as usize).min(available);
+            for _ in 0..to_assign {
+                let job = self.queue.pop().expect("available > 0");
+                self.assign(t, job);
+            }
+            if self.wait_mode {
+                self.idle_workers = workers - to_assign as u64;
+            }
+            self.trace.push(TraceEvent::BatchArrived {
+                time: t,
+                size,
+                assigned: to_assign,
+                stalled,
+            });
+        } else if self.wait_mode && pool_up {
+            self.idle_workers += size;
+        }
+    }
+
+    /// Hands `job` to a worker at `t` and schedules its completion.
+    fn assign(&mut self, t: f64, job: NodeId) {
+        let completes_at = t + self.runtime.sample(&mut self.rng);
+        let generation = self.fs.as_mut().map_or(0, |fs| {
+            fs.attempts[job.index()] += 1;
+            fs.running[job.index()] = true;
+            fs.generation[job.index()]
+        });
+        if let Some(at) = self.assigned_at.get_mut(job.index()) {
+            *at = t;
+        }
+        self.events.push(Reverse(EventKey::new(
+            completes_at,
+            Ev::Completion(job, generation),
+        )));
+        self.in_flight += 1;
+        if let Some(ts) = self.telem.as_mut() {
+            ts.telemetry.record_wait(t - ts.eligible_at[job.index()]);
+            ts.assigned_total += 1;
+        }
+        if S::ENABLED {
+            self.next_worker += 1;
+            self.trace.push(TraceEvent::JobAssigned {
+                time: t,
+                job,
+                completes_at,
+                worker: self.next_worker,
+            });
+        }
+    }
+
+    /// Handles one failed attempt of `job` at `t`: records the waste,
+    /// emits `JobFailed`, then either aborts the job (permanent fault or
+    /// retries exhausted — marking descendants unreachable) or schedules
+    /// its retry (immediately or after the backoff delay). Churn kills
+    /// (`from_churn`) are never permanent.
+    fn fault(&mut self, t: f64, job: NodeId, from_churn: bool) {
+        let fs = self.fs.as_mut().expect("faults need the fault layer");
+        let attempt = fs.attempts[job.index()];
+        self.out.failed_attempts += 1;
+        let waste = t - self.assigned_at[job.index()];
+        self.out.wasted_time += waste;
+        if let Some(ts) = self.telem.as_mut() {
+            ts.telemetry.record_waste(waste);
+        }
+        self.trace.push(TraceEvent::JobFailed { time: t, job });
+        let permanent = !from_churn
+            && fs
+                .config
+                .model
+                .fault_is_permanent(fs.fault_seed, job, attempt);
+        if permanent || attempt >= fs.config.retry.max_attempts {
+            fs.outcomes[job.index()] = Some(JobOutcome::FailedPermanent);
+            self.resolved += 1;
+            self.out.failed_permanent += 1;
+            self.out.makespan = self.out.makespan.max(t);
+            if let Some(ts) = self.telem.as_mut() {
+                ts.telemetry.record_attempts(attempt);
+            }
+            let marked = mark_descendants_unreachable(self.dag, job, &mut fs.outcomes);
+            self.resolved += marked;
+            self.out.unreachable += marked;
+            return;
+        }
+        let delay = fs.config.retry.backoff.delay(attempt);
+        if delay > 0.0 {
+            self.events
+                .push(Reverse(EventKey::new(t + delay, Ev::Release(job))));
+        } else {
+            self.make_eligible(t, job);
+            self.trace.push(TraceEvent::JobRetried {
+                time: t,
+                job,
+                attempt: attempt + 1,
+                delay: 0.0,
+            });
         }
     }
 }
@@ -893,10 +792,11 @@ fn process_fault<S: TraceConsumer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Backoff, FaultModel};
+    use crate::fault::{Backoff, FaultModel, RetryPolicy};
     use prio_core::fifo::fifo_schedule;
     use prio_core::Schedule;
     use prio_graph::topo::critical_path_len;
+    use std::cell::RefCell;
 
     fn fifo() -> PolicySpec {
         PolicySpec::Fifo
@@ -904,6 +804,19 @@ mod tests {
 
     fn oblivious(dag: &Dag) -> PolicySpec {
         PolicySpec::Oblivious(fifo_schedule(dag))
+    }
+
+    /// A run recorded in memory: the outcome and its events.
+    fn traced(
+        dag: &Dag,
+        policy: &PolicySpec,
+        model: &GridModel,
+        faults: Option<&FaultConfig>,
+        seed: u64,
+    ) -> (SimOutcome, Trace) {
+        let recorder = RefCell::new(Trace::new());
+        let out = simulate_streamed(dag, policy, model, faults, seed, &recorder);
+        (out, recorder.into_inner())
     }
 
     fn chain(n: usize) -> Dag {
@@ -960,8 +873,7 @@ mod tests {
     fn conservation_laws() {
         let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
         let model = GridModel::paper(0.3, 2.0);
-        let out = simulate_traced(&dag, &oblivious(&dag), &model, 3);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &oblivious(&dag), &model, None, 3);
         let assigned = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobAssigned { .. }))
@@ -986,10 +898,10 @@ mod tests {
     fn trace_respects_dependencies() {
         let dag = Dag::from_arcs(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let model = GridModel::paper(0.2, 8.0);
-        let out = simulate_traced(&dag, &fifo(), &model, 9);
+        let (_, trace) = traced(&dag, &fifo(), &model, None, 9);
         let mut completed_at = [f64::NAN; 4];
         let mut assigned_at = [f64::NAN; 4];
-        for e in out.trace.as_ref().unwrap() {
+        for e in &trace {
             match e {
                 TraceEvent::JobAssigned { time, job, .. } => assigned_at[job.index()] = *time,
                 TraceEvent::JobCompleted { time, job } => completed_at[job.index()] = *time,
@@ -1042,10 +954,10 @@ mod tests {
     fn waiting_workers_preserve_dependencies() {
         let dag = Dag::from_arcs(5, &[(0, 2), (1, 2), (2, 3), (2, 4)]).unwrap();
         let model = GridModel::paper(0.5, 2.0).with_waiting_workers();
-        let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, 8);
+        let (_, trace) = traced(&dag, &PolicySpec::Fifo, &model, None, 8);
         let mut completed_at = [f64::NAN; 5];
         let mut assigned_at = [f64::NAN; 5];
-        for e in out.trace.as_ref().unwrap() {
+        for e in &trace {
             match e {
                 TraceEvent::JobAssigned { time, job, .. } => assigned_at[job.index()] = *time,
                 TraceEvent::JobCompleted { time, job } => completed_at[job.index()] = *time,
@@ -1071,8 +983,7 @@ mod tests {
     fn failures_retry_until_success() {
         let dag = chain(6);
         let model = GridModel::paper(0.5, 4.0).with_failures(0.4);
-        let out = simulate_traced(&dag, &fifo(), &model, 21);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &fifo(), &model, None, 21);
         let failures = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
@@ -1144,12 +1055,50 @@ mod tests {
     fn inactive_fault_config_is_bit_identical_to_simulate() {
         let dag = chain(10);
         let model = GridModel::paper(0.7, 3.0);
+        let none = FaultConfig::none();
         let plain = simulate(&dag, &fifo(), &model, 5);
-        let faulty = simulate_faulty(&dag, &fifo(), &model, &FaultConfig::none(), 5);
+        let faulty = simulate_streamed(&dag, &fifo(), &model, Some(&none), 5, &NoTrace);
         assert_eq!(plain, faulty);
-        let traced_plain = simulate_traced(&dag, &fifo(), &model, 5);
-        let traced_faulty = simulate_faulty_traced(&dag, &fifo(), &model, &FaultConfig::none(), 5);
-        assert_eq!(traced_plain, traced_faulty);
+        assert_eq!(
+            traced(&dag, &fifo(), &model, None, 5),
+            traced(&dag, &fifo(), &model, Some(&none), 5)
+        );
+    }
+
+    #[test]
+    fn untraced_and_recorded_runs_agree_on_every_counter() {
+        // Tracing must only add the telemetry: wasted work in particular
+        // is tracked whenever failures are possible, traced or not.
+        let dag = prio_workloads::airsn::airsn(20);
+        let prio = oblivious(&dag);
+        let reliable = GridModel::paper(0.5, 4.0);
+        let churn = FaultConfig {
+            model: FaultModel::with_rate(0.3).with_churn(8.0, 2.0),
+            retry: RetryPolicy {
+                max_attempts: 4,
+                backoff: Backoff::Fixed(0.5),
+            },
+        };
+        let cases = [
+            (reliable, None),
+            (reliable.with_failures(0.3), None),
+            (reliable, Some(&churn)),
+        ];
+        for (model, faults) in cases {
+            for seed in 1..=3 {
+                for policy in [&fifo(), &prio] {
+                    let plain = simulate_streamed(&dag, policy, &model, faults, seed, &NoTrace);
+                    let (recorded, _) = traced(&dag, policy, &model, faults, seed);
+                    assert!(plain.telemetry.is_none());
+                    assert!(recorded.telemetry.is_some());
+                    let without_telemetry = SimOutcome {
+                        telemetry: None,
+                        ..recorded
+                    };
+                    assert_eq!(plain, without_telemetry, "{model:?} {faults:?} seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1160,10 +1109,9 @@ mod tests {
             model: FaultModel::with_rate(0.4),
             retry: RetryPolicy::dagman(30),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 21);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 21);
         assert_eq!(out.completed, 12);
         assert_eq!(out.failed_permanent, 0, "30 retries is plenty at p=0.4");
-        let trace = out.trace.as_ref().unwrap();
         let failed = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
@@ -1190,7 +1138,7 @@ mod tests {
             model: FaultModel::none().failing_first(NodeId(1), u32::MAX),
             retry: RetryPolicy::dagman(1),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 9);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 9);
         assert_eq!(out.completed, 2, "jobs 0 and 5 complete");
         assert_eq!(out.failed_permanent, 1);
         assert_eq!(out.unreachable, 3);
@@ -1204,8 +1152,7 @@ mod tests {
             assert_eq!(outcomes[dead], JobOutcome::Unreachable);
         }
         // The stranded jobs were never assigned.
-        let trace = out.trace.as_ref().unwrap();
-        for e in trace {
+        for e in &trace {
             if let TraceEvent::JobAssigned { job, .. } = e {
                 assert!(job.index() < 2 || job.index() == 5, "dead job assigned");
             }
@@ -1229,8 +1176,7 @@ mod tests {
                 backoff: Backoff::Fixed(5.0),
             },
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 3);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 3);
         let fail_t = trace
             .iter()
             .find_map(|e| match e {
@@ -1269,9 +1215,8 @@ mod tests {
             model: FaultModel::none().with_churn(8.0, 2.0),
             retry: RetryPolicy::dagman(50),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 17);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 17);
         assert_eq!(out.completed, 12, "churn with generous retries recovers");
-        let trace = out.trace.as_ref().unwrap();
         let downs: Vec<f64> = trace
             .iter()
             .filter_map(|e| match e {
@@ -1296,7 +1241,7 @@ mod tests {
         // Assignments never happen while the pool is down.
         let mut up = true;
         let mut down_since = 0.0;
-        for e in trace {
+        for e in &trace {
             match e {
                 TraceEvent::WorkerDown { time, .. } => {
                     up = false;
@@ -1326,7 +1271,7 @@ mod tests {
     fn traced_runs_collect_consistent_telemetry() {
         let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
         let model = GridModel::paper(0.3, 2.0);
-        let out = simulate_traced(&dag, &oblivious(&dag), &model, 3);
+        let (out, _) = traced(&dag, &oblivious(&dag), &model, None, 3);
         let telem = out.telemetry.as_ref().expect("traced runs carry telemetry");
         // One wait sample per assignment, one service sample per
         // completion (reliable model: both equal the job count).
@@ -1358,14 +1303,13 @@ mod tests {
     fn telemetry_is_deterministic_per_seed() {
         let dag = chain(15);
         let model = GridModel::paper(0.5, 4.0).with_failures(0.2);
-        let a = simulate_traced(&dag, &fifo(), &model, 17);
-        let b = simulate_traced(&dag, &fifo(), &model, 17);
+        let a = traced(&dag, &fifo(), &model, None, 17);
+        let b = traced(&dag, &fifo(), &model, None, 17);
         assert_eq!(a, b, "telemetry must be a pure function of the seed");
         // With failures, waits outnumber services by the retry count.
-        let telem = a.telemetry.unwrap();
-        let failures = a
-            .trace
-            .unwrap()
+        let (out, trace) = a;
+        let telem = out.telemetry.unwrap();
+        let failures = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
             .count() as u64;
@@ -1382,7 +1326,7 @@ mod tests {
             model: FaultModel::with_rate(0.35),
             retry: RetryPolicy::dagman(20),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 11);
+        let (out, _) = traced(&dag, &fifo(), &model, Some(&faults), 11);
         let telem = out.telemetry.as_ref().unwrap();
         assert_eq!(
             telem.job_attempts.count(),
@@ -1391,55 +1335,6 @@ mod tests {
         );
         assert_eq!(telem.wasted_work.count(), out.failed_attempts);
         assert!(telem.job_attempts.summary().max >= 1);
-    }
-
-    /// A consumer buffering into a mutex so tests can compare streamed
-    /// and buffered traces event for event.
-    struct Collect(std::sync::Mutex<Trace>);
-
-    impl TraceConsumer for Collect {
-        fn consume(&self, event: &TraceEvent) {
-            self.0.lock().unwrap().push(*event);
-        }
-    }
-
-    #[test]
-    fn streamed_trace_equals_buffered_trace_event_for_event() {
-        let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
-        let model = GridModel::paper(0.3, 2.0);
-        let buffered = simulate_traced(&dag, &oblivious(&dag), &model, 3);
-        let collector = Collect(std::sync::Mutex::new(Vec::new()));
-        let streamed = simulate_streamed(&dag, &oblivious(&dag), &model, None, 3, &collector);
-        assert_eq!(
-            collector.0.into_inner().unwrap(),
-            *buffered.trace.as_ref().unwrap(),
-            "streaming must not change event order or content"
-        );
-        // Streamed runs keep nothing in memory but still collect the
-        // full telemetry; everything else matches the buffered run.
-        assert!(streamed.trace.is_none());
-        assert_eq!(streamed.telemetry, buffered.telemetry);
-        assert_eq!(streamed.makespan, buffered.makespan);
-        assert_eq!(streamed.metrics(), buffered.metrics());
-    }
-
-    #[test]
-    fn streamed_faulty_trace_equals_buffered() {
-        let dag = chain(12);
-        let model = GridModel::paper(0.5, 4.0);
-        let faults = FaultConfig {
-            model: FaultModel::with_rate(0.4),
-            retry: RetryPolicy::dagman(30),
-        };
-        let buffered = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 21);
-        let collector = Collect(std::sync::Mutex::new(Vec::new()));
-        let streamed = simulate_streamed(&dag, &fifo(), &model, Some(&faults), 21, &collector);
-        assert_eq!(
-            collector.0.into_inner().unwrap(),
-            *buffered.trace.as_ref().unwrap()
-        );
-        assert_eq!(streamed.outcomes, buffered.outcomes);
-        assert_eq!(streamed.failed_attempts, buffered.failed_attempts);
     }
 
     #[test]
@@ -1452,11 +1347,8 @@ mod tests {
             mean_batch_size: 1.0,
             ..GridModel::paper(5.0, 1.0)
         };
-        let out = simulate_traced(&dag, &PolicySpec::Oblivious(sched), &model, 2);
-        let first_assigned = out
-            .trace
-            .as_ref()
-            .unwrap()
+        let (_, trace) = traced(&dag, &PolicySpec::Oblivious(sched), &model, None, 2);
+        let first_assigned = trace
             .iter()
             .find_map(|e| match e {
                 TraceEvent::JobAssigned { job, .. } => Some(*job),

@@ -35,10 +35,11 @@ pub mod telemetry;
 pub mod trace;
 pub mod trace_json;
 
-pub use engine::{simulate, simulate_faulty, simulate_streamed, JobOutcome, SimOutcome};
+pub use engine::{simulate, simulate_streamed, JobOutcome, SimOutcome};
 pub use experiment::{compare_policies, ComparisonResult};
 pub use fault::{Backoff, FaultConfig, FaultModel, RetryPolicy};
 pub use metrics::RunMetrics;
 pub use model::{BatchSizeModel, GridModel};
 pub use policy::PolicySpec;
 pub use telemetry::SimTelemetry;
+pub use trace::{NoTrace, TraceConsumer};

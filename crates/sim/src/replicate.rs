@@ -8,10 +8,11 @@
 //! deterministically from the plan's master seed and the run index, so the
 //! result is bit-identical regardless of thread count.
 
-use crate::engine::{simulate, simulate_faulty};
+use crate::engine::simulate_streamed;
 use crate::fault::FaultConfig;
 use crate::model::GridModel;
 use crate::policy::PolicySpec;
+use crate::trace::NoTrace;
 use prio_graph::Dag;
 use prio_stats::rng::derive_seed;
 use prio_stats::SamplingDistribution;
@@ -158,10 +159,7 @@ fn run_one(
     index: usize,
 ) -> [f64; 5] {
     let seed = derive_seed(master, index as u64);
-    let out = match faults {
-        Some(f) if f.is_active() => simulate_faulty(dag, policy, model, f, seed),
-        _ => simulate(dag, policy, model, seed),
-    };
+    let out = simulate_streamed(dag, policy, model, faults, seed, &NoTrace);
     let [t, s, u] = out.metrics().as_array();
     [t, s, u, out.failed_attempts as f64, out.wasted_time]
 }

@@ -10,8 +10,9 @@
 //! assigned) and *service* (assigned → completed), recorded in
 //! milli-timeunits ([`TIME_SCALE`]).
 //!
-//! Collection happens only in traced runs
-//! ([`crate::engine::simulate_traced`]); it is deterministic per seed and
+//! Collection happens only in traced runs (any
+//! [`crate::engine::simulate_streamed`] consumer but
+//! [`crate::trace::NoTrace`]); it is deterministic per seed and
 //! independent of how many threads drive surrounding replications, so
 //! serial and `--threads` invocations report identical telemetry.
 

@@ -1,4 +1,10 @@
-//! Optional event tracing for tests and debugging.
+//! Simulator trace events and the consumers that receive them.
+//!
+//! The engine hands every event to a [`TraceConsumer`] at its emission
+//! site. [`NoTrace`] switches tracing (and telemetry) off at compile
+//! time; a `RefCell<Trace>` records the events in memory, which is what
+//! tests compare against; the production consumer is
+//! `trace_json::StreamingTraceWriter`.
 
 use prio_graph::NodeId;
 
@@ -45,7 +51,7 @@ pub enum TraceEvent {
         /// Scheduled completion time.
         completes_at: f64,
         /// Serving worker id (schema v3): sequential per run over
-        /// granted requests. v1/v2 traces default it to 0 on read.
+        /// granted requests.
         worker: u64,
     },
     /// A worker returned a job's results.
@@ -102,7 +108,7 @@ pub type Trace = Vec<TraceEvent>;
 pub const STREAM_BATCH_EVENTS: usize = 256;
 
 /// A streaming consumer of trace events, called synchronously at each
-/// emission site instead of (or alongside) buffering into a [`Trace`].
+/// emission site.
 ///
 /// `consume` takes `&self` so one consumer can be shared by reference
 /// with the engine; implementations needing state use interior
@@ -111,6 +117,11 @@ pub const STREAM_BATCH_EVENTS: usize = 256;
 /// ring). Implementations must not block: the simulator clock runs
 /// through this call.
 pub trait TraceConsumer {
+    /// Whether the engine emits events and collects telemetry at all.
+    /// Only [`NoTrace`] turns it off; the engine tests it at compile time,
+    /// so an untraced run carries no emission code.
+    const ENABLED: bool = true;
+
     /// Receives one event, in emission order.
     fn consume(&self, event: &TraceEvent);
 
@@ -133,4 +144,26 @@ pub trait TraceConsumer {
     /// `StreamingTraceWriter` chunks them to amortize queue traffic)
     /// hand their tail downstream here; the default is a no-op.
     fn flush(&self) {}
+}
+
+/// The consumer of untraced runs: receives nothing, and makes the engine
+/// skip emission and telemetry entirely.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoTrace;
+
+impl TraceConsumer for NoTrace {
+    const ENABLED: bool = false;
+
+    fn consume(&self, _event: &TraceEvent) {}
+}
+
+/// Records every event in memory, in emission order.
+impl TraceConsumer for std::cell::RefCell<Trace> {
+    fn consume(&self, event: &TraceEvent) {
+        self.borrow_mut().push(*event);
+    }
+
+    fn consume_batch(&self, events: &[TraceEvent]) {
+        self.borrow_mut().extend_from_slice(events);
+    }
 }

@@ -6,12 +6,7 @@
 //! `worker_up`) and the schema version tag `v` ([`SCHEMA_VERSION`]), so a
 //! trace file interleaves cleanly with the
 //! `span`/`counter`/`gauge`/`meta` lines the observability sink emits.
-//! The fault events are additive within schema v2, and the lifecycle
-//! events (`job_submitted`/`job_eligible`, plus the `worker` field on
-//! `job_assigned`) within schema v3: readers of any older build skip
-//! unknown record types, so newer traces degrade gracefully rather than
-//! erroring, and v3 readers default a missing `worker` field to 0 when
-//! replaying v1/v2 traces. Telemetry adds two more record
+//! Telemetry adds two more record
 //! types, both carrying a `policy` field: `ts` (one per time series,
 //! with the exact digest and the stored — possibly downsampled —
 //! samples) and `hist` (one per non-empty histogram, summary only;
@@ -21,15 +16,16 @@
 //! Deserialization skips lines of other types, which makes a full
 //! `--trace-out` file replayable: reading it back yields exactly the
 //! in-memory [`Trace`] (floats round-trip through Rust's
-//! shortest-representation `Display`). Records without a `v` field are
-//! accepted as v1; records from a *newer* schema are errors.
+//! shortest-representation `Display`). Every record must carry
+//! `"v": 3`: untagged (v1), v2 and newer records are errors.
 
 use crate::telemetry::SimTelemetry;
 use crate::trace::{Trace, TraceConsumer, TraceEvent};
 use prio_graph::NodeId;
 use prio_obs::json::{
-    parse, write_json_f64, write_json_u64, F64Cache, JsonObject, JsonValue, SCHEMA_VERSION,
+    write_json_f64, write_json_u64, F64Cache, JsonObject, JsonValue, SCHEMA_VERSION,
 };
+use prio_obs::stream::JsonlReader;
 use prio_obs::{JobSampler, JsonlSink, TracePipeline};
 
 /// Serializes one event as a single-line JSON object.
@@ -182,35 +178,12 @@ pub fn event_pipeline(sink: JsonlSink, capacity: usize, sample: u64) -> TracePip
     })
 }
 
-/// Parses one JSONL line back into an event. Returns `Ok(None)` for valid
-/// JSON objects of a non-event `type` (`span`, `counter`, `meta`, …) so
-/// callers can stream over a mixed trace file; `Err` for anything that is
-/// not a JSON object or is a malformed event.
-pub fn event_from_json(line: &str) -> Result<Option<TraceEvent>, String> {
-    let v = parse(line)?;
-    if !v.is_object() {
-        return Err(format!("not a JSON object: {line:?}"));
-    }
-    let kind = v
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing type field: {line:?}"))?;
-    // v1 records carry no version tag; anything newer than we write is
-    // from a future build and must not be silently misread.
-    if let Some(version) = v.get("v").and_then(JsonValue::as_u64) {
-        if version > SCHEMA_VERSION {
-            return Err(format!(
-                "record schema v{version} is newer than supported v{SCHEMA_VERSION}: {line:?}"
-            ));
-        }
-    }
-    event_from_value(&v).map_err(|e| format!("{kind}: {e}"))
-}
-
 /// Converts an already parsed JSON object into an event, if the object's
-/// `type` names one. Version checking is the caller's job (the streaming
-/// reader in `prio-obs` enforces it per file); this only dispatches on
-/// the record type and field shape.
+/// `type` names one; `Ok(None)` for records of other types (`span`,
+/// `counter`, `meta`, …). Version checking is the caller's job (the
+/// streaming reader in `prio-obs` enforces it per record); this only
+/// dispatches on the record type and field shape. Every field of an
+/// event record is required.
 pub fn event_from_value(v: &JsonValue) -> Result<Option<TraceEvent>, String> {
     let kind = match v.get("type").and_then(JsonValue::as_str) {
         Some(kind) => kind,
@@ -259,8 +232,10 @@ pub fn event_from_value(v: &JsonValue) -> Result<Option<TraceEvent>, String> {
                 .get("completes_at")
                 .and_then(JsonValue::as_f64)
                 .ok_or("missing completes_at")?,
-            // Absent in v1/v2 traces (the field is new in v3).
-            worker: v.get("worker").and_then(JsonValue::as_u64).unwrap_or(0),
+            worker: v
+                .get("worker")
+                .and_then(JsonValue::as_u64)
+                .ok_or("missing worker")?,
         },
         "job_completed" => TraceEvent::JobCompleted {
             time: time(v)?,
@@ -486,17 +461,17 @@ pub fn write_telemetry(
     Ok(())
 }
 
-/// Reads the events out of JSONL `text`, skipping non-event lines (span
-/// and counter snapshots, metadata) and blank lines.
+/// Reads the events out of JSONL `text`, skipping non-event records
+/// (span and counter snapshots, metadata, telemetry) and blank lines.
+/// Every record must be a schema-v3 JSON object ([`JsonlReader`]); a
+/// malformed event is an error naming its line.
 pub fn read_trace(text: &str) -> Result<Trace, String> {
     let mut trace = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(event) = event_from_json(line).map_err(|e| format!("line {}: {e}", i + 1))? {
-            trace.push(event);
-        }
+    for record in JsonlReader::new(text.as_bytes()) {
+        let record = record.map_err(|e| e.to_string())?;
+        let event = event_from_value(&record.value)
+            .map_err(|e| format!("line {}: {}: {e}", record.line_no, record.kind))?;
+        trace.extend(event);
     }
     Ok(trace)
 }
@@ -504,6 +479,7 @@ pub fn read_trace(text: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prio_obs::json::parse;
 
     fn sample_trace() -> Trace {
         vec![
@@ -562,25 +538,24 @@ mod tests {
     fn every_event_kind_round_trips() {
         for event in sample_trace() {
             let line = event_to_json(&event);
-            let back = event_from_json(&line).unwrap().expect("event line");
-            assert_eq!(back, event, "via {line}");
+            assert_eq!(read_trace(&line).unwrap(), vec![event], "via {line}");
         }
     }
 
     #[test]
     fn read_trace_skips_non_event_lines() {
-        let mut text = String::from("{\"type\":\"meta\",\"command\":\"simulate\"}\n");
+        let mut text = String::from("{\"type\":\"meta\",\"v\":3,\"command\":\"simulate\"}\n");
         for event in sample_trace() {
             text.push_str(&event_to_json(&event));
             text.push('\n');
         }
-        text.push_str("{\"type\":\"counter\",\"name\":\"sim.engine.runs\",\"value\":1}\n");
+        text.push_str("{\"type\":\"counter\",\"v\":3,\"name\":\"sim.engine.runs\",\"value\":1}\n");
         assert_eq!(read_trace(&text).unwrap(), sample_trace());
     }
 
     #[test]
     fn malformed_lines_are_errors_not_skips() {
-        assert!(read_trace("{\"type\":\"job_completed\",\"time\":1.0}").is_err());
+        assert!(read_trace("{\"type\":\"job_completed\",\"v\":3,\"time\":1.0}").is_err());
         assert!(read_trace("not json").is_err());
         assert!(read_trace("[1,2]").is_err());
     }
@@ -599,38 +574,33 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_are_accepted_and_future_versions_rejected() {
-        // A v1 line (no `v` field) still parses.
-        let v1 = "{\"type\":\"job_completed\",\"time\":1.5,\"job\":3}";
+    fn only_v3_records_are_read() {
+        let current = "{\"type\":\"job_completed\",\"v\":3,\"time\":1.5,\"job\":3}";
         assert_eq!(
-            event_from_json(v1).unwrap(),
-            Some(TraceEvent::JobCompleted {
+            read_trace(current).unwrap(),
+            vec![TraceEvent::JobCompleted {
                 time: 1.5,
                 job: NodeId(3),
-            })
+            }]
         );
-        // A line claiming a newer schema is an error, not a skip.
-        let future = format!(
-            "{{\"type\":\"job_completed\",\"v\":{},\"time\":1.5,\"job\":3}}",
-            SCHEMA_VERSION + 1
-        );
-        let err = event_from_json(&future).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
-    }
-
-    #[test]
-    fn v2_assignments_without_worker_default_to_zero() {
-        // Pre-v3 writers never emitted the worker field.
-        let v2 = "{\"type\":\"job_assigned\",\"v\":2,\"time\":0.5,\"job\":7,\"completes_at\":1.5}";
-        assert_eq!(
-            event_from_json(v2).unwrap(),
-            Some(TraceEvent::JobAssigned {
-                time: 0.5,
-                job: NodeId(7),
-                completes_at: 1.5,
-                worker: 0,
-            })
-        );
+        for (line, found) in [
+            (
+                "{\"type\":\"job_completed\",\"time\":1.5,\"job\":3}",
+                "untagged",
+            ),
+            (
+                "{\"type\":\"job_completed\",\"v\":2,\"time\":1.5,\"job\":3}",
+                "v2",
+            ),
+            ("{\"type\":\"meta\",\"v\":4}", "newer"),
+        ] {
+            let err = read_trace(line).unwrap_err();
+            assert!(err.contains(found), "{err}");
+        }
+        // The v3 `worker` field is required.
+        let no_worker =
+            "{\"type\":\"job_assigned\",\"v\":3,\"time\":0.5,\"job\":7,\"completes_at\":1.5}";
+        assert!(read_trace(no_worker).unwrap_err().contains("worker"));
     }
 
     /// A Write appending into a shared buffer for read-back.

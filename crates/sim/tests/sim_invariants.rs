@@ -15,14 +15,28 @@
 //!    the pre-fault build.
 
 use prio_graph::{Dag, NodeId};
-use prio_sim::engine::{simulate_faulty, simulate_faulty_traced, simulate_traced};
-use prio_sim::trace::TraceEvent;
+use prio_sim::trace::{Trace, TraceEvent};
 use prio_sim::{
-    simulate, Backoff, FaultConfig, FaultModel, GridModel, JobOutcome, PolicySpec, RetryPolicy,
+    simulate, simulate_streamed, Backoff, FaultConfig, FaultModel, GridModel, JobOutcome, NoTrace,
+    PolicySpec, RetryPolicy, SimOutcome,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+
+/// A run recorded in memory: the outcome and its events.
+fn recorded(
+    dag: &Dag,
+    policy: &PolicySpec,
+    model: &GridModel,
+    faults: Option<&FaultConfig>,
+    seed: u64,
+) -> (SimOutcome, Trace) {
+    let recorder = RefCell::new(Trace::new());
+    let out = simulate_streamed(dag, policy, model, faults, seed, &recorder);
+    (out, recorder.into_inner())
+}
 
 /// A random dag: `n` nodes, arcs oriented low → high so acyclicity holds
 /// by construction.
@@ -145,10 +159,9 @@ proptest! {
         seed in 0u64..1 << 48,
     ) {
         let model = GridModel::paper(0.4, 3.0);
-        let out = simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &faults, seed);
-        let trace = out.trace.as_ref().expect("traced");
+        let (out, trace) = recorded(&dag, &PolicySpec::Fifo, &model, Some(&faults), seed);
         let (assigned, completed) =
-            check_precedence(&dag, trace).map_err(TestCaseError::fail)?;
+            check_precedence(&dag, &trace).map_err(TestCaseError::fail)?;
         let outcomes = out.outcomes.as_ref().expect("fault runs report outcomes");
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -183,7 +196,7 @@ proptest! {
         seed in 0u64..1 << 48,
     ) {
         let model = GridModel::paper(0.4, 3.0);
-        let out = simulate_faulty(&dag, &PolicySpec::Fifo, &model, &faults, seed);
+        let out = simulate_streamed(&dag, &PolicySpec::Fifo, &model, Some(&faults), seed, &NoTrace);
         prop_assert_eq!(
             out.completed + out.failed_permanent + out.unreachable,
             out.num_jobs
@@ -231,11 +244,10 @@ proptest! {
         };
         prop_assert!(!zero.is_active());
         let plain = simulate(&dag, &PolicySpec::Fifo, &model, seed);
-        let faulty = simulate_faulty(&dag, &PolicySpec::Fifo, &model, &zero, seed);
+        let faulty = simulate_streamed(&dag, &PolicySpec::Fifo, &model, Some(&zero), seed, &NoTrace);
         prop_assert_eq!(&plain, &faulty);
-        let plain_traced = simulate_traced(&dag, &PolicySpec::Fifo, &model, seed);
-        let faulty_traced =
-            simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &zero, seed);
+        let plain_traced = recorded(&dag, &PolicySpec::Fifo, &model, None, seed);
+        let faulty_traced = recorded(&dag, &PolicySpec::Fifo, &model, Some(&zero), seed);
         prop_assert_eq!(&plain_traced, &faulty_traced);
     }
 
@@ -255,7 +267,8 @@ proptest! {
             (0..16)
                 .map(|i| {
                     let seed = prio_stats::rng::derive_seed(base_seed, i);
-                    simulate_faulty(&dag, &PolicySpec::Fifo, &model, &cfg(p), seed).makespan
+                    simulate_streamed(&dag, &PolicySpec::Fifo, &model, Some(&cfg(p)), seed, &NoTrace)
+                        .makespan
                 })
                 .sum::<f64>()
                 / 16.0
@@ -294,19 +307,19 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
-fn trace_hash(trace: &[TraceEvent], makespan: f64) -> u64 {
+fn trace_hash((out, trace): &(SimOutcome, Trace)) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for e in trace {
         h = fnv1a(format!("{e:?}").as_bytes(), h);
     }
-    fnv1a(&makespan.to_bits().to_le_bytes(), h)
+    fnv1a(&out.makespan.to_bits().to_le_bytes(), h)
 }
 
 /// Fault-rate-0 runs are byte-identical to the reliable engine: these
 /// hashes pin the traced output (FIFO, `GridModel::paper(1.0, 16.0)`,
 /// seed 20060401) over the four paper workflows plus PRIO on AIRSN. Both
-/// the plain entry point and `simulate_faulty` with an inactive config
-/// must still produce them. Recaptured when schema v3 added the
+/// the reliable model and an inactive fault config must still produce
+/// them. Recaptured when schema v3 added the
 /// `job_submitted`/`job_eligible` lifecycle events and worker ids —
 /// trace *content* grew, but the RNG streams, makespans, and untraced
 /// outcomes are unchanged from the pre-fault engine.
@@ -340,20 +353,18 @@ fn paper_workflows_match_pre_fault_trace_hashes() {
     ];
     let model = GridModel::paper(1.0, 16.0);
     for (name, dag, expected) in &workloads {
-        let out = simulate_traced(dag, &PolicySpec::Fifo, &model, 20060401);
-        let h = trace_hash(out.trace.as_ref().unwrap(), out.makespan);
+        let h = trace_hash(&recorded(dag, &PolicySpec::Fifo, &model, None, 20060401));
         assert_eq!(
             h, *expected,
             "{name}: reliable trace diverged from the pre-fault engine"
         );
-        let faulty = simulate_faulty_traced(
+        let hf = trace_hash(&recorded(
             dag,
             &PolicySpec::Fifo,
             &model,
-            &FaultConfig::none(),
+            Some(&FaultConfig::none()),
             20060401,
-        );
-        let hf = trace_hash(faulty.trace.as_ref().unwrap(), faulty.makespan);
+        ));
         assert_eq!(
             hf, *expected,
             "{name}: inactive fault config perturbed the trace"
@@ -362,9 +373,8 @@ fn paper_workflows_match_pre_fault_trace_hashes() {
     // PRIO on AIRSN pins the oblivious-policy path too.
     let dag = prio_workloads::airsn::airsn_paper();
     let prio = PolicySpec::Oblivious(prio_core::prio::prioritize(&dag).unwrap().schedule);
-    let out = simulate_traced(&dag, &prio, &model, 20060401);
     assert_eq!(
-        trace_hash(out.trace.as_ref().unwrap(), out.makespan),
+        trace_hash(&recorded(&dag, &prio, &model, None, 20060401)),
         0xA8270C74B4974240,
         "airsn-prio: reliable trace diverged from the pre-fault engine"
     );
@@ -385,7 +395,6 @@ fn prio_policy(dag: &Dag) -> PolicySpec {
 fn queue_and_event_heap_paths_match_pinned_trace_hashes() {
     let model = GridModel::paper(1.0, 16.0);
     let seed = 20060401;
-    let hash = |out: &prio_sim::SimOutcome| trace_hash(out.trace.as_ref().unwrap(), out.makespan);
     let mut got: Vec<(&str, u64)> = Vec::new();
 
     let inspiral = prio_workloads::inspiral::inspiral_paper();
@@ -402,7 +411,7 @@ fn queue_and_event_heap_paths_match_pinned_trace_hashes() {
     ] {
         got.push((
             name,
-            hash(&simulate_traced(dag, &prio_policy(dag), &model, seed)),
+            trace_hash(&recorded(dag, &prio_policy(dag), &model, None, seed)),
         ));
     }
 
@@ -412,7 +421,7 @@ fn queue_and_event_heap_paths_match_pinned_trace_hashes() {
     };
     got.push((
         "montage-throttled-64",
-        hash(&simulate_traced(&montage, &throttled, &model, seed)),
+        trace_hash(&recorded(&montage, &throttled, &model, None, seed)),
     ));
 
     let airsn = prio_workloads::airsn::airsn_paper();
@@ -423,18 +432,14 @@ fn queue_and_event_heap_paths_match_pinned_trace_hashes() {
             backoff: Backoff::Fixed(0.5),
         },
     };
-    let out = simulate_faulty_traced(&airsn, &prio_policy(&airsn), &model, &faults, seed);
+    let run = recorded(&airsn, &prio_policy(&airsn), &model, Some(&faults), seed);
     for kind in ["JobRetried", "WorkerDown", "WorkerUp"] {
         assert!(
-            out.trace
-                .as_ref()
-                .unwrap()
-                .iter()
-                .any(|e| format!("{e:?}").starts_with(kind)),
+            run.1.iter().any(|e| format!("{e:?}").starts_with(kind)),
             "the faulty pin must exercise {kind}"
         );
     }
-    got.push(("airsn-prio-faulty", hash(&out)));
+    got.push(("airsn-prio-faulty", trace_hash(&run)));
 
     let expected: [(&str, u64); 5] = [
         ("inspiral-prio", 0x4EEC19E60A8C9D18),

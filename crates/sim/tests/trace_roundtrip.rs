@@ -6,18 +6,34 @@
 //! span/counter/meta/telemetry lines interleaved in the file (readers
 //! must skip them) and every record tagged with the schema version.
 //! A property suite generates arbitrary events and checks the JSON
-//! round-trip plus the v1/v2/v3 version-acceptance rules.
+//! round-trip plus the version rule (only schema v3 is read). The
+//! production streaming writer, at several chunk sizes, writes exactly
+//! the events an in-memory recorder sees.
 
 use prio_graph::{Dag, NodeId};
 use prio_obs::json::{parse, JsonValue, SCHEMA_VERSION};
-use prio_obs::JsonlSink;
-use prio_sim::engine::{simulate_faulty_traced, simulate_traced};
-use prio_sim::trace::TraceEvent;
+use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
+use prio_sim::trace::{Trace, TraceEvent};
 use prio_sim::trace_json::{
-    event_from_json, event_to_json, read_trace, write_telemetry, write_trace,
+    event_pipeline, event_to_json, read_trace, write_telemetry, write_trace, StreamingTraceWriter,
 };
-use prio_sim::{FaultConfig, FaultModel, GridModel, PolicySpec, RetryPolicy};
+use prio_sim::{
+    simulate_streamed, FaultConfig, FaultModel, GridModel, PolicySpec, RetryPolicy, SimOutcome,
+};
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+/// A run recorded in memory: the outcome and its events.
+fn recorded(
+    dag: &Dag,
+    model: &GridModel,
+    faults: Option<&FaultConfig>,
+    seed: u64,
+) -> (SimOutcome, Trace) {
+    let recorder = RefCell::new(Trace::new());
+    let out = simulate_streamed(dag, &PolicySpec::Fifo, model, faults, seed, &recorder);
+    (out, recorder.into_inner())
+}
 
 /// The `TraceEvent` variant discriminants a full round-trip must cover.
 fn variant_name(event: &TraceEvent) -> &'static str {
@@ -62,15 +78,13 @@ fn jsonl_trace_replays_event_for_event() {
     // Find a seed whose run contains every event variant (deterministic:
     // the first qualifying seed never changes). Arrivals, assignments,
     // and completions occur in any finished run; failures need p > 0.
-    let (seed, outcome) = (0..100)
+    let (seed, (outcome, trace)) = (0..100)
         .find_map(|seed| {
-            let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, seed);
-            let trace = out.trace.as_ref().expect("traced run records a trace");
-            let covered: std::collections::BTreeSet<_> = trace.iter().map(variant_name).collect();
-            (covered.len() == 6).then_some((seed, out))
+            let run = recorded(&dag, &model, None, seed);
+            let covered: std::collections::BTreeSet<_> = run.1.iter().map(variant_name).collect();
+            (covered.len() == 6).then_some((seed, run))
         })
         .expect("some seed under p=0.4 must cover all six reliable-path event variants");
-    let trace = outcome.trace.expect("traced run records a trace");
     let telemetry = outcome.telemetry.expect("traced run records telemetry");
 
     // Serialize through the sink with non-event lines interleaved, exactly
@@ -148,15 +162,13 @@ fn faulty_runs_round_trip_with_all_fault_event_kinds() {
             backoff: prio_sim::Backoff::Fixed(0.25),
         },
     };
-    let (seed, outcome) = (0..200)
+    let (seed, (outcome, trace)) = (0..200)
         .find_map(|seed| {
-            let out = simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &faults, seed);
-            let trace = out.trace.as_ref().expect("traced");
-            let covered: std::collections::BTreeSet<_> = trace.iter().map(variant_name).collect();
-            (covered.len() == 9).then_some((seed, out))
+            let run = recorded(&dag, &model, Some(&faults), seed);
+            let covered: std::collections::BTreeSet<_> = run.1.iter().map(variant_name).collect();
+            (covered.len() == 9).then_some((seed, run))
         })
         .expect("some seed must cover all nine event variants");
-    let trace = outcome.trace.expect("traced");
     let telemetry = outcome.telemetry.expect("traced");
 
     let dir = std::env::temp_dir();
@@ -263,35 +275,31 @@ proptest! {
         let line = event_to_json(&event);
         let v = parse(&line).map_err(TestCaseError::fail)?;
         prop_assert_eq!(v.get("v").and_then(JsonValue::as_u64), Some(SCHEMA_VERSION));
-        let back = event_from_json(&line).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(back, Some(event));
+        let back = read_trace(&line).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(back, vec![event]);
     }
 
-    /// Version-acceptance rules: records tagged with any version up to
-    /// the current schema (or untagged, i.e. v1) parse; records claiming
-    /// a newer schema are rejected as errors, not skipped.
+    /// Version rule: only records tagged with the current schema parse.
+    /// Untagged (v1) and older records are errors naming the version
+    /// they carry; records claiming a newer schema are errors too. None
+    /// is skipped.
     #[test]
     fn version_acceptance_rules_hold(event in arb_event(), bump in 1u64..5) {
         let line = event_to_json(&event);
-        // Accepted: tags 1..=SCHEMA_VERSION.
-        for version in 1..=SCHEMA_VERSION {
-            let retagged = line.replace(
-                &format!("\"v\":{SCHEMA_VERSION}"),
-                &format!("\"v\":{version}"),
-            );
-            let back = event_from_json(&retagged).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(back, Some(event));
+        let tag = format!("\"v\":{SCHEMA_VERSION}");
+        for version in 1..SCHEMA_VERSION {
+            let retagged = line.replace(&tag, &format!("\"v\":{version}"));
+            let err = read_trace(&retagged);
+            prop_assert!(err.is_err(), "old schema must be an error: {:?}", err);
+            let err = err.unwrap_err();
+            prop_assert!(err.contains(&format!("schema v{version} ")), "{}", err);
         }
-        // Accepted: no tag at all (v1 writers).
-        let untagged = line.replace(&format!("\"v\":{SCHEMA_VERSION},"), "");
-        let back = event_from_json(&untagged).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(back, Some(event));
-        // Rejected: any strictly newer version.
-        let future = line.replace(
-            &format!("\"v\":{SCHEMA_VERSION}"),
-            &format!("\"v\":{}", SCHEMA_VERSION + bump),
-        );
-        let err = event_from_json(&future);
+        let untagged = line.replace(&format!("{tag},"), "");
+        let err = read_trace(&untagged);
+        prop_assert!(err.is_err(), "untagged record must be an error: {:?}", err);
+        prop_assert!(err.unwrap_err().contains("untagged record (schema v1)"));
+        let future = line.replace(&tag, &format!("\"v\":{}", SCHEMA_VERSION + bump));
+        let err = read_trace(&future);
         prop_assert!(err.is_err(), "future schema must be an error: {:?}", err);
         prop_assert!(err.unwrap_err().contains("newer"));
     }
@@ -301,8 +309,7 @@ proptest! {
 fn reliable_runs_round_trip_without_failures() {
     let dag = diamond_chain();
     let model = GridModel::paper(0.5, 3.0);
-    let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, 7);
-    let trace = out.trace.expect("traced");
+    let (_, trace) = recorded(&dag, &model, None, 7);
     let text: String = trace
         .iter()
         .map(|e| prio_sim::trace_json::event_to_json(e) + "\n")
@@ -311,4 +318,48 @@ fn reliable_runs_round_trip_without_failures() {
     assert!(!trace
         .iter()
         .any(|e| matches!(e, TraceEvent::JobFailed { .. })));
+}
+
+/// The streaming writer, at chunk sizes below, at and above the engine's
+/// handoff batch, writes exactly the events the in-memory recorder sees
+/// on reliable and faulty runs, and the run's outcome is the same.
+#[test]
+fn streamed_jsonl_trace_equals_recorded_trace() {
+    let dag = prio_workloads::airsn::airsn(20);
+    let model = GridModel::paper(0.5, 4.0);
+    let faults = FaultConfig {
+        model: FaultModel::with_rate(0.3).with_churn(8.0, 2.0),
+        retry: RetryPolicy {
+            max_attempts: 4,
+            backoff: prio_sim::Backoff::Fixed(0.5),
+        },
+    };
+    for faults in [None, Some(&faults)] {
+        let (expected_out, expected) = recorded(&dag, &model, faults, 11);
+        for chunk in [1, 7, 256] {
+            let path = std::env::temp_dir().join(format!(
+                "prio_sim_streamed_{}_{chunk}_{}.jsonl",
+                std::process::id(),
+                faults.is_some()
+            ));
+            let pipeline =
+                event_pipeline(JsonlSink::to_file(&path).unwrap(), DEFAULT_RING_CAPACITY, 1);
+            let writer =
+                StreamingTraceWriter::with_chunk(&pipeline, JobSampler::full_rate(), chunk);
+            let out = simulate_streamed(&dag, &PolicySpec::Fifo, &model, faults, 11, &writer);
+            drop(writer);
+            let (sink, stats, result) = pipeline.finish();
+            result.unwrap();
+            sink.flush().unwrap();
+            assert_eq!(stats.dropped, 0, "chunk {chunk}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                read_trace(&text).unwrap(),
+                expected,
+                "chunk {chunk}, faults {faults:?}"
+            );
+            assert_eq!(out, expected_out, "chunk {chunk}, faults {faults:?}");
+        }
+    }
 }

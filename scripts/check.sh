@@ -43,6 +43,37 @@ mkdir -p target/trace-smoke
   target/trace-smoke/airsn.jsonl --policy-a prio --policy-b fifo --json \
   > target/trace-smoke/diff.json
 ./target/release/prio report target/trace-smoke/airsn.jsonl > /dev/null
+# The same analyses over a faulty run (transient faults, pool churn and a
+# fixed backoff put job_retried/worker_down/worker_up records in the
+# trace).
+./target/release/prio simulate --workload airsn --fault-rate 0.2 \
+  --worker-mttf 5 --worker-mttr 1 --backoff fixed:0.5 --seed 7 \
+  --trace-out target/trace-smoke/faulty.jsonl > /dev/null
+./target/release/prio report target/trace-smoke/faulty.jsonl \
+  > target/trace-smoke/faulty_report.txt
+./target/release/prio trace timeline target/trace-smoke/faulty.jsonl --json \
+  > target/trace-smoke/faulty_timeline.json
+./target/release/prio trace critical-path target/trace-smoke/faulty.jsonl --json \
+  > target/trace-smoke/faulty_critical_path.json
+./target/release/prio trace curve target/trace-smoke/faulty.jsonl \
+  --out target/trace-smoke/faulty_curve.tsv
+./target/release/prio trace diff target/trace-smoke/faulty.jsonl \
+  target/trace-smoke/faulty.jsonl --policy-a prio --policy-b fifo --json \
+  > target/trace-smoke/faulty_diff.json
+# Old-schema smoke: readers accept only schema v3, so a v2-tagged file
+# must be rejected as an input error (exit 1), not summarized.
+printf '%s\n' \
+  '{"type":"meta","v":2,"command":"trace","detail":"policy=prio seed=1"}' \
+  '{"type":"job_completed","v":2,"time":1,"job":0}' \
+  > target/trace-smoke/v2.jsonl
+set +e
+./target/release/prio report target/trace-smoke/v2.jsonl > /dev/null \
+  2> target/trace-smoke/v2_report.stderr
+v2_status=$?
+set -e
+if [ "$v2_status" -ne 1 ]; then
+  echo "check.sh: prio report accepted a v2 trace (exit $v2_status)" >&2; exit 1
+fi
 # Observability-runtime smoke (the bounded async trace pipeline's two
 # contractual endpoints, plus the Prometheus snapshot):
 #  1. a full-rate trace must account for every event — the trailing
