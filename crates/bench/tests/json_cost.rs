@@ -9,12 +9,18 @@
 //! `String`. Counting every allocation in the process turns both promises
 //! into exact, machine-independent numbers.
 //!
+//! A `prio serve` memo hit rides in the same test: a request line resent
+//! verbatim is keyed and answered from its escaped bytes, so the
+//! allocations it costs are a small constant, whatever the workflow's
+//! size.
+//!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
 
 use prio_bench::scaling::montage_tier;
 use prio_ir::{Frontend, JsonFrontend, Priorities, Workflow};
 use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
+use prio_serve::{encode_request, serve_streams, ServeConfig};
 use std::sync::atomic::Ordering;
 
 #[global_allocator]
@@ -26,11 +32,32 @@ const IMPORT_CONSTANT: u64 = 64;
 /// Allocations an export may make in total.
 const EXPORT_MAX: u64 = 8;
 
+/// Allocations one `prio serve` memo hit may make: the request line, its
+/// decoded id and format, and the response line.
+const MEMO_HIT_MAX: u64 = 16;
+
+/// Verbatim resends per measured serve run (and twice as many in the
+/// second).
+const RESENDS: usize = 32;
+
 /// Allocations made while `f` runs, on any thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_COUNT.load(Ordering::SeqCst);
     let out = f();
     (ALLOC_COUNT.load(Ordering::SeqCst) - before, out)
+}
+
+/// Allocations of one single-worker `prio serve` session over `input`,
+/// with the number of memo hits it answered.
+fn serve_allocations(input: &str) -> (u64, u64) {
+    let config = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let (allocs, stats) =
+        allocations(|| serve_streams(input.as_bytes(), Box::new(std::io::sink()), config));
+    assert_eq!(stats.errors, 0);
+    (allocs, stats.cache.hits)
 }
 
 #[test]
@@ -69,4 +96,41 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
             );
         }
     }
+
+    // A memo hit's allocations, as the difference between a session of
+    // one cold request plus RESENDS verbatim resends and one with twice
+    // as many resends: every per-session cost cancels.
+    let mut per_hit = Vec::new();
+    for jobs in [100, 2_000] {
+        let workflow = Workflow::synthetic(montage_tier(jobs));
+        let text = JsonFrontend.export(&workflow, workflow.priorities());
+        let line = encode_request("hit", &text, Some("json"), None) + "\n";
+        let session = |resends: usize| line.repeat(1 + resends);
+        serve_allocations(&session(RESENDS));
+        let (short, hits) = serve_allocations(&session(RESENDS));
+        assert_eq!(hits, RESENDS as u64, "every resend is a memo hit");
+        let (long, _) = serve_allocations(&session(2 * RESENDS));
+        let extra = long - short;
+        eprintln!(
+            "{} jobs ({} byte request): {RESENDS} extra memo hits made {extra} allocations",
+            workflow.num_jobs(),
+            line.len()
+        );
+        assert_eq!(
+            extra % RESENDS as u64,
+            0,
+            "{extra} allocations over {RESENDS} hits"
+        );
+        per_hit.push(extra / RESENDS as u64);
+    }
+    eprintln!("serve memo hit: {per_hit:?} allocations per hit");
+    assert_eq!(
+        per_hit[0], per_hit[1],
+        "memo-hit allocations grow with the workflow"
+    );
+    assert!(
+        per_hit[0] <= MEMO_HIT_MAX,
+        "a memo hit made {} allocations, allowed {MEMO_HIT_MAX}",
+        per_hit[0]
+    );
 }

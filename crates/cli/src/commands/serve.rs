@@ -19,6 +19,7 @@ use crate::args::Args;
 use crate::commands::named_frontend;
 use crate::error::CliError;
 use prio_serve::{serve_stdio, ServeConfig, ServeStats, Server};
+use std::io::Write;
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
@@ -53,7 +54,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         let server = Server::bind(addr, config)
             .map_err(|e| CliError::input(format!("cannot listen on {addr}: {e}")))?;
         // The resolved address matters with port 0; scripts scrape it.
-        eprintln!("prio: serving on {}", server.local_addr());
+        // One write: `eprintln!` writes each formatted piece separately,
+        // so a script polling the stream could read "serving on " with
+        // no address yet.
+        let line = format!("prio: serving on {}\n", server.local_addr());
+        let _ = std::io::stderr().write_all(line.as_bytes());
         server.wait()
     };
     print_summary(&stats);

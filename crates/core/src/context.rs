@@ -40,10 +40,4 @@ impl PrioContext {
     pub fn new() -> PrioContext {
         PrioContext::default()
     }
-
-    /// Number of shortcut arcs found by the most recent run through this
-    /// context (diagnostic; mirrors `PrioStats::shortcuts_removed`).
-    pub fn last_shortcut_count(&self) -> usize {
-        self.shortcuts.len()
-    }
 }

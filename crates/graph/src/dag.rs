@@ -382,13 +382,6 @@ impl Dag {
         &self.labels[u.index()]
     }
 
-    /// The shared (reference-counted) label of `u`; cloning the returned
-    /// handle bumps a refcount instead of copying the string.
-    #[inline]
-    pub fn label_arc(&self, u: NodeId) -> &Label {
-        &self.labels[u.index()]
-    }
-
     /// Finds the node with the given label, if any (linear scan; use a
     /// [`DagBuilder`]'s handle instead when building).
     pub fn find(&self, label: &str) -> Option<NodeId> {

@@ -208,19 +208,6 @@ impl JsonObject {
         .u64("v", SCHEMA_VERSION)
     }
 
-    /// Like [`JsonObject::typed`], but reuses `buf`'s allocation instead
-    /// of allocating a fresh `String` — the trace pipeline's writer
-    /// thread encodes millions of events through one scratch buffer.
-    /// `buf` is cleared; recover the built line with
-    /// [`JsonObject::finish`].
-    pub fn typed_in(mut buf: String, kind: &str) -> Self {
-        buf.clear();
-        buf.push('{');
-        JsonObject { buf, empty: true }
-            .str("type", kind)
-            .u64("v", SCHEMA_VERSION)
-    }
-
     /// Starts an empty object.
     pub fn new() -> Self {
         JsonObject {
@@ -243,6 +230,18 @@ impl JsonObject {
     pub fn str(self, key: &str, value: &str) -> Self {
         let mut obj = self.key(key);
         write_escaped(value, &mut obj.buf);
+        obj
+    }
+
+    /// Appends a field whose value is already JSON text — e.g. a string
+    /// literal kept escaped (quotes included) from an earlier
+    /// [`escape`], copied in as is. Room for the closing brace and a line
+    /// terminator is reserved with it, so a large value grows the line
+    /// once.
+    pub fn raw(self, key: &str, encoded: &str) -> Self {
+        let mut obj = self.key(key);
+        obj.buf.reserve(encoded.len() + 2);
+        obj.buf.push_str(encoded);
         obj
     }
 
@@ -517,7 +516,7 @@ impl<'a> Reader<'a> {
                 }
                 Ok(())
             }
-            Some(b'"') => self.string().map(drop),
+            Some(b'"') => self.string_literal().map(drop),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
             Some(b'n') => self.literal("null"),
@@ -563,31 +562,48 @@ impl<'a> Reader<'a> {
             return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
         let mut out = String::from(&self.text[start..self.pos]);
+        self.string_rest(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Validates a string exactly as [`Reader::string`] does (same errors,
+    /// same offsets) and returns its raw body between the quotes, escapes
+    /// still escaped — no allocation, whatever the string holds.
+    pub fn string_literal(&mut self) -> Result<&'a str, String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.string_rest(None)?;
+        Ok(&self.text[start..self.pos - 1])
+    }
+
+    /// The one string scanner: validates from inside a string through its
+    /// closing quote, appending the unescaped text to `out` when given.
+    fn string_rest(&mut self, mut out: Option<&mut String>) -> Result<(), String> {
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{08}',
+                        b'f' => '\u{0C}',
                         b'u' => {
                             let code = self.hex4()?;
                             // Surrogate pairs: a high surrogate must be
                             // followed by \uXXXX with a low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&code) {
+                            if (0xD800..0xDC00).contains(&code) {
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let low = self.hex4()?;
@@ -598,8 +614,7 @@ impl<'a> Reader<'a> {
                                 char::from_u32(combined).ok_or("invalid surrogate pair")?
                             } else {
                                 char::from_u32(code).ok_or("invalid \\u escape")?
-                            };
-                            out.push(c);
+                            }
                         }
                         other => {
                             return Err(format!(
@@ -607,6 +622,9 @@ impl<'a> Reader<'a> {
                                 other as char, self.pos
                             ))
                         }
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                 }
                 Some(_) => {
@@ -615,7 +633,9 @@ impl<'a> Reader<'a> {
                     if self.pos == start {
                         return Err(format!("raw control character at byte {}", self.pos));
                     }
-                    out.push_str(&self.text[start..self.pos]);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push_str(&self.text[start..self.pos]);
+                    }
                 }
             }
         }
@@ -899,6 +919,38 @@ mod tests {
             let skipped = r.skip_value().and_then(|()| r.finish());
             assert_eq!(skipped.err(), parse(text).err(), "{text:?}");
         }
+    }
+
+    #[test]
+    fn string_literal_validates_like_string_and_keeps_escapes() {
+        for text in [
+            r#""plain""#,
+            r#""esc\n\t\"\\\/\b\f""#,
+            r#""a\u00e9b\ud83e\uddeac""#,
+            r#""\u+0ff""#,
+            "\"unterminated",
+            "\"\\",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u12",
+            "\"\\uzzzz\"",
+            "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\udc00\"",
+            "\"raw \u{1} control\"",
+            "\"\\u\u{e9}ab\"",
+            "nope",
+        ] {
+            let literal = Reader::new(text).string_literal();
+            let decoded = Reader::new(text).string();
+            match (&literal, &decoded) {
+                (Ok(raw), Ok(_)) => assert_eq!(format!("\"{raw}\""), text),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{text:?}"),
+                _ => panic!("{text:?}: literal {literal:?}, string {decoded:?}"),
+            }
+        }
+        let line = JsonObject::new().raw("s", &escape("a\tb\u{1}")).finish();
+        assert_eq!(line, JsonObject::new().str("s", "a\tb\u{1}").finish());
     }
 
     #[test]

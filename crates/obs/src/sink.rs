@@ -41,14 +41,6 @@ impl JsonlSink {
         })
     }
 
-    /// A sink writing lines to stderr.
-    pub fn to_stderr() -> JsonlSink {
-        JsonlSink {
-            out: Mutex::new(Box::new(io::stderr())),
-            target: "stderr".into(),
-        }
-    }
-
     /// A sink writing into any `Write` (used by tests to capture output).
     pub fn to_writer(writer: Box<dyn Write + Send>) -> JsonlSink {
         JsonlSink {

@@ -29,11 +29,17 @@
 //!   budget. A warm hit replays the cold request's exact bytes instead
 //!   of re-exporting, but only for a workflow whose export is provably
 //!   byte-identical: two same-CSR workflows with different submit files
-//!   share the schedule, never each other's rendered text;
-//! * a count-capped **text memo** ([`ResultCache::memo_insert`]) maps the
-//!   exact request text (plus the effective format name) to the CSR key
-//!   (and render key) it produced, so a repeated request skips the
-//!   import entirely.
+//!   share the schedule, never each other's rendered text. The memo
+//!   stores whatever bytes its caller gives it: the daemon gives it each
+//!   export already escaped as a JSON string literal, quotes included,
+//!   so a hit is copied into the response as is;
+//! * a count-capped **text memo** ([`ResultCache::memo_insert`]) maps a
+//!   [`text_key`] — the effective format name plus the request's text —
+//!   to the CSR key (and render key) it produced, so a repeated request
+//!   skips the import entirely. The daemon hashes the workflow's string
+//!   literal exactly as sent, escapes intact: equal literals are equal
+//!   texts, and a text sent with different escapes only misses the memo
+//!   and finds the result cache through the import.
 
 use prio_graph::{Dag, NodeId};
 use prio_ir::{FormatId, Workflow};
@@ -311,13 +317,13 @@ impl ResultCache {
                 shard.lru.insert(tick, key);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                prio_obs::counter("serve.cache.hits").inc();
+                counter!("serve.cache.hits").inc();
                 return Some(order);
             }
         }
         drop(shard);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        prio_obs::counter("serve.cache.misses").inc();
+        counter!("serve.cache.misses").inc();
         None
     }
 
@@ -363,7 +369,7 @@ impl ResultCache {
         }
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            prio_obs::counter("serve.cache.evictions").add(evicted);
+            counter!("serve.cache.evictions").add(evicted);
         }
     }
 
@@ -392,13 +398,13 @@ impl ResultCache {
                 shard.lru.insert(tick, key);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                prio_obs::counter("serve.cache.hits").inc();
+                counter!("serve.cache.hits").inc();
                 return Some((order, rendered));
             }
         }
         drop(shard);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        prio_obs::counter("serve.cache.misses").inc();
+        counter!("serve.cache.misses").inc();
         None
     }
 
@@ -433,7 +439,7 @@ impl ResultCache {
         shard.lru.insert(tick, key);
         drop(shard);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        prio_obs::counter("serve.cache.hits").inc();
+        counter!("serve.cache.hits").inc();
         Some(text)
     }
 

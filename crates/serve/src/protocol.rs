@@ -33,9 +33,22 @@
 //! [`prio_ir::PrioError`] stage provenance (`stage` + rendered message),
 //! so a client sees *where* its request failed exactly as a CLI user
 //! would.
+//!
+//! Decoding builds no JSON tree. One pull scan with
+//! [`prio_obs::json::Reader`] validates the whole line, then reads the
+//! fields the protocol needs with a tree's semantics: the last of
+//! duplicate keys wins, a non-string `id`, `format` or `output` is
+//! absent, a non-string `verb` is the unknown verb `""`, and `v` counts
+//! only as a non-negative integral number. The daemon keeps the decoded
+//! line as a [`WireRequest`], whose workflow stays the escaped string
+//! literal it was sent as; [`parse_request`] is the same decoder, which
+//! then unescapes the workflow in its one validating pass. On the way out, [`ok_response_literal`] copies an export
+//! that is already escaped, so a replayed answer is never re-escaped.
 
 use prio_ir::PrioError;
-use prio_obs::json::{parse, JsonObject, JsonValue, SCHEMA_VERSION};
+use prio_obs::json::{escape, JsonObject, JsonValue, Reader, SCHEMA_VERSION};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// A control or work verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +75,7 @@ impl Verb {
     }
 }
 
-/// One parsed request line.
+/// One parsed request line, workflow unescaped ([`parse_request`]).
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Client-chosen id, echoed on the response.
@@ -77,6 +90,60 @@ pub struct Request {
     pub output: Option<String>,
     /// Explicit schema version tag, if the record carried one.
     pub version: Option<u64>,
+}
+
+/// One request as the daemon holds it: the line it arrived on, decoded
+/// ([`WireRequest::decode`]) except for the workflow, which stays the
+/// escaped JSON string literal the client sent. A repeated request is
+/// keyed and answered from that literal without ever unescaping it.
+#[derive(Debug)]
+pub struct WireRequest {
+    /// Client-chosen id, echoed on the response.
+    pub id: String,
+    /// The verb (default `prioritize`).
+    pub verb: Verb,
+    /// Input format name (`auto`/absent = content detection).
+    pub format: Option<String>,
+    /// Output format name (absent = same as resolved input format).
+    pub output: Option<String>,
+    /// Explicit schema version tag, if the record carried one.
+    pub version: Option<u64>,
+    line: String,
+    /// Byte range of the validated `workflow` literal in `line`, quotes
+    /// included; `None` when the field is absent or not a string.
+    workflow: Option<Range<usize>>,
+}
+
+impl WireRequest {
+    /// Decodes `line`, which the request then owns. Accepts and rejects
+    /// exactly what [`parse_request`] does, with the same errors.
+    pub fn decode(
+        line: String,
+        first_version: &mut Option<u64>,
+    ) -> Result<WireRequest, RequestError> {
+        let (request, _) = decode(&line, first_version, false)?;
+        Ok(WireRequest { line, ..request })
+    }
+
+    /// The workflow's string literal as sent, without its quotes and with
+    /// its escapes intact (`""` when the field is absent).
+    pub fn workflow_literal(&self) -> &str {
+        match &self.workflow {
+            Some(r) => &self.line[r.start + 1..r.end - 1],
+            None => "",
+        }
+    }
+
+    /// The workflow text, unescaped (borrowed when the literal has no
+    /// escapes).
+    pub fn workflow(&self) -> Cow<'_, str> {
+        match &self.workflow {
+            Some(r) => Reader::at(&self.line, r.start)
+                .string()
+                .expect("the decoder validated the literal"),
+            None => Cow::Borrowed(""),
+        }
+    }
 }
 
 /// A request that could not be accepted, with enough structure to build
@@ -103,16 +170,107 @@ impl RequestError {
 /// same mixed-version rejection as the JSONL stream reader — per record,
 /// so one bad line costs one error response, not the connection.
 pub fn parse_request(line: &str, first_version: &mut Option<u64>) -> Result<Request, RequestError> {
-    let value = parse(line).map_err(|e| RequestError::new(None, format!("request: {e}")))?;
-    if !value.is_object() {
-        return Err(RequestError::new(None, "request: not a JSON object"));
+    let (request, workflow) = decode(line, first_version, true)?;
+    Ok(Request {
+        workflow: workflow.into_owned(),
+        id: request.id,
+        verb: request.verb,
+        format: request.format,
+        output: request.output,
+        version: request.version,
+    })
+}
+
+/// The members of a request object the protocol reads, each as a JSON
+/// tree's typed lookup would see it: the last of duplicate keys wins, and
+/// a value of the wrong type reads as absent.
+#[derive(Default)]
+struct Members<'a> {
+    id: Option<Cow<'a, str>>,
+    /// `Some("")` when present but not a string (an unknown verb).
+    verb: Option<Cow<'a, str>>,
+    format: Option<Cow<'a, str>>,
+    output: Option<Cow<'a, str>>,
+    /// Set only by a non-negative integral number.
+    version: Option<u64>,
+    workflow: Option<Range<usize>>,
+    /// The workflow's text, when the scan was asked to unescape it.
+    text: Cow<'a, str>,
+}
+
+/// Validates the whole line as one JSON document and pulls out the
+/// members the protocol reads, with no tree: `Ok(None)` for a valid
+/// document that is not an object. With `unescape`, the workflow's text
+/// is decoded in the same pass.
+fn scan(line: &str, unescape: bool) -> Result<Option<Members<'_>>, String> {
+    let mut r = Reader::new(line);
+    r.skip_ws();
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        r.finish()?;
+        return Ok(None);
     }
-    let id = value
-        .get("id")
-        .and_then(JsonValue::as_str)
-        .map(str::to_owned);
-    let version = value.get("v").and_then(JsonValue::as_u64);
-    if let Some(v) = version {
+    let mut m = Members::default();
+    if r.begin_object()? {
+        loop {
+            match &*r.key()? {
+                "id" => m.id = string_member(&mut r)?,
+                "verb" => m.verb = Some(string_member(&mut r)?.unwrap_or_default()),
+                "format" => m.format = string_member(&mut r)?,
+                "output" => m.output = string_member(&mut r)?,
+                "v" => {
+                    m.version = match r.peek() {
+                        Some(b'-' | b'0'..=b'9') => JsonValue::Num(r.number()?).as_u64(),
+                        _ => r.skip_value().map(|()| None)?,
+                    }
+                }
+                "workflow" => {
+                    let start = r.pos();
+                    m.text = Cow::Borrowed("");
+                    m.workflow = match r.peek() {
+                        Some(b'"') if unescape => {
+                            m.text = r.string()?;
+                            Some(start..r.pos())
+                        }
+                        Some(b'"') => r.string_literal().map(|_| Some(start..r.pos()))?,
+                        _ => r.skip_value().map(|()| None)?,
+                    }
+                }
+                _ => r.skip_value()?,
+            }
+            if !r.next_member()? {
+                break;
+            }
+        }
+    }
+    r.finish()?;
+    Ok(Some(m))
+}
+
+/// A member that counts only as a string; any other value is validated,
+/// skipped and read as absent.
+fn string_member<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, String> {
+    match r.peek() {
+        Some(b'"') => r.string().map(Some),
+        _ => r.skip_value().map(|()| None),
+    }
+}
+
+/// The one request decoder under [`parse_request`] and
+/// [`WireRequest::decode`]. The returned request's `line` is empty; the
+/// workflow range points into `line`. With `unescape`, the workflow's
+/// text comes back too (empty when absent), decoded in the validating
+/// pass itself.
+fn decode<'a>(
+    line: &'a str,
+    first_version: &mut Option<u64>,
+    unescape: bool,
+) -> Result<(WireRequest, Cow<'a, str>), RequestError> {
+    let m = scan(line, unescape)
+        .map_err(|e| RequestError::new(None, format!("request: {e}")))?
+        .ok_or_else(|| RequestError::new(None, "request: not a JSON object"))?;
+    let id = m.id.map(Cow::into_owned);
+    if let Some(v) = m.version {
         if v > SCHEMA_VERSION {
             return Err(RequestError::new(
                 id,
@@ -139,41 +297,36 @@ pub fn parse_request(line: &str, first_version: &mut Option<u64>) -> Result<Requ
             "request: missing string field \"id\"",
         ));
     };
-    let verb = match value.get("verb") {
+    let verb = match m.verb {
         None => Verb::Prioritize,
-        Some(v) => {
-            let name = v.as_str().unwrap_or("");
-            Verb::from_name(name).ok_or_else(|| {
-                RequestError::new(
-                    Some(id.clone()),
-                    format!(
-                        "request: unknown verb {name:?} \
-                         (prioritize|stats|ping|shutdown)"
-                    ),
-                )
-            })?
-        }
+        Some(name) => Verb::from_name(&name).ok_or_else(|| {
+            RequestError::new(
+                Some(id.clone()),
+                format!(
+                    "request: unknown verb {name:?} \
+                     (prioritize|stats|ping|shutdown)"
+                ),
+            )
+        })?,
     };
-    let workflow = value
-        .get("workflow")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .to_owned();
-    if verb == Verb::Prioritize && workflow.is_empty() {
+    // Every escape decodes to at least one character, so the text is
+    // empty exactly when the literal is.
+    if verb == Verb::Prioritize && m.workflow.as_ref().is_none_or(|r| r.len() == 2) {
         return Err(RequestError::new(
             Some(id),
             "request: prioritize requires a non-empty \"workflow\" field",
         ));
     }
-    let field = |k: &str| value.get(k).and_then(JsonValue::as_str).map(str::to_owned);
-    Ok(Request {
+    let request = WireRequest {
         id,
         verb,
-        workflow,
-        format: field("format"),
-        output: field("output"),
-        version,
-    })
+        format: m.format.map(Cow::into_owned),
+        output: m.output.map(Cow::into_owned),
+        version: m.version,
+        line: String::new(),
+        workflow: m.workflow,
+    };
+    Ok((request, m.text))
 }
 
 /// Builds one request line (without the trailing newline) — the client
@@ -207,12 +360,19 @@ pub fn encode_control(id: &str, verb: &str) -> String {
 
 /// An `ok` response carrying the prioritized export.
 pub fn ok_response(id: &str, format: &str, cached: bool, output: &str) -> String {
+    ok_response_literal(id, format, cached, &escape(output))
+}
+
+/// [`ok_response`] for an export already escaped as a JSON string
+/// literal, quotes included (what the daemon's rendered memo holds): the
+/// literal is copied in as is.
+pub fn ok_response_literal(id: &str, format: &str, cached: bool, output: &str) -> String {
     JsonObject::typed("response")
         .str("id", id)
         .str("status", "ok")
         .str("format", format)
         .bool("cached", cached)
-        .str("output", output)
+        .raw("output", output)
         .finish()
 }
 
@@ -257,6 +417,7 @@ pub fn overloaded_response(id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prio_obs::json::parse;
 
     fn parse_one(line: &str) -> Result<Request, RequestError> {
         parse_request(line, &mut None)

@@ -57,7 +57,7 @@ impl<T> RequestQueue<T> {
         {
             let closed = self.closed.lock().unwrap();
             if *closed {
-                prio_obs::counter("serve.queue.shed").inc();
+                counter!("serve.queue.shed").inc();
                 return Err(item);
             }
             // Still holding the lock: a concurrent close() cannot complete
@@ -65,7 +65,7 @@ impl<T> RequestQueue<T> {
             match self.ring.push(item) {
                 Ok(()) => {}
                 Err(item) => {
-                    prio_obs::counter("serve.queue.shed").inc();
+                    counter!("serve.queue.shed").inc();
                     return Err(item);
                 }
             }

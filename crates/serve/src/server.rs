@@ -38,17 +38,22 @@
 
 use crate::cache::{render_key, text_key, workflow_key, CacheStats, ResultCache, TextKey};
 use crate::protocol::{
-    error_response, ok_response, overloaded_response, parse_request, ping_response,
-    prio_error_response, Request, Verb,
+    error_response, ok_response_literal, overloaded_response, ping_response, prio_error_response,
+    Verb, WireRequest,
 };
 use crate::queue::RequestQueue;
 use prio_core::{PrioContext, PrioError, Prioritizer};
 use prio_ir::{Frontend, Priorities, Workflow};
+use prio_obs::json::escape;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Capacity of each connection's read buffer: a typical request line
+/// (tens of KB of workflow text) arrives in one or two `read`s.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 /// Daemon configuration (the CLI's `serve` flags).
 #[derive(Debug, Clone)]
@@ -129,23 +134,22 @@ impl Conn {
         })
     }
 
-    /// Writes one response line. A failed write (client went away) is
-    /// counted, not fatal: the daemon and its workers keep serving.
-    fn send_line(&self, line: &str) {
+    /// Writes one response line, newline appended, in one `write_all`. A
+    /// failed write (client went away) is counted, not fatal: the daemon
+    /// and its workers keep serving.
+    fn send_line(&self, mut line: String) {
+        line.push('\n');
         let mut w = self.writer.lock().unwrap();
-        let result = w
-            .write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .and_then(|()| w.flush());
+        let result = w.write_all(line.as_bytes()).and_then(|()| w.flush());
         if result.is_err() {
-            prio_obs::counter("serve.conn.write_errors").inc();
+            counter!("serve.conn.write_errors").inc();
         }
     }
 }
 
 /// One queued prioritize request.
 struct Job {
-    request: Request,
+    request: WireRequest,
     conn: Arc<Conn>,
     enqueued: Instant,
 }
@@ -230,11 +234,11 @@ fn shutdown_response(id: &str) -> String {
 /// Runs one prioritize request to a response line. `ctx` is the calling
 /// worker's scratch context; on an internal pipeline error it is replaced
 /// with a fresh one so the failure cannot poison later requests.
-fn handle_prioritize(shared: &Shared, request: &Request, ctx: &mut PrioContext) -> String {
+fn handle_prioritize(shared: &Shared, request: &WireRequest, ctx: &mut PrioContext) -> String {
     match prioritize_request(shared, request, ctx) {
         Ok(line) => {
             shared.counters.ok.fetch_add(1, Ordering::Relaxed);
-            prio_obs::counter("serve.request.ok").inc();
+            counter!("serve.request.ok").inc();
             line
         }
         Err(error) => {
@@ -242,7 +246,7 @@ fn handle_prioritize(shared: &Shared, request: &Request, ctx: &mut PrioContext) 
                 *ctx = PrioContext::new();
             }
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            prio_obs::counter("serve.request.error").inc();
+            counter!("serve.request.error").inc();
             prio_error_response(&request.id, &error)
         }
     }
@@ -266,16 +270,17 @@ fn output_frontend<'r>(
     }
 }
 
-/// The warm fast path: this exact request text was served before, its
+/// The warm fast path: this exact workflow literal was served before, its
 /// result entry is still live, and the export for the requested output
-/// format is already rendered — so the response replays the cold
-/// request's bytes without parsing, prioritizing, or exporting anything.
+/// format is already rendered — so the response copies the cold
+/// request's escaped bytes without unescaping, parsing, prioritizing,
+/// exporting or escaping anything.
 /// `Ok(None)` falls through to the full path; the only error it can
 /// produce (an unknown output format name) is byte-identical to the full
 /// path's.
 fn try_fast_path(
     shared: &Shared,
-    request: &Request,
+    request: &WireRequest,
     tk: TextKey,
 ) -> Result<Option<String>, PrioError> {
     let Some((key, in_fmt, n, render)) = shared.cache.memo_get(tk) else {
@@ -288,24 +293,31 @@ fn try_fast_path(
     Ok(shared
         .cache
         .rendered_hit(key, n, render, out_id)
-        .map(|text| ok_response(&request.id, out_id.name(), true, &text)))
+        .map(|literal| ok_response_literal(&request.id, out_id.name(), true, &literal)))
 }
 
+/// Answers one prioritize request. The text memo is keyed on the workflow
+/// literal exactly as sent — equal literals are equal texts — and the
+/// rendered memo holds exports already escaped, so a memo hit never
+/// touches the workflow's text; only a miss unescapes it, once.
 fn prioritize_request(
     shared: &Shared,
-    request: &Request,
+    request: &WireRequest,
     ctx: &mut PrioContext,
 ) -> Result<String, PrioError> {
     let format = request
         .format
         .as_deref()
         .or(shared.config.default_format.as_deref());
-    let tk = text_key(format.unwrap_or("auto"), &request.workflow);
+    let tk = text_key(format.unwrap_or("auto"), request.workflow_literal());
     if let Some(line) = try_fast_path(shared, request, tk)? {
         return Ok(line);
     }
-    let frontend = shared.registry.resolve(format, None, &request.workflow)?;
-    let workflow: Workflow = frontend.import(&request.workflow)?;
+    let text = request.workflow();
+    let frontend = shared.registry.resolve(format, None, &text)?;
+    let workflow: Workflow = frontend.import(&text)?;
+    // The unescaped copy lives only for the import; the job keeps its line.
+    drop(text);
     let n = workflow.num_jobs();
     let key = workflow_key(workflow.dag());
     // The schedule is shared by CSR alone; the rendered bytes also hinge
@@ -314,7 +326,7 @@ fn prioritize_request(
     let out = output_frontend(&shared.registry, request.output.as_deref(), frontend)?;
     let render = |order: &[prio_graph::NodeId]| -> Arc<str> {
         let priorities = Priorities::from_order(order, n);
-        out.export(&workflow, &priorities).into()
+        escape(&out.export(&workflow, &priorities)).into()
     };
     let (cached, rendered) = match shared.cache.get_with_rendered(key, n, rk, out.id()) {
         Some((_, Some(text))) => (true, text),
@@ -339,7 +351,12 @@ fn prioritize_request(
         }
     };
     shared.cache.memo_insert(tk, key, frontend.id(), n, rk);
-    Ok(ok_response(&request.id, out.id().name(), cached, &rendered))
+    Ok(ok_response_literal(
+        &request.id,
+        out.id().name(),
+        cached,
+        &rendered,
+    ))
 }
 
 /// The worker loop: drain the queue until it is closed and empty.
@@ -350,9 +367,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             std::thread::sleep(shared.config.worker_delay);
         }
         let response = handle_prioritize(shared, &job.request, &mut ctx);
-        job.conn.send_line(&response);
+        job.conn.send_line(response);
         let micros = job.enqueued.elapsed().as_micros() as u64;
-        prio_obs::histogram("serve.request.micros").record(micros);
+        histogram!("serve.request.micros").record(micros);
     }
 }
 
@@ -362,25 +379,25 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn handle_line(
     shared: &Arc<Shared>,
     conn: &Arc<Conn>,
-    line: &str,
+    line: String,
     first_version: &mut Option<u64>,
 ) {
     shared.counters.received.fetch_add(1, Ordering::Relaxed);
-    prio_obs::counter("serve.request.received").inc();
-    let request = match parse_request(line, first_version) {
+    counter!("serve.request.received").inc();
+    let request = match WireRequest::decode(line, first_version) {
         Ok(request) => request,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            prio_obs::counter("serve.request.error").inc();
-            conn.send_line(&error_response(e.id.as_deref(), "request", &e.message));
+            counter!("serve.request.error").inc();
+            conn.send_line(error_response(e.id.as_deref(), "request", &e.message));
             return;
         }
     };
     match request.verb {
-        Verb::Ping => conn.send_line(&ping_response(&request.id)),
-        Verb::Stats => conn.send_line(&stats_response(&request.id, &shared.stats())),
+        Verb::Ping => conn.send_line(ping_response(&request.id)),
+        Verb::Stats => conn.send_line(stats_response(&request.id, &shared.stats())),
         Verb::Shutdown => {
-            conn.send_line(&shutdown_response(&request.id));
+            conn.send_line(shutdown_response(&request.id));
             shared.begin_shutdown();
         }
         Verb::Prioritize => {
@@ -391,8 +408,8 @@ fn handle_line(
             };
             if let Err(job) = shared.queue.push(job) {
                 shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                prio_obs::counter("serve.request.overloaded").inc();
-                job.conn.send_line(&overloaded_response(&job.request.id));
+                counter!("serve.request.overloaded").inc();
+                job.conn.send_line(overloaded_response(&job.request.id));
             }
         }
     }
@@ -414,28 +431,43 @@ enum Line {
 /// as [`Line::TooLong`]. A final unterminated fragment (a mid-request
 /// disconnect) is returned as a normal line so it still gets a response
 /// attempt.
-fn read_line_limited(reader: &mut impl BufRead, limit: usize) -> std::io::Result<Line> {
-    let mut line: Vec<u8> = Vec::new();
+///
+/// A line that spans buffer fills is gathered in `spill`, the
+/// connection's reusable buffer, and copied out once complete. Every line
+/// thus costs one allocation of exactly its length, whatever its size, and
+/// a queued job holds no slack.
+fn read_line_limited(
+    reader: &mut impl BufRead,
+    limit: usize,
+    spill: &mut Vec<u8>,
+) -> std::io::Result<Line> {
+    spill.clear();
     let mut discarding = false;
     loop {
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
-            return Ok(match (discarding, line.is_empty()) {
+            return Ok(match (discarding, spill.is_empty()) {
                 (true, _) => Line::TooLong,
                 (false, true) => Line::Eof,
-                (false, false) => Line::Text(String::from_utf8_lossy(&line).into_owned()),
+                (false, false) => Line::Text(into_text(spill.to_vec())),
             });
         }
         let (chunk, terminated) = match buf.iter().position(|&b| b == b'\n') {
             Some(i) => (i, true),
             None => (buf.len(), false),
         };
+        if terminated && spill.is_empty() && !discarding && chunk <= limit {
+            // The whole line is in the buffer: copy it out directly.
+            let line = buf[..chunk].to_vec();
+            reader.consume(chunk + 1);
+            return Ok(Line::Text(into_text(line)));
+        }
         if !discarding {
-            if line.len() + chunk > limit {
+            if spill.len() + chunk > limit {
                 discarding = true;
-                line.clear();
+                spill.clear();
             } else {
-                line.extend_from_slice(&buf[..chunk]);
+                spill.extend_from_slice(&buf[..chunk]);
             }
         }
         reader.consume(chunk + usize::from(terminated));
@@ -443,27 +475,37 @@ fn read_line_limited(reader: &mut impl BufRead, limit: usize) -> std::io::Result
             return Ok(if discarding {
                 Line::TooLong
             } else {
-                Line::Text(String::from_utf8_lossy(&line).into_owned())
+                Line::Text(into_text(spill.to_vec()))
             });
         }
     }
 }
 
+/// The line as text: its own buffer when it is valid UTF-8 (no copy),
+/// else the same bytes with invalid sequences replaced.
+fn into_text(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
 /// The connection reader loop, shared by TCP and stream serving.
 fn read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, reader: &mut impl BufRead) {
     let mut first_version: Option<u64> = None;
+    // Sized like the read buffer up front: grown by doubling from the
+    // first partial line instead, it raised `serve-mix`'s peak RSS by
+    // about 4%.
+    let mut spill = Vec::with_capacity(READ_BUFFER_BYTES);
     loop {
         if shared.shutting_down() {
             return;
         }
-        match read_line_limited(reader, shared.config.max_request_bytes) {
+        match read_line_limited(reader, shared.config.max_request_bytes, &mut spill) {
             Ok(Line::Eof) | Err(_) => return,
             Ok(Line::TooLong) => {
                 shared.counters.received.fetch_add(1, Ordering::Relaxed);
-                prio_obs::counter("serve.request.received").inc();
+                counter!("serve.request.received").inc();
                 shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                prio_obs::counter("serve.request.error").inc();
-                conn.send_line(&error_response(
+                counter!("serve.request.error").inc();
+                conn.send_line(error_response(
                     None,
                     "request",
                     &format!(
@@ -476,7 +518,7 @@ fn read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, reader: &mut impl BufRead) 
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(shared, conn, &line, &mut first_version);
+                handle_line(shared, conn, line, &mut first_version);
             }
         }
     }
@@ -588,7 +630,7 @@ fn accept_loop(
     while !shared.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                prio_obs::counter("serve.conn.accepted").inc();
+                counter!("serve.conn.accepted").inc();
                 let Ok(write_half) = stream.try_clone() else {
                     continue;
                 };
@@ -599,7 +641,7 @@ fn accept_loop(
                 let conn = Conn::new(Box::new(write_half));
                 let shared = Arc::clone(shared);
                 readers.push(std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream);
+                    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
                     read_loop(&shared, &conn, &mut reader);
                 }));
             }
@@ -625,7 +667,7 @@ pub fn serve_streams(
     let shared = Shared::new(config);
     let workers = spawn_workers(&shared);
     let conn = Conn::new(writer);
-    let mut reader = BufReader::new(reader);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
     read_loop(&shared, &conn, &mut reader);
     // Reading is done (the only producer), so close-and-drain is safe:
     // every accepted request still gets its response written.
@@ -790,6 +832,37 @@ mod tests {
         let second = prio_obs::json::parse(&lines[1]).unwrap();
         assert_eq!(get(&second, "status"), Some("ok"));
         assert_eq!((stats.ok, stats.errors), (1, 1));
+    }
+
+    #[test]
+    fn lines_spanning_buffer_fills_hold_exactly_their_bytes() {
+        let long = "x".repeat(40);
+        let input = format!("{long}\nshort\n{}\n{long}\ntail", "y".repeat(70));
+        let mut reader = BufReader::with_capacity(16, input.as_bytes());
+        let mut spill = Vec::new();
+        let mut next = || read_line_limited(&mut reader, 64, &mut spill).unwrap();
+        let mut texts = Vec::new();
+        loop {
+            match next() {
+                Line::Text(line) => {
+                    assert_eq!(line.capacity(), line.len(), "{line:?} holds slack");
+                    texts.push(Some(line));
+                }
+                Line::TooLong => texts.push(None),
+                Line::Eof => break,
+            }
+        }
+        let expected = [
+            Some(long.as_str()),
+            Some("short"),
+            None,
+            Some(&long),
+            Some("tail"),
+        ];
+        assert_eq!(
+            texts.iter().map(Option::as_deref).collect::<Vec<_>>(),
+            expected
+        );
     }
 
     #[test]

@@ -221,14 +221,28 @@ cat > target/serve-smoke/requests.jsonl <<'EOF'
 {"type":"request","id":"stats","verb":"stats"}
 {"type":"request","id":"bye","verb":"shutdown"}
 EOF
+# Memo and escaping requests, sent once the first four answers are in:
+# a verbatim resend of the edges request, and the same workflow spelled
+# with a \u escape.
+cat > target/serve-smoke/memo-requests.jsonl <<'EOF'
+{"type":"request","id":"edges","format":"edges","workflow":"a\tb\na\tc\n"}
+{"type":"request","id":"edges-escaped","format":"edges","workflow":"a\u0009b\na\tc\n"}
+EOF
 exec 3<>"/dev/tcp/127.0.0.1/$serve_port"
-cat target/serve-smoke/requests.jsonl >&3
 : > target/serve-smoke/responses.jsonl
-for _ in 1 2 3 4 5; do
-  IFS= read -r -t 30 line <&3 \
-    || { echo "check.sh: serve smoke: daemon stopped responding" >&2; exit 1; }
-  printf '%s\n' "$line" >> target/serve-smoke/responses.jsonl
-done
+read_responses() {
+  for _ in $(seq 1 "$1"); do
+    IFS= read -r -t 30 line <&3 \
+      || { echo "check.sh: serve smoke: daemon stopped responding" >&2; exit 1; }
+    printf '%s\n' "$line" >> target/serve-smoke/responses.jsonl
+  done
+}
+head -n 4 target/serve-smoke/requests.jsonl >&3
+read_responses 4
+cat target/serve-smoke/memo-requests.jsonl >&3
+read_responses 2
+tail -n 1 target/serve-smoke/requests.jsonl >&3
+read_responses 1
 exec 3<&- 3>&-
 for id in dagman json edges; do
   grep "\"id\":\"$id\"" target/serve-smoke/responses.jsonl | grep -q '"status":"ok"' \
@@ -238,11 +252,18 @@ grep '"id":"stats"' target/serve-smoke/responses.jsonl | grep -q '"cache_hits":'
   || { echo "check.sh: serve smoke: stats verb missing cache counters" >&2; exit 1; }
 grep '"id":"bye"' target/serve-smoke/responses.jsonl | grep -q '"shutdown":true' \
   || { echo "check.sh: serve smoke: shutdown verb not acknowledged" >&2; exit 1; }
+sed -n '5,6p' target/serve-smoke/responses.jsonl | grep '"id":"edges",' | grep -q '"cached":true' \
+  || { echo "check.sh: serve smoke: verbatim resend was not a cache hit" >&2; exit 1; }
+edges_outputs=$(grep -E '"id":"edges(-escaped)?",' target/serve-smoke/responses.jsonl \
+  | sed 's/.*"output"://')
+[ "$(printf '%s\n' "$edges_outputs" | wc -l)" -eq 3 ] \
+  && [ "$(printf '%s\n' "$edges_outputs" | sort -u | wc -l)" -eq 1 ] \
+  || { echo "check.sh: serve smoke: edges resend or escaped variant changed the output" >&2; exit 1; }
 wait "$serve_pid" \
   || { echo "check.sh: serve daemon exited non-zero" >&2; exit 1; }
 grep -q "serve exiting" target/serve-smoke/daemon.stderr \
   || { echo "check.sh: serve daemon exit summary missing" >&2; exit 1; }
-echo "check.sh: serve smoke ok (3-format matrix, stats verb, graceful shutdown)"
+echo "check.sh: serve smoke ok (3-format matrix, memo resend, escaped variant, stats verb, graceful shutdown)"
 run_cargo bench --no-run
 # The end-to-end benchmark runner (benchmark/, declared in BENCHMARK.json)
 # is a workspace of its own; run its unit tests against this checkout.
