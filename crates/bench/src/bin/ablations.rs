@@ -2,9 +2,12 @@
 //! `decompose` and `combine` give the statistically rigorous version).
 //!
 //! 1. Decomposition: bipartite fast path vs general-only minimal-`C(s)`
-//!    search, on growing SDSS-like field stages. The general search is
-//!    quadratic in the number of components, which is the paper's
-//!    "over 2 days" regime; the fast path stays near-linear.
+//!    search, on growing SDSS-like field stages. The general-only arm
+//!    (`fast_path: false`) runs the paper's per-source search every
+//!    iteration and is quadratic in the number of components, which is the
+//!    paper's "over 2 days" regime; the fast path stays near-linear, and
+//!    its own fallback is a linear one-pass search, so the per-source
+//!    search survives only in that arm.
 //! 2. Combine: naive quadratic selection vs the class-cached engine on
 //!    growing superdags of repeated component shapes.
 

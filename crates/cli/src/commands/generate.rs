@@ -1,41 +1,30 @@
 //! `prio generate` — emit a synthetic scientific dag as a workflow file
 //! (DAGMan by default; `--format json|edges` selects another frontend).
+//! `--scale F` builds the same dag `--workload NAME --scale F` loads:
+//! F = 1 is the paper instance, any other finite F > 0 scales down or up.
 
 use crate::args::Args;
 use crate::error::CliError;
 use prio_dagman::registry;
 use prio_ir::Workflow;
-use prio_workloads::{airsn, classic, inspiral, montage, sdss};
+use prio_workloads::spec::scaled_workload;
+use prio_workloads::{airsn, classic};
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let which = args.one_positional()?.to_ascii_lowercase();
     let scale: f64 = args.get_parsed("scale", 1.0)?;
-    let dag = match which.as_str() {
-        "airsn" => {
-            let width: usize = args.get_parsed(
-                "width",
-                (airsn::PAPER_WIDTH as f64 * scale).round() as usize,
-            )?;
-            airsn::airsn(width.max(1))
+    let workflow = match which.as_str() {
+        "fig3" => Workflow::synthetic(classic::fig3_dag()),
+        "airsn" if args.get("width").is_some() => {
+            let width: usize = args.get_parsed("width", airsn::PAPER_WIDTH)?;
+            Workflow::synthetic(airsn::airsn(width.max(1)))
         }
-        "inspiral" => inspiral::inspiral(if scale < 1.0 {
-            inspiral::InspiralParams::scaled(scale)
-        } else {
-            inspiral::InspiralParams::default()
-        }),
-        "montage" => montage::montage(if scale < 1.0 {
-            montage::MontageParams::scaled(scale)
-        } else {
-            montage::MontageParams::default()
-        }),
-        "sdss" => sdss::sdss(if scale < 1.0 {
-            sdss::SdssParams::scaled(scale)
-        } else {
-            sdss::SdssParams::default()
-        }),
-        "fig3" => classic::fig3_dag(),
-        other => return Err(CliError::usage(format!("unknown workload {other:?}"))),
+        name => {
+            scaled_workload(name, scale)
+                .map_err(|e| CliError::usage(e.to_string()))?
+                .workflow
+        }
     };
     let reg = registry();
     let frontend = match args.get("format") {
@@ -46,7 +35,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             CliError::usage(format!("unknown --format {name:?} (dagman|json|edges)"))
         })?,
     };
-    let workflow = Workflow::synthetic(dag);
     let text = frontend.export(&workflow, workflow.priorities());
     let dag = workflow.dag();
     match args.get("output") {

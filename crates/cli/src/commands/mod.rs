@@ -21,7 +21,7 @@ use crate::error::CliError;
 use prio_dagman::registry;
 use prio_graph::Dag;
 use prio_ir::{FormatRegistry, Frontend, ResolveError, Workflow};
-use prio_workloads::spec::{paper_workload, scaled_suite};
+use prio_workloads::spec::scaled_workload;
 
 /// Resolves which frontend handles `text` ([`FormatRegistry::resolve`]):
 /// an explicit `--format` name wins, otherwise the registry auto-detects
@@ -62,19 +62,12 @@ pub fn named_frontend<'r>(
 
 /// Loads the workflow a subcommand operates on: either a workflow file
 /// path (positional, format from `--format` or auto-detected) or
-/// `--workload NAME` with optional `--scale F`.
+/// `--workload NAME` with optional `--scale F` (any finite F > 0; 1 is the
+/// paper instance, above 1 scales up).
 pub fn load_workflow(args: &Args) -> Result<(String, Workflow), CliError> {
     if let Some(name) = args.get("workload") {
-        let scale: f64 = args.get_parsed("scale", 1.0)?;
-        let workload = if (scale - 1.0).abs() < f64::EPSILON {
-            paper_workload(name)
-                .ok_or_else(|| CliError::usage(format!("unknown workload {name:?}")))?
-        } else {
-            scaled_suite(scale)
-                .into_iter()
-                .find(|w| w.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| CliError::usage(format!("unknown workload {name:?}")))?
-        };
+        let workload = scaled_workload(name, args.get_parsed("scale", 1.0)?)
+            .map_err(|e| CliError::usage(e.to_string()))?;
         Ok((
             format!("{} ({} jobs)", workload.name, workload.dag().num_nodes()),
             workload.workflow,

@@ -215,6 +215,11 @@ MODES (instrument --mode, DAGMan input only):
     priority a PRIORITY <job> P line per job; DAGMan sets JobPrio from it,
              so submit files are left unchanged
 
+WORKLOADS (--workload NAME, generate NAME):
+    airsn, inspiral, montage, sdss; --scale F takes any finite F > 0:
+    1 is the paper instance (the default), below 1 scales down, above 1
+    scales up (AIRSN by width, the others by their stage parameters)
+
 FORMATS (--format / --from / --to):
     auto     detect by file extension, then by content (default)
     dagman   DAGMan input files            (*.dag)
@@ -246,6 +251,7 @@ SUBCOMMANDS:
     schedule    print the schedule, one job name per line
     compare     print E_PRIO(t) - E_FIFO(t) per step (the paper's Fig. 4)
     generate    emit a synthetic scientific dag as a DAGMan file
+                (--scale F builds the same dag as --workload NAME --scale F)
     simulate    compare PRIO vs FIFO under the stochastic grid model;
                 --fault-rate/--retries/--backoff/--worker-mttf inject
                 seeded job faults, DAGMan-style retries, and pool churn

@@ -167,6 +167,79 @@ fn stats_reports_components() {
 }
 
 #[test]
+fn scale_above_one_scales_up() {
+    let dir = tempdir("scale-up");
+    // Inspiral at 2x: 4 + 802 + 3 * 668 + 3 * 1054 jobs, one per line.
+    let out = prio(
+        &["schedule", "--workload", "inspiral", "--scale", "2"],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap().lines().count(),
+        5_972
+    );
+    let out = prio(
+        &["generate", "inspiral", "--scale", "2", "--output", "i2.dag"],
+        &dir,
+    );
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("(5972 jobs)"));
+    // AIRSN scales by width: 500 wide is 3 * 500 + 23 jobs.
+    let out = prio(&["stats", "--workload", "airsn", "--scale", "2"], &dir);
+    assert!(out.status.success());
+    assert!(String::from_utf8(out.stdout).unwrap().contains("1523"));
+}
+
+#[test]
+fn non_positive_or_non_finite_scale_is_a_usage_error() {
+    let dir = tempdir("bad-scale");
+    for scale in ["0", "nan", "-1", "inf"] {
+        for args in [
+            vec!["schedule", "--workload", "inspiral", "--scale", scale],
+            vec!["generate", "inspiral", "--scale", scale],
+        ] {
+            let out = prio(&args, &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("scale must be"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
+    }
+}
+
+#[test]
+fn generate_and_workload_build_the_same_dag() {
+    let dir = tempdir("scale-paths");
+    for (name, scale) in [
+        ("inspiral", "2"),
+        ("montage", "0.1"),
+        ("airsn", "0.3"),
+        ("sdss", "0.01"),
+        ("airsn", "1"),
+    ] {
+        let file = format!("{name}-{scale}.dag");
+        let out = prio(
+            &["generate", name, "--scale", scale, "--output", &file],
+            &dir,
+        );
+        assert!(out.status.success(), "generate {name} --scale {scale}");
+        let from_file = prio(&["schedule", &file], &dir);
+        let from_workload = prio(&["schedule", "--workload", name, "--scale", scale], &dir);
+        assert!(from_file.status.success() && from_workload.status.success());
+        assert!(!from_file.stdout.is_empty());
+        assert_eq!(
+            from_file.stdout, from_workload.stdout,
+            "{name} --scale {scale}: generate and --workload differ"
+        );
+    }
+}
+
+#[test]
 fn simulate_smoke() {
     let dir = tempdir("simulate");
     let out = prio(

@@ -16,6 +16,15 @@
 //! [`DecomposeOptions::fast_path`] toggles the optimization so the ablation
 //! benchmark can quantify it.
 //!
+//! The fast path's fallback is linear: `C(s)` is the set a source reaches
+//! in the remnant's *closure graph* (alive parents of every node, plus
+//! children of every remnant source), and a closure is containment-minimal
+//! exactly when no closure-graph arc leaves its strongly connected
+//! component, so one Tarjan pass from the sources finds every minimal
+//! closure at once. The paper's per-source search — one `C(s)` per source,
+//! O(sources × closure) — survives only as the `fast_path: false` ablation
+//! arm and as the linear search's test oracle.
+//!
 //! Detaching removes the block's non-sinks plus those of its sinks that are
 //! sinks of `G'`; a sink with surviving children stays and becomes a source
 //! of a later component. The **superdag** is the quotient of `G'` by the
@@ -116,6 +125,10 @@ pub struct Decomposition {
     /// over every attempt: a deterministic measure of the fast path's
     /// work (wall time on a shared machine is noise).
     pub block_parent_visits: usize,
+    /// Closure-graph adjacency entries the general searches examined,
+    /// summed over every search: the general search's deterministic work
+    /// measure, in both [`DecomposeOptions::fast_path`] arms.
+    pub closure_visits: usize,
 }
 
 /// Decomposes `g` (assumed shortcut-free; the caller runs the transitive
@@ -150,21 +163,22 @@ pub fn decompose_in(
     arena: &mut ScratchArena,
 ) -> Decomposition {
     let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
-    let (seeds, comp_removed, general_search_iterations, block_parent_visits) =
-        peel(g, opts, arena);
+    let (seeds, comp_removed, work) = peel(g, opts, arena);
     let superdag = build_superdag(g, &seeds, &comp_removed, threads);
     let parts = materialize_parts(g, seeds, threads);
 
     prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
     prio_obs::counter("core.decompose.general_search_iterations")
-        .add(general_search_iterations as u64);
-    prio_obs::counter("core.decompose.block_parent_visits").add(block_parent_visits as u64);
+        .add(work.general_search_iterations as u64);
+    prio_obs::counter("core.decompose.block_parent_visits").add(work.block_parent_visits as u64);
+    prio_obs::counter("core.decompose.closure_visits").add(work.closure_visits as u64);
     Decomposition {
         parts,
         superdag,
         comp_removed,
-        general_search_iterations,
-        block_parent_visits,
+        general_search_iterations: work.general_search_iterations,
+        block_parent_visits: work.block_parent_visits,
+        closure_visits: work.closure_visits,
     }
 }
 
@@ -177,15 +191,24 @@ struct PartSeed {
     via_fast_path: bool,
 }
 
+/// The peel loop's work counters (see the same-named [`Decomposition`]
+/// fields).
+#[derive(Debug, Default)]
+struct PeelWork {
+    general_search_iterations: usize,
+    block_parent_visits: usize,
+    closure_visits: usize,
+}
+
 /// The peel loop: repeatedly picks a block (bipartite fast path, general
 /// minimal-`C(s)` search as fallback) and detaches it from the remnant.
-/// Returns the part seeds in detach order, the removed-in-part map, the
-/// general-search iteration count and the block attempts' parent visits.
+/// Returns the part seeds in detach order, the removed-in-part map and the
+/// work counters.
 fn peel(
     g: &Dag,
     opts: DecomposeOptions,
     arena: &mut ScratchArena,
-) -> (Vec<PartSeed>, Vec<usize>, usize, usize) {
+) -> (Vec<PartSeed>, Vec<usize>, PeelWork) {
     let _span = prio_obs::span("decompose.peel");
     let n = g.num_nodes();
     let mut alive = arena.take_bools();
@@ -208,7 +231,7 @@ fn peel(
             }
         }
     }
-    let mut block_parent_visits = 0usize;
+    let mut work = PeelWork::default();
     // Candidate remnant sources as a lazy min-heap: entries may be stale
     // (node removed, deferred, or duplicated) and are validated on pop.
     // The heap replaces an ordered source *set* — membership deletions
@@ -219,12 +242,14 @@ fn peel(
     let mut comp_removed = vec![usize::MAX; n];
     let mut remaining = n;
     let mut seeds: Vec<PartSeed> = Vec::new();
-    let mut general_search_iterations = 0usize;
 
-    // Scratch for the closure searches (stamped visited marks).
+    // Scratch for the block and closure searches (stamped visited marks),
+    // plus the linear general search's tables, taken on first use: most
+    // dags never need the general search.
     let mut stamp_of = arena.take_u32s();
     stamp_of.resize(n, 0);
     let mut stamp = 0u32;
+    let mut scc: Option<SccScratch> = None;
 
     // Failure deferral for the fast path. A failed seed attempt visits a
     // set of sources and fails at one sink with a nonzero `blocking`
@@ -297,7 +322,7 @@ fn peel(
                     &mut stamp_of,
                     stamp,
                     arena,
-                    &mut block_parent_visits,
+                    &mut work.block_parent_visits,
                 );
                 match attempt {
                     Ok(nodes) => {
@@ -325,48 +350,56 @@ fn peel(
         let nodes = match block {
             Some(nodes) => nodes,
             None => {
-                // General search: compute C(s) for every remnant source and
-                // take a containment-minimal one (smallest size; minimal
-                // closures are equal or disjoint, so smallest size suffices).
-                general_search_iterations += 1;
-                // Current remnant sources, ascending. With the fast path
-                // on, the candidate heap is exhausted here (every source is
-                // deferred), so recover them by scanning; with it off, the
-                // heap still holds them all (plus stale entries, filtered
-                // out) and survivors are pushed back for later iterations.
-                let srcs: Vec<NodeId> = if opts.fast_path {
-                    (0..n)
+                // General search: a containment-minimal C(s) over the
+                // remnant sources (smallest size first, then smallest
+                // source id; minimal closures are equal or disjoint, so
+                // the smallest one is minimal).
+                work.general_search_iterations += 1;
+                let _span = prio_obs::span("decompose.general_search");
+                let remnant = Remnant {
+                    g,
+                    alive: &alive,
+                    alive_indeg: &alive_indeg,
+                };
+                if opts.fast_path {
+                    // The candidate heap is exhausted here (every source
+                    // is deferred), so the sources are recovered by
+                    // scanning, and one linear pass finds the closure.
+                    stamp += 1;
+                    let scc = scc.get_or_insert_with(|| SccScratch::take(arena, n));
+                    let srcs = (0..n)
                         .map(|i| NodeId(i as u32))
-                        .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0)
-                        .collect()
+                        .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0);
+                    minimal_closure(
+                        remnant,
+                        srcs,
+                        &mut stamp_of,
+                        stamp,
+                        scc,
+                        arena,
+                        &mut work.closure_visits,
+                    )
                 } else {
-                    let mut v: Vec<NodeId> = candidates
+                    // The heap still holds every source (plus stale
+                    // entries, filtered out); survivors are pushed back
+                    // for later iterations.
+                    let mut srcs: Vec<NodeId> = candidates
                         .drain()
                         .map(|Reverse(u)| u)
                         .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0)
                         .collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    candidates.extend(v.iter().copied().map(Reverse));
-                    v
-                };
-                let mut best: Option<(usize, NodeId, Vec<NodeId>)> = None;
-                for &s in srcs.iter() {
-                    stamp += 1;
-                    let c = closure(g, &alive, &alive_indeg, s, &mut stamp_of, stamp, arena);
-                    let better = match &best {
-                        None => true,
-                        Some((size, seed, _)) => c.len() < *size || (c.len() == *size && s < *seed),
-                    };
-                    if better {
-                        if let Some((_, _, old)) = best.replace((c.len(), s, c)) {
-                            arena.put_nodes(old);
-                        }
-                    } else {
-                        arena.put_nodes(c);
-                    }
+                    srcs.sort_unstable();
+                    srcs.dedup();
+                    candidates.extend(srcs.iter().copied().map(Reverse));
+                    minimal_closure_per_source(
+                        remnant,
+                        &srcs,
+                        &mut stamp_of,
+                        &mut stamp,
+                        arena,
+                        &mut work.closure_visits,
+                    )
                 }
-                best.expect("at least one source exists").2
             }
         };
 
@@ -424,12 +457,10 @@ fn peel(
     arena.put_u32s(alive_indeg);
     arena.put_u32s(blocking);
     arena.put_u32s(stamp_of);
-    (
-        seeds,
-        comp_removed,
-        general_search_iterations,
-        block_parent_visits,
-    )
+    if let Some(scc) = scc {
+        scc.put(arena);
+    }
+    (seeds, comp_removed, work)
 }
 
 /// Builds each seed's local induced dag and bipartiteness flag — the
@@ -600,26 +631,85 @@ fn bipartite_block(
     Ok(nodes)
 }
 
+/// The remnant of `G'` a general search runs on. It is descendant-closed
+/// (children of alive nodes are alive), and `alive_indeg[u] == 0` marks
+/// the remnant sources among the alive nodes.
+#[derive(Clone, Copy)]
+struct Remnant<'a> {
+    g: &'a Dag,
+    alive: &'a [bool],
+    alive_indeg: &'a [u32],
+}
+
+impl Remnant<'_> {
+    /// Entry `i` of `v`'s closure-graph adjacency: `v`'s parents, then —
+    /// if `v` is a remnant source — its children. Dead parents are listed
+    /// too; callers skip them.
+    fn closure_arc(&self, v: NodeId, i: usize) -> Option<NodeId> {
+        let parents = self.g.parents(v);
+        match parents.get(i) {
+            Some(&p) => Some(p),
+            None if self.alive_indeg[v.index()] == 0 => {
+                self.g.children(v).get(i - parents.len()).copied()
+            }
+            None => None,
+        }
+    }
+}
+
+/// The paper's general search: builds `C(s)` for every source in `srcs`
+/// (ascending) and keeps the smallest, ties to the smallest source id.
+/// O(sources × closure) — the `fast_path: false` ablation arm, and the
+/// oracle for [`minimal_closure`]. Returns the sorted node set.
+fn minimal_closure_per_source(
+    r: Remnant,
+    srcs: &[NodeId],
+    stamp_of: &mut [u32],
+    stamp: &mut u32,
+    arena: &mut ScratchArena,
+    visits: &mut usize,
+) -> Vec<NodeId> {
+    let mut best: Option<(usize, NodeId, Vec<NodeId>)> = None;
+    for &s in srcs {
+        *stamp += 1;
+        let c = closure(r, s, stamp_of, *stamp, arena, visits);
+        let better = match &best {
+            None => true,
+            Some((size, seed, _)) => c.len() < *size || (c.len() == *size && s < *seed),
+        };
+        if better {
+            if let Some((_, _, old)) = best.replace((c.len(), s, c)) {
+                arena.put_nodes(old);
+            }
+        } else {
+            arena.put_nodes(c);
+        }
+    }
+    best.expect("at least one source exists").2
+}
+
 /// The general closure `C(s)`: smallest set containing `s`, closed under
 /// children-of-contained-remnant-sources and alive-parents-of-contained
-/// jobs. Returns the sorted node set.
+/// jobs. Returns the sorted node set; `visits` accumulates the adjacency
+/// entries examined.
 fn closure(
-    g: &Dag,
-    alive: &[bool],
-    alive_indeg: &[u32],
+    r: Remnant,
     s: NodeId,
     stamp_of: &mut [u32],
     stamp: u32,
     arena: &mut ScratchArena,
+    visits: &mut usize,
 ) -> Vec<NodeId> {
+    let g = r.g;
     let mut nodes = arena.take_nodes();
     let mut queue = arena.take_nodes();
     nodes.push(s);
     queue.push(s);
     stamp_of[s.index()] = stamp;
     while let Some(u) = queue.pop() {
-        if alive_indeg[u.index()] == 0 {
+        if r.alive_indeg[u.index()] == 0 {
             // u is a remnant source: include all its (alive) children.
+            *visits += g.children(u).len();
             for &w in g.children(u) {
                 if stamp_of[w.index()] != stamp {
                     stamp_of[w.index()] = stamp;
@@ -629,8 +719,9 @@ fn closure(
             }
         }
         // Include all alive parents of u.
+        *visits += g.parents(u).len();
         for &p in g.parents(u) {
-            if alive[p.index()] && stamp_of[p.index()] != stamp {
+            if r.alive[p.index()] && stamp_of[p.index()] != stamp {
                 stamp_of[p.index()] = stamp;
                 nodes.push(p);
                 queue.push(p);
@@ -642,9 +733,170 @@ fn closure(
     nodes
 }
 
+/// `low` value of a node whose component [`minimal_closure`] has
+/// finished.
+const FINISHED: u32 = u32::MAX;
+
+/// Tables for [`minimal_closure`]'s Tarjan pass, taken from the arena on a
+/// peel's first general search and returned when the peel ends, so
+/// repeated searches allocate nothing.
+struct SccScratch {
+    /// DFS discovery index per node (valid while stamped).
+    index: Vec<u32>,
+    /// Tarjan lowlink per node; [`FINISHED`] once its component is done.
+    low: Vec<u32>,
+    /// Tarjan's stack: visited nodes whose component is still open.
+    open: Vec<NodeId>,
+    /// The DFS path.
+    path: Vec<NodeId>,
+    /// Per path entry: the next closure-graph adjacency entry to examine.
+    cursor: Vec<u32>,
+    /// Per path entry: whether a closure-graph arc from the entry's DFS
+    /// subtree leaves the entry's component.
+    leaves: Vec<bool>,
+}
+
+impl SccScratch {
+    fn take(arena: &mut ScratchArena, n: usize) -> Self {
+        let mut index = arena.take_u32s();
+        index.resize(n, 0);
+        let mut low = arena.take_u32s();
+        low.resize(n, 0);
+        SccScratch {
+            index,
+            low,
+            open: arena.take_nodes(),
+            path: arena.take_nodes(),
+            cursor: arena.take_u32s(),
+            leaves: arena.take_bools(),
+        }
+    }
+
+    fn put(self, arena: &mut ScratchArena) {
+        arena.put_u32s(self.index);
+        arena.put_u32s(self.low);
+        arena.put_nodes(self.open);
+        arena.put_nodes(self.path);
+        arena.put_u32s(self.cursor);
+        arena.put_bools(self.leaves);
+    }
+
+    /// Discovers `v`: numbers it and pushes it on the open stack and the
+    /// DFS path.
+    fn discover(&mut self, v: NodeId, next_index: &mut u32) {
+        self.index[v.index()] = *next_index;
+        self.low[v.index()] = *next_index;
+        *next_index += 1;
+        self.open.push(v);
+        self.path.push(v);
+        self.cursor.push(0);
+        self.leaves.push(false);
+    }
+}
+
+/// The linear general search. In the remnant's closure graph H every
+/// alive node points to its alive parents and every remnant source also
+/// to its children, so `C(s)` is the set H reaches from `s`. Every alive
+/// non-source has an alive parent, so every node of H reaches a source;
+/// hence `C(s)` is containment-minimal exactly when no H-arc leaves `s`'s
+/// strongly connected component — an arc into another component reaches
+/// a source whose closure `C(s)` strictly contains — and then `C(s)` *is*
+/// that component. One iterative Tarjan pass from `srcs` (ascending)
+/// finishes each component with its "an arc leaves" flag, and the best
+/// closed component with a source wins by the per-source search's rule:
+/// smallest size, then smallest source id. Each node and adjacency entry
+/// is visited once: O(V + E). Returns the sorted node set.
+fn minimal_closure(
+    r: Remnant,
+    srcs: impl Iterator<Item = NodeId>,
+    stamp_of: &mut [u32],
+    stamp: u32,
+    scc: &mut SccScratch,
+    arena: &mut ScratchArena,
+    visits: &mut usize,
+) -> Vec<NodeId> {
+    let mut best = arena.take_nodes();
+    let mut best_key: Option<(usize, NodeId)> = None;
+    let mut next_index = 0u32;
+    for s in srcs {
+        if stamp_of[s.index()] == stamp {
+            continue;
+        }
+        stamp_of[s.index()] = stamp;
+        scc.discover(s, &mut next_index);
+        while let Some(&v) = scc.path.last() {
+            let top = scc.path.len() - 1;
+            if let Some(w) = r.closure_arc(v, scc.cursor[top] as usize) {
+                scc.cursor[top] += 1;
+                *visits += 1;
+                if !r.alive[w.index()] {
+                    continue;
+                }
+                if stamp_of[w.index()] != stamp {
+                    stamp_of[w.index()] = stamp;
+                    scc.discover(w, &mut next_index);
+                } else if scc.low[w.index()] == FINISHED {
+                    scc.leaves[top] = true;
+                } else {
+                    // w is open, hence in v's component.
+                    scc.low[v.index()] = scc.low[v.index()].min(scc.index[w.index()]);
+                }
+                continue;
+            }
+            // v's adjacency is exhausted: retreat.
+            scc.path.pop();
+            scc.cursor.pop();
+            let leaves = scc.leaves.pop().expect("one flag per path entry");
+            if scc.low[v.index()] == scc.index[v.index()] {
+                // v roots a component: the open stack from v up.
+                let at = scc
+                    .open
+                    .iter()
+                    .rposition(|&u| u == v)
+                    .expect("a root is open");
+                let comp = &scc.open[at..];
+                let src = comp
+                    .iter()
+                    .copied()
+                    .filter(|u| r.alive_indeg[u.index()] == 0)
+                    .min();
+                if let (false, Some(src)) = (leaves, src) {
+                    let key = (comp.len(), src);
+                    if best_key.is_none_or(|b| key < b) {
+                        best_key = Some(key);
+                        best.clear();
+                        best.extend_from_slice(comp);
+                    }
+                }
+                for &u in comp {
+                    scc.low[u.index()] = FINISHED;
+                }
+                scc.open.truncate(at);
+                // The tree arc into v leaves the DFS parent's component.
+                if let Some(parent_leaves) = scc.leaves.last_mut() {
+                    *parent_leaves = true;
+                }
+            } else {
+                // v's DFS parent is in v's component.
+                let parent = *scc.path.last().expect("a non-root has a DFS parent");
+                scc.low[parent.index()] = scc.low[parent.index()].min(scc.low[v.index()]);
+                *scc.leaves.last_mut().expect("parent flag") |= leaves;
+            }
+        }
+    }
+    assert!(best_key.is_some(), "at least one source exists");
+    best.sort_unstable();
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prio_workloads::inspiral::{inspiral, InspiralParams};
+    use prio_workloads::random_dag::{forward_pairs, layered, LayeredParams};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn decompose_default(g: &Dag) -> Decomposition {
         decompose(g, DecomposeOptions::default())
@@ -741,11 +993,15 @@ mod tests {
         assert_eq!(dec.comp_removed[1], 1);
     }
 
+    /// Both sources' closures include internal nodes, so no bipartite
+    /// block exists: 0->4, 2->4, 1->2, 1->5, 3->5, 0->3.
+    fn entangled_dag() -> Dag {
+        Dag::from_arcs(6, &[(0, 4), (2, 4), (1, 2), (1, 5), (3, 5), (0, 3)]).unwrap()
+    }
+
     #[test]
     fn entangled_dag_falls_back_to_general_search() {
-        // Both sources' closures include internal nodes, so no bipartite
-        // block exists: 0->4, 2->4, 1->2, 1->5, 3->5, 0->3.
-        let g = Dag::from_arcs(6, &[(0, 4), (2, 4), (1, 2), (1, 5), (3, 5), (0, 3)]).unwrap();
+        let g = entangled_dag();
         let dec = decompose_default(&g);
         check_invariants(&g, &dec);
         assert_eq!(dec.parts.len(), 1);
@@ -812,5 +1068,214 @@ mod tests {
         assert_eq!(dec.parts.len(), 1);
         assert!(dec.parts[0].bipartite);
         assert_eq!(dec.parts[0].nonsinks().len(), 4);
+    }
+
+    /// A random topological order of `g`: Kahn's algorithm picking a
+    /// uniformly random ready node each step.
+    fn random_topo_order(g: &Dag, rng: &mut SmallRng) -> Vec<NodeId> {
+        let mut indeg: Vec<usize> = g.node_ids().map(|u| g.in_degree(u)).collect();
+        let mut ready: Vec<NodeId> = g.sources().collect();
+        let mut order = Vec::with_capacity(g.num_nodes());
+        while !ready.is_empty() {
+            let u = ready.swap_remove(rng.gen_range(0..ready.len()));
+            order.push(u);
+            for &v in g.children(u) {
+                indeg[v.index()] -= 1;
+                if indeg[v.index()] == 0 {
+                    ready.push(v);
+                }
+            }
+        }
+        order
+    }
+
+    /// The remnant left by removing `removed`: alive flags and alive
+    /// in-degrees, as `peel` keeps them.
+    fn remnant_state(g: &Dag, removed: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
+        let mut alive = vec![true; g.num_nodes()];
+        for &u in removed {
+            alive[u.index()] = false;
+        }
+        let alive_indeg = g
+            .node_ids()
+            .map(|u| g.parents(u).iter().filter(|p| alive[p.index()]).count() as u32)
+            .collect();
+        (alive, alive_indeg)
+    }
+
+    /// Whether some remnant source grows a bipartite block, i.e. whether
+    /// the fast path would detach one instead of searching.
+    fn has_bipartite_block(r: Remnant) -> bool {
+        let g = r.g;
+        let is_source = |u: NodeId| r.alive[u.index()] && r.alive_indeg[u.index()] == 0;
+        let blocking: Vec<u32> = g
+            .node_ids()
+            .map(|w| {
+                let parents = g.parents(w).iter();
+                parents
+                    .filter(|&&p| r.alive[p.index()] && !is_source(p))
+                    .count() as u32
+            })
+            .collect();
+        let mut stamp_of = vec![0u32; g.num_nodes()];
+        let mut arena = ScratchArena::new();
+        let mut visits = 0;
+        g.node_ids()
+            .filter(|&s| is_source(s))
+            .enumerate()
+            .any(|(i, s)| {
+                let stamp = i as u32 + 1;
+                let attempt = bipartite_block(
+                    g,
+                    r.alive,
+                    &blocking,
+                    s,
+                    &mut stamp_of,
+                    stamp,
+                    &mut arena,
+                    &mut visits,
+                );
+                attempt.is_ok()
+            })
+    }
+
+    /// Runs both general searches on the remnant and returns their picks.
+    fn both_searches(r: Remnant) -> (Vec<NodeId>, Vec<NodeId>) {
+        let n = r.g.num_nodes();
+        let srcs: Vec<NodeId> =
+            r.g.node_ids()
+                .filter(|u| r.alive[u.index()] && r.alive_indeg[u.index()] == 0)
+                .collect();
+        let mut arena = ScratchArena::new();
+        let mut stamp_of = vec![0u32; n];
+        let mut stamp = 1;
+        let mut visits = 0;
+        let mut scc = SccScratch::take(&mut arena, n);
+        let linear = minimal_closure(
+            r,
+            srcs.iter().copied(),
+            &mut stamp_of,
+            stamp,
+            &mut scc,
+            &mut arena,
+            &mut visits,
+        );
+        let oracle = minimal_closure_per_source(
+            r,
+            &srcs,
+            &mut stamp_of,
+            &mut stamp,
+            &mut arena,
+            &mut visits,
+        );
+        (linear, oracle)
+    }
+
+    /// A base dag for the oracle test, by kind. A remnant of a plain
+    /// layered dag always has a bipartite block (any source in the lowest
+    /// alive layer grows one), so the layered kind adds random arcs that
+    /// skip one layer.
+    fn oracle_base(kind: u8, rng: &mut SmallRng) -> Dag {
+        match kind {
+            0 => {
+                let (layers, width) = (rng.gen_range(3..6), rng.gen_range(2..6));
+                let p = LayeredParams {
+                    layers,
+                    width,
+                    arc_prob: 0.2 + 0.4 * rng.gen::<f64>(),
+                };
+                let base = layered(p, rng);
+                let mut arcs: Vec<(u32, u32)> = base.arcs().map(|(u, v)| (u.0, v.0)).collect();
+                for u in 0..(layers - 2) * width {
+                    let next_next = (u / width + 2) * width;
+                    for v in next_next..next_next + width {
+                        if rng.gen_bool(0.15) {
+                            arcs.push((u as u32, v as u32));
+                        }
+                    }
+                }
+                Dag::from_arcs(layers * width, &arcs).unwrap()
+            }
+            1 => forward_pairs(rng.gen_range(4..16), 0.15 + 0.35 * rng.gen::<f64>(), rng),
+            2 => entangled_dag(),
+            _ => inspiral(InspiralParams {
+                pre_width: rng.gen_range(1..4),
+                ring_k: rng.gen_range(2..6),
+                post_width: rng.gen_range(1..4),
+            }),
+        }
+    }
+
+    /// Two disjoint copies of `base` under a random node numbering, and
+    /// each copy's base-id → id map.
+    fn twin_copies(base: &Dag, rng: &mut SmallRng) -> (Dag, Vec<Vec<u32>>) {
+        let n = base.num_nodes();
+        let mut ids: Vec<u32> = (0..2 * n as u32).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..i + 1));
+        }
+        let copies = vec![ids[..n].to_vec(), ids[n..].to_vec()];
+        let arcs: Vec<(u32, u32)> = base
+            .arcs()
+            .flat_map(|(u, v)| copies.iter().map(move |c| (c[u.index()], c[v.index()])))
+            .collect();
+        (Dag::from_arcs(2 * n, &arcs).unwrap(), copies)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The linear search picks the same closure as the per-source
+        /// search — same nodes, same smallest-size/smallest-id tie-break —
+        /// on every descendant-closed remnant (a suffix of a random
+        /// topological order) that has no bipartite block, i.e. on every
+        /// remnant where the fast path falls back to the general search.
+        /// `twin` cuts two renumbered copies of the base alike, so every
+        /// minimal closure has an equal-size twin, the smallest-source-id
+        /// tie-break decides, and DFS order no longer follows id order.
+        #[test]
+        fn linear_search_matches_per_source_oracle(
+            kind in 0u8..4,
+            twin in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let base = oracle_base(kind, &mut rng);
+            let order = random_topo_order(&base, &mut rng);
+            let (g, copies) = if twin {
+                twin_copies(&base, &mut rng)
+            } else {
+                let identity = base.node_ids().map(|u| u.0).collect();
+                (base, vec![identity])
+            };
+            let mut searched = 0;
+            for cut in 0..order.len() {
+                let removed: Vec<NodeId> = copies
+                    .iter()
+                    .flat_map(|c| order[..cut].iter().map(|u| NodeId(c[u.index()])))
+                    .collect();
+                let (alive, alive_indeg) = remnant_state(&g, &removed);
+                let r = Remnant { g: &g, alive: &alive, alive_indeg: &alive_indeg };
+                if has_bipartite_block(r) {
+                    continue;
+                }
+                searched += 1;
+                let (linear, oracle) = both_searches(r);
+                prop_assert_eq!(linear, oracle, "kind {} twin {} seed {} cut {}", kind, twin, seed, cut);
+            }
+            // The entangled dag has no bipartite block before any cut.
+            prop_assert!(kind != 2 || searched > 0);
+        }
+    }
+
+    #[test]
+    fn both_arms_count_closure_visits() {
+        let g = entangled_dag();
+        for fast_path in [true, false] {
+            let dec = decompose(&g, DecomposeOptions { fast_path });
+            assert!(dec.closure_visits > 0, "fast_path {fast_path}");
+        }
+        let (g, _) = crate::families::w_dag(4, 3);
+        assert_eq!(decompose_default(&g).closure_visits, 0);
     }
 }

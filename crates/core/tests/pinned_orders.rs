@@ -1,5 +1,6 @@
 //! The PRIO order on the four paper workflows is pinned by hash, and the
-//! peel loop's work on SDSS is bounded to grow about linearly with size.
+//! peel loop's work on SDSS and the general search's work on Inspiral are
+//! bounded to grow about linearly with size.
 //!
 //! The hashes were captured before the peel loop switched from rescanning
 //! a join's parent list on every retried block attempt to per-node counts
@@ -10,7 +11,7 @@ use prio_core::decompose::{decompose, DecomposeOptions};
 use prio_core::Prioritizer;
 use prio_graph::reduction::{remove_arcs, shortcut_arcs};
 use prio_graph::Dag;
-use prio_workloads::{sdss, spec};
+use prio_workloads::{inspiral, sdss, spec};
 
 /// FNV-1a over the order's node indices, little-endian `u32` each.
 fn order_hash(order: &[prio_graph::NodeId]) -> u64 {
@@ -62,5 +63,30 @@ fn sdss_peel_work_grows_about_linearly() {
     assert!(
         visit_ratio <= 1.25 * job_ratio,
         "parent visits grew {visit_ratio:.2}x for {job_ratio:.2}x the jobs ({small} -> {full})"
+    );
+}
+
+/// The general search's closure-graph visits on Inspiral — its entangled
+/// ring needs the search once — stay about linear in its size: from the
+/// paper instance to 8x it (2,988 -> 23,876 jobs), the visits may grow at
+/// most 1.25x the job ratio. The per-source search built `C(s)` for every
+/// ring source, so its visits grew about 64x there.
+#[test]
+fn inspiral_general_search_work_grows_about_linearly() {
+    let visits = |dag: Dag| -> (usize, usize) {
+        let reduced = remove_arcs(&dag, &shortcut_arcs(&dag));
+        let dec = decompose(&reduced, DecomposeOptions::default());
+        assert_eq!(dec.general_search_iterations, 1);
+        (dag.num_nodes(), dec.closure_visits)
+    };
+    let (small_jobs, small) = visits(inspiral::inspiral_paper());
+    let (big_jobs, big) = visits(inspiral::inspiral(inspiral::InspiralParams::scaled(8.0)));
+    assert_eq!((small_jobs, big_jobs), (2_988, 23_876));
+    assert!(small > 0);
+    let job_ratio = big_jobs as f64 / small_jobs as f64;
+    let visit_ratio = big as f64 / small as f64;
+    assert!(
+        visit_ratio <= 1.25 * job_ratio,
+        "closure visits grew {visit_ratio:.2}x for {job_ratio:.2}x the jobs ({small} -> {big})"
     );
 }

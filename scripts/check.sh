@@ -195,6 +195,30 @@ json_prios=$(grep -o '"priority":' target/json-smoke/sdss.prio.json | wc -l)
 [ "$json_prios" -eq 48013 ] \
   || { echo "check.sh: paper-size SDSS JSON has $json_prios priorities, want 48013" >&2; exit 1; }
 echo "check.sh: paper-size SDSS JSON ok (fixed-point convert, 48,013 priorities)"
+# Scaled Inspiral smoke: `prio generate inspiral --scale 8` and
+# `--workload inspiral --scale 8` must build the same dag (one scale
+# path), so their schedules must be identical. `prio run` on the file
+# needs the general decomposition search exactly once (the entangled
+# ring), and the metrics snapshot reports that search's closure-graph
+# visits. Artifacts land in target/scale-smoke.
+mkdir -p target/scale-smoke
+./target/release/prio generate inspiral --scale 8 \
+  --output target/scale-smoke/inspiral8.dag
+./target/release/prio schedule target/scale-smoke/inspiral8.dag \
+  > target/scale-smoke/schedule.file.txt
+./target/release/prio schedule --workload inspiral --scale 8 \
+  > target/scale-smoke/schedule.workload.txt
+cmp target/scale-smoke/schedule.file.txt target/scale-smoke/schedule.workload.txt \
+  || { echo "check.sh: generate --scale 8 and --workload --scale 8 differ" >&2; exit 1; }
+./target/release/prio run target/scale-smoke/inspiral8.dag \
+  --output target/scale-smoke/inspiral8.prio.dag \
+  --metrics-out target/scale-smoke/metrics.prom 2> target/scale-smoke/run.stderr \
+  || { echo "check.sh: prio run on Inspiral x8 failed" >&2; exit 1; }
+grep -qx 'prio_core_decompose_general_search_iterations 1' target/scale-smoke/metrics.prom \
+  || { echo "check.sh: Inspiral x8 did not need exactly one general search" >&2; exit 1; }
+grep -q '^prio_core_decompose_closure_visits [0-9]' target/scale-smoke/metrics.prom \
+  || { echo "check.sh: metrics snapshot lacks closure_visits" >&2; exit 1; }
+echo "check.sh: scaled Inspiral ok (one scale path, one general search)"
 # Serve daemon smoke: start `prio serve` on an ephemeral port, drive one
 # prioritize request per frontend format plus the stats verb through
 # bash's /dev/tcp, and shut down gracefully with the shutdown verb. The
