@@ -3,13 +3,13 @@
 //!
 //! The streamed trace path promises that tracing adds no per-event work on
 //! the heap: the simulator hands events to a [`StreamingTraceWriter`],
-//! which buffers them in fixed-size chunks and swaps in one fresh chunk
-//! buffer per [`DEFAULT_CHUNK_EVENTS`] events; the pipeline's writer thread
-//! encodes into a reused batch buffer. So a full-rate trace may allocate
-//! one buffer per chunk plus a constant (thread spawn, ring, encoder
-//! state, the streamed run's telemetry), and a sampled trace only the
-//! constant. Counting every allocation in the process — the writer thread
-//! included — turns that promise into exact, machine-independent numbers.
+//! which encodes each one in place into the pipeline's reused batch
+//! buffer and writes full batches to the sink. So a traced run, full-rate
+//! or sampled, may allocate only a constant on top of an untraced one
+//! (the batch buffer, the float-formatting cache, the streamed run's
+//! telemetry), the same at every dag size. Counting every allocation in
+//! the process turns that promise into exact, machine-independent
+//! numbers.
 //!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
@@ -21,7 +21,7 @@ use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
 use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
 use prio_sim::engine::{simulate, simulate_streamed};
 use prio_sim::model::GridModel;
-use prio_sim::trace_json::{event_pipeline, StreamingTraceWriter, DEFAULT_CHUNK_EVENTS};
+use prio_sim::trace_json::{event_pipeline, StreamingTraceWriter};
 use prio_sim::PolicySpec;
 use std::sync::atomic::Ordering;
 
@@ -33,8 +33,8 @@ const SEED: u64 = 42;
 /// Allocations an untraced simulation may make regardless of size.
 const UNTRACED_MAX: u64 = 32;
 
-/// Allocations tracing may add on top of one buffer per chunk: writer
-/// thread, ring, encoder state and the streamed run's telemetry.
+/// Allocations tracing may add: batch buffer, encoder state and the
+/// streamed run's telemetry.
 const TRACE_CONSTANT: u64 = 64;
 
 /// Sampling modulus of the sampled run (1 job in 1000 keeps its events).
@@ -55,15 +55,15 @@ fn traced(dag: &Dag, policy: &PolicySpec, model: &GridModel, sample: u64) -> (u6
     let pipeline = event_pipeline(sink, DEFAULT_RING_CAPACITY, sample);
     let writer = StreamingTraceWriter::new(&pipeline, JobSampler::new(sample));
     simulate_streamed(dag, policy, model, None, SEED, &writer);
-    drop(writer);
     let (_sink, stats, result) = pipeline.finish();
     result.expect("io::sink never fails");
     (stats.written, stats.dropped)
 }
 
 #[test]
-fn tracing_allocates_per_chunk_not_per_event() {
+fn tracing_allocates_a_constant_not_per_event() {
     let model = GridModel::paper(1.0, 64.0);
+    let mut full_rate_added = Vec::new();
     for jobs in [2_000, 10_000] {
         let dag = montage_tier(jobs);
         let policy = PolicySpec::Oblivious(prioritize(&dag).unwrap().schedule);
@@ -77,11 +77,9 @@ fn tracing_allocates_per_chunk_not_per_event() {
         let (full, (events, dropped)) = allocations(|| traced(&dag, &policy, &model, 1));
         let (sampled, (_, sampled_dropped)) = allocations(|| traced(&dag, &policy, &model, SAMPLE));
 
-        let chunks = events.div_ceil(DEFAULT_CHUNK_EVENTS as u64);
         let n = dag.num_nodes();
         eprintln!(
-            "{n} jobs: untraced {untraced}, full-rate +{} ({events} events, {chunks} chunks), \
-             sampled +{}",
+            "{n} jobs: untraced {untraced}, full-rate +{} ({events} events), sampled +{}",
             full as i64 - untraced as i64,
             sampled as i64 - untraced as i64,
         );
@@ -94,10 +92,11 @@ fn tracing_allocates_per_chunk_not_per_event() {
             "{n} jobs: untraced simulation made {untraced} allocations"
         );
         assert!(
-            full <= untraced + chunks + TRACE_CONSTANT,
+            full <= untraced + TRACE_CONSTANT,
             "{n} jobs: full-rate trace made {full} allocations, untraced {untraced}, \
-             {events} events in {chunks} chunks"
+             {events} events"
         );
+        full_rate_added.push(full as i64 - untraced as i64);
         assert!(
             sampled <= untraced + TRACE_CONSTANT,
             "{n} jobs: 1/{SAMPLE} sampled trace made {sampled} allocations, \
@@ -109,4 +108,8 @@ fn tracing_allocates_per_chunk_not_per_event() {
             "{n} jobs: events dropped"
         );
     }
+    assert_eq!(
+        full_rate_added[0], full_rate_added[1],
+        "a full-rate trace adds the same allocations at 2k and 10k jobs"
+    );
 }

@@ -19,18 +19,23 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "critical-path",
     "theoretical",
     "in-place",
-    "full",
-    "verbose",
     "timings",
     "json",
     "stdio",
 ];
 
+/// Flags every subcommand accepts. `main` reads `--timings` itself and
+/// removes `-v`, `--profile-alloc` and `--metrics-out FILE` before a
+/// subcommand parses; a `--metrics-out` left here lacks its value, which
+/// the parser then reports.
+const GLOBAL_FLAGS: &[&str] = &["timings", "metrics-out"];
+
 impl Args {
-    /// Parses argv-style tokens. A `--flag` consumes the following token
-    /// as its value unless it is boolean or the next token is another
-    /// flag.
-    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
+    /// Parses argv-style tokens against the subcommand's `known` flags
+    /// (names without the `--`); any other flag is a usage error. A
+    /// `--flag` consumes the following token as its value unless it is
+    /// boolean or the next token is another flag.
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Args, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -38,6 +43,9 @@ impl Args {
             if let Some(name) = tok.strip_prefix("--") {
                 if name.is_empty() {
                     return Err(CliError::usage("bare `--` is not supported"));
+                }
+                if !known.contains(&name) && !GLOBAL_FLAGS.contains(&name) {
+                    return Err(CliError::usage(format!("unknown flag --{name}")));
                 }
                 let takes_value = !BOOLEAN_FLAGS.contains(&name);
                 let value = if takes_value {
@@ -103,9 +111,11 @@ mod tests {
         tokens.iter().map(|s| s.to_string()).collect()
     }
 
+    const KNOWN: &[&str] = &["mu-bit", "fifo", "seed", "p"];
+
     #[test]
     fn positional_and_flags() {
-        let a = Args::parse(&v(&["file.dag", "--mu-bit", "0.5", "--fifo"])).unwrap();
+        let a = Args::parse(&v(&["file.dag", "--mu-bit", "0.5", "--fifo"]), KNOWN).unwrap();
         assert_eq!(a.one_positional().unwrap(), "file.dag");
         assert_eq!(a.get("mu-bit"), Some("0.5"));
         assert!(a.has("fifo"));
@@ -115,18 +125,34 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&v(&["--seed"])).is_err());
-        assert!(Args::parse(&v(&["--seed", "--fifo"])).is_err());
+        assert!(Args::parse(&v(&["--seed"]), KNOWN).is_err());
+        assert!(Args::parse(&v(&["--seed", "--fifo"]), KNOWN).is_err());
     }
 
     #[test]
     fn duplicate_flag_is_an_error() {
-        assert!(Args::parse(&v(&["--seed", "1", "--seed", "2"])).is_err());
+        assert!(Args::parse(&v(&["--seed", "1", "--seed", "2"]), KNOWN).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_naming_it() {
+        let err = Args::parse(&v(&["--trace-ring", "2"]), KNOWN).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("--trace-ring"), "{err}");
+        // A typo'd boolean flag is unknown, not "requires a value".
+        let err = Args::parse(&v(&["--fifoo"]), KNOWN).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --fifoo"), "{err}");
+        assert!(Args::parse(&v(&["--timings"]), KNOWN)
+            .unwrap()
+            .has("timings"));
+        // `main` strips `--metrics-out FILE`; one left over lacks its value.
+        let err = Args::parse(&v(&["--metrics-out"]), KNOWN).unwrap_err();
+        assert!(err.to_string().contains("requires a value"), "{err}");
     }
 
     #[test]
     fn parse_error_is_reported() {
-        let a = Args::parse(&v(&["--p", "abc"])).unwrap();
+        let a = Args::parse(&v(&["--p", "abc"]), KNOWN).unwrap();
         assert!(a.get_parsed("p", 0usize).is_err());
     }
 }

@@ -23,8 +23,11 @@ use prio_dagman::registry;
 use prio_ir::{FormatId, FormatRegistry};
 use std::path::{Path, PathBuf};
 
+/// The flags `prio batch` accepts.
+const FLAGS: &[&str] = &["format", "search", "threads"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let dir = args.one_positional()?.to_string();
     let opts = FileOptions {
         prio: prio_options(&args)?,

@@ -7,8 +7,11 @@ use prio_core::fifo::fifo_schedule;
 use prio_core::prio::prioritize;
 use prio_core::schedule::profile_difference;
 
+/// The flags `prio compare` accepts.
+const FLAGS: &[&str] = &["workload", "scale", "format"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let (name, dag) = load_dag(&args)?;
     let prio = prioritize(&dag)?.schedule;
     let fifo = fifo_schedule(&dag);

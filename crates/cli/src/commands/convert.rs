@@ -16,8 +16,11 @@ use crate::error::CliError;
 use prio_dagman::{frontend::representable, registry};
 use prio_ir::{FormatId, FormatRegistry, Frontend};
 
+/// The flags `prio convert` accepts.
+const FLAGS: &[&str] = &["from", "to"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let (input, output) = match args.positional.as_slice() {
         [i, o] => (i.as_str(), o.as_str()),
         _ => {

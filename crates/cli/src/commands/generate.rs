@@ -10,8 +10,11 @@ use prio_ir::Workflow;
 use prio_workloads::spec::scaled_workload;
 use prio_workloads::{airsn, classic};
 
+/// The flags `prio generate` accepts.
+const FLAGS: &[&str] = &["width", "scale", "format", "output"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let which = args.one_positional()?.to_ascii_lowercase();
     let scale: f64 = args.get_parsed("scale", 1.0)?;
     let workflow = match which.as_str() {

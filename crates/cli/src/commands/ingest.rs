@@ -21,10 +21,12 @@ use prio_sim::trace_json::event_from_value;
 /// complete and full-rate ([`PipelineMeta::default`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMeta {
-    /// Events that reached the capture ring.
+    /// Lines the trace writer accepted.
     pub enqueued: u64,
-    /// Events dropped at capture (ring overflow): the lifecycle record
-    /// is incomplete and reconstructions are unsound.
+    /// Events dropped at capture. Current builds never drop; files from
+    /// builds with the older lossy ring writer may carry a nonzero count,
+    /// and then the lifecycle record is incomplete and reconstructions
+    /// are unsound.
     pub dropped: u64,
     /// Sampling modulus (1 = every job's lifecycle present).
     pub sample: u64,
@@ -48,7 +50,7 @@ impl PipelineMeta {
         if self.dropped > 0 {
             eprintln!(
                 "prio: WARNING: {path}: lossy trace — {} of {} events were dropped at capture \
-                 (ring overflow); event counts, curves and lifecycles underestimate the run",
+                 by an older prio build; event counts, curves and lifecycles underestimate the run",
                 self.dropped,
                 self.dropped + self.enqueued,
             );

@@ -18,8 +18,20 @@ use prio_graph::Dag;
 use prio_ir::Frontend;
 use std::path::{Path, PathBuf};
 
+/// The flags `prio instrument` (alias `run`) accepts.
+const FLAGS: &[&str] = &[
+    "format",
+    "output",
+    "jsdf-dir",
+    "in-place",
+    "mode",
+    "search",
+    "threads",
+    "trace-out",
+];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let path = args.one_positional()?.to_string();
     let text =
         std::fs::read_to_string(&path).map_err(|e| CliError::input(format!("{path}: {e}")))?;

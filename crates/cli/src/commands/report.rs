@@ -25,8 +25,11 @@ use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
 use prio_obs::stream::Record;
 use prio_sim::trace::TraceEvent;
 
+/// The flags `prio report` accepts.
+const FLAGS: &[&str] = &["json"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let json = args.has("json");
     if args.positional.is_empty() {
         return Err(CliError::usage(
@@ -388,7 +391,7 @@ fn render_text(sources: &[Source], comparison: &Option<Comparison>) -> String {
             if p.dropped > 0 {
                 out.push_str(&format!(
                     "  WARNING: lossy trace — {} of {} events dropped at capture \
-                     (ring overflow); counts below underestimate the run\n",
+                     by an older prio build; counts below underestimate the run\n",
                     p.dropped,
                     p.dropped + p.enqueued,
                 ));

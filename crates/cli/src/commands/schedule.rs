@@ -8,8 +8,18 @@ use prio_core::fifo::fifo_schedule;
 use prio_core::prio::prioritize;
 use prio_core::theoretical::theoretical_schedule;
 
+/// The flags `prio schedule` accepts.
+const FLAGS: &[&str] = &[
+    "workload",
+    "scale",
+    "format",
+    "fifo",
+    "critical-path",
+    "theoretical",
+];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let (name, dag) = load_dag(&args)?;
     let schedule = if args.has("fifo") {
         fifo_schedule(&dag)

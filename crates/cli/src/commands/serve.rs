@@ -21,8 +21,19 @@ use crate::error::CliError;
 use prio_serve::{serve_stdio, ServeConfig, ServeStats, Server};
 use std::io::Write;
 
+/// The flags `prio serve` accepts.
+const FLAGS: &[&str] = &[
+    "listen",
+    "stdio",
+    "serve-threads",
+    "queue-cap",
+    "cache-bytes",
+    "max-request-bytes",
+    "format",
+];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     if !args.positional.is_empty() {
         return Err(CliError::usage("serve takes no positional arguments"));
     }
@@ -45,6 +56,9 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     };
     if config.threads == 0 {
         return Err(CliError::usage("--serve-threads must be at least 1"));
+    }
+    if config.queue_capacity == 0 {
+        return Err(CliError::usage("--queue-cap must be at least 1"));
     }
 
     let stats = if args.has("stdio") {

@@ -5,11 +5,11 @@ use crate::commands::load_dag;
 use crate::error::CliError;
 use prio_core::prio::prioritize;
 use prio_obs::json::JsonObject;
-use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
+use prio_obs::{JobSampler, JsonlSink, TracePipeline};
 use prio_sim::engine::simulate_streamed;
 use prio_sim::experiment::compare_policies_with;
 use prio_sim::replicate::ReplicationPlan;
-use prio_sim::trace_json::{event_pipeline, StreamingTraceWriter};
+use prio_sim::trace_json::StreamingTraceWriter;
 use prio_sim::{Backoff, FaultConfig, FaultModel, GridModel, PolicySpec, RetryPolicy};
 use std::path::Path;
 
@@ -60,8 +60,29 @@ fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
     }))
 }
 
+/// The flags `prio simulate` accepts.
+const FLAGS: &[&str] = &[
+    "workload",
+    "scale",
+    "format",
+    "mu-bit",
+    "mu-bs",
+    "p",
+    "q",
+    "seed",
+    "threads",
+    "fault-rate",
+    "permanent-frac",
+    "retries",
+    "backoff",
+    "worker-mttf",
+    "worker-mttr",
+    "trace-out",
+    "trace-sample",
+];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let (name, dag) = load_dag(&args)?;
     let mu_bit: f64 = args.get_parsed("mu-bit", 1.0)?;
     let mu_bs: f64 = args.get_parsed("mu-bs", 16.0)?;
@@ -165,19 +186,12 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         if sample == 0 {
             return Err(CliError::usage("--trace-sample must be >= 1"));
         }
-        let ring: usize = args.get_parsed("trace-ring", DEFAULT_RING_CAPACITY)?;
-        if ring < 2 {
-            return Err(CliError::usage("--trace-ring must be >= 2"));
-        }
         let io_err = |e: std::io::Error| CliError::input(format!("{out}: {e}"));
         let sink = JsonlSink::to_file(Path::new(out)).map_err(io_err)?;
-        // Events stream through the bounded async pipeline: the sim
-        // thread enqueues each event by value; a dedicated writer thread
-        // JSON-encodes and drains to disk. Meta and telemetry records
-        // ride the same ring (losslessly, via `control`) so the file
-        // keeps its segment order; on overflow *events* are counted and
-        // dropped rather than stalling the sim clock.
-        let pipeline = event_pipeline(sink, ring, sample);
+        // Events are encoded as they are emitted into the pipeline's
+        // batch buffer; meta and telemetry records go through the same
+        // buffer (via `control`) so the file keeps its segment order.
+        let pipeline = TracePipeline::new(sink, sample);
         // The fault parameters join the meta line only when the layer is
         // on, so reliable trace files stay identical to earlier builds.
         let fault_meta = match &faults {
@@ -223,14 +237,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         sink.write_metrics_snapshot().map_err(io_err)?;
         sink.write_histograms_snapshot().map_err(io_err)?;
         sink.flush().map_err(io_err)?;
-        if stats.dropped > 0 {
-            eprintln!(
-                "prio: WARNING: trace is lossy — {} of {} events dropped (ring full); \
-                 rerun with a larger --trace-ring or --trace-sample to keep every event",
-                stats.dropped,
-                stats.dropped + stats.enqueued,
-            );
-        }
         eprintln!("prio: wrote event trace to {out}");
     }
     Ok(())

@@ -6,8 +6,11 @@ use crate::error::CliError;
 use prio_core::prio::prioritize;
 use std::time::Instant;
 
+/// The flags `prio stats` accepts.
+const FLAGS: &[&str] = &["workload", "scale", "format"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let (name, dag) = load_dag(&args)?;
     let start = Instant::now();
     let result = prioritize(&dag)?;

@@ -42,6 +42,12 @@ const USAGE: &str = "usage: prio trace <timeline|critical-path|curve|diff> ...\n
     prio trace curve         <trace.jsonl | -> --out <file.tsv>\n\
     prio trace diff          <a.jsonl> <b.jsonl> [--policy-a P] [--policy-b P] [--json]";
 
+// The flags each analysis accepts.
+const TIMELINE_FLAGS: &[&str] = &["json"];
+const CRITICAL_PATH_FLAGS: &[&str] = &["json"];
+const CURVE_FLAGS: &[&str] = &["out"];
+const DIFF_FLAGS: &[&str] = &["policy-a", "policy-b", "json"];
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(sub) = argv.first() else {
         return Err(CliError::usage(USAGE));
@@ -260,7 +266,7 @@ fn load_segments(path: &str) -> Result<(Vec<Segment>, PipelineMeta), CliError> {
 // ---------------------------------------------------------------- timeline
 
 fn timeline(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, TIMELINE_FLAGS)?;
     let path = args.one_positional()?;
     let (segments, health) = load_segments(path)?;
     health.warn(path);
@@ -410,7 +416,7 @@ fn realized_path(seg: &Segment) -> Vec<PathStep> {
 }
 
 fn critical_path(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, CRITICAL_PATH_FLAGS)?;
     let path = args.one_positional()?;
     let (segments, health) = load_segments(path)?;
     health.warn(path);
@@ -427,7 +433,7 @@ fn critical_path(argv: &[String]) -> Result<(), CliError> {
     if health.dropped > 0 {
         return Err(CliError::input(format!(
             "{path}: lossy trace ({} events dropped at capture): the realized critical \
-             path needs every event — rerun with a larger --trace-ring",
+             path needs every event — rerun the simulation with a current prio build",
             health.dropped
         )));
     }
@@ -506,7 +512,7 @@ fn critical_path(argv: &[String]) -> Result<(), CliError> {
 // -------------------------------------------------------------------- curve
 
 fn curve(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, CURVE_FLAGS)?;
     let path = args.one_positional()?;
     let out_path = args
         .get("out")
@@ -516,7 +522,7 @@ fn curve(argv: &[String]) -> Result<(), CliError> {
     if health.dropped > 0 {
         return Err(CliError::input(format!(
             "{path}: lossy trace ({} events dropped at capture): the eligibility curve \
-             cannot be reconstructed — rerun with a larger --trace-ring",
+             cannot be reconstructed — rerun the simulation with a current prio build",
             health.dropped
         )));
     }
@@ -606,7 +612,7 @@ fn pick_segment<'a>(
 }
 
 fn diff(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, DIFF_FLAGS)?;
     let [path_a, path_b] = args.positional.as_slice() else {
         return Err(CliError::usage(
             "expected two traces: prio trace diff <a.jsonl> <b.jsonl> \

@@ -20,13 +20,13 @@
 //! Every subcommand accepts the global `-v`/`--verbose` flag (or the
 //! `PRIO_LOG` environment variable) to print a phase-timing footer, and
 //! `simulate`/`instrument` additionally take `--trace-out <file>` to dump
-//! structured JSONL events plus span/counter snapshots (`simulate`
-//! streams them through the bounded async trace pipeline; `--trace-sample
-//! N` thins job lifecycles to a deterministic 1/N subset). The global
-//! `--profile-alloc` flag attaches allocation-count/byte/peak deltas to
-//! every span (in the `--timings` footer and `--trace-out` records), and
-//! `--metrics-out <file>` writes a Prometheus text-format metrics
-//! snapshot at exit.
+//! structured JSONL events plus span/counter snapshots (for `simulate`,
+//! `--trace-sample N` thins job lifecycles to a deterministic 1/N
+//! subset). The global `--profile-alloc` flag attaches
+//! allocation-count/byte/peak deltas to every span (in the `--timings`
+//! footer and `--trace-out` records), and `--metrics-out <file>` writes
+//! a Prometheus text-format metrics snapshot at exit. Any other flag a
+//! subcommand does not list is a usage error.
 //!
 //! `instrument` reproduces the paper's tool exactly: parse the DAGMan
 //! input file, run the scheduling heuristic, define the `jobpriority`
@@ -78,12 +78,13 @@ fn main() -> ExitCode {
 fn strip_metrics_out(argv: Vec<String>) -> (Vec<String>, Option<String>) {
     let mut out = None;
     let mut stripped = Vec::with_capacity(argv.len());
-    let mut iter = argv.into_iter();
+    let mut iter = argv.into_iter().peekable();
     while let Some(a) = iter.next() {
         if a == "--metrics-out" {
-            // A missing value falls through to the subcommand parser,
-            // which reports the unknown dangling flag as a usage error.
-            match iter.next() {
+            // A missing value (nothing, or another flag, follows) falls
+            // through to the subcommand parser, which reports it as a
+            // usage error.
+            match iter.next_if(|v| !v.starts_with("--")) {
                 Some(path) => out = Some(path),
                 None => stripped.push(a),
             }
@@ -197,7 +198,7 @@ USAGE:
                     [--fault-rate P] [--permanent-frac F] [--retries N]
                     [--backoff none|D|fixed:D|exp:B[:F[:C]]]
                     [--worker-mttf X] [--worker-mttr Y]
-                    [--trace-out <file>] [--trace-sample N] [--trace-ring N]
+                    [--trace-out <file>] [--trace-sample N]
                     [--timings]                               (alias: sim)
     prio report     <trace.jsonl | ->... [--json]
     prio trace      timeline      <trace.jsonl | -> [--json]
@@ -231,9 +232,8 @@ GLOBAL FLAGS:
                     the PRIO_LOG env var (off|info|debug) sets the same levels
     --timings       print the phase-timing footer regardless of verbosity
     --trace-out F   write structured JSONL events/spans/counters to F
-                    (simulate streams events through a bounded async ring;
-                    --trace-sample N keeps lifecycle events for ~1/N of
-                    jobs, --trace-ring N sizes the ring in slots)
+                    (simulate: --trace-sample N keeps lifecycle events
+                    for ~1/N of jobs)
     --metrics-out F write a Prometheus text-format snapshot of all
                     counters/gauges/histograms to F at exit
     --profile-alloc attach allocation count/bytes/peak deltas to every span
@@ -269,7 +269,7 @@ SUBCOMMANDS:
 EXIT CODES:
     0   success
     1   invalid input (unreadable file, parse error, dependency cycle)
-    2   command-line usage error (unknown subcommand or flag value)
+    2   command-line usage error (unknown subcommand, flag or flag value)
     70  internal error (a pipeline invariant was violated — a bug)"
     );
 }

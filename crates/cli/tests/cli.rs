@@ -290,6 +290,60 @@ fn bad_flag_value_exits_with_usage_code() {
 }
 
 #[test]
+fn unknown_flags_exit_with_usage_code_naming_the_flag() {
+    let dir = tempdir("unknown-flag");
+    let sim = ["simulate", "--workload", "airsn", "--scale", "0.05"];
+    for (args, flag) in [
+        ([&sim[..], &["--trace-ring", "2"]].concat(), "--trace-ring"),
+        ([&sim[..], &["--trace-rnig", "2"]].concat(), "--trace-rnig"),
+        (
+            vec!["schedule", "--workload", "airsn", "--bogus-flag", "1"],
+            "--bogus-flag",
+        ),
+        (
+            vec!["schedule", "--workload", "airsn", "--fifoo"],
+            "--fifoo",
+        ),
+    ] {
+        let out = prio(&args, &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn queue_cap_is_exact_and_zero_is_a_usage_error() {
+    let dir = tempdir("queue-cap");
+    let out = prio(&["serve", "--stdio", "--queue-cap", "0"], &dir);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--queue-cap"));
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_prio"))
+        .args(["serve", "--stdio", "--queue-cap", "3"])
+        .current_dir(&dir)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    use std::io::Write as _;
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"v\":1,\"id\":\"s\",\"verb\":\"stats\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"queue_capacity\":3"), "{stdout}");
+}
+
+#[test]
 fn missing_file_exits_with_input_code() {
     let dir = tempdir("missing");
     let out = prio(&["schedule", "nope.dag"], &dir);

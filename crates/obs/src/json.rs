@@ -75,7 +75,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Appends a JSON number for `v` (or `null` if non-finite). Public so
-/// hot encoders (the trace pipeline's writer thread) can emit numbers
+/// hot encoders (the simulator's trace writer) can emit numbers
 /// without going through the [`JsonObject`] builder.
 pub fn write_json_f64(v: f64, out: &mut String) {
     if v.is_finite() {

@@ -59,7 +59,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod prom;
 pub mod report;
-pub mod ring;
 pub mod sample;
 pub mod sink;
 pub mod span;
@@ -71,7 +70,6 @@ pub use config::{init_from_env, set_verbosity, verbosity, Level};
 pub use hist::{Histogram, HistogramSnapshot, HistogramSummary};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge};
 pub use pipeline::{PipelineStats, TracePipeline, DEFAULT_RING_CAPACITY};
-pub use ring::Ring;
 pub use sample::JobSampler;
 pub use sink::JsonlSink;
 pub use span::{span, SpanGuard};

@@ -69,10 +69,7 @@ mod tests {
     #[test]
     fn names_are_mangled_with_the_prio_prefix() {
         assert_eq!(prom_name("sim.engine.events"), "prio_sim_engine_events");
-        assert_eq!(
-            prom_name("obs.sink.dropped_events"),
-            "prio_obs_sink_dropped_events"
-        );
+        assert_eq!(prom_name("serve.queue.shed"), "prio_serve_queue_shed");
         assert_eq!(prom_name("weird-name.0"), "prio_weird_name_0");
     }
 

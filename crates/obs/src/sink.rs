@@ -73,11 +73,11 @@ impl JsonlSink {
     }
 
     /// Writes a block of already newline-terminated JSONL lines in one
-    /// locked write — the trace pipeline's writer thread batches drained
-    /// records so the per-line mutex/IO cost amortizes across the batch.
-    /// The caller (the pipeline, which validates the single-line
-    /// contract per record before appending to the batch) guarantees the
-    /// block is well-formed: complete lines, each ending in `\n`.
+    /// locked write — the trace pipeline batches its lines so the
+    /// per-line mutex/IO cost amortizes across the batch. The caller (the
+    /// pipeline, which validates the single-line contract per line before
+    /// appending to the batch) guarantees the block is well-formed:
+    /// complete lines, each ending in `\n`.
     pub fn write_batch(&self, block: &str) -> io::Result<()> {
         debug_assert!(
             block.is_empty() || block.ends_with('\n'),

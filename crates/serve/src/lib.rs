@@ -5,7 +5,7 @@
 //! a TCP socket or a stdin/stdout pair ([`protocol`]): one request per
 //! line, one id-matched response line per request, so clients pipeline
 //! freely. Prioritize requests flow through a bounded MPMC queue
-//! ([`queue`], built on the Vyukov ring from `prio-obs`) into a fixed
+//! ([`queue`], a mutex-guarded `VecDeque` with a condvar) into a fixed
 //! pool of workers, each reusing one `PrioContext` across requests;
 //! when the queue is full the daemon *sheds* — an explicit `overloaded`
 //! response, never a blocked client or an unbounded buffer. Results are

@@ -1,74 +1,77 @@
 //! The bounded request queue between connection readers and the worker
-//! pool.
+//! pool: one `Mutex` over a `VecDeque` and a closed flag, plus a
+//! `Condvar` that parks workers while the queue is empty.
 //!
-//! Storage is the lock-free Vyukov ring ([`prio_obs::ring::Ring`], MPMC),
-//! so the hot push/pop path is a couple of atomics. What the ring does
-//! not provide — and what a daemon needs — is *waiting*: workers must
-//! park when the queue is empty and wake when work arrives or the queue
-//! closes. A `Mutex<bool>`+`Condvar` pair layers that on without
-//! touching the fast path:
-//!
-//! * [`RequestQueue::push`] stores into the ring first, then takes the
-//!   (uncontended) mutex briefly before `notify_one`. Taking the lock —
-//!   even though no state is written under it — closes the lost-wakeup
-//!   window: a worker that checked the ring empty cannot have parked yet
-//!   if the pusher holds the lock, and cannot miss the notify if it has.
-//! * A full ring is the caller's signal to **shed**: `push` returns the
-//!   rejected item and bumps `serve.queue.shed`; nothing ever blocks on
-//!   the way in.
+//! * [`RequestQueue::push`] never blocks: when the queue is closed or
+//!   already holds its capacity, the item comes straight back and
+//!   `serve.queue.shed` is bumped — the caller's signal to **shed**.
+//! * [`RequestQueue::pop_wait`] waits on the condvar until an item
+//!   arrives or the queue closes. Pushes and closes change the state
+//!   under the same lock the waiter checks it under, so no wakeup is
+//!   lost.
 //! * [`RequestQueue::close`] flips the closed flag and wakes everyone;
-//!   [`RequestQueue::pop_wait`] keeps draining until the queue is both
-//!   closed **and** empty, so a graceful shutdown never drops accepted
-//!   work.
+//!   `pop_wait` keeps draining until the queue is both closed **and**
+//!   empty, so a graceful shutdown never drops accepted work.
 
-use prio_obs::ring::Ring;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// What the lock guards.
+struct State<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
 
 /// A closable bounded MPMC queue that sheds on overflow and parks
 /// consumers on empty.
 pub struct RequestQueue<T> {
-    ring: Ring<T>,
-    closed: Mutex<bool>,
+    state: Mutex<State<T>>,
     wake: Condvar,
+    capacity: usize,
 }
 
 impl<T> RequestQueue<T> {
-    /// A queue holding at least `capacity` items (the ring rounds up to a
-    /// power of two, minimum 2).
+    /// A queue holding at most `capacity` items (at least 1). The storage
+    /// is allocated up front, so pushes never allocate and a request's
+    /// allocations do not depend on how deep the queue happens to be.
     pub fn with_capacity(capacity: usize) -> RequestQueue<T> {
+        let capacity = capacity.max(1);
         RequestQueue {
-            ring: Ring::with_capacity(capacity),
-            closed: Mutex::new(false),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             wake: Condvar::new(),
+            capacity,
         }
     }
 
-    /// The actual (rounded) capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+    /// The state, locked. A poisoned lock means a thread panicked inside
+    /// a queue operation, which is a bug.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state
+            .lock()
+            .expect("a thread panicked holding the request queue lock")
     }
 
-    /// Enqueues `item`, waking one parked worker. On a full ring the item
-    /// comes straight back (`Err`) and `serve.queue.shed` is bumped — the
-    /// caller turns that into an `overloaded` response. Pushing to a
-    /// closed queue is also a shed: accept stopped, drain is in progress.
+    /// The most items the queue holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Enqueues `item`, waking one parked worker. On a full queue the
+    /// item comes straight back (`Err`) and `serve.queue.shed` is bumped
+    /// — the caller turns that into an `overloaded` response. Pushing to
+    /// a closed queue is also a shed: accept stopped, drain is in
+    /// progress.
     pub fn push(&self, item: T) -> Result<(), T> {
         {
-            let closed = self.closed.lock().unwrap();
-            if *closed {
+            let mut state = self.lock();
+            if state.closed || state.items.len() >= self.capacity {
                 counter!("serve.queue.shed").inc();
                 return Err(item);
             }
-            // Still holding the lock: a concurrent close() cannot complete
-            // until the store below is visible to draining workers.
-            match self.ring.push(item) {
-                Ok(()) => {}
-                Err(item) => {
-                    counter!("serve.queue.shed").inc();
-                    return Err(item);
-                }
-            }
+            state.items.push_back(item);
         }
         self.wake.notify_one();
         Ok(())
@@ -77,58 +80,31 @@ impl<T> RequestQueue<T> {
     /// Pops an item, parking until one arrives. Returns `None` only once
     /// the queue is closed *and* drained.
     pub fn pop_wait(&self) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            if let Some(item) = self.ring.pop() {
+            if let Some(item) = state.items.pop_front() {
                 return Some(item);
             }
-            let mut closed = self.closed.lock().unwrap();
-            // Re-check under the lock: a push that happened between our
-            // failed pop and acquiring the lock has already stored its
-            // item (stores happen under this same lock), so we see it.
-            if let Some(item) = self.ring.pop() {
-                return Some(item);
-            }
-            if *closed {
+            if state.closed {
                 return None;
             }
-            // Timed wait as a belt-and-braces backstop; correctness does
-            // not depend on it (pushes hold the lock before notifying).
-            let (guard, _) = self
+            state = self
                 .wake
-                .wait_timeout(closed, Duration::from_millis(50))
-                .unwrap();
-            closed = guard;
-            drop(closed);
+                .wait(state)
+                .expect("a thread panicked holding the request queue lock");
         }
-    }
-
-    /// Non-blocking pop (used by drain loops and tests).
-    pub fn try_pop(&self) -> Option<T> {
-        self.ring.pop()
     }
 
     /// Closes the queue: future pushes shed, and parked workers wake to
     /// drain the remainder and exit.
     pub fn close(&self) {
-        let mut closed = self.closed.lock().unwrap();
-        *closed = true;
-        drop(closed);
+        self.lock().closed = true;
         self.wake.notify_all();
     }
 
-    /// Whether [`close`](RequestQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        *self.closed.lock().unwrap()
-    }
-
     /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+    pub fn depth(&self) -> usize {
+        self.lock().items.len()
     }
 }
 
@@ -136,6 +112,7 @@ impl<T> RequestQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn push_pop_and_shed() {
@@ -146,9 +123,22 @@ mod tests {
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.pop_wait(), Some(1));
         assert!(q.push(3).is_ok());
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop_wait(), Some(2));
+        assert_eq!(q.pop_wait(), Some(3));
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn capacity_is_exact_not_rounded_up() {
+        let q: RequestQueue<u32> = RequestQueue::with_capacity(3);
+        assert_eq!(q.capacity(), 3);
+        for i in 0..3 {
+            assert!(q.push(i).is_ok(), "item {i} fits");
+        }
+        assert_eq!(q.push(3), Err(3), "a fourth item sheds");
+        assert_eq!(q.depth(), 3);
+        assert_eq!(RequestQueue::<u32>::with_capacity(0).capacity(), 1);
     }
 
     #[test]
@@ -157,7 +147,6 @@ mod tests {
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.push(3), Err(3), "push after close must shed");
         assert_eq!(q.pop_wait(), Some(1));
         assert_eq!(q.pop_wait(), Some(2));

@@ -60,7 +60,8 @@ const READ_BUFFER_BYTES: usize = 64 << 10;
 pub struct ServeConfig {
     /// Worker threads pulling from the request queue.
     pub threads: usize,
-    /// Bounded request-queue capacity; overflow sheds with `overloaded`.
+    /// Bounded request-queue capacity, exact (0 counts as 1); overflow
+    /// sheds with `overloaded`.
     pub queue_capacity: usize,
     /// Result-cache byte budget.
     pub cache_bytes: usize,
@@ -196,7 +197,7 @@ impl Shared {
             errors: self.counters.errors.load(Ordering::Relaxed),
             shed: self.counters.overloaded.load(Ordering::Relaxed),
             cache: self.cache.stats(),
-            queue_depth: self.queue.len(),
+            queue_depth: self.queue.depth(),
             queue_capacity: self.queue.capacity(),
             threads: self.config.threads.max(1),
         }

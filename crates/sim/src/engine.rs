@@ -306,16 +306,11 @@ impl<S: TraceConsumer> Emitter<'_, S> {
         }
     }
 
-    /// Hands the consumer the partial batch, then lets a batching
-    /// consumer push its tail, so callers see every event without
-    /// knowing the consumer's internals.
+    /// Hands the consumer the partial batch at the end of a run.
     fn flush(&mut self) {
-        if S::ENABLED {
-            if !self.batch.is_empty() {
-                self.consumer.consume_batch(&self.batch);
-                self.batch.clear();
-            }
-            self.consumer.flush();
+        if S::ENABLED && !self.batch.is_empty() {
+            self.consumer.consume_batch(&self.batch);
+            self.batch.clear();
         }
     }
 }

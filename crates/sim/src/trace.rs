@@ -8,9 +8,8 @@
 
 use prio_graph::NodeId;
 
-/// One simulator event. `Copy` is load-bearing: the streaming trace
-/// writer enqueues events by value into the bounded ring, so the hot
-/// emission path is a register-sized memcpy, never an allocation.
+/// One simulator event. `Copy` keeps the hot emission path a
+/// register-sized memcpy into the engine's batch, never an allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A batch of worker requests arrived.
@@ -102,9 +101,7 @@ pub enum TraceEvent {
 pub type Trace = Vec<TraceEvent>;
 
 /// Events the engine buffers locally between [`TraceConsumer`] calls: a
-/// plain `Vec` push per event, one `consume_batch` per this many. Kept
-/// equal to the writer's chunk size so a full-rate batch becomes exactly
-/// one chunk.
+/// plain `Vec` push per event, one `consume_batch` per this many.
 pub const STREAM_BATCH_EVENTS: usize = 256;
 
 /// A streaming consumer of trace events, called synchronously at each
@@ -112,10 +109,9 @@ pub const STREAM_BATCH_EVENTS: usize = 256;
 ///
 /// `consume` takes `&self` so one consumer can be shared by reference
 /// with the engine; implementations needing state use interior
-/// mutability (the production consumer — `StreamingTraceWriter` over the
-/// `prio-obs` trace pipeline — only ever enqueues into a lock-free
-/// ring). Implementations must not block: the simulator clock runs
-/// through this call.
+/// mutability (the production consumer, `StreamingTraceWriter`, encodes
+/// into the `prio-obs` trace pipeline's batch buffer). The simulator
+/// runs through this call, so it should be cheap.
 pub trait TraceConsumer {
     /// Whether the engine emits events and collects telemetry at all.
     /// Only [`NoTrace`] turns it off; the engine tests it at compile time,
@@ -129,21 +125,14 @@ pub trait TraceConsumer {
     /// engine batches emissions ([`STREAM_BATCH_EVENTS`] at a time) so
     /// the consumer boundary is crossed once per batch instead of once
     /// per event; consumers that can ingest a slice wholesale (the
-    /// production `StreamingTraceWriter` memcpys it into its chunk
-    /// buffer) override this. The default forwards to [`Self::consume`]
-    /// per event, so per-event consumers observe the same sequence
-    /// either way.
+    /// in-memory recorder) override this. The default forwards to
+    /// [`Self::consume`] per event, so per-event consumers observe the
+    /// same sequence either way.
     fn consume_batch(&self, events: &[TraceEvent]) {
         for event in events {
             self.consume(event);
         }
     }
-
-    /// Called once by the engine when a run finishes, after the last
-    /// event. Consumers that batch events internally (the production
-    /// `StreamingTraceWriter` chunks them to amortize queue traffic)
-    /// hand their tail downstream here; the default is a no-op.
-    fn flush(&self) {}
 }
 
 /// The consumer of untraced runs: receives nothing, and makes the engine

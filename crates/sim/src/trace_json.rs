@@ -27,6 +27,7 @@ use prio_obs::json::{
 };
 use prio_obs::stream::JsonlReader;
 use prio_obs::{JobSampler, JsonlSink, TracePipeline};
+use std::cell::RefCell;
 
 /// Serializes one event as a single-line JSON object.
 pub fn event_to_json(event: &TraceEvent) -> String {
@@ -49,10 +50,10 @@ const _: () = assert!(SCHEMA_VERSION == 3);
 /// The shared encoder body: appends `event` as one JSON line, routing
 /// every float field through `f` so callers choose between the plain
 /// shortest-round-trip writer ([`event_json_into`]) and a formatting
-/// memo cache (the trace pipeline's writer thread). Everything else is
-/// literal pushes and a fmt-free digit loop — on the writer thread this
-/// runs per event for multi-million-event traces, and its cost shows in
-/// the end-to-end time of `prio simulate --trace-out`.
+/// memo cache ([`StreamingTraceWriter`]). Everything else is literal
+/// pushes and a fmt-free digit loop — this runs per event for
+/// multi-million-event traces, and its cost shows in the end-to-end time
+/// of `prio simulate --trace-out`.
 fn encode_event(event: &TraceEvent, buf: &mut String, f: &mut impl FnMut(f64, &mut String)) {
     let job_time = |kind_prefix: &str,
                     time: f64,
@@ -166,16 +167,12 @@ fn encode_event(event: &TraceEvent, buf: &mut String, f: &mut impl FnMut(f64, &m
     buf.push('}');
 }
 
-/// A [`TracePipeline`] carrying [`TraceEvent`]s, paired with the
-/// [`encode_event`] encoder over an [`F64Cache`]: producers enqueue the
-/// compact event struct (a memcpy), the writer thread does all JSON
-/// formatting, memoizing float fields across the simulator's heavily
-/// repeated timestamps. This is the constructor behind `--trace-out`.
-pub fn event_pipeline(sink: JsonlSink, capacity: usize, sample: u64) -> TracePipeline<TraceEvent> {
-    let mut cache = F64Cache::new();
-    TracePipeline::start(sink, capacity, sample, move |event, buf| {
-        encode_event(event, buf, &mut |v, out| cache.write(v, out))
-    })
+/// The [`TracePipeline`] behind `--trace-out`, writing into `sink` with
+/// the sampling modulus `sample` recorded in its stats. The capacity
+/// argument is ignored: it sized the ring of an earlier asynchronous
+/// writer, and stays only so existing callers compile.
+pub fn event_pipeline(sink: JsonlSink, _capacity: usize, sample: u64) -> TracePipeline {
+    TracePipeline::new(sink, sample)
 }
 
 /// Converts an already parsed JSON object into an event, if the object's
@@ -271,11 +268,10 @@ pub fn event_from_value(v: &JsonValue) -> Result<Option<TraceEvent>, String> {
     Ok(Some(event))
 }
 
-/// The production [`TraceConsumer`]: enqueues each event by value into
-/// the bounded async [`TracePipeline`] (lossy on overflow — counted,
-/// never blocking the sim clock). The hot path costs a sampler hash plus
-/// one lock-free push; JSON encoding happens on the pipeline's writer
-/// thread.
+/// The production [`TraceConsumer`]: encodes each kept event straight
+/// into the [`TracePipeline`]'s batch buffer, on the simulating thread,
+/// memoizing float fields in an [`F64Cache`] across the simulator's
+/// heavily repeated timestamps. No event is queued or dropped.
 ///
 /// A [`JobSampler`] with modulus > 1 thins *job-scoped* events to the
 /// sampler's deterministic 1/N subset while keeping every run-scoped
@@ -283,50 +279,21 @@ pub fn event_from_value(v: &JsonValue) -> Result<Option<TraceEvent>, String> {
 /// trace preserves complete lifecycle causality for each kept job and
 /// the full batch/churn timeline. Aggregate telemetry is collected by
 /// the engine regardless and stays exact.
-#[derive(Debug)]
 pub struct StreamingTraceWriter<'a> {
-    pipeline: &'a TracePipeline<TraceEvent>,
+    pipeline: &'a TracePipeline,
     sampler: JobSampler,
-    /// Local event buffer, handed to the pipeline as one chunk when it
-    /// reaches `chunk` events (and at [`TraceConsumer::flush`]). The
-    /// ring push is a CAS plus a pointer-sized memcpy, but at simulator
-    /// emission rates even that cross-core cache traffic shows up;
-    /// batching divides it by the chunk size.
-    buffer: std::cell::RefCell<Vec<TraceEvent>>,
-    chunk: usize,
+    cache: RefCell<F64Cache>,
 }
-
-/// Events buffered locally per ring push. Amortizes queue traffic to a
-/// fraction of a nanosecond per event while bounding both the latency of
-/// an event reaching disk and the chunk's drop granularity.
-pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 
 impl<'a> StreamingTraceWriter<'a> {
     /// A writer streaming into `pipeline`, keeping the jobs `sampler`
     /// selects (use [`JobSampler::full_rate`] for lossless job
     /// coverage).
-    pub fn new(
-        pipeline: &'a TracePipeline<TraceEvent>,
-        sampler: JobSampler,
-    ) -> StreamingTraceWriter<'a> {
-        Self::with_chunk(pipeline, sampler, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`StreamingTraceWriter::new`] with an explicit chunk size.
-    /// Chunks are dropped whole when the ring overflows, so callers
-    /// exercising tiny rings (tests, `--trace-ring` experiments) should
-    /// keep `chunk` at or below the ring capacity.
-    pub fn with_chunk(
-        pipeline: &'a TracePipeline<TraceEvent>,
-        sampler: JobSampler,
-        chunk: usize,
-    ) -> StreamingTraceWriter<'a> {
-        let chunk = chunk.max(1);
+    pub fn new(pipeline: &'a TracePipeline, sampler: JobSampler) -> StreamingTraceWriter<'a> {
         StreamingTraceWriter {
             pipeline,
             sampler,
-            buffer: std::cell::RefCell::new(Vec::with_capacity(chunk)),
-            chunk,
+            cache: RefCell::new(F64Cache::new()),
         }
     }
 
@@ -355,44 +322,9 @@ impl TraceConsumer for StreamingTraceWriter<'_> {
                 }
             }
         }
-        let mut buffer = self.buffer.borrow_mut();
-        buffer.push(*event);
-        if buffer.len() >= self.chunk {
-            let full = std::mem::replace(&mut *buffer, Vec::with_capacity(self.chunk));
-            self.pipeline.chunk(full);
-        }
-    }
-
-    fn consume_batch(&self, events: &[TraceEvent]) {
-        if self.sampler.is_sampling() {
-            // Sampling filters per event; the batch only amortized the
-            // engine-side handoff.
-            for event in events {
-                self.consume(event);
-            }
-            return;
-        }
-        // Full rate keeps everything: ingest the slice wholesale,
-        // splitting on chunk boundaries. The common case — an empty
-        // buffer receiving a batch of exactly `chunk` events — is one
-        // memcpy and one ring push.
-        let mut buffer = self.buffer.borrow_mut();
-        let mut rest = events;
-        while !rest.is_empty() {
-            let room = self.chunk - buffer.len();
-            let (head, tail) = rest.split_at(room.min(rest.len()));
-            buffer.extend_from_slice(head);
-            rest = tail;
-            if buffer.len() >= self.chunk {
-                let full = std::mem::replace(&mut *buffer, Vec::with_capacity(self.chunk));
-                self.pipeline.chunk(full);
-            }
-        }
-    }
-
-    fn flush(&self) {
-        let tail = std::mem::take(&mut *self.buffer.borrow_mut());
-        self.pipeline.chunk(tail);
+        let cache = &mut *self.cache.borrow_mut();
+        self.pipeline
+            .line_with(|buf| encode_event(event, buf, &mut |v, out| cache.write(v, out)));
     }
 }
 
@@ -629,7 +561,6 @@ mod tests {
         for event in sample_trace() {
             writer.consume(&event);
         }
-        writer.flush();
         let (_sink, stats, result) = pipeline.finish();
         result.unwrap();
         assert_eq!(stats.dropped, 0);
@@ -668,7 +599,6 @@ mod tests {
         for event in sample_trace() {
             writer.consume(&event);
         }
-        writer.flush();
         let (_sink, stats, result) = pipeline.finish();
         result.unwrap();
         assert_eq!(stats.dropped, 0);

@@ -7,8 +7,8 @@
 //! must skip them) and every record tagged with the schema version.
 //! A property suite generates arbitrary events and checks the JSON
 //! round-trip plus the version rule (only schema v3 is read). The
-//! production streaming writer, at several chunk sizes, writes exactly
-//! the events an in-memory recorder sees.
+//! production streaming writer writes exactly the events an in-memory
+//! recorder sees.
 
 use prio_graph::{Dag, NodeId};
 use prio_obs::json::{parse, JsonValue, SCHEMA_VERSION};
@@ -320,9 +320,8 @@ fn reliable_runs_round_trip_without_failures() {
         .any(|e| matches!(e, TraceEvent::JobFailed { .. })));
 }
 
-/// The streaming writer, at chunk sizes below, at and above the engine's
-/// handoff batch, writes exactly the events the in-memory recorder sees
-/// on reliable and faulty runs, and the run's outcome is the same.
+/// The streaming writer writes exactly the events the in-memory recorder
+/// sees on reliable and faulty runs, and the run's outcome is the same.
 #[test]
 fn streamed_jsonl_trace_equals_recorded_trace() {
     let dag = prio_workloads::airsn::airsn(20);
@@ -336,30 +335,23 @@ fn streamed_jsonl_trace_equals_recorded_trace() {
     };
     for faults in [None, Some(&faults)] {
         let (expected_out, expected) = recorded(&dag, &model, faults, 11);
-        for chunk in [1, 7, 256] {
-            let path = std::env::temp_dir().join(format!(
-                "prio_sim_streamed_{}_{chunk}_{}.jsonl",
-                std::process::id(),
-                faults.is_some()
-            ));
-            let pipeline =
-                event_pipeline(JsonlSink::to_file(&path).unwrap(), DEFAULT_RING_CAPACITY, 1);
-            let writer =
-                StreamingTraceWriter::with_chunk(&pipeline, JobSampler::full_rate(), chunk);
-            let out = simulate_streamed(&dag, &PolicySpec::Fifo, &model, faults, 11, &writer);
-            drop(writer);
-            let (sink, stats, result) = pipeline.finish();
-            result.unwrap();
-            sink.flush().unwrap();
-            assert_eq!(stats.dropped, 0, "chunk {chunk}");
-            let text = std::fs::read_to_string(&path).unwrap();
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(
-                read_trace(&text).unwrap(),
-                expected,
-                "chunk {chunk}, faults {faults:?}"
-            );
-            assert_eq!(out, expected_out, "chunk {chunk}, faults {faults:?}");
-        }
+        let path = std::env::temp_dir().join(format!(
+            "prio_sim_streamed_{}_{}.jsonl",
+            std::process::id(),
+            faults.is_some()
+        ));
+        let pipeline = event_pipeline(JsonlSink::to_file(&path).unwrap(), DEFAULT_RING_CAPACITY, 1);
+        let writer = StreamingTraceWriter::new(&pipeline, JobSampler::full_rate());
+        let out = simulate_streamed(&dag, &PolicySpec::Fifo, &model, faults, 11, &writer);
+        let (sink, stats, result) = pipeline.finish();
+        result.unwrap();
+        sink.flush().unwrap();
+        assert_eq!(stats.dropped, 0);
+        assert_eq!(stats.enqueued, expected.len() as u64);
+        assert_eq!(stats.written, expected.len() as u64);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read_trace(&text).unwrap(), expected, "faults {faults:?}");
+        assert_eq!(out, expected_out, "faults {faults:?}");
     }
 }

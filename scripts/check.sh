@@ -74,15 +74,11 @@ set -e
 if [ "$v2_status" -ne 1 ]; then
   echo "check.sh: prio report accepted a v2 trace (exit $v2_status)" >&2; exit 1
 fi
-# Observability-runtime smoke (the bounded async trace pipeline's two
-# contractual endpoints, plus the Prometheus snapshot):
+# Observability-runtime smoke:
 #  1. a full-rate trace must account for every event — the trailing
 #     trace_pipeline record reports dropped:0 and prio report stays
 #     quiet;
-#  2. a deliberately tiny ring (--trace-ring 2) must record a nonzero
-#     drop count that survives the file round-trip into a loud
-#     prio report warning;
-#  3. --metrics-out writes the end-of-run Prometheus snapshot.
+#  2. --metrics-out writes the end-of-run Prometheus snapshot.
 # Artifacts land in target/trace-smoke (uploaded by CI).
 ./target/release/prio simulate --workload airsn --scale 0.3 --mu-bit 0.3 \
   --mu-bs 8 --p 2 --q 1 --seed 7 \
@@ -98,32 +94,7 @@ if grep -q "lossy" target/trace-smoke/full_rate_report.stderr; then
 fi
 grep -q '^prio_' target/trace-smoke/metrics.prom \
   || { echo "check.sh: Prometheus snapshot is empty" >&2; exit 1; }
-# The 2-slot ring drops depend on writer-thread scheduling; retry a few
-# seeds so a lucky scheduler cannot flake the gate (mirrors the
-# obs_pipeline e2e test).
-lossy_ok=0
-for seed in 1 2 3 4 5; do
-  ./target/release/prio simulate --workload airsn --scale 0.3 --mu-bit 0.3 \
-    --mu-bs 8 --p 2 --q 1 --seed "$seed" --trace-ring 2 \
-    --trace-out target/trace-smoke/lossy.jsonl \
-    > /dev/null 2> target/trace-smoke/lossy_simulate.stderr
-  if grep '"command":"trace_pipeline"' target/trace-smoke/lossy.jsonl \
-    | grep -q '"dropped":0'; then
-    continue
-  fi
-  ./target/release/prio report target/trace-smoke/lossy.jsonl --json \
-    > target/trace-smoke/lossy_report.json \
-    2> target/trace-smoke/lossy_report.stderr
-  grep -q "lossy" target/trace-smoke/lossy_report.stderr \
-    || { echo "check.sh: report did not warn about a lossy trace" >&2; exit 1; }
-  grep -q '"lossy":true' target/trace-smoke/lossy_report.json \
-    || { echo "check.sh: lossy flag missing from report --json" >&2; exit 1; }
-  lossy_ok=1
-  break
-done
-[ "$lossy_ok" = "1" ] \
-  || { echo "check.sh: a 2-slot ring never dropped an event across 5 seeds" >&2; exit 1; }
-echo "check.sh: observability runtime smoke ok (full-rate lossless, tiny ring lossy, metrics snapshot)"
+echo "check.sh: observability runtime smoke ok (full-rate lossless, metrics snapshot)"
 # Format-matrix smoke: generate the Montage example, convert it through
 # every frontend pair, re-prioritize each conversion, and assert every
 # format yields the identical schedule (and therefore identical
