@@ -66,9 +66,10 @@ fn main() {
     jsdf.instrument_priority();
     println!("instrumented c.submit:\n{}", jsdf.to_text());
 
+    let c = file.vars_value("c", "jobpriority");
     println!(
         "paper check: job c holds jobpriority 5 -> {}",
-        priorities["c"] == 5
+        c.as_deref() == Some("5")
     );
-    assert_eq!(priorities["c"], 5);
+    assert_eq!(c.as_deref(), Some("5"));
 }

@@ -14,13 +14,26 @@
 //! allocations it costs are a small constant, whatever the workflow's
 //! size.
 //!
+//! So does the DAGMan path of `prio run`, on the paper's Montage and a
+//! quarter of SDSS written as the benchmark writes them: the parse fills
+//! a fixed set of line and name tables over one copy of the text, so
+//! parsing plus extracting the dag allocates one label per job plus a
+//! constant; instrumenting and writing the file allocate a constant,
+//! the same at both sizes; and the frontend's canonical export writes
+//! one buffer, like the JSON one.
+//!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
 
 use prio_bench::scaling::montage_tier;
+use prio_dagman::{
+    instrument_dagman_with, parse_dagman, priorities_by_job, write::write_dagman, DagmanFile,
+    DagmanFrontend, InstrumentMode,
+};
 use prio_ir::{Frontend, JsonFrontend, Priorities, Workflow};
 use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
 use prio_serve::{encode_request, serve_streams, ServeConfig};
+use prio_workloads::{montage, sdss};
 use std::sync::atomic::Ordering;
 
 #[global_allocator]
@@ -35,6 +48,13 @@ const EXPORT_MAX: u64 = 8;
 /// Allocations one `prio serve` memo hit may make: the request line, its
 /// decoded id and format, and the response line.
 const MEMO_HIT_MAX: u64 = 16;
+
+/// Allocations parsing a DAGMan file and extracting its dag may make on
+/// top of one label per job.
+const DAGMAN_PARSE_CONSTANT: u64 = 64;
+
+/// Allocations instrumenting and writing a DAGMan file may make in total.
+const DAGMAN_INSTRUMENT_MAX: u64 = 8;
 
 /// Verbatim resends per measured serve run (and twice as many in the
 /// second).
@@ -132,5 +152,61 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
         per_hit[0] <= MEMO_HIT_MAX,
         "a memo hit made {} allocations, allowed {MEMO_HIT_MAX}",
         per_hit[0]
+    );
+
+    // The DAGMan path: Montage (7,881 jobs) and a quarter of SDSS
+    // (12,007), one submit file per transformation.
+    let mut instrument_costs = Vec::new();
+    for dag in [
+        montage::montage_paper(),
+        sdss::sdss(sdss::SdssParams::scaled(0.25)),
+    ] {
+        let n = dag.num_nodes() as u64;
+        let transformation = |label: &str| {
+            let t = label.trim_end_matches(|c: char| c.is_ascii_digit() || c == '_');
+            format!("{t}.submit")
+        };
+        let text = write_dagman(&DagmanFile::from_dag_with(&dag, transformation));
+        parse_dagman(&text).unwrap().to_dag().unwrap();
+        let (allocs, (mut file, parsed)) = allocations(|| {
+            let file = parse_dagman(&text).unwrap();
+            let dag = file.to_dag().unwrap();
+            (file, dag)
+        });
+        assert_eq!(parsed, dag);
+        eprintln!("DAGMan {n} jobs: parse + to_dag made {allocs} allocations");
+        assert!(
+            allocs <= n + DAGMAN_PARSE_CONSTANT,
+            "{n} jobs: parse + to_dag made {allocs} allocations, \
+             allowed one per job plus {DAGMAN_PARSE_CONSTANT}"
+        );
+        let priorities = priorities_by_job(dag.node_ids().map(|u| dag.label(u)));
+        // Warm-up: the first write span registers its name.
+        let mut warm = file.clone();
+        instrument_dagman_with(&mut warm, &priorities, InstrumentMode::VarsMacro).unwrap();
+        write_dagman(&warm);
+        let (allocs, out) = allocations(|| {
+            instrument_dagman_with(&mut file, &priorities, InstrumentMode::VarsMacro).unwrap();
+            write_dagman(&file)
+        });
+        assert_eq!(out.matches(" jobpriority=").count() as u64, n);
+        eprintln!("DAGMan {n} jobs: instrument + write made {allocs} allocations");
+        instrument_costs.push(allocs);
+        let workflow = DagmanFrontend.import(&text).unwrap();
+        let (allocs, _) = allocations(|| DagmanFrontend.export(&workflow, workflow.priorities()));
+        eprintln!("DAGMan {n} jobs: export made {allocs} allocations");
+        assert!(
+            allocs <= EXPORT_MAX,
+            "{n} jobs: DAGMan export made {allocs} allocations, allowed {EXPORT_MAX}"
+        );
+    }
+    assert_eq!(
+        instrument_costs[0], instrument_costs[1],
+        "instrument + write allocations grow with the file"
+    );
+    assert!(
+        instrument_costs[0] <= DAGMAN_INSTRUMENT_MAX,
+        "instrument + write made {} allocations, allowed {DAGMAN_INSTRUMENT_MAX}",
+        instrument_costs[0]
     );
 }

@@ -365,6 +365,34 @@ fn malformed_file_reports_the_parse_stage() {
 }
 
 #[test]
+fn duplicate_and_unknown_jobs_are_reported_at_their_line() {
+    let dir = tempdir("error-lines");
+    let cases = [
+        (
+            "dup.dag",
+            "JOB a a.sub\nJOB b b.sub\nJOB a c.sub\n",
+            "dup.dag: parse: dagman: line 3: duplicate job \"a\"",
+        ),
+        (
+            "unknown.dag",
+            "JOB a a.sub\n# comment\n\nPARENT a CHILD ghost\n",
+            "unknown.dag: parse: dagman: line 4: unknown job \"ghost\"",
+        ),
+    ];
+    for (file, text, want) in cases {
+        std::fs::write(dir.join(file), text).unwrap();
+        // `run` parses through the pipeline, `schedule` through the
+        // frontend import: both name the line.
+        for command in ["run", "schedule"] {
+            let out = prio(&[command, file], &dir);
+            assert_eq!(out.status.code(), Some(1), "{command} {file}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(want), "{command} {file}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn batch_prioritizes_a_directory() {
     let dir = tempdir("batch");
     std::fs::write(dir.join("one.dag"), FIG3).unwrap();

@@ -13,9 +13,11 @@ pub enum DagmanError {
         /// What went wrong.
         message: String,
     },
-    /// A `PARENT`/`CHILD` or `VARS` statement referenced an undeclared job.
+    /// A `PARENT … CHILD` statement named an undeclared job, or
+    /// instrumentation got no priority for a declared one.
     UnknownJob {
-        /// 1-based line number.
+        /// 1-based line number: the `PARENT` line, or the job's
+        /// declaration.
         line: usize,
         /// The unknown job name.
         job: String,

@@ -1,0 +1,524 @@
+//! The line-indexed DAGMan file.
+//!
+//! A DAGMan input file is a sequence of line statements. The subset the
+//! `prio` tool needs semantically is `JOB` and `SUBDAG EXTERNAL` (the
+//! nodes) and `PARENT … CHILD …` (the dependencies); `VARS` and
+//! `PRIORITY` carry node priorities; everything else (comments, `RETRY`,
+//! `SCRIPT`, `CONFIG`, …) is kept verbatim so instrumentation is a
+//! minimal diff.
+//!
+//! [`DagmanFile`] owns the text and indexes it instead of copying it into
+//! per-statement strings: one [`Line`] record per input line holding
+//! `u32` byte spans into the text, one name table filled during the parse
+//! (each distinct job name hashed once, in [`NameIndex`]), and the
+//! `PARENT … CHILD` lists as name ids in one flat array. The dag
+//! extraction, the IR import, instrumentation and the writer all work
+//! from these ids and spans.
+
+use crate::error::DagmanError;
+use prio_graph::{Dag, GraphError, Label, NameHashBuild, NodeId};
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher};
+
+/// `node_of` entry of a name no `JOB`/`SUBDAG` declares.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// A byte range of the file's text.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Span {
+    /// The span `part`, a subslice of `text`, occupies in `text`.
+    pub(crate) fn of(text: &str, part: &str) -> Span {
+        let start = part.as_ptr() as usize - text.as_ptr() as usize;
+        Span {
+            start: start as u32,
+            end: (start + part.len()) as u32,
+        }
+    }
+
+    /// The text under the span.
+    pub(crate) fn get(self, text: &str) -> &str {
+        &text[self.start as usize..self.end as usize]
+    }
+}
+
+/// One input line, classified by its keyword. Names are name ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// An empty or whitespace-only line.
+    Blank,
+    /// A comment or a statement the tool does not interpret, verbatim.
+    Verbatim(Span),
+    /// `JOB <name> <submit file> [options…]`; `options` runs from the
+    /// first option token to the last (empty when there are none).
+    Job {
+        name: u32,
+        submit: Span,
+        options: Span,
+    },
+    /// `SUBDAG EXTERNAL <name> <dag file>`.
+    Subdag { name: u32, dag_file: Span },
+    /// `PARENT … CHILD …`: the parents are `refs[start..split]`, the
+    /// children `refs[split..end]`.
+    Parent { start: u32, split: u32, end: u32 },
+    /// `VARS <job> key="value" …`: the pairs as written, whether one has
+    /// the `jobpriority` key, and the value instrumentation gave it.
+    Vars {
+        name: u32,
+        pairs: Span,
+        jobpriority: bool,
+        set: Option<u32>,
+    },
+    /// `PRIORITY <job> <value>`.
+    Priority { name: u32, value: i64 },
+}
+
+/// A node: its name id and the index of the line declaring it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Node {
+    pub name: u32,
+    pub line: u32,
+}
+
+/// The statements instrumentation inserts right after a node's `JOB` or
+/// `SUBDAG` line: a `PRIORITY` line, then a `VARS … jobpriority` line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Inserted {
+    pub priority: Option<u32>,
+    pub vars: Option<u32>,
+}
+
+/// A parsed DAGMan input file: its text, one record per line, and the
+/// node and name tables resolved in the parse.
+#[derive(Debug, Clone)]
+pub struct DagmanFile {
+    pub(crate) text: String,
+    pub(crate) lines: Vec<Line>,
+    /// Name id → span, every distinct name in first-mention order.
+    pub(crate) names: Vec<Span>,
+    /// Name id → node id, or [`NONE`].
+    pub(crate) node_of: Vec<u32>,
+    /// Node id → node, in declaration order.
+    pub(crate) nodes: Vec<Node>,
+    /// The `PARENT … CHILD` name lists, flat.
+    pub(crate) refs: Vec<u32>,
+    pub(crate) index: NameIndex,
+    /// The first repeated declaration: `(line index, name id)`.
+    pub(crate) duplicate: Option<(u32, u32)>,
+    /// Per node, once instrumented; empty before.
+    pub(crate) inserted: Vec<Inserted>,
+}
+
+impl DagmanFile {
+    /// The text of name id `name`.
+    pub(crate) fn name(&self, name: u32) -> &str {
+        self.names[name as usize].get(&self.text)
+    }
+
+    /// The text under `span`.
+    pub(crate) fn str(&self, span: Span) -> &str {
+        span.get(&self.text)
+    }
+
+    /// The node named `name`, if a `JOB`/`SUBDAG` line declares it.
+    pub(crate) fn node(&self, name: &str) -> Option<NodeId> {
+        let id = self.index.get(&self.text, &self.names, name)?;
+        Some(NodeId(self.node_of[id as usize])).filter(|u| u.0 != NONE)
+    }
+
+    /// Number of nodes (jobs and external sub-dags).
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The declared node names, in declaration order.
+    pub fn job_names(&self) -> Vec<&str> {
+        self.nodes.iter().map(|n| self.name(n.name)).collect()
+    }
+
+    /// Builds a DAGMan file from a dag: one `JOB` per node (submit file
+    /// `<label>.submit`) and one `PARENT … CHILD` per node with children.
+    pub fn from_dag(dag: &Dag) -> DagmanFile {
+        Self::from_dag_with(dag, |label| format!("{label}.submit"))
+    }
+
+    /// [`DagmanFile::from_dag`] with a caller-chosen submit-file name per
+    /// job label. The text and its index are built together; parsing the
+    /// text gives the same file.
+    pub fn from_dag_with(dag: &Dag, submit_file_for: impl Fn(&str) -> String) -> DagmanFile {
+        let parents = dag.node_ids().filter(|&u| dag.out_degree(u) > 0).count();
+        let mut file = DagmanFile::with_capacity(dag.num_nodes() + parents);
+        let mut text = String::with_capacity(dag.num_nodes() * 48 + dag.num_arcs() * 16);
+        let push = |text: &mut String, head: &str, token: &str| {
+            text.push_str(head);
+            text.push_str(token);
+            Span {
+                start: (text.len() - token.len()) as u32,
+                end: text.len() as u32,
+            }
+        };
+        let mut ids = Vec::with_capacity(dag.num_nodes());
+        for u in dag.node_ids() {
+            let name = push(&mut text, "JOB ", dag.label(u));
+            let submit = push(&mut text, " ", &submit_file_for(dag.label(u)));
+            text.push('\n');
+            let name = file.declare(&text, name, file.lines.len());
+            ids.push(name);
+            file.lines.push(Line::Job {
+                name,
+                submit,
+                options: Span::default(),
+            });
+        }
+        for u in dag.node_ids() {
+            let Some((&first, rest)) = dag.children(u).split_first() else {
+                continue;
+            };
+            let start = file.refs.len() as u32;
+            push(&mut text, "PARENT ", dag.label(u));
+            push(&mut text, " CHILD ", dag.label(first));
+            file.refs.extend([ids[u.index()], ids[first.index()]]);
+            for &c in rest {
+                push(&mut text, " ", dag.label(c));
+                file.refs.push(ids[c.index()]);
+            }
+            text.push('\n');
+            let end = file.refs.len() as u32;
+            file.lines.push(Line::Parent {
+                start,
+                split: start + 1,
+                end,
+            });
+        }
+        // Spans are `u32`, as `parse_dagman` requires of its input.
+        assert!(text.len() < u32::MAX as usize, "DAGMan text exceeds 4 GiB");
+        file.text = text;
+        file
+    }
+
+    /// An empty file whose tables are sized for about `lines` lines.
+    pub(crate) fn with_capacity(lines: usize) -> DagmanFile {
+        DagmanFile {
+            text: String::new(),
+            lines: Vec::with_capacity(lines),
+            names: Vec::with_capacity(lines),
+            node_of: Vec::with_capacity(lines),
+            nodes: Vec::with_capacity(lines),
+            refs: Vec::with_capacity(lines * 2),
+            index: NameIndex::with_capacity(lines),
+            duplicate: None,
+            inserted: Vec::new(),
+        }
+    }
+
+    /// The name id of the name at `span` of `text` (the text the file
+    /// will own), giving it the next id on first mention.
+    pub(crate) fn intern(&mut self, text: &str, span: Span) -> u32 {
+        let id = self.index.intern(text, &mut self.names, span);
+        if id as usize == self.node_of.len() {
+            self.node_of.push(NONE);
+        }
+        id
+    }
+
+    /// [`DagmanFile::intern`], declaring the name a node on line index
+    /// `line`; a repeated declaration is kept as the file's first
+    /// duplicate.
+    pub(crate) fn declare(&mut self, text: &str, span: Span, line: usize) -> u32 {
+        let name = self.intern(text, span);
+        let node = &mut self.node_of[name as usize];
+        if *node == NONE {
+            *node = self.nodes.len() as u32;
+            self.nodes.push(Node {
+                name,
+                line: line as u32,
+            });
+        } else if self.duplicate.is_none() {
+            self.duplicate = Some((line as u32, name));
+        }
+        name
+    }
+
+    /// The submit file declared for `job`, if any.
+    pub fn submit_file(&self, job: &str) -> Option<&str> {
+        let u = self.node(job)?;
+        match self.lines[self.nodes[u.index()].line as usize] {
+            Line::Job { submit, .. } => Some(self.str(submit)),
+            _ => None,
+        }
+    }
+
+    /// The distinct submit files the `JOB` statements declare, each once,
+    /// in the order they are first referenced.
+    pub fn submit_files(&self) -> impl Iterator<Item = &str> {
+        let mut seen: HashSet<&str, NameHashBuild> = HashSet::default();
+        self.lines.iter().filter_map(move |line| match *line {
+            Line::Job { submit, .. } if seen.insert(self.str(submit)) => Some(self.str(submit)),
+            _ => None,
+        })
+    }
+
+    /// Extracts the job-dependency DAG. Node indices follow declaration
+    /// order, and node labels are the job names.
+    ///
+    /// Fails on a repeated declaration (at its line), a dependency naming
+    /// an undeclared job (at the `PARENT` line), or cyclic dependencies.
+    pub fn to_dag(&self) -> Result<Dag, DagmanError> {
+        if let Some((line, name)) = self.duplicate {
+            return Err(DagmanError::DuplicateJob {
+                line: line as usize + 1,
+                job: self.name(name).to_string(),
+            });
+        }
+        let mut arcs = Vec::with_capacity(self.refs.len());
+        for (i, line) in self.lines.iter().enumerate() {
+            let Line::Parent { start, split, end } = *line else {
+                continue;
+            };
+            let node = |name: u32| match self.node_of[name as usize] {
+                NONE => Err(DagmanError::UnknownJob {
+                    line: i + 1,
+                    job: self.name(name).to_string(),
+                }),
+                u => Ok(NodeId(u)),
+            };
+            for &p in &self.refs[start as usize..split as usize] {
+                for &c in &self.refs[split as usize..end as usize] {
+                    let (pu, cu) = (node(p)?, node(c)?);
+                    if pu == cu {
+                        return Err(DagmanError::Cyclic {
+                            job: self.name(p).to_string(),
+                        });
+                    }
+                    arcs.push((pu, cu));
+                }
+            }
+        }
+        let labels = self.nodes.iter().map(|n| Label::from(self.name(n.name)));
+        Dag::from_labeled_arcs(labels.collect(), arcs).map_err(|e| match e {
+            GraphError::Cycle { on_cycle } => DagmanError::Cyclic {
+                job: self.name(self.nodes[on_cycle as usize].name).to_string(),
+            },
+            other => DagmanError::Malformed {
+                line: 0,
+                message: other.to_string(),
+            },
+        })
+    }
+
+    /// The value of a `VARS` macro for a job, unescaped, as the file
+    /// would be written: the last definition wins, counting the
+    /// statements instrumentation inserted and the values it set.
+    pub fn vars_value(&self, job: &str, key: &str) -> Option<String> {
+        let id = self.index.get(&self.text, &self.names, job)?;
+        let node = self.node_of[id as usize];
+        self.lines.iter().rev().find_map(|line| match *line {
+            Line::Vars {
+                name, pairs, set, ..
+            } if name == id => {
+                let pairs = crate::parse::vars_pairs(self.str(pairs)).map_while(Result::ok);
+                let (k, v) = pairs.filter(|&(k, _)| k == key).last()?;
+                Some(match set {
+                    Some(p) if k == crate::instrument::JOBPRIORITY => p.to_string(),
+                    _ => crate::parse::unescape(v),
+                })
+            }
+            Line::Job { name, .. } if name == id && key == crate::instrument::JOBPRIORITY => {
+                let vars = self.inserted.get(node as usize)?.vars?;
+                Some(vars.to_string())
+            }
+            _ => None,
+        })
+    }
+}
+
+/// The hash of a name, as the name index uses it.
+fn hash(name: &str) -> usize {
+    let mut h = NameHashBuild.build_hasher();
+    h.write(name.as_bytes());
+    h.finish() as usize
+}
+
+/// The name → name-id table: open addressing over [`NameHashBuild`]
+/// hashes with linear probing, kept under half full. A slot holds
+/// `id + 1`; `0` is empty. Names are compared through their spans, so the
+/// table holds no strings.
+#[derive(Debug, Clone)]
+pub(crate) struct NameIndex {
+    slots: Vec<u32>,
+}
+
+impl NameIndex {
+    /// A table sized for about `names` names.
+    pub(crate) fn with_capacity(names: usize) -> NameIndex {
+        NameIndex {
+            slots: vec![0; (names * 2).next_power_of_two().max(16)],
+        }
+    }
+
+    /// The id of `name`, or the empty slot where it belongs.
+    fn probe(&self, text: &str, names: &[Span], name: &str) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash(name) & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                id if names[id as usize - 1].get(text) == name => return Ok(id - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of `name`, if it has one.
+    pub(crate) fn get(&self, text: &str, names: &[Span], name: &str) -> Option<u32> {
+        self.probe(text, names, name).ok()
+    }
+
+    /// The id of the name at `span`, giving it the next id on first
+    /// mention.
+    pub(crate) fn intern(&mut self, text: &str, names: &mut Vec<Span>, span: Span) -> u32 {
+        if (names.len() + 1) * 2 > self.slots.len() {
+            let mut grown = NameIndex {
+                slots: vec![0; self.slots.len() * 2],
+            };
+            for (id, span) in names.iter().enumerate() {
+                let slot = grown.probe(text, names, span.get(text));
+                grown.slots[slot.expect_err("names are distinct")] = id as u32 + 1;
+            }
+            *self = grown;
+        }
+        match self.probe(text, names, span.get(text)) {
+            Ok(id) => id,
+            Err(slot) => {
+                names.push(span);
+                self.slots[slot] = names.len() as u32;
+                names.len() as u32 - 1
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_dagman;
+
+    const FIG3: &str = "# Fig. 3 example\nJOB a a.submit\nJOB b b.submit\nJOB c c.submit\n\
+                        JOB d d.submit\nJOB e e.submit\nPARENT a CHILD b\nPARENT c CHILD d e\n";
+
+    #[test]
+    fn job_names_in_order() {
+        assert_eq!(
+            parse_dagman(FIG3).unwrap().job_names(),
+            ["a", "b", "c", "d", "e"]
+        );
+    }
+
+    #[test]
+    fn to_dag_matches_dependencies() {
+        let dag = parse_dagman(FIG3).unwrap().to_dag().unwrap();
+        assert_eq!(dag.num_nodes(), 5);
+        assert_eq!(dag.num_arcs(), 3);
+        let c = dag.find("c").unwrap();
+        assert_eq!(dag.out_degree(c), 2);
+        assert_eq!(dag.label(NodeId(0)), "a");
+    }
+
+    #[test]
+    fn multi_parent_child_expands_to_product() {
+        let f = parse_dagman("JOB p1 x\nJOB p2 x\nJOB c1 x\nJOB c2 x\nPARENT p1 p2 CHILD c1 c2\n");
+        assert_eq!(f.unwrap().to_dag().unwrap().num_arcs(), 4);
+    }
+
+    #[test]
+    fn errors_name_the_job_and_its_line() {
+        let err = |text: &str| parse_dagman(text).unwrap().to_dag().unwrap_err();
+        let unknown = |line, job: &str| DagmanError::UnknownJob {
+            line,
+            job: job.into(),
+        };
+        let duplicate = |line, job: &str| DagmanError::DuplicateJob {
+            line,
+            job: job.into(),
+        };
+        let cyclic = |job: &str| DagmanError::Cyclic { job: job.into() };
+        assert_eq!(err("JOB a x\n\nPARENT a CHILD ghost"), unknown(3, "ghost"));
+        // Within a line: the first parent, then the children, then the
+        // other parents; across lines, file order.
+        assert_eq!(err("JOB a x\nPARENT a g1 CHILD g2"), unknown(2, "g2"));
+        assert_eq!(err("JOB a x\nPARENT g1 a CHILD g2"), unknown(2, "g1"));
+        assert_eq!(
+            err("JOB a x\nPARENT a CHILD a\nPARENT a CHILD g"),
+            cyclic("a")
+        );
+        // Every repeated declaration is reported before any dependency.
+        assert_eq!(
+            err("JOB a x\nPARENT a CHILD g\nJOB b x\nSUBDAG EXTERNAL a y.dag\nJOB b x"),
+            duplicate(4, "a")
+        );
+        assert_eq!(
+            err("JOB a x\nJOB b x\nPARENT a CHILD b\nPARENT b CHILD a"),
+            cyclic("a")
+        );
+    }
+
+    #[test]
+    fn vars_lookup_takes_last_definition() {
+        let f = parse_dagman(
+            "JOB a x\nVARS a jobpriority=\"1\"\nVARS a other=\"2\"\nVARS a jobpriority=\"9\" k=\"v\"",
+        )
+        .unwrap();
+        assert_eq!(f.vars_value("a", "jobpriority").as_deref(), Some("9"));
+        assert_eq!(f.vars_value("a", "other").as_deref(), Some("2"));
+        assert_eq!(f.vars_value("a", "missing"), None);
+        assert_eq!(f.vars_value("b", "jobpriority"), None);
+    }
+
+    #[test]
+    fn submit_file_lookup() {
+        let f = parse_dagman(FIG3).unwrap();
+        assert_eq!(f.submit_file("c"), Some("c.submit"));
+        assert_eq!(f.submit_file("zz"), None);
+        let f = parse_dagman("JOB a s1\nSUBDAG EXTERNAL d d.dag\nJOB b s2\nJOB c s1\n").unwrap();
+        assert_eq!(f.submit_file("d"), None, "a sub-dag has no submit file");
+        assert_eq!(f.submit_files().collect::<Vec<_>>(), ["s1", "s2"]);
+    }
+
+    #[test]
+    fn from_dag_writes_one_job_and_one_parent_line_per_node() {
+        let dag = parse_dagman(FIG3).unwrap().to_dag().unwrap();
+        let f = DagmanFile::from_dag(&dag);
+        assert_eq!(f.to_dag().unwrap(), dag);
+        assert_eq!(
+            crate::write::write_dagman(&f),
+            "JOB a a.submit\nJOB b b.submit\nJOB c c.submit\nJOB d d.submit\nJOB e e.submit\n\
+             PARENT a CHILD b\nPARENT c CHILD d e\n"
+        );
+    }
+
+    /// The index `from_dag_with` builds along with its text is the one
+    /// parsing that text builds.
+    #[test]
+    fn from_dag_builds_what_parsing_its_text_builds() {
+        let fig3 = parse_dagman(FIG3).unwrap().to_dag().unwrap();
+        let sparse = Dag::from_arcs(40, &[(0, 5), (0, 6), (3, 39), (5, 39), (7, 8)]).unwrap();
+        for dag in [fig3, sparse] {
+            let built = DagmanFile::from_dag_with(&dag, |l| format!("{}.sub", &l[..1]));
+            let parsed = parse_dagman(&built.text).unwrap();
+            assert_eq!(built.text, parsed.text);
+            assert_eq!(built.lines, parsed.lines);
+            assert_eq!(built.names, parsed.names);
+            assert_eq!(built.node_of, parsed.node_of);
+            assert_eq!(built.nodes, parsed.nodes);
+            assert_eq!(built.refs, parsed.refs);
+            assert_eq!(built.to_dag().unwrap(), dag);
+            for name in dag.node_ids().map(|u| dag.label(u)) {
+                assert_eq!(built.node(name), dag.find(name));
+            }
+        }
+    }
+}

@@ -12,15 +12,13 @@
 //! then one single-parent `PARENT … CHILD` statement per non-sink —
 //! single-parent so that even a job named `child` re-parses unambiguously.
 
-use crate::ast::{DagmanFile, JobName, Statement};
 use crate::error::DagmanError;
+use crate::file::{DagmanFile, Line, NONE};
 use crate::instrument::JOBPRIORITY;
-use crate::parse::parse_dagman;
-use crate::write::write_dagman;
-use prio_ir::{
-    FormatId, FormatRegistry, Frontend, ImportError, PrioError, Priorities, Workflow,
-    WorkflowBuilder,
-};
+use crate::parse::{parse_dagman, vars_pairs};
+use crate::write::{push_all, push_int};
+use prio_graph::NodeId;
+use prio_ir::{FormatId, FormatRegistry, Frontend, ImportError, PrioError, Priorities, Workflow};
 
 /// Metadata key: a job's submit description file, recorded only when it
 /// differs from the `<name>.submit` default.
@@ -46,148 +44,113 @@ pub fn registry() -> FormatRegistry {
     r
 }
 
-/// The default submit description file for a job name.
-fn default_submit(name: &str) -> String {
-    format!("{name}.submit")
-}
-
-/// Converts a parsed DAGMan file into the IR (the import half of the
-/// frontend, exposed for callers that already hold an AST).
-pub fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, PrioError> {
-    let mut b = WorkflowBuilder::with_capacity(FormatId::Dagman, file.statements.len(), 0);
-    for s in &file.statements {
-        let (name, subdag) = match s {
-            Statement::Job { name, .. } => (name, false),
-            Statement::Subdag { name, .. } => (name, true),
-            _ => continue,
-        };
-        if b.get(name).is_some() {
-            return Err(DagmanError::DuplicateJob {
-                line: 0,
-                job: name.to_string(),
+/// Converts a freshly parsed DAGMan file into the IR: the dag from the
+/// file's node ids, per-job metadata from each declaring line, and the
+/// priorities its `VARS … jobpriority` and `PRIORITY` lines carry (the
+/// last one of a job wins).
+fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, DagmanError> {
+    let mut wf = Workflow::imported(file.to_dag()?, FormatId::Dagman);
+    for (u, node) in file.nodes.iter().enumerate() {
+        let u = NodeId(u as u32);
+        match file.lines[node.line as usize] {
+            Line::Job {
+                submit, options, ..
+            } => {
+                let submit = file.str(submit);
+                if submit.strip_suffix(".submit") != Some(file.name(node.name)) {
+                    wf.set_meta(u, META_SUBMIT, submit);
+                }
+                let options = file.str(options);
+                if !options.is_empty() {
+                    let tokens: Vec<&str> = options.split_whitespace().collect();
+                    wf.set_meta(u, META_OPTIONS, tokens.join(" "));
+                }
             }
-            .into());
+            Line::Subdag { dag_file, .. } => wf.set_meta(u, META_SUBDAG, file.str(dag_file)),
+            _ => unreachable!("nodes are declared by JOB and SUBDAG lines"),
         }
-        let u = b.job(name);
-        match s {
-            Statement::Job {
-                submit_file,
-                options,
+    }
+    let mut priorities = Priorities::none(wf.num_jobs());
+    for line in &file.lines {
+        let (name, value) = match *line {
+            Line::Vars {
+                name,
+                pairs,
+                jobpriority: true,
                 ..
             } => {
-                if *submit_file != default_submit(name) {
-                    b.set_meta(u, META_SUBMIT, submit_file.clone());
-                }
-                if !options.is_empty() {
-                    b.set_meta(u, META_OPTIONS, options.join(" "));
-                }
+                let pairs = vars_pairs(file.str(pairs)).map_while(Result::ok);
+                let values = pairs.filter(|&(k, _)| k == JOBPRIORITY).map(|(_, v)| v);
+                (name, values.filter_map(|v| v.parse().ok()).last())
             }
-            Statement::Subdag { dag_file, .. } => {
-                b.set_meta(u, META_SUBDAG, dag_file.clone());
-            }
-            _ => unreachable!("filtered to node statements above"),
-        }
-        let _ = subdag;
-    }
-    for s in &file.statements {
-        match s {
-            Statement::ParentChild { parents, children } => {
-                for p in parents {
-                    for c in children {
-                        let unknown = |job: &JobName| DagmanError::UnknownJob {
-                            line: 0,
-                            job: job.to_string(),
-                        };
-                        let pu = b.get(p).ok_or_else(|| unknown(p))?;
-                        let cu = b.get(c).ok_or_else(|| unknown(c))?;
-                        b.arc(pu, cu)
-                            .map_err(|_| DagmanError::Cyclic { job: p.to_string() })?;
-                    }
-                }
-            }
-            Statement::Vars { job, pairs } => {
-                if let Some(u) = b.get(job) {
-                    for (k, v) in pairs {
-                        if k == JOBPRIORITY {
-                            if let Ok(p) = v.parse::<i64>() {
-                                b.set_priority(u, p);
-                            }
-                        }
-                    }
-                }
-            }
-            Statement::Priority { job, value } => {
-                if let Some(u) = b.get(job) {
-                    b.set_priority(u, *value);
-                }
-            }
-            _ => {}
+            Line::Priority { name, value } => (name, Some(value)),
+            _ => continue,
+        };
+        match (file.node_of[name as usize], value) {
+            (NONE, _) | (_, None) => {}
+            (u, Some(p)) => priorities.set(NodeId(u), p),
         }
     }
-    let wf = b.build()?;
+    wf.set_priorities(priorities);
     prio_obs::counter("dagman.parse.files").add(1);
     prio_obs::counter("dagman.parse.jobs").add(wf.num_jobs() as u64);
     prio_obs::counter("dagman.parse.arcs").add(wf.num_arcs() as u64);
     Ok(wf)
 }
 
-/// Builds the canonical DAGMan AST for a workflow (the export half of the
-/// frontend, exposed for callers that want the AST).
-pub fn file_from_workflow(workflow: &Workflow, priorities: &Priorities) -> DagmanFile {
-    let mut statements = Vec::with_capacity(workflow.num_jobs() * 2);
-    let names: Vec<JobName> = workflow
-        .node_ids()
-        .map(|u| JobName::from(workflow.job_name(u)))
-        .collect();
+/// The canonical DAGMan text of a workflow (the export half of the
+/// frontend).
+fn export_text(workflow: &Workflow, priorities: &Priorities) -> String {
+    let mut out = String::with_capacity(workflow.num_jobs() * 64 + workflow.num_arcs() * 16);
     for u in workflow.node_ids() {
-        let name = names[u.index()].clone();
-        let is_subdag = if let Some(dag_file) = workflow.meta(u, META_SUBDAG) {
-            statements.push(Statement::Subdag {
-                name: name.clone(),
-                dag_file: dag_file.to_string(),
-            });
-            true
-        } else {
-            statements.push(Statement::Job {
-                name: name.clone(),
-                submit_file: workflow
-                    .meta(u, META_SUBMIT)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| default_submit(&name)),
-                options: workflow
-                    .meta(u, META_OPTIONS)
-                    .map(|o| o.split_whitespace().map(str::to_string).collect())
-                    .unwrap_or_default(),
-            });
-            false
-        };
+        let name = workflow.job_name(u);
+        let (mut subdag, mut submit, mut options) = (None, None, "");
+        for (key, value) in workflow.meta_of(u) {
+            match key {
+                META_SUBDAG => subdag = Some(value),
+                META_SUBMIT => submit = Some(value),
+                META_OPTIONS => options = value,
+                _ => {}
+            }
+        }
+        match subdag {
+            Some(dag_file) => push_all(&mut out, &["SUBDAG EXTERNAL ", name, " ", dag_file]),
+            None => {
+                push_all(&mut out, &["JOB ", name, " "]);
+                match submit {
+                    Some(submit) => out.push_str(submit),
+                    None => push_all(&mut out, &[name, ".submit"]),
+                }
+                for option in options.split_whitespace() {
+                    push_all(&mut out, &[" ", option]);
+                }
+            }
+        }
+        out.push('\n');
+        // The paper's Fig. 3 layout: the priority statement directly
+        // follows its node. External sub-dags have no JSDF, so they get a
+        // PRIORITY statement instead of the VARS macro.
         if let Some(p) = priorities.get(u) {
-            // The paper's Fig. 3 layout: the priority statement directly
-            // follows its node. External sub-dags have no JSDF, so they
-            // get a PRIORITY statement instead of the VARS macro.
-            statements.push(if is_subdag {
-                Statement::Priority {
-                    job: name,
-                    value: p,
-                }
-            } else {
-                Statement::Vars {
-                    job: name,
-                    pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
-                }
-            });
+            let (head, tail) = match subdag {
+                Some(_) => (["PRIORITY ", name, " "], "\n"),
+                None => (["VARS ", name, " jobpriority=\""], "\"\n"),
+            };
+            push_all(&mut out, &head);
+            push_int(&mut out, p);
+            out.push_str(tail);
         }
     }
     for u in workflow.node_ids() {
         let children = workflow.children(u);
         if !children.is_empty() {
-            statements.push(Statement::ParentChild {
-                parents: vec![names[u.index()].clone()],
-                children: children.iter().map(|&c| names[c.index()].clone()).collect(),
-            });
+            push_all(&mut out, &["PARENT ", workflow.job_name(u), " CHILD"]);
+            for &c in children {
+                push_all(&mut out, &[" ", workflow.job_name(c)]);
+            }
+            out.push('\n');
         }
     }
-    DagmanFile { statements }
+    out
 }
 
 /// Whether every job name survives DAGMan's whitespace tokenization.
@@ -229,18 +192,18 @@ impl Frontend for DagmanFrontend {
     }
 
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
-        workflow_from_file(&parse_dagman(text)?)
+        Ok(workflow_from_file(&parse_dagman(text)?)?)
     }
 
     fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
-        write_dagman(&file_from_workflow(workflow, priorities))
+        export_text(workflow, priorities)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prio_graph::NodeId;
+    use prio_ir::WorkflowBuilder;
 
     const FIG3: &str = "\
 JOB a a.submit

@@ -6,26 +6,25 @@
 //! the bold lines of Fig. 3. Each job's JSDF is separately instrumented
 //! with `priority = $(jobpriority)` (see [`crate::jsdf`]).
 
-use crate::ast::{DagmanFile, JobName, Statement};
 use crate::error::DagmanError;
-use std::collections::BTreeMap;
+use crate::file::{DagmanFile, Inserted, Line, NONE};
 
 /// The name of the macro the tool defines.
 pub const JOBPRIORITY: &str = "jobpriority";
 
-/// Converts a schedule position map into Condor priorities: the job at
-/// schedule position 0 (executed first) of an `n`-job dag gets priority
-/// `n`, the last gets 1.
+/// Converts a schedule into Condor priorities: the job at schedule
+/// position 0 (executed first) of an `n`-job schedule gets priority `n`,
+/// the last gets 1.
 ///
-/// `order` lists job names in schedule order.
-pub fn priorities_by_job<'a>(order: impl IntoIterator<Item = &'a str>) -> BTreeMap<String, u32> {
-    let names: Vec<&str> = order.into_iter().collect();
-    let n = names.len() as u32;
-    names
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| (name.to_string(), n - i as u32))
-        .collect()
+/// `order` lists job names in schedule order; the result holds one
+/// `(job, priority)` pair per job, in the same order.
+pub fn priorities_by_job<'a>(order: impl IntoIterator<Item = &'a str>) -> Vec<(&'a str, u32)> {
+    let mut priorities: Vec<(&str, u32)> = order.into_iter().map(|name| (name, 0)).collect();
+    let n = priorities.len() as u32;
+    for (i, (_, p)) in priorities.iter_mut().enumerate() {
+        *p = n - i as u32;
+    }
+    priorities
 }
 
 /// How priorities are written back into the DAGMan file.
@@ -45,85 +44,97 @@ pub enum InstrumentMode {
 /// Instruments `file` in place: after each `JOB`/`SUBDAG` statement,
 /// inserts (or updates) the statement carrying the node's priority.
 ///
-/// Nodes missing from `priorities` are an error; extra entries are
-/// ignored. Existing definitions anywhere in the file are updated in
-/// place instead of duplicated, making instrumentation idempotent.
+/// Nodes missing from `priorities` are an error; names that are not
+/// nodes are ignored. Existing definitions anywhere in the file are
+/// updated in place instead of duplicated, making instrumentation
+/// idempotent.
 pub fn instrument_dagman_with(
     file: &mut DagmanFile,
-    priorities: &BTreeMap<String, u32>,
+    priorities: &[(&str, u32)],
+    mode: InstrumentMode,
+) -> Result<(), DagmanError> {
+    let mut by_node = vec![None; file.num_nodes()];
+    for &(name, p) in priorities {
+        if let Some(u) = file.node(name) {
+            by_node[u.index()] = Some(p);
+        }
+    }
+    instrument_nodes(file, &by_node, mode)
+}
+
+/// [`instrument_dagman_with`] with the priorities indexed by node id.
+pub(crate) fn instrument_nodes(
+    file: &mut DagmanFile,
+    by_node: &[Option<u32>],
     mode: InstrumentMode,
 ) -> Result<(), DagmanError> {
     let _span = prio_obs::span(prio_obs::stage::WRITE);
-    // Verify coverage first.
-    let names = file.job_names();
-    for name in &names {
-        if !priorities.contains_key(*name) {
-            return Err(DagmanError::UnknownJob {
-                line: 0,
-                job: name.to_string(),
-            });
-        }
+    if let Some(u) = by_node.iter().position(Option::is_none) {
+        let node = file.nodes[u];
+        return Err(DagmanError::UnknownJob {
+            line: node.line as usize + 1,
+            job: file.name(node.name).to_string(),
+        });
     }
-    let num_nodes = names.len();
-    // Update existing definitions in place. Cloning an interned JobName is
-    // a refcount bump, so the updated-set costs no string allocations.
-    let mut updated: std::collections::HashSet<JobName> = std::collections::HashSet::new();
-    for s in file.statements.iter_mut() {
-        match s {
-            Statement::Vars { job, pairs } if mode == InstrumentMode::VarsMacro => {
-                if let Some(p) = priorities.get(&**job) {
-                    for (k, v) in pairs.iter_mut() {
-                        if k == JOBPRIORITY {
-                            *v = p.to_string();
-                            updated.insert(job.clone());
-                        }
-                    }
+    let priority = |u: usize| by_node[u].expect("every node has a priority");
+    let vars_mode = mode == InstrumentMode::VarsMacro;
+    // Update the existing definitions in place.
+    let mut defined = vec![false; by_node.len()];
+    let node_of = &file.node_of;
+    let mut define = |name: u32| {
+        let u = node_of[name as usize];
+        (u != NONE).then(|| {
+            defined[u as usize] = true;
+            priority(u as usize)
+        })
+    };
+    for line in &mut file.lines {
+        match line {
+            Line::Vars {
+                name,
+                jobpriority: true,
+                set,
+                ..
+            } if vars_mode => {
+                if let Some(p) = define(*name) {
+                    *set = Some(p);
                 }
             }
-            Statement::Priority { job, value } => {
-                if let Some(&p) = priorities.get(&**job) {
-                    *value = p as i64;
-                    updated.insert(job.clone());
+            Line::Priority { name, value } => {
+                if let Some(p) = define(*name) {
+                    *value = i64::from(p);
                 }
             }
             _ => {}
         }
     }
-    prio_obs::counter("dagman.instrument.statements_updated").add(updated.len() as u64);
-    // Rebuild the statement list in one pass, pushing the new statement
-    // right after each node statement lacking one (an in-place insert per
-    // job would shift the tail every time: quadratic in the file size).
-    let old = std::mem::take(&mut file.statements);
-    let mut statements = Vec::with_capacity(old.len() + num_nodes);
-    let mut inserted = 0u64;
-    for s in old {
-        let node = match &s {
-            Statement::Job { name, .. } => Some((name.clone(), false)),
-            Statement::Subdag { name, .. } => Some((name.clone(), true)),
-            _ => None,
-        };
-        statements.push(s);
-        let Some((name, is_subdag)) = node else {
-            continue;
-        };
-        if updated.contains(&name) {
+    // Then the statements an earlier instrumentation inserted, and a new
+    // one for every node still lacking a definition.
+    file.inserted.resize(by_node.len(), Inserted::default());
+    let (mut updated, mut inserted) = (0u64, 0u64);
+    for (u, ins) in file.inserted.iter_mut().enumerate() {
+        let p = Some(priority(u));
+        if ins.vars.is_some() && vars_mode {
+            ins.vars = p;
+            defined[u] = true;
+        }
+        if ins.priority.is_some() {
+            ins.priority = p;
+            defined[u] = true;
+        }
+        if defined[u] {
+            updated += 1;
             continue;
         }
-        let p = priorities[&*name];
-        statements.push(if mode == InstrumentMode::PriorityStatement || is_subdag {
-            Statement::Priority {
-                job: name,
-                value: p as i64,
-            }
+        let subdag = matches!(file.lines[file.nodes[u].line as usize], Line::Subdag { .. });
+        if vars_mode && !subdag {
+            ins.vars = p;
         } else {
-            Statement::Vars {
-                job: name,
-                pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
-            }
-        });
+            ins.priority = p;
+        }
         inserted += 1;
     }
-    file.statements = statements;
+    prio_obs::counter("dagman.instrument.statements_updated").add(updated);
     prio_obs::counter("dagman.instrument.statements_inserted").add(inserted);
     Ok(())
 }
@@ -144,19 +155,17 @@ PARENT a CHILD b
 PARENT c CHILD d e
 ";
 
-    fn fig3_priorities() -> BTreeMap<String, u32> {
+    fn fig3_priorities() -> Vec<(&'static str, u32)> {
         // PRIO schedule: c, a, b, d, e.
         priorities_by_job(["c", "a", "b", "d", "e"])
     }
 
     #[test]
     fn priorities_by_job_matches_fig3() {
-        let p = fig3_priorities();
-        assert_eq!(p["c"], 5);
-        assert_eq!(p["a"], 4);
-        assert_eq!(p["b"], 3);
-        assert_eq!(p["d"], 2);
-        assert_eq!(p["e"], 1);
+        assert_eq!(
+            fig3_priorities(),
+            [("c", 5), ("a", 4), ("b", 3), ("d", 2), ("e", 1)]
+        );
     }
 
     #[test]
@@ -197,18 +206,38 @@ PARENT c CHILD d e
         // New schedule: a first.
         let new = priorities_by_job(["a", "b", "c", "d", "e"]);
         instrument_dagman_with(&mut f, &new, InstrumentMode::VarsMacro).unwrap();
-        assert_eq!(f.vars_value("a", JOBPRIORITY), Some("5"));
-        assert_eq!(f.vars_value("c", JOBPRIORITY), Some("3"));
+        assert_eq!(f.vars_value("a", JOBPRIORITY).as_deref(), Some("5"));
+        assert_eq!(f.vars_value("c", JOBPRIORITY).as_deref(), Some("3"));
     }
 
     #[test]
-    fn missing_priority_is_an_error() {
+    fn missing_priority_is_an_error_at_the_declaration() {
         let mut f = parse_dagman(FIG3).unwrap();
-        let partial = priorities_by_job(["a", "b"]);
-        assert!(matches!(
+        let partial = priorities_by_job(["a", "b", "ghost"]);
+        assert_eq!(
             instrument_dagman_with(&mut f, &partial, InstrumentMode::VarsMacro),
-            Err(DagmanError::UnknownJob { .. })
-        ));
+            Err(DagmanError::UnknownJob {
+                line: 3,
+                job: "c".into()
+            })
+        );
+    }
+
+    #[test]
+    fn inserted_statements_follow_every_mode_switch() {
+        let mut f = parse_dagman("JOB a a.sub\n").unwrap();
+        instrument_dagman_with(&mut f, &[("a", 1)], InstrumentMode::VarsMacro).unwrap();
+        instrument_dagman_with(&mut f, &[("a", 2)], InstrumentMode::PriorityStatement).unwrap();
+        assert_eq!(
+            write_dagman(&f),
+            "JOB a a.sub\nPRIORITY a 2\nVARS a jobpriority=\"1\"\n"
+        );
+        instrument_dagman_with(&mut f, &[("a", 3)], InstrumentMode::VarsMacro).unwrap();
+        assert_eq!(
+            write_dagman(&f),
+            "JOB a a.sub\nPRIORITY a 3\nVARS a jobpriority=\"3\"\n"
+        );
+        assert_eq!(f.vars_value("a", JOBPRIORITY).as_deref(), Some("3"));
     }
 
     #[test]
@@ -270,7 +299,9 @@ PARENT d CHILD outer
     /// (`PRIORITY` lines, and `VARS … jobpriority` in `VARS` mode) get the
     /// new value; every other node gets its statement on the line right
     /// after its `JOB`/`SUBDAG` line.
-    fn line_oracle(text: &str, p: &BTreeMap<String, u32>, mode: InstrumentMode) -> String {
+    fn line_oracle(text: &str, p: &[(&str, u32)], mode: InstrumentMode) -> String {
+        let p: std::collections::HashMap<String, u32> =
+            p.iter().map(|&(n, v)| (n.to_string(), v)).collect();
         let vars_mode = mode == InstrumentMode::VarsMacro;
         let tokens =
             |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };

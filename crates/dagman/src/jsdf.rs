@@ -64,11 +64,7 @@ impl Jsdf {
             self.lines[i] = assignment;
             return;
         }
-        let queue_pos = self.lines.iter().position(|l| {
-            let t = l.trim();
-            t.eq_ignore_ascii_case("queue") || t.to_ascii_lowercase().starts_with("queue ")
-        });
-        match queue_pos {
+        match self.lines.iter().position(|l| is_queue(l)) {
             Some(i) => self.lines.insert(i, assignment),
             None => self.lines.push(assignment),
         }
@@ -79,6 +75,14 @@ impl Jsdf {
     pub fn instrument_priority(&mut self) {
         self.set("priority", "$(jobpriority)");
     }
+}
+
+/// Whether `line` is a `queue` statement: the keyword in any case, alone
+/// or followed by whitespace and its arguments.
+fn is_queue(line: &str) -> bool {
+    let t = line.trim();
+    t.get(..5).is_some_and(|k| k.eq_ignore_ascii_case("queue"))
+        && t[5..].chars().next().is_none_or(char::is_whitespace)
 }
 
 #[cfg(test)]
@@ -144,6 +148,28 @@ queue
         j.instrument_priority();
         let text = j.to_text();
         assert!(text.find("priority").unwrap() < text.find("Queue 5").unwrap());
+    }
+
+    #[test]
+    fn queue_followed_by_any_whitespace_is_recognized() {
+        for (queue, text) in [
+            ("queue\t3", "executable = x\nqueue\t3\n"),
+            ("Queue 2", "executable = x\nQueue 2\n"),
+            ("queue", "executable = x\nqueue\n"),
+            ("QUEUE", "executable = x\n  QUEUE  \n"),
+        ] {
+            let mut j = Jsdf::parse(text);
+            j.instrument_priority();
+            let out = j.to_text();
+            let prio = out.find("priority = $(jobpriority)").unwrap();
+            assert!(prio < out.find(queue).unwrap(), "{queue:?}: {out}");
+        }
+        // A key that merely starts with `queue` is an assignment.
+        for line in ["queued = 1", "queue_x = 2", "queue=3"] {
+            assert!(!is_queue(line), "{line:?}");
+        }
+        assert!(!is_queue("qu"));
+        assert!(!is_queue("quéue"));
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! `condor_submit_dag`) and on the *job-submit description files* (JSDFs)
 //! each `JOB` statement references. This crate implements both formats:
 //!
-//! * a line-faithful parser and writer for DAGMan input files ([`parse`],
-//!   [`ast`], [`write()`][crate::write::write_dagman]) — comments, unknown keywords and formatting are
-//!   preserved so instrumentation produces a minimal diff, exactly like the
-//!   paper's Fig. 3 (bold lines added, everything else untouched);
+//! * a one-pass parser into a line-indexed [`DagmanFile`] ([`parse`],
+//!   [`file`]) and a writer that renders it back from its spans
+//!   ([`write()`][crate::write::write_dagman]) — comments and unknown
+//!   keywords are kept verbatim so instrumentation produces a minimal
+//!   diff, exactly like the paper's Fig. 3 (bold lines added, everything
+//!   else untouched);
 //! * extraction of the job-dependency DAG from `JOB`/`PARENT … CHILD`
-//!   statements ([`ast::DagmanFile::to_dag`]);
+//!   statements ([`file::DagmanFile::to_dag`]);
 //! * the instrumentation step: defining the `jobpriority` macro for every
 //!   job via `VARS` statements in the DAGMan file, and assigning
 //!   `priority = $(jobpriority)` in each JSDF ([`instrument`], [`jsdf`]).
@@ -28,22 +30,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod error;
+pub mod file;
 pub mod frontend;
 pub mod instrument;
-pub mod io;
 pub mod jsdf;
 pub mod parse;
 pub mod pipeline;
 pub mod scan;
 pub mod write;
 
-pub use ast::{DagmanFile, JobName, Statement};
 pub use error::DagmanError;
+pub use file::DagmanFile;
 pub use frontend::{registry, DagmanFrontend};
 pub use instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
-pub use io::read_input;
 pub use jsdf::Jsdf;
 pub use parse::{parse_dagman, parse_dagman_threads};
 pub use pipeline::{prioritize_file, FileOptions, PrioritizedFile};

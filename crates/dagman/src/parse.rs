@@ -1,283 +1,218 @@
-//! Line-based parser for DAGMan input files.
+//! The one-pass parser for DAGMan input files.
 //!
 //! DAGMan keywords are case-insensitive; job names and file paths are
-//! case-sensitive tokens. `VARS` values are double-quoted strings with
-//! backslash escapes for `"` and `\`.
+//! case-sensitive tokens, split at whitespace as
+//! [`str::split_whitespace`] splits. `VARS` values are double-quoted
+//! strings with backslash escapes for `"` and `\`. Each line becomes one
+//! [`Line`] record of spans into the text, and each name gets its id from
+//! the file's [`NameIndex`] as it is read, so a name is hashed once per
+//! mention and never copied.
 
-use crate::ast::{DagmanFile, Statement};
 use crate::error::DagmanError;
+use crate::file::{DagmanFile, Line, Span};
+use crate::instrument::JOBPRIORITY;
 use crate::scan;
-// Shared with every other frontend: each distinct name token is allocated
-// once and every later occurrence clones the shared `JobName`. On large
-// .dag files nearly every name token is a repeat (its `JOB` line plus one
-// or more `PARENT … CHILD` mentions), so this removes the majority of
-// parse-time allocations.
-use prio_ir::NameInterner;
-
-/// Inputs below this size are parsed serially even when threads are
-/// requested: chunking and thread spawn cost more than the parse itself.
-const MIN_PARALLEL_PARSE_BYTES: usize = 1 << 16;
 
 /// Parses the text of a DAGMan input file.
 pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
     let _span = prio_obs::span(prio_obs::stage::PARSE);
-    prio_obs::counter("dagman.parse.serial_parses").add(1);
-    // One O(bytes) SWAR scan to pre-size the statement vector beats
-    // letting a multi-megabyte Vec regrow-and-copy its way up.
-    let mut statements = Vec::with_capacity(scan::count_lines(text));
-    let mut names = NameInterner::default();
-    for (i, raw) in scan::lines(text).enumerate() {
-        let line = i + 1;
-        statements.push(parse_line(raw, line, &mut names)?);
+    if text.len() >= u32::MAX as usize {
+        return Err(malformed(0, "file exceeds 4 GiB"));
     }
-    Ok(DagmanFile { statements })
-}
-
-/// [`parse_dagman`] with the input sharded across up to `threads` scoped
-/// worker threads (`0`/`1` = the serial path).
-///
-/// The input is split at statement (line) boundaries into near-even byte
-/// chunks, each parsed independently with the starting line number the
-/// serial parser would have reached; statement lists are then concatenated
-/// in chunk order. Errors stop each worker at its first bad line, and the
-/// error of the lowest chunk — i.e. the lowest line number, exactly the
-/// serial parser's error — wins. Results are bit-identical to
-/// [`parse_dagman`] for every thread count.
-pub fn parse_dagman_threads(text: &str, threads: usize) -> Result<DagmanFile, DagmanError> {
-    if threads <= 1 || text.len() < MIN_PARALLEL_PARSE_BYTES {
-        return parse_dagman(text);
-    }
-    let _span = prio_obs::span(prio_obs::stage::PARSE);
-    let chunks = scan::chunk_at_lines(text, threads);
-    prio_obs::counter("dagman.parse.parallel_chunks").add(chunks.len() as u64);
-    let mut results: Vec<Option<Result<Vec<Statement>, DagmanError>>> =
-        (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest = results.as_mut_slice();
-        for (range, start_line) in &chunks {
-            let (slot, tail) = rest.split_first_mut().expect("one slot per chunk");
-            rest = tail;
-            let chunk = &text[range.clone()];
-            let start_line = *start_line;
-            scope.spawn(move || {
-                let mut names = NameInterner::default();
-                let mut statements = Vec::with_capacity(scan::count_lines(chunk));
-                let mut out = Ok(());
-                for (i, raw) in scan::lines(chunk).enumerate() {
-                    match parse_line(raw, start_line + i, &mut names) {
-                        Ok(s) => statements.push(s),
-                        Err(e) => {
-                            out = Err(e);
-                            break;
-                        }
-                    }
-                }
-                *slot = Some(out.map(|()| statements));
-            });
-        }
-    });
-    let mut statements = Vec::with_capacity(scan::count_lines(text));
-    for r in results {
-        statements.extend(r.expect("every chunk parsed")?);
-    }
-    Ok(DagmanFile { statements })
-}
-
-fn parse_line(raw: &str, line: usize, names: &mut NameInterner) -> Result<Statement, DagmanError> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(Statement::Blank);
-    }
-    if trimmed.starts_with('#') {
-        return Ok(Statement::Comment(raw.to_string()));
-    }
-    let mut tokens = trimmed.split_whitespace();
-    let keyword = tokens.next().expect("non-empty line has a first token");
-    // Keywords are short ASCII, so case-fold into a stack buffer — the old
-    // `to_ascii_uppercase()` allocated a String on every single line.
-    let mut kwbuf = [0u8; 8];
-    let keyword = if keyword.len() <= kwbuf.len() {
-        let buf = &mut kwbuf[..keyword.len()];
-        buf.copy_from_slice(keyword.as_bytes());
-        buf.make_ascii_uppercase();
-        std::str::from_utf8(buf).unwrap_or("")
-    } else {
-        "" // longer than any keyword: passes through as Other
+    let mut p = Parser {
+        text,
+        file: DagmanFile::with_capacity(scan::count_lines(text)),
     };
-    match keyword {
-        "JOB" => {
-            let name = names.intern(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed(line, "JOB requires a name"))?,
-            );
-            let submit_file = tokens
-                .next()
-                .ok_or_else(|| malformed(line, "JOB requires a submit description file"))?
-                .to_string();
-            let options = tokens.map(str::to_string).collect();
-            Ok(Statement::Job {
-                name,
-                submit_file,
+    for (i, raw) in scan::lines(text).enumerate() {
+        let line = p.line(raw, i)?;
+        p.file.lines.push(line);
+    }
+    p.file.text = text.to_owned();
+    Ok(p.file)
+}
+
+/// [`parse_dagman`]; `threads` is ignored (the parse is serial).
+pub fn parse_dagman_threads(text: &str, _threads: usize) -> Result<DagmanFile, DagmanError> {
+    parse_dagman(text)
+}
+
+struct Parser<'t> {
+    text: &'t str,
+    file: DagmanFile,
+}
+
+impl Parser<'_> {
+    /// The name id of `token`, a subslice of the text.
+    fn name(&mut self, token: &str) -> u32 {
+        self.file.intern(self.text, Span::of(self.text, token))
+    }
+
+    /// [`Parser::name`], declaring a node on line index `i`.
+    fn declare(&mut self, token: &str, i: usize) -> u32 {
+        self.file.declare(self.text, Span::of(self.text, token), i)
+    }
+
+    /// Classifies `raw`, the line at index `i`.
+    fn line(&mut self, raw: &str, i: usize) -> Result<Line, DagmanError> {
+        let line = i + 1;
+        let trimmed = raw.trim();
+        if trimmed.is_empty() {
+            return Ok(Line::Blank);
+        }
+        let mut tokens = trimmed.split_whitespace();
+        let keyword = tokens.next().expect("non-empty line has a first token");
+        let kw = |k: &str| keyword.eq_ignore_ascii_case(k);
+        if trimmed.starts_with('#') {
+            Ok(Line::Verbatim(Span::of(self.text, raw)))
+        } else if kw("JOB") {
+            let name = need(tokens.next(), line, "JOB requires a name")?;
+            let submit = need(
+                tokens.next(),
+                line,
+                "JOB requires a submit description file",
+            )?;
+            let options = match tokens.next() {
+                Some(first) => Span {
+                    start: Span::of(self.text, first).start,
+                    end: Span::of(self.text, trimmed).end,
+                },
+                None => Span::default(),
+            };
+            Ok(Line::Job {
+                name: self.declare(name, i),
+                submit: Span::of(self.text, submit),
                 options,
             })
-        }
-        "PARENT" => {
-            let mut parents = Vec::new();
-            let mut children = Vec::new();
-            let mut in_children = false;
+        } else if kw("PARENT") {
+            let start = self.file.refs.len() as u32;
+            let mut split = None;
             for t in tokens {
                 // `CHILD` is the separator keyword only at the boundary:
                 // after at least one parent and before the children begin.
-                // A first token spelled "child" is a job name (so a parent
-                // named `child` parses — the writer puts such a parent
-                // first), and once in children mode every token is a name.
-                if !in_children && !parents.is_empty() && t.eq_ignore_ascii_case("CHILD") {
-                    in_children = true;
-                } else if in_children {
-                    children.push(names.intern(t));
+                // A first token spelled "child" is a job name, and once in
+                // the children every token is a name.
+                if split.is_none()
+                    && self.file.refs.len() as u32 > start
+                    && t.eq_ignore_ascii_case("CHILD")
+                {
+                    split = Some(self.file.refs.len() as u32);
                 } else {
-                    parents.push(names.intern(t));
+                    let id = self.name(t);
+                    self.file.refs.push(id);
                 }
             }
-            if parents.is_empty() || children.is_empty() {
-                return Err(malformed(line, "PARENT … CHILD … requires both lists"));
+            let end = self.file.refs.len() as u32;
+            match split {
+                Some(split) if split < end => Ok(Line::Parent { start, split, end }),
+                _ => Err(malformed(line, "PARENT … CHILD … requires both lists")),
             }
-            Ok(Statement::ParentChild { parents, children })
-        }
-        "VARS" => {
-            let job = names.intern(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed(line, "VARS requires a job name"))?,
-            );
-            // Re-scan the remainder of the raw line to honor quoting.
-            let rest_start = find_after_token(trimmed, 2);
-            let mut pairs = Vec::new();
-            parse_vars_pairs_into(&trimmed[rest_start..], line, &mut pairs)?;
-            if pairs.is_empty() {
+        } else if kw("VARS") {
+            let job = need(tokens.next(), line, "VARS requires a job name")?;
+            let pairs = Span {
+                start: Span::of(self.text, job).end,
+                end: Span::of(self.text, trimmed).end,
+            };
+            let (mut any, mut jobpriority) = (false, false);
+            for pair in vars_pairs(pairs.get(self.text)) {
+                let (key, _) = pair.map_err(|m| malformed(line, m))?;
+                any = true;
+                jobpriority |= key == JOBPRIORITY;
+            }
+            if !any {
                 return Err(malformed(line, "VARS requires at least one key=\"value\""));
             }
-            Ok(Statement::Vars { job, pairs })
-        }
-        "SUBDAG" => {
-            let external = tokens
-                .next()
-                .ok_or_else(|| malformed(line, "SUBDAG requires the EXTERNAL keyword"))?;
+            Ok(Line::Vars {
+                name: self.name(job),
+                pairs,
+                jobpriority,
+                set: None,
+            })
+        } else if kw("SUBDAG") {
+            let external = need(tokens.next(), line, "SUBDAG requires the EXTERNAL keyword")?;
             if !external.eq_ignore_ascii_case("EXTERNAL") {
                 return Err(malformed(line, "only SUBDAG EXTERNAL is supported"));
             }
-            let name = names.intern(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed(line, "SUBDAG EXTERNAL requires a name"))?,
-            );
-            let dag_file = tokens
-                .next()
-                .ok_or_else(|| malformed(line, "SUBDAG EXTERNAL requires a dag file"))?
-                .to_string();
-            Ok(Statement::Subdag { name, dag_file })
-        }
-        "PRIORITY" => {
-            let job = names.intern(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed(line, "PRIORITY requires a job name"))?,
-            );
-            let value = tokens
-                .next()
-                .ok_or_else(|| malformed(line, "PRIORITY requires a value"))?
+            let name = need(tokens.next(), line, "SUBDAG EXTERNAL requires a name")?;
+            let dag_file = need(tokens.next(), line, "SUBDAG EXTERNAL requires a dag file")?;
+            Ok(Line::Subdag {
+                name: self.declare(name, i),
+                dag_file: Span::of(self.text, dag_file),
+            })
+        } else if kw("PRIORITY") {
+            let job = need(tokens.next(), line, "PRIORITY requires a job name")?;
+            let value = need(tokens.next(), line, "PRIORITY requires a value")?
                 .parse()
                 .map_err(|_| malformed(line, "PRIORITY value must be an integer"))?;
-            Ok(Statement::Priority { job, value })
-        }
-        _ => Ok(Statement::Other(raw.to_string())),
-    }
-}
-
-/// Byte offset just past the `n`-th whitespace-separated token of `s`.
-pub(crate) fn find_after_token(s: &str, n: usize) -> usize {
-    let mut count = 0;
-    let mut in_token = false;
-    for (i, ch) in s.char_indices() {
-        if ch.is_whitespace() {
-            if in_token {
-                count += 1;
-                if count == n {
-                    return i;
-                }
-                in_token = false;
-            }
+            Ok(Line::Priority {
+                name: self.name(job),
+                value,
+            })
         } else {
-            in_token = true;
+            Ok(Line::Verbatim(Span::of(self.text, raw)))
         }
     }
-    s.len()
 }
 
-/// Parses `key="value"` pairs into `pairs`, honoring `\"` and `\\`
-/// escapes inside values.
-fn parse_vars_pairs_into(
-    s: &str,
-    line: usize,
-    pairs: &mut Vec<(String, String)>,
-) -> Result<(), DagmanError> {
-    let mut chars = s.char_indices().peekable();
-    loop {
-        // Skip whitespace.
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        let Some(&(start, _)) = chars.peek() else {
-            break;
-        };
-        // Key runs until '='.
-        let mut key_end = start;
-        let mut found_eq = false;
-        for (i, c) in chars.by_ref() {
-            if c == '=' {
-                key_end = i;
-                found_eq = true;
-                break;
+/// The `key="value"` pairs of a `VARS` line after its job name, with the
+/// values as written (escapes intact). The first error ends the
+/// iteration.
+pub(crate) fn vars_pairs(s: &str) -> impl Iterator<Item = Result<(&str, &str), &'static str>> {
+    let mut rest = s;
+    std::iter::from_fn(move || {
+        let s = rest.trim_start();
+        rest = "";
+        (!s.is_empty()).then(|| {
+            let (key, value) = s.split_once('=').ok_or("VARS entry missing '='")?;
+            let key = key.trim();
+            if key.is_empty() {
+                return Err("VARS entry with empty key");
             }
-        }
-        if !found_eq {
-            return Err(malformed(line, "VARS entry missing '='"));
-        }
-        let key = s[start..key_end].trim();
-        if key.is_empty() {
-            return Err(malformed(line, "VARS entry with empty key"));
-        }
-        // Value must be a quoted string.
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return Err(malformed(line, "VARS value must be double-quoted")),
-        }
-        let mut value = String::new();
-        let mut closed = false;
-        while let Some((_, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, escaped @ ('"' | '\\'))) => value.push(escaped),
-                    Some((_, other)) => {
-                        value.push('\\');
-                        value.push(other);
+            let body = value
+                .strip_prefix('"')
+                .ok_or("VARS value must be double-quoted")?;
+            let bytes = body.as_bytes();
+            let mut i = 0;
+            loop {
+                match bytes.get(i) {
+                    None => return Err("unterminated VARS value"),
+                    Some(b'"') => break,
+                    Some(b'\\') if i + 1 == bytes.len() => {
+                        return Err("dangling escape in VARS value")
                     }
-                    None => return Err(malformed(line, "dangling escape in VARS value")),
-                },
-                '"' => {
-                    closed = true;
-                    break;
+                    Some(b'\\') => i += 2,
+                    Some(_) => i += 1,
                 }
-                other => value.push(other),
+            }
+            rest = &body[i + 1..];
+            Ok((key, &body[..i]))
+        })
+    })
+}
+
+/// A `VARS` value as written, unescaped: `\"` and `\\` lose their
+/// backslash, any other escape keeps it.
+pub(crate) fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some(e @ ('"' | '\\')) => out.push(e),
+            other => {
+                out.push('\\');
+                out.extend(other);
             }
         }
-        if !closed {
-            return Err(malformed(line, "unterminated VARS value"));
-        }
-        pairs.push((key.to_string(), value));
     }
-    Ok(())
+    out
+}
+
+/// `token`, or the error that `what` is missing.
+fn need<'a>(token: Option<&'a str>, line: usize, what: &str) -> Result<&'a str, DagmanError> {
+    token.ok_or_else(|| malformed(line, what))
 }
 
 pub(crate) fn malformed(line: usize, message: &str) -> DagmanError {
@@ -290,6 +225,7 @@ pub(crate) fn malformed(line: usize, message: &str) -> DagmanError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::write::write_dagman;
 
     const FIG3: &str = "\
 # IV.dag
@@ -314,38 +250,64 @@ PARENT c CHILD d e
     fn keywords_are_case_insensitive() {
         let f = parse_dagman("job x x.sub\nparent x child x2\nJob x2 y.sub").unwrap();
         assert_eq!(f.job_names(), vec!["x", "x2"]);
-        assert!(matches!(&f.statements[1], Statement::ParentChild { .. }));
+        assert!(matches!(&f.lines[1], Line::Parent { .. }));
+        assert_eq!(
+            write_dagman(&f),
+            "JOB x x.sub\nPARENT x CHILD x2\nJOB x2 y.sub\n"
+        );
     }
 
     #[test]
     fn job_options_preserved() {
-        let f = parse_dagman("JOB a a.sub DIR subdir DONE").unwrap();
-        match &f.statements[0] {
-            Statement::Job { options, .. } => {
-                assert_eq!(
-                    options,
-                    &vec!["DIR".to_string(), "subdir".into(), "DONE".into()]
-                );
-            }
-            other => panic!("unexpected {other:?}"),
+        let f = parse_dagman("JOB a a.sub DIR\tsubdir   DONE").unwrap();
+        match f.lines[0] {
+            Line::Job { options, .. } => assert_eq!(f.str(options), "DIR\tsubdir   DONE"),
+            ref other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(write_dagman(&f), "JOB a a.sub DIR subdir DONE\n");
     }
 
     #[test]
     fn vars_with_quotes_and_escapes() {
         let f =
             parse_dagman("JOB a a.sub\nVARS a jobpriority=\"5\" note=\"say \\\"hi\\\"\"").unwrap();
-        assert_eq!(f.vars_value("a", "jobpriority"), Some("5"));
-        assert_eq!(f.vars_value("a", "note"), Some("say \"hi\""));
+        assert_eq!(f.vars_value("a", "jobpriority").as_deref(), Some("5"));
+        assert_eq!(f.vars_value("a", "note").as_deref(), Some("say \"hi\""));
+        assert!(matches!(
+            f.lines[1],
+            Line::Vars {
+                jobpriority: true,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn vars_pairs_match_the_escape_rules() {
+        let pairs: Vec<_> = vars_pairs(" a=\"1\"b =\"x\\\\y\"  c d=\"\\q\\\"\"").collect();
+        assert_eq!(
+            pairs,
+            [Ok(("a", "1")), Ok(("b", "x\\\\y")), Ok(("c d", "\\q\\\""))]
+        );
+        assert_eq!(unescape("x\\\\y"), "x\\y");
+        assert_eq!(unescape("\\q\\\""), "\\q\"");
+        for (bad, message) in [
+            ("k", "VARS entry missing '='"),
+            ("=\"v\"", "VARS entry with empty key"),
+            ("k=v", "VARS value must be double-quoted"),
+            ("k=\"v", "unterminated VARS value"),
+            ("k=\"v\\", "dangling escape in VARS value"),
+        ] {
+            assert_eq!(vars_pairs(bad).last(), Some(Err(message)), "{bad:?}");
+        }
     }
 
     #[test]
     fn unknown_keywords_pass_through() {
-        let f = parse_dagman("RETRY a 3\nCONFIG dagman.config\nSCRIPT PRE a setup.sh").unwrap();
-        assert!(f
-            .statements
-            .iter()
-            .all(|s| matches!(s, Statement::Other(_))));
+        let text = "RETRY a 3\nCONFIG  dagman.config\n  SCRIPT PRE a setup.sh\n";
+        let f = parse_dagman(text).unwrap();
+        assert!(f.lines.iter().all(|l| matches!(l, Line::Verbatim(_))));
+        assert_eq!(write_dagman(&f), text);
     }
 
     #[test]
@@ -364,11 +326,9 @@ PARENT c CHILD d e
 
     #[test]
     fn priority_statement_parses() {
-        let f = parse_dagman("JOB a a.sub\nPRIORITY a 42\n").unwrap();
-        assert!(matches!(
-            f.statements[1],
-            Statement::Priority { ref job, value: 42 } if &**job == "a"
-        ));
+        let f = parse_dagman("JOB a a.sub\nPRIORITY a +42\n").unwrap();
+        assert!(matches!(f.lines[1], Line::Priority { value: 42, .. }));
+        assert_eq!(write_dagman(&f), "JOB a a.sub\nPRIORITY a 42\n");
         assert!(parse_dagman("PRIORITY a notanumber").is_err());
         assert!(parse_dagman("PRIORITY a").is_err());
     }
@@ -383,12 +343,40 @@ PARENT c CHILD d e
         assert!(matches!(e, DagmanError::Malformed { .. }));
         let e = parse_dagman("VARS a k=\"unterminated").unwrap_err();
         assert!(matches!(e, DagmanError::Malformed { .. }));
+        let e = parse_dagman("VARS a").unwrap_err();
+        assert!(matches!(e, DagmanError::Malformed { line: 1, .. }));
     }
 
     #[test]
     fn blank_and_comment_lines_kept() {
-        let f = parse_dagman("# top\n\nJOB a a.sub\n").unwrap();
-        assert!(matches!(f.statements[0], Statement::Comment(_)));
-        assert!(matches!(f.statements[1], Statement::Blank));
+        let f = parse_dagman("# top\n \t\nJOB a a.sub\n").unwrap();
+        assert!(matches!(f.lines[0], Line::Verbatim(_)));
+        assert!(matches!(f.lines[1], Line::Blank));
+        assert_eq!(write_dagman(&f), "# top\n\nJOB a a.sub\n");
+    }
+
+    #[test]
+    fn names_get_one_id_each_and_forward_references_resolve() {
+        let f =
+            parse_dagman("PARENT a CHILD b\nJOB b b.sub\nVARS a k=\"v\"\nJOB a a.sub\n").unwrap();
+        assert_eq!(f.names.len(), 2, "a and b, each once");
+        assert_eq!(
+            f.job_names(),
+            ["b", "a"],
+            "node ids follow declaration order"
+        );
+        let dag = f.to_dag().unwrap();
+        assert_eq!(dag.children(prio_graph::NodeId(1)), [prio_graph::NodeId(0)]);
+    }
+
+    #[test]
+    fn the_name_index_grows_past_its_first_size() {
+        let text: String = (0..5_000).map(|i| format!("JOB j{i} s.sub\n")).collect();
+        let f = parse_dagman(&text).unwrap();
+        assert_eq!(f.num_nodes(), 5_000);
+        for i in (0..5_000).step_by(97) {
+            assert_eq!(f.node(&format!("j{i}")), Some(prio_graph::NodeId(i)));
+        }
+        assert_eq!(f.node("j5000"), None);
     }
 }

@@ -9,8 +9,8 @@
 //! other format is imported into the IR, prioritized, and exported in the
 //! same format with the priorities attached.
 
-use crate::instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
-use crate::parse::parse_dagman_threads;
+use crate::instrument::{instrument_nodes, InstrumentMode};
+use crate::parse::parse_dagman;
 use crate::write::write_dagman;
 use prio_core::{PrioContext, PrioError, PrioOptions, PrioResult, Prioritizer};
 use prio_graph::Dag;
@@ -67,11 +67,17 @@ pub fn prioritize_file(
             submit_files: Vec::new(),
         });
     }
-    let mut file = parse_dagman_threads(text, opts.prio.threads)?;
+    let mut file = parse_dagman(text)?;
     let dag = file.to_dag()?;
     let result = prioritizer.prioritize_in(&dag, ctx)?;
-    let names = result.schedule.order().iter().map(|&u| dag.label(u));
-    instrument_dagman_with(&mut file, &priorities_by_job(names), opts.mode)?;
+    // The dag's node ids are the file's: the i-th of n scheduled jobs gets
+    // priority n − i without a name lookup.
+    let order = result.schedule.order();
+    let mut by_node = vec![None; dag.num_nodes()];
+    for (i, &u) in order.iter().enumerate() {
+        by_node[u.index()] = Some((order.len() - i) as u32);
+    }
+    instrument_nodes(&mut file, &by_node, opts.mode)?;
     let submit_files = match opts.mode {
         InstrumentMode::VarsMacro => file.submit_files().map(str::to_string).collect(),
         InstrumentMode::PriorityStatement => Vec::new(),

@@ -1,20 +1,16 @@
 //! SWAR byte scanning for the DAGMan parser's front end.
 //!
 //! The parser's hot inner loops are "find the next newline" and "how many
-//! lines are there" over multi-gigabyte inputs. `std` gives no `memchr`,
+//! lines are there". `std` gives no `memchr`,
 //! and this workspace bakes in no external crates, so the primitives here
 //! hand-roll the classic SWAR (SIMD-within-a-register) zero-byte test over
 //! `u64` words — 8 bytes per iteration, no `unsafe`, no dependencies:
 //!
 //! * [`find_byte`] — `memchr` over a byte slice;
 //! * [`count_byte`] / [`count_lines`] — population counts, used to pre-size
-//!   statement vectors in one pass instead of letting them regrow;
+//!   the parser's line tables in one pass instead of letting them regrow;
 //! * [`lines`] — a [`str::lines`]-equivalent iterator built on
-//!   [`find_byte`] (property-tested against the std implementation);
-//! * [`chunk_at_lines`] — splits input into near-even byte ranges advanced
-//!   to statement (line) boundaries, each tagged with its 1-based starting
-//!   line number, so parser workers can process chunks independently while
-//!   reporting exactly the line numbers the serial parser would.
+//!   [`find_byte`] (property-tested against the std implementation).
 
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -101,7 +97,7 @@ impl<'a> Iterator for LineIter<'a> {
             return None;
         }
         let bytes = self.text.as_bytes();
-        let (mut end, next) = match find_byte(&bytes[self.pos..], b'\n') {
+        let (end, next) = match find_byte(&bytes[self.pos..], b'\n') {
             Some(i) => {
                 // `\r` is part of the terminator only when a `\n` follows.
                 let line_end = self.pos + i;
@@ -114,50 +110,10 @@ impl<'a> Iterator for LineIter<'a> {
             }
             None => (self.text.len(), self.text.len()),
         };
-        if end < self.pos {
-            end = self.pos; // unreachable; guards slicing below
-        }
         let line = &self.text[self.pos..end];
         self.pos = next;
         Some(line)
     }
-}
-
-/// Splits `text` into at most `chunks` non-empty byte ranges, each ending
-/// just after a newline (except possibly the last), tagged with the
-/// 1-based line number its first line has in the whole input. Every line
-/// lies entirely within one chunk, so per-chunk parsers see exactly the
-/// lines — and report exactly the line numbers — the serial parser would.
-pub fn chunk_at_lines(text: &str, chunks: usize) -> Vec<(std::ops::Range<usize>, usize)> {
-    let n = text.len();
-    let chunks = chunks.max(1);
-    let bytes = text.as_bytes();
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    let mut start_line = 1usize;
-    for i in 0..chunks {
-        if start >= n {
-            break;
-        }
-        let end = if i + 1 == chunks {
-            n
-        } else {
-            let target = n * (i + 1) / chunks;
-            if target <= start {
-                continue; // an earlier chunk already swallowed this range
-            }
-            // Advance to just past the next newline (a `\n` is always a
-            // UTF-8 character boundary, so the split is safe).
-            match find_byte(&bytes[target..], b'\n') {
-                Some(off) => target + off + 1,
-                None => n,
-            }
-        };
-        out.push((start..end, start_line));
-        start_line += count_byte(&bytes[start..end], b'\n');
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -199,29 +155,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunks_cover_input_at_line_boundaries() {
-        let text = "JOB a a.sub\nJOB b b.sub\nJOB c c.sub\nPARENT a CHILD b c\n";
-        for t in 1..6 {
-            let parts = chunk_at_lines(text, t);
-            let mut pos = 0;
-            let mut line = 1;
-            for (range, start_line) in &parts {
-                assert_eq!(range.start, pos, "contiguous");
-                assert_eq!(*start_line, line);
-                line += count_byte(&text.as_bytes()[range.clone()], b'\n');
-                pos = range.end;
-            }
-            assert_eq!(pos, text.len(), "chunks cover all of the input");
-            // Chunked line iteration equals whole-input line iteration.
-            let rejoined: Vec<&str> = parts
-                .iter()
-                .flat_map(|(r, _)| lines(&text[r.clone()]))
-                .collect();
-            assert_eq!(rejoined, text.lines().collect::<Vec<_>>());
-        }
-    }
-
     /// Strings over a small alphabet rich in `\r`/`\n` edge cases.
     fn arb_text(max: usize) -> impl Strategy<Value = String> {
         const ALPHABET: [char; 6] = ['a', 'b', 'c', ' ', '\r', '\n'];
@@ -234,16 +167,6 @@ mod tests {
         fn lines_matches_std_lines(s in arb_text(64)) {
             prop_assert_eq!(lines(&s).collect::<Vec<_>>(), s.lines().collect::<Vec<_>>());
             prop_assert_eq!(count_lines(&s), s.lines().count());
-        }
-
-        #[test]
-        fn chunked_lines_match_std(s in arb_text(128), t in 1usize..5) {
-            let parts = chunk_at_lines(&s, t);
-            let rejoined: Vec<&str> = parts
-                .iter()
-                .flat_map(|(r, _)| lines(&s[r.clone()]))
-                .collect();
-            prop_assert_eq!(rejoined, s.lines().collect::<Vec<_>>());
         }
     }
 }

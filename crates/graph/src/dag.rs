@@ -25,9 +25,7 @@ use std::sync::Arc;
 ///
 /// Reference-counted so that subgraph induction, arc filtering and
 /// reversal — all of which preserve labels — bump a refcount instead of
-/// copying the string. Frontends that intern job names (`prio-ir`'s
-/// `NameInterner` produces the same `Arc<str>` type) flow their interned
-/// names into the graph without any copy.
+/// copying the string.
 pub type Label = Arc<str>;
 
 /// Arc-chunk floor below which the parallel CSR build falls back to the
@@ -302,6 +300,22 @@ impl Dag {
             .iter()
             .all(|&(u, v)| u.index() < labels.len() && v.index() < labels.len()));
         Dag::from_sorted_unique_arcs_par(labels, arcs, threads)
+    }
+
+    /// Builds a dag from its node labels and an arc list in any order,
+    /// possibly with duplicates, verifying acyclicity (a self-loop fails
+    /// as a cycle). The caller vouches that every endpoint is
+    /// `< labels.len()`. Frontends that resolve names to ids themselves
+    /// build through this, without [`DagBuilder`]'s label index.
+    pub fn from_labeled_arcs(
+        labels: Vec<Label>,
+        mut arcs: Vec<(NodeId, NodeId)>,
+    ) -> Result<Dag, GraphError> {
+        arcs.sort_unstable();
+        arcs.dedup();
+        let dag = Dag::from_sorted_unique_arcs(labels, &arcs);
+        kahn_acyclicity_check(&dag)?;
+        Ok(dag)
     }
 
     /// Number of nodes (jobs).
@@ -723,12 +737,7 @@ impl DagBuilder {
 
     /// Finalizes the graph, verifying acyclicity.
     pub fn build(self) -> Result<Dag, GraphError> {
-        let mut arcs = self.arcs;
-        arcs.sort_unstable();
-        arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs(self.labels, &arcs);
-        kahn_acyclicity_check(&dag)?;
-        Ok(dag)
+        Dag::from_labeled_arcs(self.labels, self.arcs)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The label/job-name hash shared across the workspace.
 //!
-//! Moved here from `prio-ir` (which re-exports it) so the graph layer's
-//! own label maps — [`crate::DagBuilder`]'s label → id index — can use it
-//! without a dependency cycle: every crate that handles job names already
+//! It lives in the graph layer so the graph's own label maps —
+//! [`crate::DagBuilder`]'s label → id index — and the frontends' name
+//! tables share one function: every crate that handles job names already
 //! depends on `prio-graph`.
 
 use std::hash::{BuildHasher, Hasher};
@@ -98,5 +98,53 @@ mod tests {
         assert_ne!(h("a"), h("\0a"));
         assert_ne!(h("\0\0j"), h("\0j"));
         assert_ne!(h(""), h("\0"));
+    }
+
+    /// The 10⁷-scale keyspace audit that surfaced the tail length-
+    /// ambiguity bug: hash a large sequential-name keyspace (`j0`, `j1`,
+    /// …) and assert the 64-bit collision count stays near the birthday
+    /// bound. Debug builds audit 10⁶ names to keep the test fast; release
+    /// test runs (`cargo test --release`) audit the full 10⁷.
+    #[test]
+    fn sequential_keyspace_collision_rate_is_birthday_bounded() {
+        let n: usize = if cfg!(debug_assertions) {
+            1_000_000
+        } else {
+            10_000_000
+        };
+        let build = NameHashBuild;
+        let mut hashes: Vec<u64> = Vec::with_capacity(n);
+        // Manual byte formatting: `format!` per name would dominate the
+        // audit's runtime at 10⁷ names.
+        let mut buf = [0u8; 12];
+        buf[0] = b'j';
+        for i in 0..n {
+            let mut len = 1;
+            let digits = &mut buf[1..];
+            let mut x = i;
+            let mut k = 0;
+            loop {
+                digits[k] = b'0' + (x % 10) as u8;
+                x /= 10;
+                k += 1;
+                if x == 0 {
+                    break;
+                }
+            }
+            digits[..k].reverse();
+            len += k;
+            let mut hasher = build.build_hasher();
+            hasher.write(&buf[..len]);
+            hashes.push(hasher.finish());
+        }
+        hashes.sort_unstable();
+        let collisions = hashes.windows(2).filter(|w| w[0] == w[1]).count();
+        // Birthday expectation for 64-bit hashes: n²/2⁶⁵ ≈ 0.003 at 10⁶,
+        // ≈ 0.3 at 10⁷. Allow a small margin; the pre-fix hasher produced
+        // *systematic* families (thousands of collisions), not onesies.
+        assert!(
+            collisions <= 3,
+            "{collisions} collisions across {n} sequential names — degenerate hash family"
+        );
     }
 }

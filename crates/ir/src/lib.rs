@@ -4,11 +4,10 @@
 //! decomposition → component scheduling → combine) is format-agnostic;
 //! only the parse/emit edges are Condor-specific. This crate is the seam:
 //!
-//! * [`Workflow`] — the IR: a CSR dag of interned job names
-//!   ([`intern::NameInterner`]), the priorities the input carried, sparse
-//!   per-job metadata, and the [`FormatId`] it came from. It dereferences
-//!   to [`prio_graph::Dag`], so the whole pipeline consumes `&Workflow`
-//!   without knowing any concrete format;
+//! * [`Workflow`] — the IR: a CSR dag of job names, the priorities the
+//!   input carried, sparse per-job metadata, and the [`FormatId`] it came
+//!   from. It dereferences to [`prio_graph::Dag`], so the whole pipeline
+//!   consumes `&Workflow` without knowing any concrete format;
 //! * [`Frontend`] — one importer/exporter pair per format
 //!   (`import(&str) -> Result<Workflow, PrioError>`,
 //!   `export(&Workflow, &Priorities) -> String`), collected in a
@@ -29,13 +28,11 @@
 pub mod edges;
 pub mod error;
 pub mod frontend;
-pub mod intern;
 pub mod json;
 pub mod workflow;
 
 pub use edges::EdgesFrontend;
 pub use error::{ImportError, PrioError, Stage};
 pub use frontend::{FormatRegistry, Frontend, ResolveError};
-pub use intern::{JobName, NameInterner};
 pub use json::JsonFrontend;
 pub use workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};

@@ -151,6 +151,18 @@ impl Workflow {
         }
     }
 
+    /// Wraps a dag a frontend imported from `source` text, with no
+    /// priorities or metadata yet, and records the
+    /// `ir.import.{jobs,arcs}` counters.
+    pub fn imported(dag: Dag, source: FormatId) -> Workflow {
+        prio_obs::counter("ir.import.jobs").add(dag.num_nodes() as u64);
+        prio_obs::counter("ir.import.arcs").add(dag.num_arcs() as u64);
+        Workflow {
+            source,
+            ..Workflow::synthetic(dag)
+        }
+    }
+
     /// The dependency dag.
     pub fn dag(&self) -> &Dag {
         &self.dag
@@ -300,14 +312,7 @@ impl WorkflowBuilder {
             .dag
             .build()
             .map_err(|e| ImportError::whole_file(source, e.to_string()))?;
-        prio_obs::counter("ir.import.jobs").add(dag.num_nodes() as u64);
-        prio_obs::counter("ir.import.arcs").add(dag.num_arcs() as u64);
-        let mut wf = Workflow {
-            priorities: Priorities::none(dag.num_nodes()),
-            dag,
-            source: self.source,
-            meta: BTreeMap::new(),
-        };
+        let mut wf = Workflow::imported(dag, source);
         for (u, p) in self.priorities {
             wf.priorities.set(u, p);
         }

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example dagman_instrument`
 
-use dagprio::dagman::ast::{DagmanFile, JobName, Statement};
 use dagprio::dagman::parse::parse_dagman;
-use dagprio::dagman::write::write_dagman;
 use dagprio::prioritize_dagman_text;
 use dagprio::workloads::montage::{montage, MontageParams};
 
@@ -16,30 +14,20 @@ fn main() {
         images: 24,
         tiles: 3,
     });
-    let mut statements = Vec::new();
-    statements.push(Statement::Comment(
-        "# synthetic Montage-like workflow".into(),
-    ));
+    let mut text = String::from("# synthetic Montage-like workflow\n");
     for u in dag.node_ids() {
-        statements.push(Statement::Job {
-            name: JobName::from(dag.label(u)),
-            submit_file: "montage.submit".into(),
-            options: vec![],
-        });
+        text.push_str(&format!("JOB {} montage.submit\n", dag.label(u)));
     }
     for u in dag.node_ids() {
         if dag.out_degree(u) > 0 {
-            statements.push(Statement::ParentChild {
-                parents: vec![JobName::from(dag.label(u))],
-                children: dag
-                    .children(u)
-                    .iter()
-                    .map(|&c| JobName::from(dag.label(c)))
-                    .collect(),
-            });
+            let children: Vec<&str> = dag.children(u).iter().map(|&c| dag.label(c)).collect();
+            text.push_str(&format!(
+                "PARENT {} CHILD {}\n",
+                dag.label(u),
+                children.join(" ")
+            ));
         }
     }
-    let text = write_dagman(&DagmanFile { statements });
     println!(
         "generated DAGMan file: {} lines, {} jobs",
         text.lines().count(),

@@ -146,7 +146,13 @@ timeout 30 ./target/release/prio run target/sdss-smoke/sdss.dag \
 sdss_vars=$(grep -c '^VARS .* jobpriority=' target/sdss-smoke/sdss.prio.dag || true)
 [ "$sdss_vars" = "48013" ] \
   || { echo "check.sh: paper-size SDSS has $sdss_vars jobpriority VARS lines, want 48013" >&2; exit 1; }
-echo "check.sh: paper-size SDSS run ok (48,013 jobs instrumented)"
+# Byte identity at full size: the instrumented file must keep the
+# checksum it had before the DAGMan parser became a line index, so any
+# changed byte fails here, not only a wrong VARS count.
+sdss_sum=$(cksum < target/sdss-smoke/sdss.prio.dag)
+[ "$sdss_sum" = "2935640502 5643098" ] \
+  || { echo "check.sh: paper-size SDSS output cksum is '$sdss_sum', want '2935640502 5643098'" >&2; exit 1; }
+echo "check.sh: paper-size SDSS run ok (48,013 jobs instrumented, bytes unchanged)"
 # JSON smoke at the same size: convert the SDSS file to prio-workflow-v1,
 # convert that JSON to JSON again (the canonical export is a fixed point,
 # so the two files must be identical), then `prio run` the JSON file and

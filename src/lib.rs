@@ -90,8 +90,7 @@ pub fn prioritize_dagman_text(text: &str) -> Result<PrioritizedDagman, prio_core
 }
 
 /// Like [`prioritize_dagman_text`], with `threads` worker threads for the
-/// parallel pipeline stages (chunked parsing, CSR build, reduction,
-/// decomposition). `0` or `1` runs fully serial; the result is
+/// parallel pipeline stages (CSR build, reduction, decomposition). `0` or `1` runs fully serial; the result is
 /// bit-identical for every thread count.
 pub fn prioritize_dagman_text_threads(
     text: &str,
@@ -153,8 +152,14 @@ mod tests {
         assert_eq!(out.result.stats.num_components, 2);
         // Instrumented text parses back and carries the priorities.
         let reparsed = parse_dagman(&out.instrumented).unwrap();
-        assert_eq!(reparsed.vars_value("c", "jobpriority"), Some("5"));
-        assert_eq!(reparsed.vars_value("e", "jobpriority"), Some("1"));
+        assert_eq!(
+            reparsed.vars_value("c", "jobpriority").as_deref(),
+            Some("5")
+        );
+        assert_eq!(
+            reparsed.vars_value("e", "jobpriority").as_deref(),
+            Some("1")
+        );
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Parallel-vs-serial bit-identity properties.
 //!
 //! Every parallel path in the front half of the pipeline — CSR build,
-//! transitive reduction, decomposition, and the chunked DAGMan parse —
-//! promises results *bit-identical* to its serial twin for every thread
-//! count. The properties here hold that promise on random dags and
+//! transitive reduction and decomposition — promises results
+//! *bit-identical* to its serial twin for every thread count. The
+//! properties here hold that promise on random dags and
 //! catalog-family compositions; the `*_at_scale` tests additionally cross
 //! the adaptive work thresholds so the sharded code paths (not just their
 //! serial fallbacks) are the ones being compared.
 
 use dagprio::core::decompose::{decompose_in, DecomposeOptions, Decomposition};
 use dagprio::core::prio::{PrioOptions, Prioritizer};
-use dagprio::dagman::{parse_dagman, parse_dagman_threads};
 use dagprio::graph::reduction::{shortcut_arcs_into, shortcut_arcs_par_into};
 use dagprio::graph::{Dag, GraphScratch, Label, NodeId, ScratchArena};
 use proptest::prelude::*;
@@ -82,26 +81,6 @@ fn assert_decompositions_equal(a: &Decomposition, b: &Decomposition) {
     }
 }
 
-/// Renders `dag` as DAGMan text (JOB declarations in id order, one
-/// PARENT statement per non-sink).
-fn to_dagman_text(dag: &Dag) -> String {
-    let mut text = String::new();
-    for u in dag.node_ids() {
-        text.push_str(&format!("JOB {} {}.sub\n", dag.label(u), dag.label(u)));
-    }
-    for u in dag.node_ids() {
-        if dag.children(u).is_empty() {
-            continue;
-        }
-        text.push_str(&format!("PARENT {} CHILD", dag.label(u)));
-        for &v in dag.children(u) {
-            text.push_str(&format!(" {}", dag.label(v)));
-        }
-        text.push('\n');
-    }
-    text
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -165,15 +144,6 @@ proptest! {
         for threads in [1, 4] {
             prop_assert_eq!(&run(threads), &serial, "threads={}", threads);
         }
-    }
-
-    /// The chunked DAGMan parse yields the serial parse's dag.
-    #[test]
-    fn dagman_parse_paths_agree(dag in arb_dag(16, 0.3)) {
-        let text = to_dagman_text(&dag);
-        let ast = parse_dagman(&text).unwrap().to_dag().unwrap();
-        let chunked = parse_dagman_threads(&text, 4).unwrap().to_dag().unwrap();
-        prop_assert_eq!(&chunked, &ast);
     }
 }
 
