@@ -24,7 +24,7 @@ use prio_ir::{FormatId, FormatRegistry};
 use std::path::{Path, PathBuf};
 
 /// The flags `prio batch` accepts.
-const FLAGS: &[&str] = &["format", "search", "threads"];
+const FLAGS: &[&str] = &["format", "search"];
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv, FLAGS)?;

@@ -37,6 +37,9 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         std::fs::read_to_string(&path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
     let reg = registry();
     let frontend = resolve_frontend(&reg, args.get("format"), Some(&path), &text)?;
+    // `--threads T` is still parsed, so a non-number is a usage error,
+    // but the pipeline is serial and ignores it.
+    args.get_parsed::<usize>("threads", 0)?;
     let opts = FileOptions {
         prio: prio_options(&args)?,
         mode: mode_option(&args)?,
@@ -81,12 +84,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The scheduler flags `run` and `batch` share: `--search N` and
-/// `--threads T`.
+/// The scheduler flag `run` and `batch` share: `--search N`.
 pub(crate) fn prio_options(args: &Args) -> Result<PrioOptions, CliError> {
     Ok(PrioOptions {
         optimal_search_limit: args.get_parsed("search", 0)?,
-        threads: args.get_parsed("threads", 0)?,
         ..PrioOptions::default()
     })
 }
@@ -110,16 +111,22 @@ pub(crate) fn input_dir(path: &Path) -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
+/// How many missing submit files the summary note names.
+const MISSING_NAMED: usize = 3;
+
 /// Adds `priority = $(jobpriority)` to each submit file found under
-/// `dir`; missing ones are noted and skipped.
+/// `dir`; missing ones are skipped and summarized in one note (their
+/// count and the first [`MISSING_NAMED`] paths).
 pub(crate) fn instrument_submit_files(dir: &Path, files: &[String]) -> Result<(), CliError> {
+    let mut missing: Vec<PathBuf> = Vec::new();
+    let mut missing_count = 0usize;
     for submit in files {
         let jsdf_path = dir.join(submit);
         let Ok(jsdf_text) = std::fs::read_to_string(&jsdf_path) else {
-            eprintln!(
-                "prio: note: submit file {} not found, skipped",
-                jsdf_path.display()
-            );
+            missing_count += 1;
+            if missing.len() < MISSING_NAMED {
+                missing.push(jsdf_path);
+            }
             continue;
         };
         let mut jsdf = Jsdf::parse(&jsdf_text);
@@ -127,6 +134,19 @@ pub(crate) fn instrument_submit_files(dir: &Path, files: &[String]) -> Result<()
         std::fs::write(&jsdf_path, jsdf.to_text())
             .map_err(|e| CliError::input(format!("{}: {e}", jsdf_path.display())))?;
         eprintln!("prio: instrumented {}", jsdf_path.display());
+    }
+    if missing_count > 0 {
+        let named: Vec<String> = missing.iter().map(|p| p.display().to_string()).collect();
+        let more = if missing_count > named.len() {
+            ", …"
+        } else {
+            ""
+        };
+        eprintln!(
+            "prio: note: {missing_count} submit file{} not found, skipped: {}{more}",
+            if missing_count == 1 { "" } else { "s" },
+            named.join(", "),
+        );
     }
     Ok(())
 }

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! prio instrument <workflow> [--format F] [--output <file>] [--jsdf-dir <dir>] [--in-place]
-//!                 [--mode vars|priority] [--search N] [--threads T]     (alias: run)
+//!                 [--mode vars|priority] [--search N]     (alias: run)
 //! prio convert    <in> <out> [--from F] [--to F]
-//! prio batch      <dir> [--format F] [--search N] [--threads T]
+//! prio batch      <dir> [--format F] [--search N]
 //! prio schedule   <workflow> [--format F] [--fifo] [--critical-path]
 //! prio compare    <workflow | --workload NAME [--scale F]>
 //! prio generate   <airsn|inspiral|montage|sdss|fig3> [--width W] [--scale F] [--format F] [--output <file>]
@@ -185,10 +185,10 @@ prio — prioritize DAGMan jobs to keep the number of eligible jobs high
 
 USAGE:
     prio instrument <workflow> [--format F] [--output <file>] [--jsdf-dir <dir>]
-                    [--in-place] [--mode vars|priority] [--search N] [--threads T]
+                    [--in-place] [--mode vars|priority] [--search N]
                     [--trace-out <file>] [--timings]          (alias: run)
     prio convert    <in> <out> [--from F] [--to F]
-    prio batch      <dir> [--format F] [--search N] [--threads T]
+    prio batch      <dir> [--format F] [--search N]
     prio schedule   <workflow> [--format F] [--fifo | --critical-path | --theoretical]
     prio compare    (<workflow> | --workload NAME [--scale F])
     prio generate   <airsn|inspiral|montage|sdss|fig3> [--width W] [--scale F]

@@ -44,6 +44,22 @@ fn instrument_writes_fig3_priorities() {
     assert!(instrumented.contains("VARS e jobpriority=\"1\""));
     let jsdf = std::fs::read_to_string(dir.join("c.submit")).unwrap();
     assert!(jsdf.contains("priority = $(jobpriority)"));
+    // Four submit files are missing: one note names the first three.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let notes: Vec<&str> = stderr.lines().filter(|l| l.contains("not found")).collect();
+    assert_eq!(notes.len(), 1, "stderr: {stderr}");
+    let names: Vec<&str> = notes[0]
+        .strip_prefix("prio: note: 4 submit files not found, skipped: ")
+        .and_then(|rest| rest.strip_suffix(", …"))
+        .unwrap_or_else(|| panic!("stderr: {stderr}"))
+        .split(", ")
+        .map(|p| p.rsplit(['/', '\\']).next().unwrap())
+        .collect();
+    assert_eq!(
+        names,
+        ["a.submit", "b.submit", "d.submit"],
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -67,20 +83,22 @@ PARENT c CHILD d e f inner
     let out = prio(&["run", "w.dag"], &dir);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
-    let steps: Vec<&str> = stderr
+    let instrumented: Vec<&str> = stderr
         .lines()
-        .filter_map(|l| {
-            l.strip_prefix("prio: instrumented ")
-                .or_else(|| l.strip_prefix("prio: note: submit file "))
-        })
-        .map(|rest| {
-            let path = rest.trim_end_matches(" not found, skipped");
-            path.rsplit(['/', '\\']).next().unwrap()
-        })
+        .filter_map(|l| l.strip_prefix("prio: instrumented "))
+        .map(|path| path.rsplit(['/', '\\']).next().unwrap())
         .collect();
     assert_eq!(
-        steps,
-        vec!["y.submit", "x.submit", "gone.submit", "z.submit"],
+        instrumented,
+        vec!["y.submit", "x.submit", "z.submit"],
+        "stderr: {stderr}"
+    );
+    // Missing submit files are summarized in one line.
+    let notes: Vec<&str> = stderr.lines().filter(|l| l.contains("not found")).collect();
+    assert_eq!(notes.len(), 1, "stderr: {stderr}");
+    assert!(
+        notes[0].starts_with("prio: note: 1 submit file not found, skipped: ")
+            && notes[0].ends_with("gone.submit"),
         "stderr: {stderr}"
     );
     for name in ["x.submit", "y.submit", "z.submit"] {
@@ -304,6 +322,7 @@ fn unknown_flags_exit_with_usage_code_naming_the_flag() {
             vec!["schedule", "--workload", "airsn", "--fifoo"],
             "--fifoo",
         ),
+        (vec!["batch", ".", "--threads", "2"], "--threads"),
     ] {
         let out = prio(&args, &dir);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -402,7 +421,7 @@ fn batch_prioritizes_a_directory() {
     )
     .unwrap();
     std::fs::write(dir.join("notes.txt"), "not a dag").unwrap();
-    let out = prio(&["batch", ".", "--threads", "2"], &dir);
+    let out = prio(&["batch", "."], &dir);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -514,27 +533,29 @@ fn batch_of_empty_directory_is_an_input_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("no workflow files"));
 }
 
+/// `prio run --threads T` is parsed and ignored: the pipeline is serial.
 #[test]
-fn threaded_instrument_matches_serial() {
-    let dir = tempdir("threadedinstr");
+fn run_accepts_and_ignores_threads() {
+    let dir = tempdir("run-threads");
     std::fs::write(dir.join("IV.dag"), FIG3).unwrap();
-    let serial = prio(&["instrument", "IV.dag", "--output", "s.dag"], &dir);
-    assert!(serial.status.success());
+    let plain = prio(&["run", "IV.dag", "--output", "s.dag"], &dir);
+    assert!(plain.status.success());
     let threaded = prio(
-        &[
-            "instrument",
-            "IV.dag",
-            "--output",
-            "t.dag",
-            "--threads",
-            "4",
-        ],
+        &["run", "IV.dag", "--output", "t.dag", "--threads", "2"],
         &dir,
     );
     assert!(threaded.status.success());
-    let s = std::fs::read_to_string(dir.join("s.dag")).unwrap();
-    let t = std::fs::read_to_string(dir.join("t.dag")).unwrap();
+    let s = std::fs::read(dir.join("s.dag")).unwrap();
+    let t = std::fs::read(dir.join("t.dag")).unwrap();
     assert_eq!(s, t, "--threads must not change the output");
+
+    let bad = prio(
+        &["run", "IV.dag", "--output", "x.dag", "--threads", "x"],
+        &dir,
+    );
+    assert_eq!(bad.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("--threads"));
+    assert!(!dir.join("x.dag").exists());
 }
 
 #[test]

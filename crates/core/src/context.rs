@@ -10,17 +10,17 @@
 //! result itself.
 //!
 //! The context is deliberately *not* shared between threads: it is cheap
-//! (one per worker) and keeping it thread-local keeps the pipeline free of
-//! synchronization on the hot path. Reuse never changes results — the
-//! property tests cross-check context-reuse runs against fresh runs.
+//! (one per serve worker) and keeping it thread-local keeps the pipeline
+//! free of synchronization. Reuse never changes results — the property
+//! tests cross-check context-reuse runs against fresh runs.
 
 use prio_graph::{GraphScratch, NodeId, ScratchArena};
 
 /// Reusable scratch buffers for the PRIO pipeline.
 ///
 /// Functionally equivalent to allocating fresh state per run; exists purely
-/// to amortize allocations across [`crate::Prioritizer::prioritize_in`] /
-/// [`crate::Prioritizer::prioritize_many`] calls.
+/// to amortize allocations across [`crate::Prioritizer::prioritize_in`]
+/// calls.
 #[derive(Debug, Default)]
 pub struct PrioContext {
     /// Graph-layer scratch: timestamped visited marks, Kahn worklists,

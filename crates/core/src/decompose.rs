@@ -33,7 +33,6 @@
 //! component `j` cannot start before `i` contributes.
 
 use crate::component::{Component, ScheduleSource};
-use crate::prio::PARALLEL_WORK_THRESHOLD;
 use prio_graph::bipartite::is_bipartite_dag;
 use prio_graph::{Dag, Label, NodeId, ScratchArena, SubgraphMap, SubgraphScratch};
 use std::cmp::Reverse;
@@ -132,14 +131,14 @@ pub struct Decomposition {
 }
 
 /// Decomposes `g` (assumed shortcut-free; the caller runs the transitive
-/// reduction first) into components plus a superdag. One-shot entry point:
-/// fresh scratch arena, serial part materialization.
+/// reduction first) into components plus a superdag. One-shot entry point
+/// with a fresh scratch arena.
 pub fn decompose(g: &Dag, opts: DecomposeOptions) -> Decomposition {
     decompose_in(g, opts, 0, &mut ScratchArena::new())
 }
 
-/// [`decompose`] with explicit worker `threads` for the part-materialization
-/// phase and a caller-owned scratch `arena` for the peel loop's worklists.
+/// [`decompose`] with a caller-owned scratch `arena` for the peel loop's
+/// worklists. `threads` is ignored: every phase is serial.
 ///
 /// The decomposition runs in three phases:
 ///
@@ -152,20 +151,18 @@ pub fn decompose(g: &Dag, opts: DecomposeOptions) -> Decomposition {
 ///    grouped by source part — the quotient arcs come out globally sorted
 ///    without a quotient-wide sort, and the detach order is its own
 ///    topological witness, so no re-validation pass is needed either.
-/// 3. **Materialize** (independent per part, parallelized when the total
-///    node count clears [`PARALLEL_WORK_THRESHOLD`]): induce each part's
-///    local dag and classify bipartiteness. Results are placed by part
-///    index, so every thread count is bit-identical.
+/// 3. **Materialize**: induce each part's local dag and classify
+///    bipartiteness.
 pub fn decompose_in(
     g: &Dag,
     opts: DecomposeOptions,
-    threads: usize,
+    _threads: usize,
     arena: &mut ScratchArena,
 ) -> Decomposition {
     let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
     let (seeds, comp_removed, work) = peel(g, opts, arena);
-    let superdag = build_superdag(g, &seeds, &comp_removed, threads);
-    let parts = materialize_parts(g, seeds, threads);
+    let superdag = build_superdag(g, &seeds, &comp_removed);
+    let parts = materialize_parts(g, seeds);
 
     prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
     prio_obs::counter("core.decompose.general_search_iterations")
@@ -184,7 +181,7 @@ pub fn decompose_in(
 
 /// A detached block before materialization: the node/removed sets the peel
 /// loop decided on, with the local dag still unbuilt.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PartSeed {
     nodes: Vec<NodeId>,
     removed: Vec<NodeId>,
@@ -464,53 +461,20 @@ fn peel(
 }
 
 /// Builds each seed's local induced dag and bipartiteness flag — the
-/// per-part work the peel loop deferred. Independent across parts; runs on
-/// scoped worker threads over contiguous seed ranges when `threads > 1`
-/// and the total node count clears [`PARALLEL_WORK_THRESHOLD`]. Each
-/// worker writes a disjoint slice of the output, placed by part index, so
-/// the result is bit-identical for every thread count.
-fn materialize_parts(g: &Dag, seeds: Vec<PartSeed>, threads: usize) -> Vec<Part> {
+/// per-part work the peel loop deferred.
+fn materialize_parts(g: &Dag, seeds: Vec<PartSeed>) -> Vec<Part> {
     let _span = prio_obs::span("decompose.materialize");
-    let k = seeds.len();
-    let work: usize = seeds.iter().map(|s| s.nodes.len()).sum();
-    let t = threads.min(k);
-    if t <= 1 || work < PARALLEL_WORK_THRESHOLD {
-        prio_obs::counter("core.decompose.serial_materialize").add(1);
-        let mut scratch = SubgraphScratch::new();
-        return seeds
-            .into_iter()
-            .map(|s| materialize_one(g, s, &mut scratch))
-            .collect();
-    }
-    prio_obs::counter("core.decompose.parallel_materialize").add(1);
-    let mut seeds = seeds;
-    let mut out: Vec<Option<Part>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut seeds_rest = seeds.as_mut_slice();
-        let mut out_rest = out.as_mut_slice();
-        for i in 0..t {
-            let (lo, hi) = (k * i / t, k * (i + 1) / t);
-            let (s_chunk, s_tail) = seeds_rest.split_at_mut(hi - lo);
-            let (o_chunk, o_tail) = out_rest.split_at_mut(hi - lo);
-            seeds_rest = s_tail;
-            out_rest = o_tail;
-            scope.spawn(move || {
-                let mut scratch = SubgraphScratch::new();
-                for (seed, slot) in s_chunk.iter_mut().zip(o_chunk.iter_mut()) {
-                    *slot = Some(materialize_one(g, std::mem::take(seed), &mut scratch));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|p| p.expect("every slot filled"))
+    let mut scratch = SubgraphScratch::new();
+    seeds
+        .into_iter()
+        .map(|s| materialize_one(g, s, &mut scratch))
         .collect()
 }
 
 /// Materializes one part: induces the local dag (stamped membership plus a
 /// dense local-id table — no per-arc searches) and classifies
 /// bipartiteness. The scratch lives across parts, so the dense tables are
-/// grown once per worker, not once per part.
+/// grown once, not once per part.
 fn materialize_one(g: &Dag, seed: PartSeed, scratch: &mut SubgraphScratch) -> Part {
     let (local, map) = g.induced_subgraph_in(&seed.nodes, scratch);
     let bipartite = is_bipartite_dag(&local);
@@ -533,7 +497,7 @@ fn materialize_one(g: &Dag, seed: PartSeed, scratch: &mut SubgraphScratch) -> Pa
 /// points forward in detach order (a parent is never removed after its
 /// child), so detach order is a topological witness and the acyclicity
 /// re-check is skipped too.
-fn build_superdag(g: &Dag, seeds: &[PartSeed], comp_removed: &[usize], threads: usize) -> Dag {
+fn build_superdag(g: &Dag, seeds: &[PartSeed], comp_removed: &[usize]) -> Dag {
     let _span = prio_obs::span("decompose.superdag");
     let k = seeds.len();
     let labels: Vec<Label> = (0..k).map(|i| format!("C{i}").into()).collect();
@@ -555,7 +519,7 @@ fn build_superdag(g: &Dag, seeds: &[PartSeed], comp_removed: &[usize], threads: 
         buf.sort_unstable();
         arcs.extend(buf.iter().map(|&j| (NodeId(i as u32), NodeId(j))));
     }
-    Dag::from_sorted_arcs_unchecked(labels, &arcs, threads)
+    Dag::from_sorted_arcs_unchecked(labels, &arcs)
 }
 
 /// Why a bipartite-block attempt failed: the sources visited before the

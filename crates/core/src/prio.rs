@@ -18,13 +18,11 @@ use crate::context::PrioContext;
 use crate::decompose::{decompose_in, DecomposeOptions, Decomposition, Part};
 use crate::error::{PrioError, Stage};
 use crate::schedule::Schedule;
-use prio_graph::reduction::{remove_arcs, shortcut_arcs_par_into};
+use prio_graph::reduction::{remove_arcs, shortcut_arcs_into};
 use prio_graph::topo::{linear_extension_violation, ExtensionViolation};
 use prio_graph::{Dag, NodeId};
 use prio_ir::{Priorities, Workflow};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Options for the PRIO pipeline. The defaults reproduce the paper's tool;
 /// the alternative settings exist for the §3.5 engineering ablations.
@@ -39,26 +37,13 @@ pub struct PrioOptions {
     /// order before falling back to the out-degree heuristic. 0 (the
     /// default) reproduces the paper's tool exactly.
     pub optimal_search_limit: usize,
-    /// Worker threads for the per-component scheduling stage. `0` (the
-    /// default) and `1` run serially, as the paper's tool does; `n > 1`
-    /// schedules independent components across up to `n` scoped threads.
-    /// Results are placed by component index, so every thread count
-    /// produces bit-identical schedules and statistics.
-    ///
-    /// Requesting threads is adaptive, not unconditional: small dags fall
-    /// back to the serial path below [`PARALLEL_WORK_THRESHOLD`].
+    /// Ignored: the pipeline is serial, as the paper's tool is. Kept so
+    /// callers that still set it compile.
     pub threads: usize,
 }
 
-/// Minimum Step 3 work (Σ over components of local nodes + arcs) before a
-/// `threads > 1` request actually spawns the scoped thread pool.
-///
-/// Measured on Montage-like dags from ~170 to ~31k jobs (best of 9, 4
-/// threads vs serial): the pool's spawn/channel overhead makes parallel
-/// scheduling 1.2–2.3× *slower* below ~14k work, break-even lands between
-/// ~14k and ~24k (the paper-scale 7,881-job Montage, work ≈ 23.6k, is the
-/// first instance that no longer loses), and gains stay modest beyond.
-/// 20,000 puts everything clearly below break-even on the serial path.
+/// Unused by the pipeline, which is serial; kept for callers that still
+/// read it.
 pub const PARALLEL_WORK_THRESHOLD: usize = 20_000;
 
 /// Statistics collected along the pipeline (reported by the CLI and used by
@@ -139,14 +124,7 @@ impl Prioritizer {
         // Step 1: shortcut removal. Node ids are preserved, so schedules on
         // the reduced dag are schedules on the original. When there is
         // nothing to remove, the input dag is used as-is (no clone).
-        // Sharded across threads only when the dag clears the adaptive
-        // threshold; either way the result is bit-identical to serial.
-        let reduce_threads = if dag.num_nodes() + dag.num_arcs() >= PARALLEL_WORK_THRESHOLD {
-            self.opts.threads
-        } else {
-            0
-        };
-        shortcut_arcs_par_into(dag, &mut ctx.graph, reduce_threads, &mut ctx.shortcuts);
+        shortcut_arcs_into(dag, &mut ctx.graph, &mut ctx.shortcuts);
         prio_obs::counter("graph.reduce.shortcut_arcs_removed").add(ctx.shortcuts.len() as u64);
         let reduced_storage;
         let reduced: &Dag = if ctx.shortcuts.is_empty() {
@@ -162,15 +140,9 @@ impl Prioritizer {
             superdag,
             general_search_iterations,
             ..
-        } = decompose_in(
-            reduced,
-            self.opts.decompose,
-            self.opts.threads,
-            &mut ctx.arena,
-        );
+        } = decompose_in(reduced, self.opts.decompose, 0, &mut ctx.arena);
 
-        // Step 3: per-component schedules and profiles (serial or across a
-        // scoped thread pool — bit-identical either way).
+        // Step 3: per-component schedules and profiles.
         let mut stats = PrioStats {
             shortcuts_removed: ctx.shortcuts.len(),
             num_components: parts.len(),
@@ -205,19 +177,6 @@ impl Prioritizer {
         })
     }
 
-    /// Prioritizes a batch of dags, reusing one scratch context across the
-    /// whole batch. Returns one result per input dag, in order; a failure
-    /// on one dag does not affect the others.
-    pub fn prioritize_many<'a, I>(&self, dags: I) -> Vec<Result<PrioResult, PrioError>>
-    where
-        I: IntoIterator<Item = &'a Dag>,
-    {
-        let mut ctx = PrioContext::new();
-        dags.into_iter()
-            .map(|dag| self.prioritize_in(dag, &mut ctx))
-            .collect()
-    }
-
     /// Runs the full pipeline on a workflow IR (any frontend's import).
     /// Identical to [`Prioritizer::prioritize`] on the workflow's dag.
     pub fn prioritize_workflow(&self, workflow: &Workflow) -> Result<PrioResult, PrioError> {
@@ -234,10 +193,7 @@ impl Prioritizer {
     }
 
     /// Step 3: schedules every component of `reduced` and tallies the
-    /// per-source statistics. With `opts.threads > 1` the independent
-    /// components are scheduled across scoped worker threads; results are
-    /// placed by component index, so the output is identical to the serial
-    /// path for every thread count.
+    /// per-source statistics.
     fn schedule_components(
         &self,
         reduced: &Dag,
@@ -246,36 +202,9 @@ impl Prioritizer {
     ) -> Vec<Component> {
         let _span = prio_obs::span(prio_obs::stage::SCHEDULE);
         let limit = self.opts.optimal_search_limit;
-        let mut workers = self.opts.threads.min(parts.len());
-        if workers > 1 {
-            // Adaptive fallback: below the measured crossover the scoped
-            // thread pool costs more than it saves, so run the serial path
-            // (which is bit-identical) and record the decision.
-            let work: usize = parts
-                .iter()
-                .map(|p| p.local.num_nodes() + p.local.num_arcs())
-                .sum();
-            if work < PARALLEL_WORK_THRESHOLD {
-                workers = 1;
-                prio_obs::counter("core.schedule.serial_fallback_dags").add(1);
-                prio_obs::counter("core.schedule.serial_fallback_components")
-                    .add(parts.len() as u64);
-            } else {
-                prio_obs::counter("core.schedule.parallel_dags").add(1);
-                prio_obs::counter("core.schedule.parallel_components").add(parts.len() as u64);
-            }
-        }
-        let results: Vec<ScheduledPart> = if workers > 1 {
-            schedule_parts_parallel(reduced, &parts, limit, workers)
-        } else {
-            parts
-                .iter()
-                .map(|part| schedule_part(reduced, part, limit))
-                .collect()
-        };
-
         let mut components: Vec<Component> = Vec::with_capacity(parts.len());
-        for (i, (part, (order, source, profile))) in parts.into_iter().zip(results).enumerate() {
+        for (i, part) in parts.into_iter().enumerate() {
+            let (order, source, profile) = schedule_part(reduced, &part, limit);
             if part.bipartite {
                 stats.num_bipartite += 1;
             }
@@ -291,64 +220,6 @@ impl Prioritizer {
         }
         components
     }
-}
-
-/// One scheduled component before it is wrapped into a [`Component`]:
-/// the order over original node ids, how it was obtained, and its
-/// eligibility profile.
-type ScheduledPart = (Vec<NodeId>, ScheduleSource, Vec<usize>);
-
-/// Schedules `parts` across `workers` scoped threads claiming component
-/// indices from a shared atomic counter. Each result is placed back at its
-/// component's index, so the returned vector is independent of thread
-/// count and scheduling order.
-fn schedule_parts_parallel(
-    reduced: &Dag,
-    parts: &[Part],
-    limit: usize,
-    workers: usize,
-) -> Vec<ScheduledPart> {
-    let n = parts.len();
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, ScheduledPart)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (next, collected) = (&next, &collected);
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    // Relaxed: the counter publishes no data; results
-                    // reach the caller through the mutex and the join.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, schedule_part(reduced, &parts[i], limit)));
-                }
-                let mut sink = collected
-                    .lock()
-                    .unwrap_or_else(|poison| poison.into_inner());
-                sink.extend(local);
-            });
-        }
-    });
-
-    // Every index was claimed exactly once and every worker drained its
-    // results into `collected`, so each slot is written exactly once.
-    // Slots are pre-filled with trivial placeholders rather than unwrapped
-    // options; a (impossible) miss would surface as an emit-stage
-    // invariant error, not a panic.
-    let mut results: Vec<ScheduledPart> =
-        std::iter::repeat_with(|| (Vec::new(), ScheduleSource::Trivial, Vec::new()))
-            .take(n)
-            .collect();
-    for (i, result) in collected
-        .into_inner()
-        .unwrap_or_else(|poison| poison.into_inner())
-    {
-        results[i] = result;
-    }
-    results
 }
 
 /// Validates the emitted global order and wraps it into a [`Schedule`].
@@ -579,94 +450,6 @@ mod tests {
             assert_eq!(reused.stats, fresh.stats);
             assert_eq!(reused.component_order, fresh.component_order);
         }
-    }
-
-    #[test]
-    fn prioritize_many_matches_individual_calls() {
-        let dags = sample_dags();
-        let p = Prioritizer::new();
-        let batch = p.prioritize_many(&dags);
-        assert_eq!(batch.len(), dags.len());
-        for (dag, res) in dags.iter().zip(batch) {
-            let single = p.prioritize(dag).unwrap();
-            let res = res.unwrap();
-            assert_eq!(res.schedule, single.schedule);
-            assert_eq!(res.stats, single.stats);
-        }
-    }
-
-    /// Enough diamond components that Σ (nodes + arcs) clears
-    /// [`PARALLEL_WORK_THRESHOLD`], so `threads > 1` really runs the pool.
-    fn above_threshold_dag() -> Dag {
-        let diamonds = PARALLEL_WORK_THRESHOLD / 8 + 1;
-        let mut arcs = Vec::with_capacity(diamonds * 4);
-        for d in 0..diamonds as u32 {
-            let b = 4 * d;
-            arcs.extend_from_slice(&[(b, b + 1), (b, b + 2), (b + 1, b + 3), (b + 2, b + 3)]);
-        }
-        Dag::from_arcs(4 * diamonds, &arcs).unwrap()
-    }
-
-    #[test]
-    fn threaded_scheduling_is_bit_identical_to_serial() {
-        // The small sample dags all take the adaptive serial fallback; the
-        // diamond swarm is above the work threshold and exercises the
-        // scoped thread pool itself.
-        let mut dags = sample_dags();
-        dags.push(above_threshold_dag());
-        for dag in dags {
-            let serial = Prioritizer::with_options(PrioOptions {
-                threads: 1,
-                ..PrioOptions::default()
-            })
-            .prioritize(&dag)
-            .unwrap();
-            for threads in [2, 4, 7] {
-                let parallel = Prioritizer::with_options(PrioOptions {
-                    threads,
-                    ..PrioOptions::default()
-                })
-                .prioritize(&dag)
-                .unwrap();
-                assert_eq!(parallel.schedule, serial.schedule, "threads={threads}");
-                assert_eq!(parallel.stats, serial.stats, "threads={threads}");
-                assert_eq!(parallel.component_order, serial.component_order);
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_threshold_counters_record_the_decision() {
-        let p = Prioritizer::with_options(PrioOptions {
-            threads: 4,
-            ..PrioOptions::default()
-        });
-        // Counters are process-global and other tests may also bump them,
-        // so assert on deltas with `>=`.
-        let fallback = prio_obs::counter("core.schedule.serial_fallback_dags").get();
-        let small = Dag::from_arcs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        p.prioritize(&small).unwrap();
-        assert!(
-            prio_obs::counter("core.schedule.serial_fallback_dags").get() > fallback,
-            "a 4-node dag must fall back to serial scheduling"
-        );
-
-        let parallel = prio_obs::counter("core.schedule.parallel_dags").get();
-        let components = prio_obs::counter("core.schedule.parallel_components").get();
-        p.prioritize(&above_threshold_dag()).unwrap();
-        assert!(
-            prio_obs::counter("core.schedule.parallel_dags").get() > parallel,
-            "an above-threshold dag must schedule on the pool"
-        );
-        assert!(prio_obs::counter("core.schedule.parallel_components").get() > components);
-
-        // Serial requests are not a fallback and must not be counted.
-        let fallback = prio_obs::counter("core.schedule.serial_fallback_dags").get();
-        Prioritizer::new().prioritize(&small).unwrap();
-        assert_eq!(
-            prio_obs::counter("core.schedule.serial_fallback_dags").get(),
-            fallback
-        );
     }
 
     #[test]

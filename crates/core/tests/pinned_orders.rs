@@ -1,6 +1,6 @@
-//! The PRIO order on the four paper workflows is pinned by hash, and the
-//! peel loop's work on SDSS and the general search's work on Inspiral are
-//! bounded to grow about linearly with size.
+//! The PRIO order on the four paper workflows and a 54,000-job layered
+//! dag is pinned by hash, and the peel loop's work on SDSS and the general
+//! search's work on Inspiral are bounded to grow about linearly with size.
 //!
 //! The hashes were captured before the peel loop switched from rescanning
 //! a join's parent list on every retried block attempt to per-node counts
@@ -40,6 +40,28 @@ fn paper_workflow_orders_match_pinned_hashes() {
         let got = order_hash(result.schedule.order());
         assert_eq!(got, want, "{name}: PRIO order changed ({got:#018X})");
     }
+
+    // A 54,000-job layered dag (60 wide, 900 deep, a cross arc from every
+    // third job), the size the removed parallel stages were tested at.
+    const WIDTH: usize = 60;
+    const LAYERS: usize = 900;
+    let mut arcs: Vec<(u32, u32)> = Vec::new();
+    for l in 0..LAYERS - 1 {
+        for i in 0..WIDTH {
+            let u = (l * WIDTH + i) as u32;
+            arcs.push((u, ((l + 1) * WIDTH + i) as u32));
+            if i % 3 == 0 {
+                arcs.push((u, ((l + 1) * WIDTH + (i + 11) % WIDTH) as u32));
+            }
+        }
+    }
+    let layered = Dag::from_arcs(WIDTH * LAYERS, &arcs).unwrap();
+    let result = Prioritizer::new().prioritize(&layered).unwrap();
+    let got = order_hash(result.schedule.order());
+    assert_eq!(
+        got, 0xAC76A94F5C3AE965,
+        "layered: PRIO order changed ({got:#018X})"
+    );
 }
 
 /// The block attempts' parent visits on SDSS — the collector join's

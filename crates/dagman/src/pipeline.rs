@@ -19,7 +19,7 @@ use prio_ir::{FormatId, Frontend};
 /// How one file is prioritized.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileOptions {
-    /// Scheduler options (threads, exhaustive-search limit, ablations).
+    /// Scheduler options (exhaustive-search limit, ablations).
     pub prio: PrioOptions,
     /// How priorities are written into DAGMan files (ignored by other
     /// formats).

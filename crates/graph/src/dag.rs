@@ -28,11 +28,6 @@ use std::sync::Arc;
 /// copying the string.
 pub type Label = Arc<str>;
 
-/// Arc-chunk floor below which the parallel CSR build falls back to the
-/// serial implementation: spawning scoped threads for a few thousand
-/// arcs costs more than the passes themselves.
-const MIN_PARALLEL_ARCS: usize = 1 << 16;
-
 /// A node (job) identifier: a dense index into a [`Dag`].
 ///
 /// `NodeId`s are only meaningful relative to the `Dag` that produced them.
@@ -91,7 +86,6 @@ impl Dag {
             "arc count {} exceeds the u32 offset range",
             arcs.len()
         );
-        prio_obs::counter("graph.build.serial_builds").add(1);
         let mut child_off = vec![0u32; n + 1];
         let mut parent_off = vec![0u32; n + 1];
         for &(u, v) in arcs {
@@ -119,164 +113,6 @@ impl Dag {
         }
     }
 
-    /// [`Dag::from_sorted_unique_arcs`] built across `threads` scoped
-    /// worker threads; bit-identical to the serial build.
-    ///
-    /// * `child_off` — each thread owns a contiguous source-node range and
-    ///   counts its arcs by scanning the matching arc subrange (found by
-    ///   `partition_point` on the sorted list), then a serial prefix sum
-    ///   merges the ranges.
-    /// * `child_adj` — the sorted arc targets *are* the child array, so
-    ///   each thread copies a disjoint arc chunk.
-    /// * `parent_off`/`parent_adj` — per-thread counting passes over
-    ///   contiguous arc chunks, merged by prefix sum into per-`(thread, v)`
-    ///   write cursors: earlier chunks get earlier slots and chunks scan in
-    ///   lexicographic order, so every parent list comes out sorted by
-    ///   source exactly as in the serial transpose fill.
-    fn from_sorted_unique_arcs_par(
-        labels: Vec<Label>,
-        arcs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Dag {
-        let n = labels.len();
-        let m = arcs.len();
-        if threads <= 1 || m < MIN_PARALLEL_ARCS {
-            return Dag::from_sorted_unique_arcs(labels, arcs);
-        }
-        assert!(
-            m <= u32::MAX as usize,
-            "arc count {m} exceeds the u32 offset range"
-        );
-        prio_obs::counter("graph.build.parallel_builds").add(1);
-        let t = threads.min(m);
-        // Contiguous arc chunks, one per thread.
-        let chunk_bounds: Vec<(usize, usize)> =
-            (0..t).map(|i| (m * i / t, m * (i + 1) / t)).collect();
-
-        // child_off: per-source-range counting in parallel.
-        let mut child_off = vec![0u32; n + 1];
-        {
-            let node_ranges: Vec<(usize, usize)> =
-                (0..t).map(|i| (n * i / t, n * (i + 1) / t)).collect();
-            let mut slices: Vec<&mut [u32]> = Vec::with_capacity(t);
-            let mut rest = &mut child_off[1..];
-            for &(lo, hi) in &node_ranges {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    scope.spawn(move || {
-                        let start = arcs.partition_point(|&(u, _)| u.index() < lo);
-                        let end = arcs.partition_point(|&(u, _)| u.index() < hi);
-                        for &(u, _) in &arcs[start..end] {
-                            slice[u.index() - lo] += 1;
-                        }
-                    });
-                }
-            });
-        }
-        for i in 0..n {
-            child_off[i + 1] += child_off[i];
-        }
-
-        // child_adj: disjoint chunk copies.
-        let mut child_adj: Vec<NodeId> = vec![NodeId(0); m];
-        {
-            let mut slices: Vec<&mut [NodeId]> = Vec::with_capacity(t);
-            let mut rest = child_adj.as_mut_slice();
-            for &(lo, hi) in &chunk_bounds {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&chunk_bounds) {
-                    scope.spawn(move || {
-                        for (dst, &(_, v)) in slice.iter_mut().zip(&arcs[lo..hi]) {
-                            *dst = v;
-                        }
-                    });
-                }
-            });
-        }
-
-        // parent side, sharded by *target* range: each thread owns the
-        // nodes `v` in a contiguous range and therefore a disjoint,
-        // contiguous slice of the transpose arrays (`split_at_mut`, no
-        // locks). A thread scans the whole arc list but touches only its
-        // own targets; scanning in lexicographic order makes every parent
-        // list come out sorted by source exactly as in the serial fill.
-        // Total reads are `threads × m` but the passes run concurrently,
-        // so the wall time is one scan plus the serial prefix sum.
-        let node_ranges: Vec<(usize, usize)> =
-            (0..t).map(|i| (n * i / t, n * (i + 1) / t)).collect();
-        let mut parent_cnt = vec![0u32; n];
-        {
-            let mut slices: Vec<&mut [u32]> = Vec::with_capacity(t);
-            let mut rest = parent_cnt.as_mut_slice();
-            for &(lo, hi) in &node_ranges {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    scope.spawn(move || {
-                        for &(_, v) in arcs {
-                            let vi = v.index();
-                            if vi >= lo && vi < hi {
-                                slice[vi - lo] += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        let mut parent_off = vec![0u32; n + 1];
-        for v in 0..n {
-            parent_off[v + 1] = parent_off[v] + parent_cnt[v];
-        }
-        let mut parent_adj: Vec<NodeId> = vec![NodeId(0); m];
-        {
-            let mut slices: Vec<&mut [NodeId]> = Vec::with_capacity(t);
-            let mut rest = parent_adj.as_mut_slice();
-            for &(lo, hi) in &node_ranges {
-                let start = parent_off[lo] as usize;
-                let end = parent_off[hi] as usize;
-                let (head, tail) = rest.split_at_mut(end - start);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    let base = parent_off[lo];
-                    let off = &parent_off;
-                    scope.spawn(move || {
-                        let mut cursor: Vec<u32> = off[lo..hi].iter().map(|&o| o - base).collect();
-                        for &(u, v) in arcs {
-                            let vi = v.index();
-                            if vi >= lo && vi < hi {
-                                let slot = &mut cursor[vi - lo];
-                                slice[*slot as usize] = u;
-                                *slot += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        Dag {
-            labels,
-            child_off: child_off.into_boxed_slice(),
-            child_adj: child_adj.into_boxed_slice(),
-            parent_off: parent_off.into_boxed_slice(),
-            parent_adj: parent_adj.into_boxed_slice(),
-        }
-    }
-
     /// Builds a dag from a lexicographically sorted, duplicate-free arc
     /// list whose endpoints are all `< labels.len()`, **without** checking
     /// acyclicity.
@@ -285,13 +121,8 @@ impl Dag {
     /// detach order, an arc-filtered copy of an existing dag, …): a cyclic
     /// input produces a structurally valid `Dag` whose traversals violate
     /// the DAG contract downstream. Sortedness and uniqueness are
-    /// `debug_assert`ed; `threads > 1` uses the parallel CSR build, which
-    /// is bit-identical to the serial one.
-    pub fn from_sorted_arcs_unchecked(
-        labels: Vec<Label>,
-        arcs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Dag {
+    /// `debug_assert`ed.
+    pub fn from_sorted_arcs_unchecked(labels: Vec<Label>, arcs: &[(NodeId, NodeId)]) -> Dag {
         debug_assert!(
             arcs.windows(2).all(|w| w[0] < w[1]),
             "arc list must be sorted and duplicate-free"
@@ -299,7 +130,7 @@ impl Dag {
         debug_assert!(arcs
             .iter()
             .all(|&(u, v)| u.index() < labels.len() && v.index() < labels.len()));
-        Dag::from_sorted_unique_arcs_par(labels, arcs, threads)
+        Dag::from_sorted_unique_arcs(labels, arcs)
     }
 
     /// Builds a dag from its node labels and an arc list in any order,
@@ -636,12 +467,6 @@ impl SubgraphMap {
     pub fn to_super(&self, s: NodeId) -> NodeId {
         self.to_super[s.index()]
     }
-
-    /// The original-graph identifiers of all subgraph nodes, in subgraph
-    /// index order.
-    pub fn super_nodes(&self) -> &[NodeId] {
-        &self.to_super
-    }
 }
 
 /// An incremental, validating builder for [`Dag`].
@@ -862,7 +687,8 @@ mod tests {
         assert_eq!(map.to_sub(NodeId(3)), Some(NodeId(2)));
         assert_eq!(map.to_sub(NodeId(2)), None);
         assert_eq!(sub.label(NodeId(2)), "j3");
-        assert_eq!(map.super_nodes(), &[NodeId(0), NodeId(1), NodeId(3)]);
+        let super_nodes: Vec<NodeId> = sub.node_ids().map(|s| map.to_super(s)).collect();
+        assert_eq!(super_nodes, [NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]

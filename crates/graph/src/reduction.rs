@@ -53,17 +53,38 @@ pub fn shortcut_arcs_into(dag: &Dag, scratch: &mut GraphScratch, out: &mut Vec<(
         if dag.out_degree(u) < 2 {
             continue; // a single arc can never be a shortcut
         }
+        // `mark[w] == stamp` means `w` was already reached from `u`.
         let stamp = scratch.next_stamp(n);
-        scan_source(
-            dag,
-            &rank,
-            u,
-            &mut scratch.mark,
-            stamp,
-            &mut stack,
-            &mut by_rank,
-            out,
-        );
+        let mark = &mut scratch.mark;
+        by_rank.clear();
+        by_rank.extend_from_slice(dag.children(u));
+        by_rank.sort_unstable_by_key(|c| rank[c.index()]);
+        let max_rank = rank[by_rank.last().expect("non-empty").index()];
+        for &c in by_rank.iter() {
+            if mark[c.index()] == stamp {
+                // Reachable from an earlier-ranked child: any path through
+                // that child gives `u ->* c` avoiding the direct arc.
+                out.push((u, c));
+                continue;
+            }
+            // Keep the arc and mark everything reachable from `c` whose
+            // rank does not exceed the last child's rank (no later child
+            // can be reached through higher-ranked intermediates, since
+            // ranks strictly increase along paths).
+            mark[c.index()] = stamp;
+            stack.push(c);
+            while let Some(w) = stack.pop() {
+                if rank[w.index()] >= max_rank {
+                    continue; // nothing beyond can reach back down
+                }
+                for &x in dag.children(w) {
+                    if rank[x.index()] <= max_rank && mark[x.index()] != stamp {
+                        mark[x.index()] = stamp;
+                        stack.push(x);
+                    }
+                }
+            }
+        }
     }
     scratch.rank = rank;
     scratch.stack = stack;
@@ -71,118 +92,14 @@ pub fn shortcut_arcs_into(dag: &Dag, scratch: &mut GraphScratch, out: &mut Vec<(
     out.sort_unstable();
 }
 
-/// [`shortcut_arcs_into`] with the per-source scans sharded across
-/// `threads` scoped worker threads (`0`/`1` = the serial path).
-///
-/// The rank table is computed once up front; each worker then owns a
-/// contiguous source-node range with its own stamped-mark table and
-/// worklists. Shortcut detection at one source never reads another
-/// source's state, and the output is sorted at the end either way, so the
-/// result is bit-identical to the serial scan for every thread count.
+/// [`shortcut_arcs_into`]; `threads` is ignored (the reduction is serial).
 pub fn shortcut_arcs_par_into(
     dag: &Dag,
     scratch: &mut GraphScratch,
-    threads: usize,
+    _threads: usize,
     out: &mut Vec<(NodeId, NodeId)>,
 ) {
-    let n = dag.num_nodes();
-    let t = threads.min(n.max(1));
-    if t <= 1 {
-        return shortcut_arcs_into(dag, scratch, out);
-    }
-    let _span = prio_obs::span(prio_obs::stage::REDUCE);
-    out.clear();
-    let mut rank = std::mem::take(&mut scratch.rank);
-    topo_ranks_into(dag, scratch, &mut rank);
-    prio_obs::counter("graph.reduce.parallel_shards").add(t as u64);
-
-    let rank_ref = &rank;
-    let mut shards: Vec<Vec<(NodeId, NodeId)>> = Vec::with_capacity(t);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        for i in 0..t {
-            let (lo, hi) = (n * i / t, n * (i + 1) / t);
-            handles.push(scope.spawn(move || {
-                let mut mark = vec![0u32; n];
-                let mut stamp = 0u32;
-                let mut stack = Vec::new();
-                let mut by_rank = Vec::new();
-                let mut local = Vec::new();
-                for u in (lo as u32..hi as u32).map(NodeId) {
-                    if dag.out_degree(u) < 2 {
-                        continue;
-                    }
-                    stamp += 1;
-                    scan_source(
-                        dag,
-                        rank_ref,
-                        u,
-                        &mut mark,
-                        stamp,
-                        &mut stack,
-                        &mut by_rank,
-                        &mut local,
-                    );
-                }
-                local
-            }));
-        }
-        for h in handles {
-            shards.push(h.join().expect("shortcut scan worker"));
-        }
-    });
-    for shard in shards {
-        out.extend(shard);
-    }
-    scratch.rank = rank;
-    out.sort_unstable();
-}
-
-/// Scans one multi-child source `u` for shortcut arcs, appending findings
-/// to `out`. `mark[w] == stamp` means `w` was already reached in this scan.
-#[allow(clippy::too_many_arguments)]
-fn scan_source(
-    dag: &Dag,
-    rank: &[usize],
-    u: NodeId,
-    mark: &mut Vec<u32>,
-    stamp: u32,
-    stack: &mut Vec<NodeId>,
-    by_rank: &mut Vec<NodeId>,
-    out: &mut Vec<(NodeId, NodeId)>,
-) {
-    if mark.len() < dag.num_nodes() {
-        mark.resize(dag.num_nodes(), 0);
-    }
-    by_rank.clear();
-    by_rank.extend_from_slice(dag.children(u));
-    by_rank.sort_unstable_by_key(|c| rank[c.index()]);
-    let max_rank = rank[by_rank.last().expect("non-empty").index()];
-    for &c in by_rank.iter() {
-        if mark[c.index()] == stamp {
-            // Reachable from an earlier-ranked child: any path through
-            // that child gives `u ->* c` avoiding the direct arc.
-            out.push((u, c));
-            continue;
-        }
-        // Keep the arc and mark everything reachable from `c` whose rank
-        // does not exceed the last child's rank (no later child can be
-        // reached through higher-ranked intermediates, since ranks
-        // strictly increase along paths).
-        mark[c.index()] = stamp;
-        stack.push(c);
-        while let Some(w) = stack.pop() {
-            if rank[w.index()] >= max_rank {
-                continue; // nothing beyond can reach back down
-            }
-            for &x in dag.children(w) {
-                if rank[x.index()] <= max_rank && mark[x.index()] != stamp {
-                    mark[x.index()] = stamp;
-                    stack.push(x);
-                }
-            }
-        }
-    }
+    shortcut_arcs_into(dag, scratch, out)
 }
 
 /// Finds all shortcut arcs via the full transitive closure (verification

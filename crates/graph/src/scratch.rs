@@ -122,8 +122,8 @@ impl SubgraphScratch {
 /// contents cleared on reuse) and hands them back on the next request, so
 /// steady-state pipeline runs stop hitting the allocator for temporaries.
 /// Owned by the caller's long-lived context (`PrioContext` in `prio-core`)
-/// and deliberately not thread-safe: parallel stages give each worker its
-/// own arena or plain `Vec`s.
+/// and deliberately not thread-safe: each thread that prioritizes keeps
+/// its own.
 ///
 /// Counters `graph.arena.vecs_reused` / `graph.arena.vecs_allocated` make
 /// the win measurable under the benches' `--profile-alloc` mode.

@@ -11,7 +11,6 @@ use crate::fault::FaultConfig;
 use crate::model::GridModel;
 use crate::policy::PolicySpec;
 use crate::replicate::{sampling_distributions_with, MetricDistributions, ReplicationPlan};
-use prio_core::{PrioError, Prioritizer};
 use prio_graph::Dag;
 use prio_stats::ConfidenceInterval;
 
@@ -83,40 +82,6 @@ pub fn compare_policies_with(
     }
 }
 
-/// Batch variant of the paper's PRIO-vs-FIFO experiment: prioritizes all
-/// `dags` through one shared pipeline context
-/// ([`Prioritizer::prioritize_many`]) and compares PRIO against FIFO on
-/// the same model cell for each. A pipeline failure on one dag yields an
-/// `Err` in its slot without affecting the others.
-pub fn compare_prio_fifo_many(
-    dags: &[Dag],
-    model: &GridModel,
-    plan: &ReplicationPlan,
-) -> Vec<Result<ComparisonResult, PrioError>> {
-    compare_prio_fifo_many_with(dags, model, None, plan)
-}
-
-/// Fault-aware batch variant: every PRIO-vs-FIFO comparison runs under
-/// the given fault configuration.
-pub fn compare_prio_fifo_many_with(
-    dags: &[Dag],
-    model: &GridModel,
-    faults: Option<&FaultConfig>,
-    plan: &ReplicationPlan,
-) -> Vec<Result<ComparisonResult, PrioError>> {
-    Prioritizer::new()
-        .prioritize_many(dags)
-        .into_iter()
-        .zip(dags)
-        .map(|(res, dag)| {
-            res.map(|r| {
-                let prio = PolicySpec::Oblivious(r.schedule);
-                compare_policies_with(dag, &prio, &PolicySpec::Fifo, model, faults, plan)
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,33 +132,6 @@ mod tests {
         );
         let util = r.utilization_ratio.unwrap();
         assert!(util.median > 0.99, "PRIO should not waste workers: {util}");
-    }
-
-    #[test]
-    fn batch_comparison_matches_individual_runs() {
-        let dags = vec![
-            prio_workloads::classic::fork_join(5),
-            prio_workloads::airsn::airsn(6),
-        ];
-        let plan = ReplicationPlan {
-            p: 6,
-            q: 4,
-            seed: 11,
-            threads: 0,
-        };
-        let model = GridModel::paper(1.0, 4.0);
-        let batch = compare_prio_fifo_many(&dags, &model, &plan);
-        assert_eq!(batch.len(), dags.len());
-        for (dag, res) in dags.iter().zip(batch) {
-            let res = res.unwrap();
-            let prio = PolicySpec::Oblivious(prioritize(dag).unwrap().schedule);
-            let single = compare_policies(dag, &prio, &PolicySpec::Fifo, &model, &plan);
-            assert_eq!(
-                res.a.execution_time.samples(),
-                single.a.execution_time.samples(),
-                "batch and single runs must see identical PRIO schedules"
-            );
-        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::fault::{FaultConfig, FaultModel, RetryPolicy};
 use crate::model::GridModel;
 use crate::policy::PolicySpec;
 use crate::replicate::ReplicationPlan;
-use prio_core::{PrioError, Prioritizer};
 use prio_graph::Dag;
 
 /// The paper's seven mean batch inter-arrival times: `10⁻³ … 10³`.
@@ -112,29 +111,6 @@ pub fn sweep_fault_rates(
         .collect()
 }
 
-/// Batch variant: prioritizes every dag through one shared pipeline
-/// context ([`Prioritizer::prioritize_many`]), then sweeps PRIO vs FIFO
-/// over the grid for each. One slot per input dag, in order; a pipeline
-/// failure fills its slot with `Err` without affecting the other dags.
-pub fn sweep_prio_vs_fifo_many(
-    dags: &[Dag],
-    mu_bits: &[f64],
-    mu_bss: &[f64],
-    plan: &ReplicationPlan,
-) -> Vec<Result<Vec<SweepCell>, PrioError>> {
-    Prioritizer::new()
-        .prioritize_many(dags)
-        .into_iter()
-        .zip(dags)
-        .map(|(res, dag)| {
-            res.map(|r| {
-                let prio = PolicySpec::Oblivious(r.schedule);
-                sweep(dag, &prio, &PolicySpec::Fifo, mu_bits, mu_bss, plan, |_| {})
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,28 +198,5 @@ mod tests {
             .samples()
             .iter()
             .any(|&w| w > 0.0));
-    }
-
-    #[test]
-    fn batch_sweep_covers_every_dag() {
-        let dags = vec![
-            prio_workloads::classic::fork_join(4),
-            prio_workloads::classic::fork_join(3),
-        ];
-        let plan = ReplicationPlan {
-            p: 3,
-            q: 2,
-            seed: 9,
-            threads: 0,
-        };
-        let per_dag = sweep_prio_vs_fifo_many(&dags, &[1.0], &[1.0, 2.0], &plan);
-        assert_eq!(per_dag.len(), 2);
-        for cells in per_dag {
-            let cells = cells.unwrap();
-            assert_eq!(cells.len(), 2);
-            assert!(cells
-                .iter()
-                .all(|c| c.result.execution_time_ratio.is_some()));
-        }
     }
 }

@@ -143,6 +143,11 @@ mkdir -p target/sdss-smoke
 timeout 30 ./target/release/prio run target/sdss-smoke/sdss.dag \
   --output target/sdss-smoke/sdss.prio.dag 2> target/sdss-smoke/run.stderr \
   || { echo "check.sh: paper-size SDSS run failed or took over 30 s" >&2; exit 1; }
+# None of the 48,013 submit files exists, so stderr is one summary note
+# and the `wrote` line, not one note per file.
+sdss_err_lines=$(wc -l < target/sdss-smoke/run.stderr)
+[ "$sdss_err_lines" -le 5 ] \
+  || { echo "check.sh: paper-size SDSS run wrote $sdss_err_lines stderr lines, want at most 5" >&2; exit 1; }
 sdss_vars=$(grep -c '^VARS .* jobpriority=' target/sdss-smoke/sdss.prio.dag || true)
 [ "$sdss_vars" = "48013" ] \
   || { echo "check.sh: paper-size SDSS has $sdss_vars jobpriority VARS lines, want 48013" >&2; exit 1; }

@@ -61,7 +61,7 @@ pub use prio_sim as sim;
 pub use prio_stats as stats;
 pub use prio_workloads as workloads;
 
-use prio_core::{PrioContext, PrioOptions};
+use prio_core::PrioContext;
 use prio_dagman::pipeline::{prioritize_file, FileOptions};
 use prio_dagman::DagmanFrontend;
 use prio_ir::Workflow;
@@ -86,24 +86,12 @@ pub struct PrioritizedDagman {
 /// [`prio_core::PrioError::Parse`], pipeline bugs as
 /// [`prio_core::PrioError::InternalInvariant`].
 pub fn prioritize_dagman_text(text: &str) -> Result<PrioritizedDagman, prio_core::PrioError> {
-    prioritize_dagman_text_threads(text, 0)
-}
-
-/// Like [`prioritize_dagman_text`], with `threads` worker threads for the
-/// parallel pipeline stages (CSR build, reduction, decomposition). `0` or `1` runs fully serial; the result is
-/// bit-identical for every thread count.
-pub fn prioritize_dagman_text_threads(
-    text: &str,
-    threads: usize,
-) -> Result<PrioritizedDagman, prio_core::PrioError> {
-    let opts = FileOptions {
-        prio: PrioOptions {
-            threads,
-            ..PrioOptions::default()
-        },
-        ..FileOptions::default()
-    };
-    let out = prioritize_file(&DagmanFrontend, text, &opts, &mut PrioContext::new())?;
+    let out = prioritize_file(
+        &DagmanFrontend,
+        text,
+        &FileOptions::default(),
+        &mut PrioContext::new(),
+    )?;
     let schedule_names = out
         .result
         .schedule
@@ -173,16 +161,6 @@ mod tests {
         assert!(prioritize_workflow_text("a\tb\n", None, Some("nope")).is_err());
         let (_, auto) = prioritize_workflow_text("a\tb\n", None, Some("auto")).unwrap();
         assert_eq!(auto, edges, "`auto` detects, like serve");
-    }
-
-    #[test]
-    fn threaded_facade_is_bit_identical() {
-        let input = "JOB a a.sub\nJOB b b.sub\nJOB c c.sub\nJOB d d.sub\nJOB e e.sub\nPARENT a CHILD b\nPARENT c CHILD d e\n";
-        let serial = prioritize_dagman_text(input).unwrap();
-        let par = prioritize_dagman_text_threads(input, 4).unwrap();
-        assert_eq!(par.schedule_names, serial.schedule_names);
-        assert_eq!(par.instrumented, serial.instrumented);
-        assert_eq!(par.dag, serial.dag);
     }
 
     #[test]
