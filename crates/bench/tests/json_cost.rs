@@ -22,6 +22,9 @@
 //! the same at both sizes; and the frontend's canonical export writes
 //! one buffer, like the JSON one.
 //!
+//! The edge-list import is held to the JSON import's bound: it splits
+//! each record into its fields in place.
+//!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
 
@@ -30,7 +33,7 @@ use prio_dagman::{
     instrument_dagman_with, parse_dagman, priorities_by_job, write::write_dagman, DagmanFile,
     DagmanFrontend, InstrumentMode,
 };
-use prio_ir::{Frontend, JsonFrontend, Priorities, Workflow};
+use prio_ir::{EdgesFrontend, Frontend, JsonFrontend, Priorities, Workflow};
 use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
 use prio_serve::{encode_request, serve_streams, ServeConfig};
 use prio_workloads::{montage, sdss};
@@ -90,19 +93,24 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
         ranked.set_priorities(Priorities::from_order(&order, n));
 
         // The input `prio run` reads, and the output it writes (which
-        // `prio convert` reads back).
-        for (label, expected) in [("plain", &workflow), ("prioritized", &ranked)] {
-            let text = JsonFrontend.export(expected, expected.priorities());
-            // Warm-up: fills the lazily built span and counter registries.
-            JsonFrontend.import(&text).expect("exported JSON imports");
-            let (allocs, back) = allocations(|| JsonFrontend.import(&text));
-            assert!(back.expect("exported JSON imports").same_content(expected));
-            eprintln!("{n} jobs, {label}: import made {allocs} allocations");
-            assert!(
-                allocs <= n as u64 + IMPORT_CONSTANT,
-                "{n} jobs, {label}: import made {allocs} allocations, \
-                 allowed one per job plus {IMPORT_CONSTANT}"
-            );
+        // `prio convert` reads back). The edge-list import splits each
+        // record in place, so it is held to the same bound.
+        let frontends: [(&str, &dyn Frontend); 2] =
+            [("JSON", &JsonFrontend), ("edges", &EdgesFrontend)];
+        for (format, frontend) in frontends {
+            for (label, expected) in [("plain", &workflow), ("prioritized", &ranked)] {
+                let text = frontend.export(expected, expected.priorities());
+                // Warm-up: fills the lazily built span and counter registries.
+                frontend.import(&text).expect("exported text imports");
+                let (allocs, back) = allocations(|| frontend.import(&text));
+                assert!(back.expect("exported text imports").same_content(expected));
+                eprintln!("{n} jobs, {label}: {format} import made {allocs} allocations");
+                assert!(
+                    allocs <= n as u64 + IMPORT_CONSTANT,
+                    "{n} jobs, {label}: {format} import made {allocs} allocations, \
+                     allowed one per job plus {IMPORT_CONSTANT}"
+                );
+            }
         }
 
         for (label, wf) in [("plain", &workflow), ("prioritized", &ranked)] {

@@ -179,7 +179,7 @@ impl Frontend for DagmanFrontend {
     }
 
     fn sniff(&self, text: &str) -> bool {
-        text.lines()
+        prio_obs::scan::lines(text)
             .map(str::trim)
             .filter(|t| !t.is_empty() && !t.starts_with('#'))
             .take(50)

@@ -19,7 +19,7 @@ impl Jsdf {
     /// so no line is rejected).
     pub fn parse(text: &str) -> Jsdf {
         Jsdf {
-            lines: text.lines().map(str::to_string).collect(),
+            lines: prio_obs::scan::lines(text).map(str::to_string).collect(),
         }
     }
 

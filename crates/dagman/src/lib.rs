@@ -37,7 +37,6 @@ pub mod instrument;
 pub mod jsdf;
 pub mod parse;
 pub mod pipeline;
-pub mod scan;
 pub mod write;
 
 pub use error::DagmanError;

@@ -11,7 +11,7 @@
 use crate::error::DagmanError;
 use crate::file::{DagmanFile, Line, Span};
 use crate::instrument::JOBPRIORITY;
-use crate::scan;
+use prio_obs::scan;
 
 /// Parses the text of a DAGMan input file.
 pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {

@@ -18,6 +18,7 @@
 use crate::error::{ImportError, PrioError};
 use crate::frontend::Frontend;
 use crate::workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};
+use prio_obs::scan;
 use std::fmt::Write as _;
 
 /// The directive that assigns a job priority.
@@ -30,16 +31,37 @@ fn err(line: usize, message: impl Into<String>) -> PrioError {
     ImportError::at(FormatId::Edges, line, message).into()
 }
 
+/// One record's first three fields and how many it has in all — no
+/// record the format accepts has more, so splitting allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct Fields<'a> {
+    first: [&'a str; 3],
+    count: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn collect(fields: impl Iterator<Item = &'a str>) -> Fields<'a> {
+        let mut f = Fields {
+            first: [""; 3],
+            count: 0,
+        };
+        for field in fields {
+            if let Some(slot) = f.first.get_mut(f.count) {
+                *slot = field;
+            }
+            f.count += 1;
+        }
+        f
+    }
+}
+
 /// Splits one record: on tabs when present (TSV, names may contain
 /// spaces), otherwise on whitespace runs.
-fn fields(line: &str) -> Vec<&str> {
-    if line.contains('\t') {
-        line.split('\t')
-            .map(str::trim)
-            .filter(|f| !f.is_empty())
-            .collect()
+fn fields(line: &str) -> Fields<'_> {
+    if scan::find_byte(line.as_bytes(), b'\t').is_some() {
+        Fields::collect(line.split('\t').map(str::trim).filter(|f| !f.is_empty()))
     } else {
-        line.split_whitespace().collect()
+        Fields::collect(line.split_whitespace())
     }
 }
 
@@ -56,15 +78,17 @@ impl Frontend for EdgesFrontend {
         // Permissive fallback: every early non-blank line is a comment, a
         // directive, or a 1–2 field record. Register this frontend last.
         let mut saw_record = false;
-        for line in text.lines().take(50) {
+        for line in scan::lines(text).take(50) {
             let t = line.trim();
             if t.is_empty() || t.starts_with('#') {
                 continue;
             }
-            let f = fields(line);
-            match f.first() {
-                Some(&PRIORITY_DIRECTIVE) if f.len() == 3 => saw_record = true,
-                _ if f.len() <= 2 => saw_record = true,
+            match fields(line) {
+                Fields {
+                    first: [PRIORITY_DIRECTIVE, ..],
+                    count: 3,
+                } => saw_record = true,
+                f if f.count <= 2 => saw_record = true,
                 _ => return false,
             }
         }
@@ -73,8 +97,8 @@ impl Frontend for EdgesFrontend {
 
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
         let _span = prio_obs::span(prio_obs::stage::PARSE);
-        let mut b = WorkflowBuilder::with_capacity(FormatId::Edges, 0, text.lines().count());
-        for (i, raw) in text.lines().enumerate() {
+        let mut b = WorkflowBuilder::with_capacity(FormatId::Edges, 0, scan::count_lines(text));
+        for (i, raw) in scan::lines(text).enumerate() {
             let line = i + 1;
             let t = raw.trim();
             if t.is_empty() || t.starts_with('#') {
@@ -83,8 +107,8 @@ impl Frontend for EdgesFrontend {
             // Split the raw line, not the trimmed one: a trailing tab is
             // how the exporter marks a single TSV field with spaces.
             let f = fields(raw);
-            match f.as_slice() {
-                [PRIORITY_DIRECTIVE, job, value] => {
+            match (f.count, f.first) {
+                (3, [PRIORITY_DIRECTIVE, job, value]) => {
                     let p: i64 = value.parse().map_err(|_| {
                         err(
                             line,
@@ -99,13 +123,13 @@ impl Frontend for EdgesFrontend {
                     })?;
                     b.set_priority(u, p);
                 }
-                [directive, ..] if directive.starts_with('@') => {
+                (_, [directive, ..]) if directive.starts_with('@') => {
                     return Err(err(line, format!("unknown directive {directive:?}")));
                 }
-                [node] => {
+                (1, [node, ..]) => {
                     b.job(node);
                 }
-                [parent, child] => {
+                (2, [parent, child, _]) => {
                     let pu = b.job(parent);
                     let cu = b.job(child);
                     b.arc(pu, cu).map_err(|e| err(line, e.to_string()))?;
@@ -113,7 +137,7 @@ impl Frontend for EdgesFrontend {
                 _ => {
                     return Err(err(
                         line,
-                        format!("expected 1–2 fields or a directive, got {}", f.len()),
+                        format!("expected 1–2 fields or a directive, got {}", f.count),
                     ));
                 }
             }
@@ -209,6 +233,35 @@ mod tests {
                 "bad provenance for {text:?}: {msg}"
             );
         }
+    }
+
+    #[test]
+    fn records_past_three_fields_report_their_full_count() {
+        let cases = [
+            (
+                "a\n\nx y z\n",
+                "line 3: expected 1–2 fields or a directive, got 3",
+            ),
+            (
+                "a\tb\t c \td\te\n",
+                "line 1: expected 1–2 fields or a directive, got 5",
+            ),
+            (
+                "# c\r\na\r\np q r s t u\r\n",
+                "line 3: expected 1–2 fields or a directive, got 6",
+            ),
+            (
+                "a\n@priority\ta\t1\t2\n",
+                "line 2: unknown directive \"@priority\"",
+            ),
+            ("@priority a\n", "line 1: unknown directive \"@priority\""),
+        ];
+        for (text, expected) in cases {
+            let msg = EdgesFrontend.import(text).unwrap_err().to_string();
+            assert!(msg.ends_with(expected), "{text:?}: {msg}");
+        }
+        assert!(!EdgesFrontend.sniff("a b c\n"));
+        assert!(EdgesFrontend.sniff("@priority a 1\n"));
     }
 
     #[test]

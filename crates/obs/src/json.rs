@@ -13,6 +13,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::scan;
+
 /// Version of the JSONL record schema. Every object built with
 /// [`JsonObject::typed`] carries it as a `v` field. History:
 ///
@@ -44,13 +46,11 @@ pub fn write_escaped(s: &str, out: &mut String) {
     // cost.
     let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
+    while let Some(run) = scan::find_json_stop(&bytes[start..]) {
+        let i = start + run;
         out.push_str(&s[start..i]);
         start = i + 1;
-        match b {
+        match bytes[i] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
@@ -642,17 +642,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a maximal run of bytes that need no unescaping, in one
-    /// step — per-scalar work would rescan MB-sized inputs. A run can
-    /// only end at a quote, backslash or control byte, none of which is
-    /// a UTF-8 continuation byte, so it never splits a scalar and the
-    /// run is a valid `&str` slice.
+    /// step that tests a word at a time ([`scan::find_json_stop`]) —
+    /// per-scalar work would rescan MB-sized inputs. A run can only end
+    /// at a quote, backslash or control byte, none of which is a UTF-8
+    /// continuation byte, so it never splits a scalar and the run is a
+    /// valid `&str` slice.
     fn unescaped_run(&mut self) {
-        while let Some(&b) = self.bytes().get(self.pos) {
-            if matches!(b, b'"' | b'\\') || b < 0x20 {
-                break;
-            }
-            self.pos += 1;
-        }
+        let rest = &self.bytes()[self.pos..];
+        self.pos += scan::find_json_stop(rest).unwrap_or(rest.len());
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -662,7 +659,11 @@ impl<'a> Reader<'a> {
         let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| "non-ASCII in \\u escape")?;
         self.pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape {hex:?}: {e}"))
+        // Exactly four hex digits: `u32::from_str_radix` would also take a
+        // leading `+`.
+        hex.chars()
+            .try_fold(0, |code, c| Some(code * 16 + c.to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape {hex:?}: invalid digit found in string"))
     }
 
     /// Consumes `[` and any whitespace after it. Returns whether the
@@ -739,6 +740,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escaping_round_trips_edge_cases() {
@@ -951,6 +953,96 @@ mod tests {
         }
         let line = JsonObject::new().raw("s", &escape("a\tb\u{1}")).finish();
         assert_eq!(line, JsonObject::new().str("s", "a\tb\u{1}").finish());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `u32::from_str_radix` accepts a leading `+`; a `\u` escape must not.
+        assert_eq!(
+            parse("\"\\u+041\"").unwrap_err(),
+            "bad \\u escape \"+041\": invalid digit found in string"
+        );
+        assert_eq!(
+            parse("\"\\uD83D\\u+E00\"").unwrap_err(),
+            "bad \\u escape \"+E00\": invalid digit found in string"
+        );
+        assert_eq!(
+            parse("\"\\uzzzz\"").unwrap_err(),
+            "bad \\u escape \"zzzz\": invalid digit found in string"
+        );
+        assert_eq!(
+            parse("\"\\u0041\\uD83D\\uDE00\"").unwrap(),
+            JsonValue::Str("A😀".into())
+        );
+        assert_eq!(
+            parse("\"\\u00aF\"").unwrap(),
+            JsonValue::Str("\u{af}".into())
+        );
+    }
+
+    /// The byte-at-a-time string validator the reader's word-at-a-time
+    /// scan replaced, for strings whose escapes are all single-character:
+    /// the error [`Reader::string`] must report for `text`, or `None`.
+    fn string_error_oracle(text: &[u8]) -> Option<String> {
+        let mut i = 1;
+        loop {
+            match text.get(i) {
+                None => return Some("unterminated string".into()),
+                Some(b'"') => return None,
+                Some(b'\\') => match text.get(i + 1) {
+                    None => return Some("unterminated escape".into()),
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                    Some(&other) => {
+                        return Some(format!("bad escape \\{} at byte {}", other as char, i + 2))
+                    }
+                },
+                Some(_) => match crate::scan::json_stop_oracle(&text[i..]) {
+                    Some(0) => return Some(format!("raw control character at byte {i}")),
+                    Some(run) => i += run,
+                    None => i = text.len(),
+                },
+            }
+        }
+    }
+
+    /// A string literal over plain ASCII, multi-byte scalars and the
+    /// single-character escapes, then mutated: a raw control byte put in
+    /// at a scalar boundary, or the literal cut short at one.
+    fn arb_mutated_literal() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 9] = ["a", "Zq", " ", "é", "日本", "🧪", "\\n", "\\\"", "\\\\"];
+        let body = proptest::collection::vec(0..PIECES.len(), 0..40)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect::<String>());
+        (body, any::<u64>(), 0u8..0x20, 0u8..3).prop_map(|(body, at, control, how)| {
+            let text = format!("\"{body}\"");
+            let cuts: Vec<usize> = text.char_indices().map(|(i, _)| i).skip(1).collect();
+            let at = cuts[at as usize % cuts.len()];
+            match how {
+                0 => format!("{}{}{}", &text[..at], control as char, &text[at..]),
+                1 => text[..at].to_string(),
+                _ => text,
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn reader_string_errors_match_the_bytewise_oracle(text in arb_mutated_literal()) {
+            let expected = string_error_oracle(text.as_bytes());
+            let decoded = Reader::new(&text).string().err();
+            prop_assert_eq!(&decoded, &expected, "string of {:?}", text);
+            prop_assert_eq!(Reader::new(&text).string_literal().err(), expected.clone());
+            prop_assert_eq!(Reader::new(&text).skip_value().err(), expected);
+        }
+
+        #[test]
+        fn escape_round_trips_any_text(
+            chars in proptest::collection::vec(prop_oneof![0u32..0x80, 0u32..0x30, 0x80u32..0x2_0000], 0..40),
+        ) {
+            let s: String = chars.into_iter().filter_map(char::from_u32).collect();
+            let literal = escape(&s);
+            prop_assert!(!literal[1..literal.len() - 1].bytes().any(|b| b < 0x20), "{}", literal);
+            prop_assert_eq!(parse(&literal), Ok(JsonValue::Str(s)));
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod pipeline;
 pub mod prom;
 pub mod report;
 pub mod sample;
+pub mod scan;
 pub mod sink;
 pub mod span;
 pub mod stage;

@@ -45,6 +45,7 @@ use crate::queue::RequestQueue;
 use prio_core::{PrioContext, PrioError, Prioritizer};
 use prio_ir::{Frontend, Priorities, Workflow};
 use prio_obs::json::escape;
+use prio_obs::scan;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -453,7 +454,7 @@ fn read_line_limited(
                 (false, false) => Line::Text(into_text(spill.to_vec())),
             });
         }
-        let (chunk, terminated) = match buf.iter().position(|&b| b == b'\n') {
+        let (chunk, terminated) = match scan::find_byte(buf, b'\n') {
             Some(i) => (i, true),
             None => (buf.len(), false),
         };

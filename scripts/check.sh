@@ -234,6 +234,20 @@ cat > target/serve-smoke/memo-requests.jsonl <<'EOF'
 {"type":"request","id":"edges","format":"edges","workflow":"a\tb\na\tc\n"}
 {"type":"request","id":"edges-escaped","format":"edges","workflow":"a\u0009b\na\tc\n"}
 EOF
+# A \u escape with a sign in place of a hex digit: a protocol-level
+# rejection. And one request line longer than the daemon's 64 KiB read
+# buffer, so its bytes are gathered across buffer fills: paper-size
+# Montage as an edge list, tabs and newlines escaped.
+cat > target/serve-smoke/bad-escape-request.jsonl <<'EOF'
+{"type":"request","id":"bad-escape","format":"edges","workflow":"a\u+041b\n"}
+EOF
+./target/release/prio generate montage --format edges --output target/serve-smoke/montage.edges \
+  || { echo "check.sh: prio generate montage --format edges failed" >&2; exit 1; }
+awk 'BEGIN { printf "{\"type\":\"request\",\"id\":\"large\",\"format\":\"edges\",\"workflow\":\"" }
+     { n = split($0, f, "\t"); for (i = 1; i <= n; i++) printf "%s%s", f[i], (i < n ? "\\t" : "\\n") }
+     END { printf "\"}\n" }' target/serve-smoke/montage.edges > target/serve-smoke/large-request.jsonl
+[ "$(wc -c < target/serve-smoke/large-request.jsonl)" -gt 65536 ] \
+  || { echo "check.sh: serve smoke: large request is not over 64 KiB" >&2; exit 1; }
 exec 3<>"/dev/tcp/127.0.0.1/$serve_port"
 : > target/serve-smoke/responses.jsonl
 read_responses() {
@@ -247,6 +261,10 @@ head -n 4 target/serve-smoke/requests.jsonl >&3
 read_responses 4
 cat target/serve-smoke/memo-requests.jsonl >&3
 read_responses 2
+cat target/serve-smoke/bad-escape-request.jsonl >&3
+read_responses 1
+cat target/serve-smoke/large-request.jsonl >&3
+read_responses 1
 tail -n 1 target/serve-smoke/requests.jsonl >&3
 read_responses 1
 exec 3<&- 3>&-
@@ -260,6 +278,10 @@ grep '"id":"bye"' target/serve-smoke/responses.jsonl | grep -q '"shutdown":true'
   || { echo "check.sh: serve smoke: shutdown verb not acknowledged" >&2; exit 1; }
 sed -n '5,6p' target/serve-smoke/responses.jsonl | grep '"id":"edges",' | grep -q '"cached":true' \
   || { echo "check.sh: serve smoke: verbatim resend was not a cache hit" >&2; exit 1; }
+sed -n '7p' target/serve-smoke/responses.jsonl | grep '"status":"error"' | grep -q '"stage":"request"' \
+  || { echo "check.sh: serve smoke: a \\u escape with a sign was not a request error" >&2; exit 1; }
+sed -n '8p' target/serve-smoke/responses.jsonl | grep '"id":"large",' | grep -q '"status":"ok"' \
+  || { echo "check.sh: serve smoke: the request over 64 KiB did not succeed" >&2; exit 1; }
 edges_outputs=$(grep -E '"id":"edges(-escaped)?",' target/serve-smoke/responses.jsonl \
   | sed 's/.*"output"://')
 [ "$(printf '%s\n' "$edges_outputs" | wc -l)" -eq 3 ] \
@@ -269,7 +291,7 @@ wait "$serve_pid" \
   || { echo "check.sh: serve daemon exited non-zero" >&2; exit 1; }
 grep -q "serve exiting" target/serve-smoke/daemon.stderr \
   || { echo "check.sh: serve daemon exit summary missing" >&2; exit 1; }
-echo "check.sh: serve smoke ok (3-format matrix, memo resend, escaped variant, stats verb, graceful shutdown)"
+echo "check.sh: serve smoke ok (3-format matrix, memo resend, escaped variant, signed \\u escape, request over 64 KiB, stats verb, graceful shutdown)"
 run_cargo bench --no-run
 # The end-to-end benchmark runner (benchmark/, declared in BENCHMARK.json)
 # is a workspace of its own; run its unit tests against this checkout.
