@@ -25,16 +25,26 @@
 //! The edge-list import is held to the JSON import's bound: it splits
 //! each record into its fields in place.
 //!
+//! So are Steps 2–4 of the pipeline: with a reused `PrioContext`, the
+//! decomposition, the per-component scheduling and the combine keep every
+//! per-component list in flat arrays — working memory the context owns,
+//! results allocated once per run at their final size — so once the
+//! context has seen a dag, running those three stages on it again makes
+//! the same small number of allocations at a quarter of SDSS (5,406
+//! components) as at full size (21,610).
+//!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
 
 use prio_bench::scaling::montage_tier;
+use prio_core::{PrioContext, Prioritizer};
 use prio_dagman::{
     instrument_dagman_with, parse_dagman, priorities_by_job, write::write_dagman, DagmanFile,
     DagmanFrontend, InstrumentMode,
 };
+use prio_graph::Dag;
 use prio_ir::{EdgesFrontend, Frontend, JsonFrontend, Priorities, Workflow};
-use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
+use prio_obs::mem::{set_span_profiling, CountingAllocator, ALLOC_COUNT};
 use prio_serve::{encode_request, serve_streams, ServeConfig};
 use prio_workloads::{montage, sdss};
 use std::sync::atomic::Ordering;
@@ -59,6 +69,10 @@ const DAGMAN_PARSE_CONSTANT: u64 = 64;
 /// Allocations instrumenting and writing a DAGMan file may make in total.
 const DAGMAN_INSTRUMENT_MAX: u64 = 8;
 
+/// Allocations the decompose, schedule and combine spans of one warm
+/// `prioritize_in` may make together, whatever the number of components.
+const STEPS_2_TO_4_MAX: u64 = 48;
+
 /// Verbatim resends per measured serve run (and twice as many in the
 /// second).
 const RESENDS: usize = 32;
@@ -68,6 +82,34 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_COUNT.load(Ordering::SeqCst);
     let out = f();
     (ALLOC_COUNT.load(Ordering::SeqCst) - before, out)
+}
+
+/// Allocations recorded so far under the top-level `decompose`,
+/// `schedule` and `combine` spans.
+fn steps_2_to_4_span_allocations() -> u64 {
+    prio_obs::span::snapshot()
+        .iter()
+        .filter(|r| matches!(r.path.as_str(), "decompose" | "schedule" | "combine"))
+        .filter_map(|r| r.mem.map(|m| m.alloc_count))
+        .sum()
+}
+
+/// Allocations Steps 2–4 make when `dag` is prioritized a second time
+/// with the same context.
+fn warm_steps_2_to_4_allocations(dag: &Dag) -> u64 {
+    let prioritizer = Prioritizer::new();
+    let mut ctx = PrioContext::new();
+    let warm = prioritizer.prioritize_in(dag, &mut ctx).unwrap();
+    let before = steps_2_to_4_span_allocations();
+    let again = prioritizer.prioritize_in(dag, &mut ctx).unwrap();
+    let allocs = steps_2_to_4_span_allocations() - before;
+    assert_eq!(again.schedule, warm.schedule);
+    eprintln!(
+        "{} jobs, {} components: warm decompose + schedule + combine made {allocs} allocations",
+        dag.num_nodes(),
+        again.stats.num_components
+    );
+    allocs
 }
 
 /// Allocations of one single-worker `prio serve` session over `input`,
@@ -216,5 +258,23 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
         instrument_costs[0] <= DAGMAN_INSTRUMENT_MAX,
         "instrument + write made {} allocations, allowed {DAGMAN_INSTRUMENT_MAX}",
         instrument_costs[0]
+    );
+
+    // Steps 2–4 on SDSS at a quarter and at full size, measured by the
+    // stages' own spans.
+    set_span_profiling(true);
+    let steps: Vec<u64> = [0.25, 1.0]
+        .into_iter()
+        .map(|scale| warm_steps_2_to_4_allocations(&sdss::sdss(sdss::SdssParams::scaled(scale))))
+        .collect();
+    set_span_profiling(false);
+    assert_eq!(
+        steps[0], steps[1],
+        "decompose + schedule + combine allocations grow with the component count"
+    );
+    assert!(
+        steps[0] <= STEPS_2_TO_4_MAX,
+        "decompose + schedule + combine made {} allocations, allowed {STEPS_2_TO_4_MAX}",
+        steps[0]
     );
 }

@@ -31,9 +31,9 @@ pub fn random_schedule<R: Rng + ?Sized>(dag: &Dag, rng: &mut R) -> Schedule {
     while !eligible.is_empty() {
         let i = rng.gen_range(0..eligible.len());
         let u = eligible.swap_remove(i);
-        let newly = tracker.execute(u);
+        tracker.execute(u);
         order.push(u);
-        eligible.extend(newly);
+        eligible.extend(tracker.released(u));
     }
     Schedule::new(dag, order).expect("random order is a linear extension")
 }
@@ -50,9 +50,9 @@ pub fn critical_path_schedule(dag: &Dag) -> Schedule {
         .collect();
     let mut order = Vec::with_capacity(dag.num_nodes());
     while let Some((_, Reverse(u))) = heap.pop() {
-        let newly = tracker.execute(u);
+        tracker.execute(u);
         order.push(u);
-        for v in newly {
+        for v in tracker.released(u) {
             heap.push((height[v.index()], Reverse(v)));
         }
     }

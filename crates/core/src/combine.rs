@@ -26,7 +26,8 @@
 use crate::priority::{priority_over, PriorityCache};
 use crate::profile::{ProfileClass, ProfileInterner};
 use prio_graph::{Dag, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Selects the implementation of the greedy combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,8 +35,8 @@ pub enum CombineEngine {
     /// Recompute all pairwise priorities every step (paper's first,
     /// quadratic implementation).
     Naive,
-    /// Profile-class interning + priority caching + ordered class index
-    /// (paper's engineered implementation).
+    /// Profile-class interning + priority caching + per-class source
+    /// heaps (paper's engineered implementation).
     #[default]
     ClassHeap,
 }
@@ -52,6 +53,33 @@ pub fn combine<P: AsRef<[usize]>>(
     profiles: &[P],
     engine: CombineEngine,
 ) -> Vec<usize> {
+    combine_in(superdag, profiles, engine, &mut CombineScratch::default())
+}
+
+/// The class engine's working tables, kept by the caller
+/// ([`crate::PrioContext`]) so repeated runs reuse their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct CombineScratch {
+    /// Remaining superdag in-degree per supernode.
+    indeg: Vec<u32>,
+    /// Profile class per supernode.
+    class_of: Vec<ProfileClass>,
+    /// Current sources of each class, as min-heaps of supernode indices.
+    members: Vec<BinaryHeap<Reverse<u32>>>,
+    /// Classes with at least one current source, ascending.
+    present: Vec<ProfileClass>,
+    /// Worst-case priority per present class, valid while the set of
+    /// present classes (and which of them have rivals) is unchanged.
+    cached_p: Vec<f64>,
+}
+
+/// [`combine`] with the class engine's tables borrowed from `scratch`.
+pub(crate) fn combine_in<P: AsRef<[usize]>>(
+    superdag: &Dag,
+    profiles: &[P],
+    engine: CombineEngine,
+    scratch: &mut CombineScratch,
+) -> Vec<usize> {
     assert_eq!(
         superdag.num_nodes(),
         profiles.len(),
@@ -60,10 +88,9 @@ pub fn combine<P: AsRef<[usize]>>(
     let _span = prio_obs::span(prio_obs::stage::COMBINE);
     match engine {
         CombineEngine::Naive => combine_naive(superdag, profiles),
-        CombineEngine::ClassHeap => combine_class_heap(superdag, profiles),
+        CombineEngine::ClassHeap => combine_class_heap(superdag, profiles, scratch),
     }
 }
-
 fn combine_naive<P: AsRef<[usize]>>(superdag: &Dag, profiles: &[P]) -> Vec<usize> {
     let n = superdag.num_nodes();
     let mut indeg: Vec<usize> = superdag.node_ids().map(|u| superdag.in_degree(u)).collect();
@@ -105,41 +132,61 @@ fn combine_naive<P: AsRef<[usize]>>(superdag: &Dag, profiles: &[P]) -> Vec<usize
     order
 }
 
-fn combine_class_heap<P: AsRef<[usize]>>(superdag: &Dag, profiles: &[P]) -> Vec<usize> {
+fn combine_class_heap<P: AsRef<[usize]>>(
+    superdag: &Dag,
+    profiles: &[P],
+    scratch: &mut CombineScratch,
+) -> Vec<usize> {
     let n = superdag.num_nodes();
+    let CombineScratch {
+        indeg,
+        class_of,
+        members,
+        present,
+        cached_p,
+    } = scratch;
     let mut interner = ProfileInterner::new();
-    let class_of: Vec<ProfileClass> = profiles
-        .iter()
-        .map(|p| interner.intern(p.as_ref()))
-        .collect();
+    class_of.clear();
+    class_of.extend(profiles.iter().map(|p| interner.intern(p.as_ref())));
+    let num_classes = interner.num_classes();
     let mut cache = PriorityCache::new();
 
-    let mut indeg: Vec<usize> = superdag.node_ids().map(|u| superdag.in_degree(u)).collect();
-    // Current sources grouped by class; BTreeMap/BTreeSet keep everything
-    // deterministic.
-    let mut members: BTreeMap<ProfileClass, BTreeSet<usize>> = BTreeMap::new();
-    for u in superdag.sources() {
-        members
-            .entry(class_of[u.index()])
-            .or_default()
-            .insert(u.index());
+    indeg.clear();
+    indeg.extend(superdag.node_ids().map(|u| superdag.in_degree(u) as u32));
+    if members.len() < num_classes {
+        members.resize_with(num_classes, BinaryHeap::new);
     }
-    // Cached per-class worst-case priorities, valid as long as the set of
-    // distinct classes present (with count-1 vs count-many distinction)
-    // is unchanged.
-    let mut cached_p: BTreeMap<ProfileClass, f64> = BTreeMap::new();
+    members.iter_mut().for_each(BinaryHeap::clear);
+    cached_p.clear();
+    cached_p.resize(num_classes, 1.0);
+    present.clear();
+    // Adds supernode `u` to its class's current sources; returns the
+    // class's new source count.
+    let add = |u: usize, members: &mut [BinaryHeap<Reverse<u32>>], present: &mut Vec<_>| {
+        let c = class_of[u];
+        let heap = &mut members[c];
+        if heap.is_empty() {
+            let at = present.partition_point(|&p| p < c);
+            present.insert(at, c);
+        }
+        heap.push(Reverse(u as u32));
+        heap.len()
+    };
+    for u in superdag.sources() {
+        add(u.index(), members, present);
+    }
+    // The cached per-class worst-case priorities stay valid as long as
+    // the set of distinct classes present (with count-1 vs count-many
+    // distinction) is unchanged.
     let mut cache_valid = false;
 
     let mut order = Vec::with_capacity(n);
-    while !members.is_empty() {
+    while !present.is_empty() {
         if !cache_valid {
-            cached_p.clear();
-            let classes: Vec<(ProfileClass, usize)> =
-                members.iter().map(|(&c, set)| (c, set.len())).collect();
-            for &(c, count_c) in &classes {
+            for &c in present.iter() {
                 let mut p = 1.0f64;
-                for &(c2, _) in &classes {
-                    if c2 == c && count_c < 2 {
+                for &c2 in present.iter() {
+                    if c2 == c && members[c].len() < 2 {
                         continue; // no *other* source of the same class
                     }
                     let pr = cache.priority(&interner, c, c2);
@@ -147,15 +194,17 @@ fn combine_class_heap<P: AsRef<[usize]>>(superdag: &Dag, profiles: &[P]) -> Vec<
                         p = pr;
                     }
                 }
-                cached_p.insert(c, p);
+                cached_p[c] = p;
             }
             cache_valid = true;
         }
         // Pick the class with maximal p; among argmax classes, the source
         // with the smallest component index (matching the naive engine).
         let mut best: Option<(f64, usize, ProfileClass)> = None;
-        for (&c, &p) in &cached_p {
-            let &lowest = members[&c].first().expect("class sets are non-empty");
+        for &c in present.iter() {
+            let p = cached_p[c];
+            let Reverse(lowest) = *members[c].peek().expect("present classes have sources");
+            let lowest = lowest as usize;
             let better = match best {
                 None => true,
                 Some((bp, bi, _)) => p > bp || (p == bp && lowest < bi),
@@ -164,35 +213,32 @@ fn combine_class_heap<P: AsRef<[usize]>>(superdag: &Dag, profiles: &[P]) -> Vec<
                 best = Some((p, lowest, c));
             }
         }
-        let (_, chosen, chosen_class) = best.expect("members non-empty");
-        let set = members
-            .get_mut(&chosen_class)
-            .expect("chosen class present");
-        set.remove(&chosen);
-        let class_vanished = set.is_empty();
-        if class_vanished {
-            members.remove(&chosen_class);
-            cache_valid = false;
-        } else if set.len() == 1 {
+        let (_, chosen, chosen_class) = best.expect("present non-empty");
+        let heap = &mut members[chosen_class];
+        heap.pop();
+        match heap.len() {
+            0 => {
+                let at = present
+                    .binary_search(&chosen_class)
+                    .expect("chosen class present");
+                present.remove(at);
+                cache_valid = false;
+            }
             // Count dropped to 1: the class no longer competes with itself.
-            cache_valid = false;
+            1 => cache_valid = false,
+            _ => {}
         }
         order.push(chosen);
         for &v in superdag.children(NodeId(chosen as u32)) {
             indeg[v.index()] -= 1;
-            if indeg[v.index()] == 0 {
-                let c = class_of[v.index()];
-                let entry = members.entry(c).or_default();
-                entry.insert(v.index());
-                if entry.len() <= 2 {
-                    // New class appeared, or a lone class regained a rival.
-                    cache_valid = false;
-                }
+            if indeg[v.index()] == 0 && add(v.index(), members, present) <= 2 {
+                // New class appeared, or a lone class regained a rival.
+                cache_valid = false;
             }
         }
     }
     debug_assert_eq!(order.len(), n, "superdag is acyclic");
-    prio_obs::counter("core.combine.profile_classes").add(interner.num_classes() as u64);
+    prio_obs::counter("core.combine.profile_classes").add(num_classes as u64);
     prio_obs::counter("core.combine.priority_cache_hits").add(cache.hits as u64);
     prio_obs::counter("core.combine.priority_cache_misses").add(cache.misses as u64);
     order

@@ -11,8 +11,8 @@
 
 use crate::component::ScheduleSource;
 use crate::decompose::Part;
-use crate::eligibility::{partial_eligibility_profile, EligibilityTracker};
-use crate::recognize::recognize;
+use crate::eligibility::{profile_into, EligibilityTracker};
+use crate::recognize::{recognize_into, RecognizeScratch};
 use prio_graph::{Dag, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,67 +25,120 @@ use std::collections::BinaryHeap;
 /// unrecognized *bipartite* block with at most that many sources, run the
 /// exhaustive IC-optimal-order search before falling back to the
 /// out-degree heuristic (0 disables the search, reproducing the paper).
+///
+/// A one-call wrapper around the pipeline's kernel (`schedule_part_into`)
+/// with fresh scratch and fresh output vectors.
 pub fn schedule_part(
     g: &Dag,
-    part: &Part,
+    part: Part<'_>,
     optimal_search_limit: usize,
 ) -> (Vec<NodeId>, ScheduleSource, Vec<usize>) {
-    let local = &part.local;
+    let mut order = Vec::new();
+    let mut profile = Vec::new();
+    let source = schedule_part_into(
+        g,
+        part,
+        optimal_search_limit,
+        &mut ScheduleScratch::default(),
+        &mut order,
+        &mut profile,
+    );
+    (order, source, profile)
+}
+
+/// The Step 3 kernel's working memory: the recognizers' tables, the
+/// eligibility tracker's table, the heuristic's heap and the local order.
+/// Kept in [`crate::PrioContext`], it grows to the largest component seen
+/// and is then reused for every component of every run.
+#[derive(Debug, Default)]
+pub(crate) struct ScheduleScratch {
+    recognize: RecognizeScratch,
+    missing: Vec<u32>,
+    heap: BinaryHeap<(usize, Reverse<NodeId>, NodeId)>,
+    local_order: Vec<NodeId>,
+}
+
+/// The Step 3 kernel: schedules `part` and appends its non-sink order
+/// (global ids) to `order` and its profile `E(0) ..= E(#non-sinks)` to
+/// `profile`. Apart from the exhaustive search (off by default), it
+/// allocates nothing once `scratch` has grown to the component's size.
+pub(crate) fn schedule_part_into(
+    g: &Dag,
+    part: Part<'_>,
+    optimal_search_limit: usize,
+    scratch: &mut ScheduleScratch,
+    order: &mut Vec<NodeId>,
+    profile: &mut Vec<usize>,
+) -> ScheduleSource {
+    let local = part.local;
     let num_nonsinks = local.node_ids().filter(|&l| !local.is_sink(l)).count();
     if num_nonsinks == 0 {
         // Pure-sink block (isolated jobs): nothing to schedule; profile is
         // just E(0) = all nodes eligible.
-        let profile = vec![local.num_nodes()];
-        return (Vec::new(), ScheduleSource::Trivial, profile);
+        profile.push(local.num_nodes());
+        return ScheduleSource::Trivial;
     }
 
-    if let Some((family, local_order)) = recognize(local) {
-        let profile = partial_eligibility_profile(local, &local_order);
-        let global_order = local_order.iter().map(|&l| part.map.to_super(l)).collect();
-        return (global_order, ScheduleSource::Catalog(family), profile);
-    }
+    let ScheduleScratch {
+        recognize,
+        missing,
+        heap,
+        local_order,
+    } = scratch;
+    local_order.clear();
+    let source = if let Some(family) = recognize_into(local, recognize, local_order) {
+        ScheduleSource::Catalog(family)
+    } else if let Some(searched) = (part.bipartite && num_nonsinks <= optimal_search_limit)
+        .then(|| crate::optimal::find_ic_optimal_source_order(local))
+        .flatten()
+    {
+        local_order.extend(searched);
+        ScheduleSource::Searched
+    } else {
+        out_degree_order(g, part, missing, heap, local_order);
+        ScheduleSource::OutDegreeHeuristic
+    };
 
-    if part.bipartite && num_nonsinks <= optimal_search_limit {
-        if let Some(local_order) = crate::optimal::find_ic_optimal_source_order(local) {
-            let profile = partial_eligibility_profile(local, &local_order);
-            let global_order = local_order.iter().map(|&l| part.map.to_super(l)).collect();
-            return (global_order, ScheduleSource::Searched, profile);
-        }
-    }
-
-    // Out-degree heuristic over locally eligible non-sinks.
-    let local_order = out_degree_order(g, part);
-    let profile = partial_eligibility_profile(local, &local_order);
-    let global_order = local_order.iter().map(|&l| part.map.to_super(l)).collect();
-    (global_order, ScheduleSource::OutDegreeHeuristic, profile)
+    let mut tracker = EligibilityTracker::with_buffer(local, std::mem::take(missing));
+    profile_into(&mut tracker, local_order, profile);
+    *missing = tracker.into_buffer();
+    order.extend(local_order.iter().map(|&l| part.nodes[l.index()]));
+    source
 }
 
-/// Largest-global-out-degree-first order of the component's non-sinks,
-/// respecting component-local precedence.
-fn out_degree_order(g: &Dag, part: &Part) -> Vec<NodeId> {
-    let local = &part.local;
-    let mut tracker = EligibilityTracker::new(local);
+/// Appends to `order` the largest-global-out-degree-first order of the
+/// component's non-sinks (local ids), respecting component-local
+/// precedence. `missing` is the eligibility tracker's table, lent.
+fn out_degree_order(
+    g: &Dag,
+    part: Part<'_>,
+    missing: &mut Vec<u32>,
+    heap: &mut BinaryHeap<(usize, Reverse<NodeId>, NodeId)>,
+    order: &mut Vec<NodeId>,
+) {
+    let local = part.local;
+    let mut tracker = EligibilityTracker::with_buffer(local, std::mem::take(missing));
     // Max-heap on (global out-degree, Reverse(global id)).
-    let mut heap: BinaryHeap<(usize, Reverse<NodeId>, NodeId)> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<(usize, Reverse<NodeId>, NodeId)>, l: NodeId, part: &Part| {
-        let global = part.map.to_super(l);
+    heap.clear();
+    let push = |heap: &mut BinaryHeap<_>, l: NodeId| {
+        let global = part.nodes[l.index()];
         heap.push((g.out_degree(global), Reverse(global), l));
     };
     for l in local.node_ids() {
         if !local.is_sink(l) && tracker.is_eligible(l) {
-            push(&mut heap, l, part);
+            push(heap, l);
         }
     }
-    let mut order = Vec::new();
     while let Some((_, _, l)) = heap.pop() {
         order.push(l);
-        for newly in tracker.execute(l) {
+        tracker.execute(l);
+        for newly in tracker.released(l) {
             if !local.is_sink(newly) {
-                push(&mut heap, newly, part);
+                push(heap, newly);
             }
         }
     }
-    order
+    *missing = tracker.into_buffer();
 }
 
 #[cfg(test)]
@@ -95,17 +148,17 @@ mod tests {
     use crate::families::Family;
     use prio_graph::Dag;
 
-    fn single_part(dag: &Dag) -> Part {
+    /// Schedules `dag`, which must decompose into exactly one part.
+    fn schedule_single_part(dag: &Dag) -> (Vec<NodeId>, ScheduleSource, Vec<usize>) {
         let dec = decompose(dag, DecomposeOptions::default());
         assert_eq!(dec.parts.len(), 1, "expected one component: {dag:?}");
-        dec.parts.into_iter().next().unwrap()
+        schedule_part(dag, dec.parts.get(0), 0)
     }
 
     #[test]
     fn catalog_component_uses_explicit_schedule() {
         let (dag, _) = crate::families::w_dag(3, 2);
-        let part = single_part(&dag);
-        let (order, source, profile) = schedule_part(&dag, &part, 0);
+        let (order, source, profile) = schedule_single_part(&dag);
         assert!(matches!(
             source,
             ScheduleSource::Catalog(Family::W { s: 3, d: 2 })
@@ -118,8 +171,7 @@ mod tests {
     #[test]
     fn pure_sink_block_is_trivial() {
         let dag = Dag::from_arcs(1, &[]).unwrap();
-        let part = single_part(&dag);
-        let (order, source, profile) = schedule_part(&dag, &part, 0);
+        let (order, source, profile) = schedule_single_part(&dag);
         assert!(order.is_empty());
         assert_eq!(source, ScheduleSource::Trivial);
         assert_eq!(profile, vec![1]);
@@ -131,8 +183,7 @@ mod tests {
         // 2; u0 shares a child with u1 and u2 so the block is connected
         // and unrecognized.
         let dag = Dag::from_arcs(7, &[(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (2, 6)]).unwrap();
-        let part = single_part(&dag);
-        let (order, source, _) = schedule_part(&dag, &part, 0);
+        let (order, source, _) = schedule_single_part(&dag);
         assert_eq!(source, ScheduleSource::OutDegreeHeuristic);
         let order: Vec<u32> = order.iter().map(|u| u.0).collect();
         assert_eq!(order, vec![0, 2, 1], "descending out-degree: 3, 2, 1");
@@ -144,10 +195,7 @@ mod tests {
         // node 2 must come after its parent 1 despite a big out-degree.
         // (See decompose tests for why this dag defeats the fast path.)
         let dag = Dag::from_arcs(6, &[(0, 4), (2, 4), (1, 2), (1, 5), (3, 5), (0, 3)]).unwrap();
-        let dec = decompose(&dag, DecomposeOptions::default());
-        assert_eq!(dec.parts.len(), 1, "entangled dag collapses to one part");
-        let part = dec.parts.into_iter().next().unwrap();
-        let (order, source, _) = schedule_part(&dag, &part, 0);
+        let (order, source, _) = schedule_single_part(&dag);
         assert_eq!(source, ScheduleSource::OutDegreeHeuristic);
         let pos: std::collections::HashMap<u32, usize> =
             order.iter().enumerate().map(|(i, u)| (u.0, i)).collect();
@@ -160,8 +208,7 @@ mod tests {
     fn profile_counts_local_eligibility() {
         // Fig. 3's {c, d, e} component.
         let dag = Dag::from_arcs(3, &[(0, 1), (0, 2)]).unwrap();
-        let part = single_part(&dag);
-        let (_, _, profile) = schedule_part(&dag, &part, 0);
+        let (_, _, profile) = schedule_single_part(&dag);
         assert_eq!(profile, vec![1, 2]);
     }
 }

@@ -32,11 +32,10 @@
 //! removed with component `i` has a child removed with component `j`, i.e.
 //! component `j` cannot start before `i` contributes.
 
-use crate::component::{Component, ScheduleSource};
 use prio_graph::bipartite::is_bipartite_dag;
-use prio_graph::{Dag, Label, NodeId, ScratchArena, SubgraphMap, SubgraphScratch};
-use std::cmp::Reverse;
+use prio_graph::{Dag, DagView, InducedCsr, Label, NodeId, ScratchArena, SubgraphScratch};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Options controlling the decomposition.
 #[derive(Debug, Clone, Copy)]
@@ -54,70 +53,116 @@ impl Default for DecomposeOptions {
     }
 }
 
-/// A detached block before the Recurse phase assigns it a schedule.
-#[derive(Debug, Clone)]
-pub struct Part {
-    /// Global ids of the block's nodes, sorted.
-    pub nodes: Vec<NodeId>,
+/// One detached block, borrowed from [`Parts`]; the Recurse phase gives
+/// it a schedule.
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    /// Global ids of the block's nodes, sorted; local node `l` of `local`
+    /// is `nodes[l]`.
+    pub nodes: &'a [NodeId],
     /// The induced local dag on `nodes` (remnant view: arcs between two
     /// alive nodes always survive, so inducing on the original `G'` is
     /// exact).
-    pub local: Dag,
-    /// Local ↔ global id mapping.
-    pub map: SubgraphMap,
+    pub local: DagView<'a>,
     /// Whether the block is bipartite.
     pub bipartite: bool,
     /// Whether the block came from the bipartite fast path.
     pub via_fast_path: bool,
     /// Global ids of the nodes *removed* by this detach (non-sinks plus
     /// sinks of `G'`), sorted.
-    pub removed: Vec<NodeId>,
+    pub removed: &'a [NodeId],
 }
 
-impl Part {
-    /// The block's non-sinks (global ids, sorted) — the jobs this component
-    /// contributes to the global schedule.
-    pub fn nonsinks(&self) -> Vec<NodeId> {
-        self.local
-            .node_ids()
-            .filter(|&l| !self.local.is_sink(l))
-            .map(|l| self.map.to_super(l))
-            .collect()
+/// The detached blocks in detach order, stored flat: every part's node
+/// list, removed list and local adjacency live back to back in shared
+/// arrays addressed by per-part offsets, so a decomposition into
+/// thousands of parts costs a fixed number of buffers, and refilling the
+/// same `Parts` (the pipeline keeps one in its context) costs none.
+#[derive(Debug, Clone, Default)]
+pub struct Parts {
+    /// Every part's nodes (global ids), part after part.
+    nodes: Vec<NodeId>,
+    /// `len + 1` offsets into `nodes`; they double as slot ranges of
+    /// `local`.
+    node_bounds: Vec<u32>,
+    /// Every part's removed nodes, part after part.
+    removed: Vec<NodeId>,
+    /// `len + 1` offsets into `removed`.
+    removed_bounds: Vec<u32>,
+    /// Every part's local adjacency, slot `i` standing for `nodes[i]`.
+    local: InducedCsr,
+    bipartite: Vec<bool>,
+    via_fast_path: Vec<bool>,
+}
+
+impl Parts {
+    /// Removes every part, keeping the arrays' capacity.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.node_bounds.clear();
+        self.node_bounds.push(0);
+        self.removed.clear();
+        self.removed_bounds.clear();
+        self.removed_bounds.push(0);
+        self.local.clear();
+        self.bipartite.clear();
+        self.via_fast_path.clear();
     }
 
-    /// Converts this part into a [`Component`] once the Recurse phase has
-    /// chosen a non-sink schedule and computed the local eligibility
-    /// profile.
-    pub fn into_component(
-        self,
-        index: usize,
-        nonsink_schedule: Vec<NodeId>,
-        schedule_source: ScheduleSource,
-        profile: Vec<usize>,
-    ) -> Component {
-        Component {
-            index,
-            nodes: self.nodes,
-            local: self.local,
-            map: self.map,
-            bipartite: self.bipartite,
-            nonsink_schedule,
-            schedule_source,
-            profile,
+    /// Number of parts.
+    pub fn len(&self) -> usize {
+        self.via_fast_path.len()
+    }
+
+    /// Whether there are no parts.
+    pub fn is_empty(&self) -> bool {
+        self.via_fast_path.is_empty()
+    }
+
+    /// Node slots in all parts (a node shared by two parts counts twice).
+    pub(crate) fn num_slots(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Part `i`.
+    pub fn get(&self, i: usize) -> Part<'_> {
+        let slots = range(&self.node_bounds, i);
+        Part {
+            nodes: &self.nodes[slots.clone()],
+            local: self.local.view(slots),
+            bipartite: self.bipartite[i],
+            via_fast_path: self.via_fast_path[i],
+            removed: &self.removed[range(&self.removed_bounds, i)],
         }
     }
+
+    /// The parts in detach order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Part<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// Entry `i`'s range in a flat array with offsets `bounds`.
+pub(crate) fn range(bounds: &[u32], i: usize) -> Range<usize> {
+    bounds[i] as usize..bounds[i + 1] as usize
+}
+
+/// A flat array's length as an offset.
+pub(crate) fn bound(len: usize) -> u32 {
+    u32::try_from(len).expect("flat arrays exceed the u32 offset range")
 }
 
 /// The result of decomposing `G'`.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
     /// The detached blocks, in detach order.
-    pub parts: Vec<Part>,
-    /// The superdag: node `i` is `parts[i]`; an arc `i → j` means some job
-    /// removed with part `i` has a child in part `j`.
+    pub parts: Parts,
+    /// The superdag: node `i` is part `i`; an arc `i → j` means some job
+    /// removed with part `i` has a child in part `j`. Its nodes share one
+    /// empty label.
     pub superdag: Dag,
     /// `comp_removed[u]` = index of the part whose detach removed job `u`.
-    pub comp_removed: Vec<usize>,
+    pub comp_removed: Vec<u32>,
     /// How many detach iterations used the general minimal-`C(s)` search.
     pub general_search_iterations: usize,
     /// Parent-list entries the bipartite block attempts visited, summed
@@ -139,36 +184,15 @@ pub fn decompose(g: &Dag, opts: DecomposeOptions) -> Decomposition {
 
 /// [`decompose`] with a caller-owned scratch `arena` for the peel loop's
 /// worklists. `threads` is ignored: every phase is serial.
-///
-/// The decomposition runs in three phases:
-///
-/// 1. **Peel** (inherently serial — each detach changes what the next
-///    iteration sees): the block/closure searches over the shrinking
-///    remnant, producing per-part node and removed sets only.
-/// 2. **Superdag**: quotient of `g` by the removed-in-part map. Each node
-///    of `g` appears in exactly one part's `removed` list, so walking those
-///    lists part by part visits every arc of `g` exactly once, already
-///    grouped by source part — the quotient arcs come out globally sorted
-///    without a quotient-wide sort, and the detach order is its own
-///    topological witness, so no re-validation pass is needed either.
-/// 3. **Materialize**: induce each part's local dag and classify
-///    bipartiteness.
 pub fn decompose_in(
     g: &Dag,
     opts: DecomposeOptions,
     _threads: usize,
     arena: &mut ScratchArena,
 ) -> Decomposition {
-    let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
-    let (seeds, comp_removed, work) = peel(g, opts, arena);
-    let superdag = build_superdag(g, &seeds, &comp_removed);
-    let parts = materialize_parts(g, seeds);
-
-    prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
-    prio_obs::counter("core.decompose.general_search_iterations")
-        .add(work.general_search_iterations as u64);
-    prio_obs::counter("core.decompose.block_parent_visits").add(work.block_parent_visits as u64);
-    prio_obs::counter("core.decompose.closure_visits").add(work.closure_visits as u64);
+    let mut parts = Parts::default();
+    let mut comp_removed = Vec::new();
+    let (superdag, work) = decompose_into(g, opts, arena, &mut parts, &mut comp_removed);
     Decomposition {
         parts,
         superdag,
@@ -179,33 +203,73 @@ pub fn decompose_in(
     }
 }
 
-/// A detached block before materialization: the node/removed sets the peel
-/// loop decided on, with the local dag still unbuilt.
-#[derive(Debug)]
-struct PartSeed {
-    nodes: Vec<NodeId>,
-    removed: Vec<NodeId>,
-    via_fast_path: bool,
+/// The decomposition into caller-owned `parts` and `comp_removed` (both
+/// overwritten), returning the superdag and the work counters. The
+/// pipeline keeps both outputs and `arena` in its context, so a run
+/// allocates a constant number of buffers, however many parts it finds.
+///
+/// It runs in three phases:
+///
+/// 1. **Peel** (inherently serial — each detach changes what the next
+///    iteration sees): the block/closure searches over the shrinking
+///    remnant, appending each part's node and removed sets to the flat
+///    arrays.
+/// 2. **Superdag**: quotient of `g` by the removed-in-part map. Each node
+///    of `g` is in exactly one part's removed list, so walking those lists
+///    part by part visits every arc of `g` exactly once, already grouped
+///    by source part — the quotient arcs come out globally sorted without
+///    a quotient-wide sort, and the detach order is its own topological
+///    witness, so no re-validation pass is needed either.
+/// 3. **Materialize**: induce each part's local adjacency into the flat
+///    store and classify bipartiteness.
+pub(crate) fn decompose_into(
+    g: &Dag,
+    opts: DecomposeOptions,
+    arena: &mut ScratchArena,
+    parts: &mut Parts,
+    comp_removed: &mut Vec<u32>,
+) -> (Dag, PeelWork) {
+    let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
+    parts.clear();
+    let work = peel(g, opts, arena, parts, comp_removed);
+    let superdag = build_superdag(g, parts, comp_removed, arena);
+    materialize(g, parts);
+
+    prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
+    prio_obs::counter("core.decompose.general_search_iterations")
+        .add(work.general_search_iterations as u64);
+    prio_obs::counter("core.decompose.block_parent_visits").add(work.block_parent_visits as u64);
+    prio_obs::counter("core.decompose.closure_visits").add(work.closure_visits as u64);
+    (superdag, work)
 }
 
 /// The peel loop's work counters (see the same-named [`Decomposition`]
 /// fields).
 #[derive(Debug, Default)]
-struct PeelWork {
-    general_search_iterations: usize,
-    block_parent_visits: usize,
-    closure_visits: usize,
+pub(crate) struct PeelWork {
+    pub(crate) general_search_iterations: usize,
+    pub(crate) block_parent_visits: usize,
+    pub(crate) closure_visits: usize,
 }
 
+/// End of a watch list.
+const NO_ENTRY: u32 = u32::MAX;
+
 /// The peel loop: repeatedly picks a block (bipartite fast path, general
-/// minimal-`C(s)` search as fallback) and detaches it from the remnant.
-/// Returns the part seeds in detach order, the removed-in-part map and the
-/// work counters.
+/// minimal-`C(s)` search as fallback) and detaches it from the remnant,
+/// appending each part's sorted node set, removed set and provenance to
+/// `parts` and filling the removed-in-part map `comp_removed`.
+///
+/// Every worklist comes from `arena` and goes back in the reverse order
+/// it was taken, so the next run draws each buffer for the same role and
+/// finds it already large enough.
 fn peel(
     g: &Dag,
     opts: DecomposeOptions,
     arena: &mut ScratchArena,
-) -> (Vec<PartSeed>, Vec<usize>, PeelWork) {
+    parts: &mut Parts,
+    comp_removed: &mut Vec<u32>,
+) -> PeelWork {
     let _span = prio_obs::span("decompose.peel");
     let n = g.num_nodes();
     let mut alive = arena.take_bools();
@@ -234,11 +298,13 @@ fn peel(
     // The heap replaces an ordered source *set* — membership deletions
     // were ~2 ordered-set operations per job on a pointer-chasing tree —
     // with O(1)-amortized pushes into a dense array; ascending pops keep
-    // the detach order bit-identical to the ordered-set iteration.
-    let mut candidates: BinaryHeap<Reverse<NodeId>> = g.sources().map(Reverse).collect();
-    let mut comp_removed = vec![usize::MAX; n];
+    // the detach order bit-identical to the ordered-set iteration. Keys
+    // are `!id`, so the max-heap pops the smallest id first.
+    let mut candidates = BinaryHeap::from(arena.take_u32s());
+    candidates.extend(g.sources().map(|u| !u.0));
+    comp_removed.clear();
+    comp_removed.resize(n, u32::MAX);
     let mut remaining = n;
-    let mut seeds: Vec<PartSeed> = Vec::new();
 
     // Scratch for the block and closure searches (stamped visited marks),
     // plus the linear general search's tables, taken on first use: most
@@ -246,7 +312,7 @@ fn peel(
     let mut stamp_of = arena.take_u32s();
     stamp_of.resize(n, 0);
     let mut stamp = 0u32;
-    let mut scc: Option<SccScratch> = None;
+    let mut block_queue = arena.take_nodes();
 
     // Failure deferral for the fast path. A failed seed attempt visits a
     // set of sources and fails at one sink with a nonzero `blocking`
@@ -259,26 +325,47 @@ fn peel(
     // blowup. Watching the count rather than one blocking parent also
     // keeps each chain tail's retry from firing on every other tail that
     // becomes a source: the join's group fires once, when its last
-    // non-source parent goes. All three structures are dense (indexed by
-    // node / group id) — the hash-set variant paid a SipHash probe per
-    // membership test on the hottest peel-loop branch.
+    // non-source parent goes.
+    //
+    // Everything is flat: a group's members are a range of
+    // `group_members`, and each node's watch list is a chain of entries
+    // (`watch_head[node]`, then `watch_next[entry]`) naming groups in
+    // `watch_group`, so deferring allocates nothing per group.
     let mut deferred = arena.take_bools();
     deferred.resize(n, false);
-    let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut groups: Vec<Option<Vec<NodeId>>> = Vec::new();
+    let mut watch_head = arena.take_u32s();
+    watch_head.resize(n, NO_ENTRY);
+    let mut watch_next = arena.take_u32s();
+    let mut watch_group = arena.take_u32s();
+    let mut group_members = arena.take_nodes();
+    let mut group_bounds = arena.take_u32s();
+    group_bounds.push(0);
+    let mut group_live = arena.take_bools();
+    let mut scc: Option<SccScratch> = None;
+    macro_rules! watch {
+        ($node:expr, $gid:expr) => {
+            watch_next.push(watch_head[$node.index()]);
+            watch_group.push($gid);
+            watch_head[$node.index()] = bound(watch_group.len() - 1);
+        };
+    }
+    // The groups `$node` watches fire (order does not matter: firing only
+    // clears deferral flags and pushes candidates).
     macro_rules! fire_watch {
         ($node:expr) => {
-            for gid in std::mem::take(&mut watchers[$node.index()]) {
-                if let Some(members) = groups[gid as usize].take() {
-                    for &m in &members {
+            let mut entry = std::mem::replace(&mut watch_head[$node.index()], NO_ENTRY);
+            while entry != NO_ENTRY {
+                let gid = watch_group[entry as usize] as usize;
+                entry = watch_next[entry as usize];
+                if std::mem::replace(&mut group_live[gid], false) {
+                    for &m in &group_members[range(&group_bounds, gid)] {
                         deferred[m.index()] = false;
                         // An un-deferred member that is still a remnant
                         // source becomes a candidate again.
                         if alive[m.index()] && alive_indeg[m.index()] == 0 {
-                            candidates.push(Reverse(m));
+                            candidates.push(!m.0);
                         }
                     }
-                    arena.put_nodes(members);
                 }
             }
         };
@@ -297,20 +384,22 @@ fn peel(
     }
 
     while remaining > 0 {
+        let start = parts.nodes.len();
         let mut via_fast_path = false;
-        let mut block: Option<Vec<NodeId>> = None;
 
         if opts.fast_path {
             // Pop candidates in ascending order, validating lazily: an
             // entry may be dead, no longer minimal (duplicate) or deferred.
             // The first candidate whose block attempt succeeds is the same
             // source an ordered ascending scan would have picked.
-            while let Some(&Reverse(s)) = candidates.peek() {
+            while let Some(&key) = candidates.peek() {
+                let s = NodeId(!key);
                 if !alive[s.index()] || alive_indeg[s.index()] != 0 || deferred[s.index()] {
                     candidates.pop();
                     continue;
                 }
                 stamp += 1;
+                let group_start = group_members.len();
                 let attempt = bipartite_block(
                     g,
                     &alive,
@@ -318,111 +407,114 @@ fn peel(
                     s,
                     &mut stamp_of,
                     stamp,
-                    arena,
+                    &mut parts.nodes,
+                    &mut group_members,
+                    &mut block_queue,
                     &mut work.block_parent_visits,
                 );
                 match attempt {
-                    Ok(nodes) => {
+                    Ok(()) => {
                         // `s` stays in the heap; the detach below kills it
                         // (block sources are always removed), so the entry
                         // goes stale and is skipped on a later pop.
-                        block = Some(nodes);
+                        group_members.truncate(group_start);
                         via_fast_path = true;
                         break;
                     }
-                    Err(failure) => {
+                    Err(blocked_sink) => {
                         candidates.pop();
-                        let gid = groups.len() as u32;
-                        for &src in &failure.visited_sources {
+                        let gid = bound(group_live.len());
+                        for &src in &group_members[group_start..] {
                             deferred[src.index()] = true;
-                            watchers[src.index()].push(gid);
+                            watch!(src, gid);
                         }
-                        watchers[failure.blocked_sink.index()].push(gid);
-                        groups.push(Some(failure.visited_sources));
+                        watch!(blocked_sink, gid);
+                        group_bounds.push(bound(group_members.len()));
+                        group_live.push(true);
                     }
                 }
             }
         }
 
-        let nodes = match block {
-            Some(nodes) => nodes,
-            None => {
-                // General search: a containment-minimal C(s) over the
-                // remnant sources (smallest size first, then smallest
-                // source id; minimal closures are equal or disjoint, so
-                // the smallest one is minimal).
-                work.general_search_iterations += 1;
-                let _span = prio_obs::span("decompose.general_search");
-                let remnant = Remnant {
-                    g,
-                    alive: &alive,
-                    alive_indeg: &alive_indeg,
-                };
-                if opts.fast_path {
-                    // The candidate heap is exhausted here (every source
-                    // is deferred), so the sources are recovered by
-                    // scanning, and one linear pass finds the closure.
-                    stamp += 1;
-                    let scc = scc.get_or_insert_with(|| SccScratch::take(arena, n));
-                    let srcs = (0..n)
-                        .map(|i| NodeId(i as u32))
-                        .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0);
-                    minimal_closure(
-                        remnant,
-                        srcs,
-                        &mut stamp_of,
-                        stamp,
-                        scc,
-                        arena,
-                        &mut work.closure_visits,
-                    )
-                } else {
-                    // The heap still holds every source (plus stale
-                    // entries, filtered out); survivors are pushed back
-                    // for later iterations.
-                    let mut srcs: Vec<NodeId> = candidates
-                        .drain()
-                        .map(|Reverse(u)| u)
-                        .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0)
-                        .collect();
-                    srcs.sort_unstable();
-                    srcs.dedup();
-                    candidates.extend(srcs.iter().copied().map(Reverse));
-                    minimal_closure_per_source(
-                        remnant,
-                        &srcs,
-                        &mut stamp_of,
-                        &mut stamp,
-                        arena,
-                        &mut work.closure_visits,
-                    )
-                }
-            }
-        };
+        if !via_fast_path {
+            // General search: a containment-minimal C(s) over the remnant
+            // sources (smallest size first, then smallest source id;
+            // minimal closures are equal or disjoint, so the smallest one
+            // is minimal).
+            work.general_search_iterations += 1;
+            let _span = prio_obs::span("decompose.general_search");
+            let remnant = Remnant {
+                g,
+                alive: &alive,
+                alive_indeg: &alive_indeg,
+            };
+            let closure = if opts.fast_path {
+                // The candidate heap is exhausted here (every source is
+                // deferred), so the sources are recovered by scanning, and
+                // one linear pass finds the closure.
+                stamp += 1;
+                let scc = scc.get_or_insert_with(|| SccScratch::take(arena, n));
+                let srcs = (0..n)
+                    .map(|i| NodeId(i as u32))
+                    .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0);
+                minimal_closure(
+                    remnant,
+                    srcs,
+                    &mut stamp_of,
+                    stamp,
+                    scc,
+                    arena,
+                    &mut work.closure_visits,
+                )
+            } else {
+                // The heap still holds every source (plus stale entries,
+                // filtered out); survivors are pushed back for later
+                // iterations.
+                let mut srcs: Vec<NodeId> = candidates
+                    .drain()
+                    .map(|key| NodeId(!key))
+                    .filter(|u| alive[u.index()] && alive_indeg[u.index()] == 0)
+                    .collect();
+                srcs.sort_unstable();
+                srcs.dedup();
+                candidates.extend(srcs.iter().map(|u| !u.0));
+                minimal_closure_per_source(
+                    remnant,
+                    &srcs,
+                    &mut stamp_of,
+                    &mut stamp,
+                    arena,
+                    &mut work.closure_visits,
+                )
+            };
+            parts.nodes.extend_from_slice(&closure);
+            arena.put_nodes(closure);
+        }
 
         // Detach: remove non-sinks of the block and block sinks that are
         // sinks of G' (= have no children at all, since children of alive
         // nodes are always alive). Block membership is tested via a fresh
         // stamp, so no local dag is needed here — materialization happens
-        // later, outside the serial loop.
+        // after the loop.
+        let nodes = &parts.nodes[start..];
         stamp += 1;
-        for &u in &nodes {
+        for &u in nodes {
             stamp_of[u.index()] = stamp;
         }
-        let mut removed: Vec<NodeId> = Vec::new();
-        for &u in &nodes {
+        let removed_start = parts.removed.len();
+        for &u in nodes {
             let has_block_child = g.children(u).iter().any(|v| stamp_of[v.index()] == stamp);
             if has_block_child || g.is_sink(u) {
-                removed.push(u);
+                parts.removed.push(u);
             }
         }
         assert!(
-            !removed.is_empty(),
+            parts.removed.len() > removed_start,
             "detach must make progress (block of {} nodes)",
             nodes.len()
         );
-        let part_index = seeds.len();
-        for &u in &removed {
+        let part_index = bound(parts.via_fast_path.len());
+        for &u in &parts.removed[removed_start..] {
             debug_assert!(alive[u.index()], "removing a dead node");
             alive[u.index()] = false;
             comp_removed[u.index()] = part_index;
@@ -437,100 +529,89 @@ fn peel(
                 let vi = v.index();
                 alive_indeg[vi] -= 1;
                 if alive_indeg[vi] == 0 && alive[vi] {
-                    candidates.push(Reverse(v));
+                    candidates.push(!v.0);
                     unblock_children!(v);
                 }
             }
         }
-        seeds.push(PartSeed {
-            nodes,
-            removed,
-            via_fast_path,
-        });
+        parts.node_bounds.push(bound(parts.nodes.len()));
+        parts.removed_bounds.push(bound(parts.removed.len()));
+        parts.via_fast_path.push(via_fast_path);
     }
 
-    arena.put_bools(alive);
-    arena.put_bools(deferred);
-    arena.put_u32s(alive_indeg);
-    arena.put_u32s(blocking);
-    arena.put_u32s(stamp_of);
     if let Some(scc) = scc {
         scc.put(arena);
     }
-    (seeds, comp_removed, work)
+    arena.put_bools(group_live);
+    arena.put_u32s(group_bounds);
+    arena.put_nodes(group_members);
+    arena.put_u32s(watch_group);
+    arena.put_u32s(watch_next);
+    arena.put_u32s(watch_head);
+    arena.put_bools(deferred);
+    arena.put_nodes(block_queue);
+    arena.put_u32s(stamp_of);
+    arena.put_u32s(candidates.into_vec());
+    arena.put_u32s(blocking);
+    arena.put_u32s(alive_indeg);
+    arena.put_bools(alive);
+    work
 }
 
-/// Builds each seed's local induced dag and bipartiteness flag — the
-/// per-part work the peel loop deferred.
-fn materialize_parts(g: &Dag, seeds: Vec<PartSeed>) -> Vec<Part> {
+/// Induces each part's local adjacency into the flat store and classifies
+/// bipartiteness — the per-part work the peel loop deferred.
+fn materialize(g: &Dag, parts: &mut Parts) {
     let _span = prio_obs::span("decompose.materialize");
     let mut scratch = SubgraphScratch::new();
-    seeds
-        .into_iter()
-        .map(|s| materialize_one(g, s, &mut scratch))
-        .collect()
-}
-
-/// Materializes one part: induces the local dag (stamped membership plus a
-/// dense local-id table — no per-arc searches) and classifies
-/// bipartiteness. The scratch lives across parts, so the dense tables are
-/// grown once, not once per part.
-fn materialize_one(g: &Dag, seed: PartSeed, scratch: &mut SubgraphScratch) -> Part {
-    let (local, map) = g.induced_subgraph_in(&seed.nodes, scratch);
-    let bipartite = is_bipartite_dag(&local);
-    Part {
-        nodes: seed.nodes,
-        local,
-        map,
-        bipartite,
-        via_fast_path: seed.via_fast_path,
-        removed: seed.removed,
+    for i in 0..parts.len() {
+        let slots = range(&parts.node_bounds, i);
+        parts
+            .local
+            .push_induced(g, &parts.nodes[slots.clone()], &mut scratch);
+        parts
+            .bipartite
+            .push(is_bipartite_dag(parts.local.view(slots)));
     }
 }
 
 /// Builds the superdag — the quotient of `g` by `comp_removed` — from the
-/// seeds' `removed` lists. Each job is removed by exactly one part, so
+/// parts' removed lists. Each job is removed by exactly one part, so
 /// scanning the lists part by part covers every arc of `g` exactly once,
 /// already grouped by source part: deduping against a `k`-sized stamp table
 /// and sorting only each part's (typically tiny) target list yields a
 /// globally sorted quotient arc list with no quotient-wide sort. Every arc
 /// points forward in detach order (a parent is never removed after its
 /// child), so detach order is a topological witness and the acyclicity
-/// re-check is skipped too.
-fn build_superdag(g: &Dag, seeds: &[PartSeed], comp_removed: &[usize]) -> Dag {
+/// re-check is skipped too. Supernodes need no names: they share one
+/// empty label.
+fn build_superdag(g: &Dag, parts: &Parts, comp_removed: &[u32], arena: &mut ScratchArena) -> Dag {
     let _span = prio_obs::span("decompose.superdag");
-    let k = seeds.len();
-    let labels: Vec<Label> = (0..k).map(|i| format!("C{i}").into()).collect();
-    let mut arcs: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut seen: Vec<u32> = vec![u32::MAX; k];
-    let mut buf: Vec<u32> = Vec::new();
-    for (i, seed) in seeds.iter().enumerate() {
+    let k = parts.len();
+    let mut arcs = arena.take_arcs();
+    let mut seen = arena.take_u32s();
+    seen.resize(k, u32::MAX);
+    let mut buf = arena.take_u32s();
+    for i in 0..k {
+        let part = bound(i);
         buf.clear();
-        for &u in &seed.removed {
+        for &u in &parts.removed[range(&parts.removed_bounds, i)] {
             for &v in g.children(u) {
                 let j = comp_removed[v.index()];
-                if j != i && seen[j] != i as u32 {
-                    seen[j] = i as u32;
-                    debug_assert!(i < j, "a parent is never removed after its child");
-                    buf.push(j as u32);
+                if j != part && seen[j as usize] != part {
+                    seen[j as usize] = part;
+                    debug_assert!(part < j, "a parent is never removed after its child");
+                    buf.push(j);
                 }
             }
         }
         buf.sort_unstable();
-        arcs.extend(buf.iter().map(|&j| (NodeId(i as u32), NodeId(j))));
+        arcs.extend(buf.iter().map(|&j| (NodeId(part), NodeId(j))));
     }
-    Dag::from_sorted_arcs_unchecked(labels, &arcs)
-}
-
-/// Why a bipartite-block attempt failed: the sources visited before the
-/// failure (they would all fail identically) and the sink with an alive
-/// non-source parent that forced the closure past bipartiteness. The
-/// attempt's outcome cannot change while every visited source stays a
-/// live source and the sink's `blocking` count stays nonzero, which is
-/// what the deferral machinery watches.
-struct BlockFailure {
-    visited_sources: Vec<NodeId>,
-    blocked_sink: NodeId,
+    let superdag = Dag::from_sorted_arcs_unchecked(vec![Label::from(""); k], &arcs);
+    arena.put_u32s(buf);
+    arena.put_u32s(seen);
+    arena.put_arcs(arcs);
+    superdag
 }
 
 /// Tries to grow a connected bipartite block from remnant source `s`:
@@ -541,7 +622,13 @@ struct BlockFailure {
 /// is checked before `w`'s parent list is walked; `parent_visits`
 /// accumulates the parent-list entries walked.
 ///
-/// Returns the sorted node set on success, or the failure witness.
+/// On success, appends the block's sorted node set to `nodes`. Either
+/// way, appends the sources it visited to `visited_sources`; on failure
+/// they would all fail identically, and the returned sink — with an alive
+/// non-source parent that forced the closure past bipartiteness — is the
+/// other half of the witness. The attempt's outcome cannot change while
+/// every visited source stays a live source and the sink's `blocking`
+/// count stays nonzero, which is what the deferral machinery watches.
 #[allow(clippy::too_many_arguments)]
 fn bipartite_block(
     g: &Dag,
@@ -550,14 +637,15 @@ fn bipartite_block(
     s: NodeId,
     stamp_of: &mut [u32],
     stamp: u32,
-    arena: &mut ScratchArena,
+    nodes: &mut Vec<NodeId>,
+    visited_sources: &mut Vec<NodeId>,
+    src_queue: &mut Vec<NodeId>,
     parent_visits: &mut usize,
-) -> Result<Vec<NodeId>, BlockFailure> {
-    let mut nodes = arena.take_nodes();
-    let mut visited_sources = arena.take_nodes();
-    let mut src_queue = arena.take_nodes();
+) -> Result<(), NodeId> {
+    let start = nodes.len();
     nodes.push(s);
     visited_sources.push(s);
+    src_queue.clear();
     src_queue.push(s);
     stamp_of[s.index()] = stamp;
     while let Some(u) = src_queue.pop() {
@@ -570,12 +658,8 @@ fn bipartite_block(
             // Every alive parent of a block sink must itself be a remnant
             // source (otherwise the closure is forced past bipartiteness).
             if blocking[w.index()] != 0 {
-                arena.put_nodes(nodes);
-                arena.put_nodes(src_queue);
-                return Err(BlockFailure {
-                    visited_sources,
-                    blocked_sink: w,
-                });
+                nodes.truncate(start);
+                return Err(w);
             }
             let parents = g.parents(w);
             *parent_visits += parents.len();
@@ -589,10 +673,8 @@ fn bipartite_block(
             }
         }
     }
-    nodes.sort_unstable();
-    arena.put_nodes(visited_sources);
-    arena.put_nodes(src_queue);
-    Ok(nodes)
+    nodes[start..].sort_unstable();
+    Ok(())
 }
 
 /// The remnant of `G'` a general search runs on. It is descendant-closed
@@ -866,17 +948,28 @@ mod tests {
         decompose(g, DecomposeOptions::default())
     }
 
+    /// The part's non-sinks (global ids, sorted) — the jobs it contributes
+    /// to the global schedule.
+    fn nonsinks(part: Part<'_>) -> Vec<NodeId> {
+        let local = part.local;
+        local
+            .node_ids()
+            .filter(|&l| !local.is_sink(l))
+            .map(|l| part.nodes[l.index()])
+            .collect()
+    }
+
     /// Every non-sink of `g` must be scheduled by exactly one part, and
     /// every node removed exactly once.
     fn check_invariants(g: &Dag, dec: &Decomposition) {
         let mut removed_by = vec![usize::MAX; g.num_nodes()];
         let mut nonsink_owner = vec![usize::MAX; g.num_nodes()];
         for (i, part) in dec.parts.iter().enumerate() {
-            for &u in &part.removed {
+            for &u in part.removed {
                 assert_eq!(removed_by[u.index()], usize::MAX, "{u:?} removed twice");
                 removed_by[u.index()] = i;
             }
-            for u in part.nonsinks() {
+            for u in nonsinks(part) {
                 assert_eq!(
                     nonsink_owner[u.index()],
                     usize::MAX,
@@ -887,7 +980,7 @@ mod tests {
         }
         for u in g.node_ids() {
             assert_ne!(removed_by[u.index()], usize::MAX, "{u:?} never removed");
-            assert_eq!(removed_by[u.index()], dec.comp_removed[u.index()]);
+            assert_eq!(removed_by[u.index()], dec.comp_removed[u.index()] as usize);
             if !g.is_sink(u) {
                 assert_ne!(
                     nonsink_owner[u.index()],
@@ -940,8 +1033,8 @@ mod tests {
         let dec = decompose_default(&g);
         check_invariants(&g, &dec);
         assert_eq!(dec.parts.len(), 2);
-        assert_eq!(dec.parts[0].nodes.len(), 3); // {0,1,2}: the fork
-        assert_eq!(dec.parts[1].nodes.len(), 3); // {1,2,3}: the join
+        assert_eq!(dec.parts.get(0).nodes.len(), 3); // {0,1,2}: the fork
+        assert_eq!(dec.parts.get(1).nodes.len(), 3); // {1,2,3}: the join
         assert!(dec.superdag.has_arc(NodeId(0), NodeId(1)));
     }
 
@@ -951,9 +1044,9 @@ mod tests {
         // reappears as the source of part 1.
         let g = Dag::from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
         let dec = decompose_default(&g);
-        assert_eq!(dec.parts[0].removed, vec![NodeId(0)]);
-        assert!(dec.parts[0].nodes.contains(&NodeId(1)));
-        assert!(dec.parts[1].nodes.contains(&NodeId(1)));
+        assert_eq!(dec.parts.get(0).removed, [NodeId(0)]);
+        assert!(dec.parts.get(0).nodes.contains(&NodeId(1)));
+        assert!(dec.parts.get(1).nodes.contains(&NodeId(1)));
         assert_eq!(dec.comp_removed[1], 1);
     }
 
@@ -969,10 +1062,10 @@ mod tests {
         let dec = decompose_default(&g);
         check_invariants(&g, &dec);
         assert_eq!(dec.parts.len(), 1);
-        assert!(!dec.parts[0].bipartite);
-        assert!(!dec.parts[0].via_fast_path);
+        assert!(!dec.parts.get(0).bipartite);
+        assert!(!dec.parts.get(0).via_fast_path);
         assert_eq!(dec.general_search_iterations, 1);
-        assert_eq!(dec.parts[0].nodes.len(), 6);
+        assert_eq!(dec.parts.get(0).nodes.len(), 6);
     }
 
     #[test]
@@ -999,7 +1092,7 @@ mod tests {
         check_invariants(&g, &with);
         check_invariants(&g, &without);
         let nodes = |d: &Decomposition| -> Vec<Vec<NodeId>> {
-            d.parts.iter().map(|p| p.nodes.clone()).collect()
+            d.parts.iter().map(|p| p.nodes.to_vec()).collect()
         };
         assert_eq!(nodes(&with), nodes(&without));
         assert!(without.general_search_iterations > 0);
@@ -1013,7 +1106,7 @@ mod tests {
         check_invariants(&g, &dec);
         assert_eq!(dec.parts.len(), 3);
         assert!(dec.parts.iter().all(|p| p.nodes.len() == 1));
-        assert!(dec.parts.iter().all(|p| p.nonsinks().is_empty()));
+        assert!(dec.parts.iter().all(|p| nonsinks(p).is_empty()));
     }
 
     #[test]
@@ -1030,8 +1123,8 @@ mod tests {
         let dec = decompose_default(&g);
         check_invariants(&g, &dec);
         assert_eq!(dec.parts.len(), 1);
-        assert!(dec.parts[0].bipartite);
-        assert_eq!(dec.parts[0].nonsinks().len(), 4);
+        assert!(dec.parts.get(0).bipartite);
+        assert_eq!(nonsinks(dec.parts.get(0)).len(), 4);
     }
 
     /// A random topological order of `g`: Kahn's algorithm picking a
@@ -1082,7 +1175,7 @@ mod tests {
             })
             .collect();
         let mut stamp_of = vec![0u32; g.num_nodes()];
-        let mut arena = ScratchArena::new();
+        let (mut nodes, mut visited, mut queue) = (Vec::new(), Vec::new(), Vec::new());
         let mut visits = 0;
         g.node_ids()
             .filter(|&s| is_source(s))
@@ -1096,7 +1189,9 @@ mod tests {
                     s,
                     &mut stamp_of,
                     stamp,
-                    &mut arena,
+                    &mut nodes,
+                    &mut visited,
+                    &mut queue,
                     &mut visits,
                 );
                 attempt.is_ok()

@@ -6,53 +6,66 @@
 //! the whole paper optimizes; this module computes it incrementally in
 //! `O(arcs)` total over a full execution.
 
-use prio_graph::{Dag, NodeId};
+use prio_graph::{Dag, DagView, NodeId};
 
-/// Incremental eligibility tracker over a fixed [`Dag`].
+/// `missing[u]` of an executed job.
+const EXECUTED: u32 = u32::MAX;
+
+/// Incremental eligibility tracker over a fixed dag.
 ///
 /// Starts with every source eligible; [`EligibilityTracker::execute`] marks
 /// one job executed and promotes any children whose last missing parent it
 /// was. Executing an ineligible or already-executed job is a logic error and
 /// panics — schedules are supposed to be linear extensions.
+///
+/// Inside the crate its one table can be lent and taken back
+/// (`with_buffer` / `into_buffer`), so the per-component scheduler tracks
+/// thousands of small dags without allocating per dag.
 #[derive(Debug, Clone)]
 pub struct EligibilityTracker<'a> {
-    dag: &'a Dag,
-    /// Number of not-yet-executed parents per job.
-    missing_parents: Vec<u32>,
-    executed: Vec<bool>,
+    dag: DagView<'a>,
+    /// Number of not-yet-executed parents per job; [`EXECUTED`] once the
+    /// job has run.
+    missing: Vec<u32>,
     eligible_count: usize,
     executed_count: usize,
 }
 
 impl<'a> EligibilityTracker<'a> {
     /// Creates a tracker with no job executed; every source is eligible.
-    pub fn new(dag: &'a Dag) -> Self {
-        let missing_parents: Vec<u32> = dag.node_ids().map(|u| dag.in_degree(u) as u32).collect();
-        let eligible_count = missing_parents.iter().filter(|&&m| m == 0).count();
+    pub fn new(dag: impl Into<DagView<'a>>) -> Self {
+        Self::with_buffer(dag.into(), Vec::new())
+    }
+
+    /// [`EligibilityTracker::new`] over a lent table (its contents are
+    /// overwritten); [`EligibilityTracker::into_buffer`] hands it back.
+    pub(crate) fn with_buffer(dag: DagView<'a>, mut missing: Vec<u32>) -> Self {
+        missing.clear();
+        missing.extend(dag.node_ids().map(|u| dag.in_degree(u) as u32));
+        let eligible_count = missing.iter().filter(|&&m| m == 0).count();
         EligibilityTracker {
             dag,
-            missing_parents,
-            executed: vec![false; dag.num_nodes()],
+            missing,
             eligible_count,
             executed_count: 0,
         }
     }
 
-    /// The underlying dag.
-    pub fn dag(&self) -> &Dag {
-        self.dag
+    /// Gives back the table, for the next [`EligibilityTracker::with_buffer`].
+    pub(crate) fn into_buffer(self) -> Vec<u32> {
+        self.missing
     }
 
     /// Whether `u` is currently eligible.
     #[inline]
     pub fn is_eligible(&self, u: NodeId) -> bool {
-        !self.executed[u.index()] && self.missing_parents[u.index()] == 0
+        self.missing[u.index()] == 0
     }
 
     /// Whether `u` has been executed.
     #[inline]
     pub fn is_executed(&self, u: NodeId) -> bool {
-        self.executed[u.index()]
+        self.missing[u.index()] == EXECUTED
     }
 
     /// The current number of eligible jobs — `E(t)` after `t` executions.
@@ -67,41 +80,38 @@ impl<'a> EligibilityTracker<'a> {
         self.executed_count
     }
 
-    /// Whether every job has been executed.
-    pub fn is_complete(&self) -> bool {
-        self.executed_count == self.dag.num_nodes()
-    }
-
-    /// The currently eligible jobs, in index order.
-    pub fn eligible_jobs(&self) -> Vec<NodeId> {
-        self.dag
-            .node_ids()
-            .filter(|&u| self.is_eligible(u))
-            .collect()
-    }
-
-    /// Executes `u`, returning the children that became eligible (in index
-    /// order). Panics if `u` is not eligible.
-    pub fn execute(&mut self, u: NodeId) -> Vec<NodeId> {
+    /// Executes `u`, promoting the children whose last missing parent it
+    /// was; [`EligibilityTracker::released`] lists them. Panics if `u` is
+    /// not eligible.
+    pub fn execute(&mut self, u: NodeId) {
         assert!(
             self.is_eligible(u),
             "job {u:?} is not eligible (executed: {}, missing parents: {})",
-            self.executed[u.index()],
-            self.missing_parents[u.index()]
+            self.is_executed(u),
+            self.missing[u.index()]
         );
-        self.executed[u.index()] = true;
+        self.missing[u.index()] = EXECUTED;
         self.executed_count += 1;
         self.eligible_count -= 1;
-        let mut newly = Vec::new();
         for &v in self.dag.children(u) {
-            let m = &mut self.missing_parents[v.index()];
+            let m = &mut self.missing[v.index()];
             *m -= 1;
             if *m == 0 {
                 self.eligible_count += 1;
-                newly.push(v);
             }
         }
-        newly
+    }
+
+    /// The children that executing `u` made eligible, in index order.
+    /// Meaningful right after [`EligibilityTracker::execute`]`(u)`: a child
+    /// of `u` is eligible then exactly when `u` was its last missing
+    /// parent.
+    pub fn released(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.dag
+            .children(u)
+            .iter()
+            .copied()
+            .filter(|&v| self.is_eligible(v))
     }
 }
 
@@ -113,14 +123,7 @@ impl<'a> EligibilityTracker<'a> {
 /// `E(n) = 0`.
 pub fn eligibility_profile(dag: &Dag, order: &[NodeId]) -> Vec<usize> {
     assert_eq!(order.len(), dag.num_nodes(), "order must cover every job");
-    let mut tracker = EligibilityTracker::new(dag);
-    let mut profile = Vec::with_capacity(order.len() + 1);
-    profile.push(tracker.eligible_count());
-    for &u in order {
-        tracker.execute(u);
-        profile.push(tracker.eligible_count());
-    }
-    profile
+    partial_eligibility_profile(dag, order)
 }
 
 /// Computes the eligibility profile of executing only a *prefix* of jobs
@@ -128,15 +131,28 @@ pub fn eligibility_profile(dag: &Dag, order: &[NodeId]) -> Vec<usize> {
 /// `E(0) ..= E(prefix.len())`.
 ///
 /// Jobs in `prefix` must each be eligible when reached.
-pub fn partial_eligibility_profile(dag: &Dag, prefix: &[NodeId]) -> Vec<usize> {
-    let mut tracker = EligibilityTracker::new(dag);
+pub fn partial_eligibility_profile<'a>(
+    dag: impl Into<DagView<'a>>,
+    prefix: &[NodeId],
+) -> Vec<usize> {
     let mut profile = Vec::with_capacity(prefix.len() + 1);
-    profile.push(tracker.eligible_count());
+    let mut tracker = EligibilityTracker::new(dag);
+    profile_into(&mut tracker, prefix, &mut profile);
+    profile
+}
+
+/// Executes `prefix` on a fresh `tracker`, appending `E(0) ..=
+/// E(prefix.len())` to `out`.
+pub(crate) fn profile_into(
+    tracker: &mut EligibilityTracker<'_>,
+    prefix: &[NodeId],
+    out: &mut Vec<usize>,
+) {
+    out.push(tracker.eligible_count());
     for &u in prefix {
         tracker.execute(u);
-        profile.push(tracker.eligible_count());
+        out.push(tracker.eligible_count());
     }
-    profile
 }
 
 /// Naive recomputation of the eligible-job count for a given executed set —
@@ -161,15 +177,17 @@ mod tests {
         let d = fig3_dag();
         let t = EligibilityTracker::new(&d);
         assert_eq!(t.eligible_count(), 2);
-        assert_eq!(t.eligible_jobs(), vec![NodeId(0), NodeId(2)]);
-        assert!(!t.is_complete());
+        let eligible: Vec<NodeId> = d.node_ids().filter(|&u| t.is_eligible(u)).collect();
+        assert_eq!(eligible, vec![NodeId(0), NodeId(2)]);
+        assert_eq!(t.executed_count(), 0);
     }
 
     #[test]
     fn execute_promotes_children() {
         let d = fig3_dag();
         let mut t = EligibilityTracker::new(&d);
-        let newly = t.execute(NodeId(2));
+        t.execute(NodeId(2));
+        let newly: Vec<NodeId> = t.released(NodeId(2)).collect();
         assert_eq!(newly, vec![NodeId(3), NodeId(4)]);
         assert_eq!(t.eligible_count(), 3); // a, d, e
         assert!(t.is_executed(NodeId(2)));
@@ -245,7 +263,7 @@ mod tests {
                 eligible_count_naive(&d, &executed)
             );
         }
-        assert!(tracker.is_complete());
+        assert_eq!(tracker.executed_count(), d.num_nodes());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use prio_graph::{Dag, DagBuilder, NodeId};
 
 /// A member of the bipartite family catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Family {
     /// `(s, d)`-W-dag: `s` sources of out-degree `d`, consecutive sources
     /// sharing one sink.

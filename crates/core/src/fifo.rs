@@ -18,9 +18,9 @@ pub fn fifo_schedule(dag: &Dag) -> Schedule {
     let mut queue: VecDeque<_> = dag.sources().collect();
     let mut order = Vec::with_capacity(dag.num_nodes());
     while let Some(u) = queue.pop_front() {
-        let newly = tracker.execute(u);
+        tracker.execute(u);
         order.push(u);
-        queue.extend(newly);
+        queue.extend(tracker.released(u));
     }
     Schedule::new(dag, order).expect("FIFO order is a linear extension")
 }

@@ -17,7 +17,7 @@
 //! the general lattice search is property-tested.
 
 use prio_graph::bipartite::bipartite_split;
-use prio_graph::{Dag, FixedBitSet, NodeId};
+use prio_graph::{Dag, DagView, FixedBitSet, NodeId};
 use std::collections::HashSet;
 
 /// Default cap on the number of distinct ideals explored per level before
@@ -81,7 +81,8 @@ pub fn is_ic_optimal(dag: &Dag, order: &[NodeId], state_limit: usize) -> Option<
 ///
 /// Enumerates all `2^s` source subsets; returns `None` when `s > 25` or the
 /// dag is not bipartite.
-pub fn max_coverage_curve(dag: &Dag) -> Option<Vec<usize>> {
+pub fn max_coverage_curve<'a>(dag: impl Into<DagView<'a>>) -> Option<Vec<usize>> {
+    let dag = dag.into();
     let (sources, sinks) = bipartite_split(dag)?;
     let s = sources.len();
     if s > 25 {
@@ -173,7 +174,8 @@ pub fn is_source_order_ic_optimal(dag: &Dag, source_order: &[NodeId]) -> Option<
 /// Depth-first search over prefixes with coverage pruning; used as the
 /// theoretical algorithm's Step-3 fallback for bipartite blocks outside
 /// the explicit catalog.
-pub fn find_ic_optimal_source_order(dag: &Dag) -> Option<Vec<NodeId>> {
+pub fn find_ic_optimal_source_order<'a>(dag: impl Into<DagView<'a>>) -> Option<Vec<NodeId>> {
+    let dag = dag.into();
     let (sources, sinks) = bipartite_split(dag)?;
     let maxcov = max_coverage_curve(dag)?;
     let s = sources.len();

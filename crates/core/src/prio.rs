@@ -11,12 +11,13 @@
 //! whose Condor-style priorities the `prio` tool writes back into the
 //! DAGMan input file.
 
-use crate::combine::{combine, CombineEngine};
-use crate::component::{Component, ScheduleSource};
-use crate::component_schedule::schedule_part;
+use crate::combine::{combine_in, CombineEngine};
+use crate::component::{Components, ScheduleSource};
+use crate::component_schedule::{schedule_part_into, ScheduleScratch};
 use crate::context::PrioContext;
-use crate::decompose::{decompose_in, DecomposeOptions, Decomposition, Part};
+use crate::decompose::{decompose_into, DecomposeOptions, Parts};
 use crate::error::{PrioError, Stage};
+use crate::families::Family;
 use crate::schedule::Schedule;
 use prio_graph::reduction::{remove_arcs, shortcut_arcs_into};
 use prio_graph::topo::{linear_extension_violation, ExtensionViolation};
@@ -76,7 +77,7 @@ pub struct PrioResult {
     pub schedule: Schedule,
     /// The components, in detach order, with their local schedules and
     /// eligibility profiles.
-    pub components: Vec<Component>,
+    pub components: Components,
     /// The superdag over the components.
     pub superdag: Dag,
     /// The greedy execution order of component indices.
@@ -134,27 +135,31 @@ impl Prioritizer {
             &reduced_storage
         };
 
-        // Step 2: decomposition.
-        let Decomposition {
-            parts,
-            superdag,
-            general_search_iterations,
-            ..
-        } = decompose_in(reduced, self.opts.decompose, 0, &mut ctx.arena);
+        // Step 2: decomposition, into the context's flat part arrays.
+        let (superdag, work) = decompose_into(
+            reduced,
+            self.opts.decompose,
+            &mut ctx.arena,
+            &mut ctx.parts,
+            &mut ctx.comp_removed,
+        );
 
-        // Step 3: per-component schedules and profiles.
+        // Step 3: per-component schedules and profiles, into flat arrays
+        // that move into the result.
         let mut stats = PrioStats {
             shortcuts_removed: ctx.shortcuts.len(),
-            num_components: parts.len(),
-            general_search_iterations,
+            num_components: ctx.parts.len(),
+            general_search_iterations: work.general_search_iterations,
             ..PrioStats::default()
         };
-        let components = self.schedule_components(reduced, parts, &mut stats);
+        let components = self.schedule_components(reduced, &ctx.parts, &mut ctx.kernel, &mut stats);
 
-        // Steps 4–6: greedy combine over the superdag, borrowing the
-        // components' profiles.
-        let profiles: Vec<&[usize]> = components.iter().map(|c| c.profile.as_slice()).collect();
-        let component_order = combine(&superdag, &profiles, self.opts.engine);
+        // Steps 4–6: greedy combine over the superdag, reading the
+        // profiles where Step 3 wrote them.
+        let profiles: Vec<&[usize]> = (0..components.len())
+            .map(|i| components.profile(i))
+            .collect();
+        let component_order = combine_in(&superdag, &profiles, self.opts.engine, &mut ctx.combine);
 
         // Emit: non-sinks per component in greedy order, then every sink of
         // G in index order (the paper executes sinks "in arbitrary order";
@@ -162,7 +167,7 @@ impl Prioritizer {
         let emit_span = prio_obs::span(prio_obs::stage::EMIT);
         let mut order: Vec<NodeId> = Vec::with_capacity(dag.num_nodes());
         for &ci in &component_order {
-            order.extend_from_slice(&components[ci].nonsink_schedule);
+            order.extend_from_slice(components.order(ci));
         }
         order.extend(dag.sinks());
         let schedule = emit_schedule(dag, order)?;
@@ -192,33 +197,41 @@ impl Prioritizer {
         self.prioritize_in(workflow.dag(), ctx)
     }
 
-    /// Step 3: schedules every component of `reduced` and tallies the
-    /// per-source statistics.
+    /// Step 3: schedules every part of `reduced` through the kernel and
+    /// tallies the per-source statistics.
     fn schedule_components(
         &self,
         reduced: &Dag,
-        parts: Vec<Part>,
+        parts: &Parts,
+        kernel: &mut ScheduleScratch,
         stats: &mut PrioStats,
-    ) -> Vec<Component> {
+    ) -> Components {
         let _span = prio_obs::span(prio_obs::stage::SCHEDULE);
         let limit = self.opts.optimal_search_limit;
-        let mut components: Vec<Component> = Vec::with_capacity(parts.len());
-        for (i, part) in parts.into_iter().enumerate() {
-            let (order, source, profile) = schedule_part(reduced, &part, limit);
+        // Every non-sink of `reduced` is scheduled by exactly one part.
+        let nonsinks = reduced.node_ids().filter(|&u| !reduced.is_sink(u)).count();
+        let mut out = Components::with_capacity(parts.len(), parts.num_slots(), nonsinks);
+        // Recognized families are counted by value and named once each at
+        // the end, not once per component.
+        let mut recognized: BTreeMap<Family, usize> = BTreeMap::new();
+        for part in parts.iter() {
+            let (order, profile) = out.open();
+            let source = schedule_part_into(reduced, part, limit, kernel, order, profile);
+            out.seal(part, source);
             if part.bipartite {
                 stats.num_bipartite += 1;
             }
-            match &source {
-                ScheduleSource::Catalog(f) => {
-                    *stats.recognized.entry(f.name()).or_insert(0) += 1;
-                }
+            match source {
+                ScheduleSource::Catalog(f) => *recognized.entry(f).or_insert(0) += 1,
                 ScheduleSource::Searched => stats.searched += 1,
                 ScheduleSource::OutDegreeHeuristic => stats.heuristic_scheduled += 1,
                 ScheduleSource::Trivial => stats.trivial += 1,
             }
-            components.push(part.into_component(i, order, source, profile));
         }
-        components
+        for (family, count) in recognized {
+            *stats.recognized.entry(family.name()).or_insert(0) += count;
+        }
+        out
     }
 }
 

@@ -8,44 +8,123 @@
 //! concrete IC-optimal source order for the component at hand.
 
 use crate::families::Family;
-use prio_graph::bipartite::{bipartite_split, is_bipartite_dag, is_weakly_connected};
-use prio_graph::{Dag, NodeId};
+use prio_graph::bipartite::{is_bipartite_dag, is_weakly_connected_in};
+use prio_graph::{DagView, NodeId};
 
 /// Attempts to recognize `dag` (a connected bipartite component) as a
 /// catalog family, returning the family and an IC-optimal source order.
 ///
 /// Returns `None` for non-bipartite or unrecognized shapes (the caller then
 /// falls back to the out-degree heuristic).
-pub fn recognize(dag: &Dag) -> Option<(Family, Vec<NodeId>)> {
-    if dag.num_nodes() < 2 || !is_bipartite_dag(dag) || !is_weakly_connected(dag) {
+pub fn recognize<'a>(dag: impl Into<DagView<'a>>) -> Option<(Family, Vec<NodeId>)> {
+    let mut order = Vec::new();
+    let family = recognize_into(dag.into(), &mut RecognizeScratch::default(), &mut order)?;
+    Some((family, order))
+}
+
+/// Reusable buffers for [`recognize_into`]; every recognizer clears what
+/// it uses, so one scratch serves any number of dags of any size.
+#[derive(Debug, Default)]
+pub(crate) struct RecognizeScratch {
+    /// The dag's sources, in index order.
+    sources: Vec<NodeId>,
+    /// The dag's sinks (isolated nodes included), in index order.
+    sinks: Vec<NodeId>,
+    /// Per-node marks: connectivity, emitted parents.
+    flags: Vec<bool>,
+    /// A DFS stack, or a walk along a path-shaped dag.
+    walk: Vec<NodeId>,
+    /// The M-dag's sinks along their sharing path.
+    sink_order: Vec<NodeId>,
+    /// The sharing-path builder's tables.
+    sharing: SharingScratch,
+}
+
+/// Tables of [`sharing_path`].
+#[derive(Debug, Default)]
+struct SharingScratch {
+    /// Per-node position in the candidate side.
+    pos: Vec<u32>,
+    /// Up to two sharing neighbours per side position.
+    links: Vec<[u32; 2]>,
+    /// How many of `links`' two slots are used.
+    link_len: Vec<u8>,
+}
+
+/// One family's recognizer: on a match, appends the IC-optimal source order
+/// to `order` and returns the family. A failed recognizer may leave
+/// entries behind, which [`recognize_into`] truncates.
+type Recognizer = fn(
+    DagView<'_>,
+    &[NodeId],
+    &[NodeId],
+    &mut RecognizeScratch,
+    &mut Vec<NodeId>,
+) -> Option<Family>;
+
+/// [`recognize`] with caller-owned scratch: on a match, appends the
+/// IC-optimal source order to `order`; otherwise leaves `order` as it
+/// was. Allocates nothing once `scratch` has grown to the dag's size.
+pub(crate) fn recognize_into(
+    dag: DagView<'_>,
+    scratch: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
+    if dag.num_nodes() < 2
+        || !is_bipartite_dag(dag)
+        || !is_weakly_connected_in(dag, &mut scratch.flags, &mut scratch.walk)
+    {
         return None;
     }
-    let (sources, sinks) = bipartite_split(dag)?;
-    if sources.is_empty() || sinks.is_empty() {
-        return None;
+    let mut sources = std::mem::take(&mut scratch.sources);
+    let mut sinks = std::mem::take(&mut scratch.sinks);
+    sources.clear();
+    sinks.clear();
+    for u in dag.node_ids() {
+        if dag.out_degree(u) > 0 {
+            sources.push(u);
+        } else {
+            sinks.push(u);
+        }
     }
-    recognize_clique(dag, &sources, &sinks)
-        .or_else(|| recognize_w(dag, &sources, &sinks))
-        .or_else(|| recognize_m(dag, &sources, &sinks))
-        .or_else(|| recognize_n(dag, &sources, &sinks))
-        .or_else(|| recognize_cycle(dag, &sources, &sinks))
+    let start = order.len();
+    let mut found = None;
+    if !sources.is_empty() && !sinks.is_empty() {
+        let recognizers: [Recognizer; 5] = [
+            recognize_clique,
+            recognize_w,
+            recognize_m,
+            recognize_n,
+            recognize_cycle,
+        ];
+        for recognizer in recognizers {
+            found = recognizer(dag, &sources, &sinks, scratch, order);
+            if found.is_some() {
+                break;
+            }
+            order.truncate(start);
+        }
+    }
+    scratch.sources = sources;
+    scratch.sinks = sinks;
+    found
 }
 
 /// Complete bipartite `K_{s,t}`: every source adjacent to every sink.
 fn recognize_clique(
-    dag: &Dag,
+    dag: DagView<'_>,
     sources: &[NodeId],
     sinks: &[NodeId],
-) -> Option<(Family, Vec<NodeId>)> {
+    _: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
     let t = sinks.len();
     if sources.iter().all(|&u| dag.out_degree(u) == t) && dag.num_arcs() == sources.len() * t {
-        Some((
-            Family::Clique {
-                s: sources.len(),
-                t,
-            },
-            sources.to_vec(),
-        ))
+        order.extend_from_slice(sources);
+        Some(Family::Clique {
+            s: sources.len(),
+            t,
+        })
     } else {
         None
     }
@@ -54,7 +133,13 @@ fn recognize_clique(
 /// `(s,d)`-W-dag: common source out-degree `d ≥ 2`, `s(d−1)+1` sinks of
 /// in-degree 1 or 2, and the "shares a sink" relation on sources forms a
 /// simple spanning path.
-fn recognize_w(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Family, Vec<NodeId>)> {
+fn recognize_w(
+    dag: DagView<'_>,
+    sources: &[NodeId],
+    sinks: &[NodeId],
+    scratch: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
     let s = sources.len();
     let d = dag.out_degree(sources[0]);
     if d < 2 || sources.iter().any(|&u| dag.out_degree(u) != d) {
@@ -71,17 +156,31 @@ fn recognize_w(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Famil
     }
     if s == 1 {
         // A star: the degenerate (1,d)-W.
-        return Some((Family::W { s: 1, d }, sources.to_vec()));
+        order.extend_from_slice(sources);
+    } else {
+        // The sharing path on sources.
+        sharing_path(
+            sources,
+            |u| dag.children(u),
+            |v| dag.parents(v),
+            dag.num_nodes(),
+            &mut scratch.sharing,
+            order,
+        )?;
     }
-    // Build the sharing graph on source positions.
-    let order = source_sharing_path(dag, sources, sinks)?;
-    Some((Family::W { s, d }, order))
+    Some(Family::W { s, d })
 }
 
 /// `(s,d)`-M-dag: the dual of the W-dag. Recognized by checking the W shape
 /// on the arc-reversed component; the source order then emits each sink's
 /// parent window in sink-path order.
-fn recognize_m(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Family, Vec<NodeId>)> {
+fn recognize_m(
+    dag: DagView<'_>,
+    sources: &[NodeId],
+    sinks: &[NodeId],
+    scratch: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
     let s = sinks.len();
     let d = dag.in_degree(sinks[0]);
     if d < 2 || sinks.iter().any(|&v| dag.in_degree(v) != d) {
@@ -96,17 +195,28 @@ fn recognize_m(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Famil
     {
         return None;
     }
-    let sink_order = if s == 1 {
-        sinks.to_vec()
+    let sink_order = &mut scratch.sink_order;
+    sink_order.clear();
+    if s == 1 {
+        sink_order.extend_from_slice(sinks);
     } else {
         // The sharing path on sinks (two sinks adjacent iff they share a
         // parent) — exactly the W structure of the reversed dag.
-        sink_sharing_path(dag, sources, sinks)?
-    };
+        sharing_path(
+            sinks,
+            |v| dag.parents(v),
+            |u| dag.children(u),
+            dag.num_nodes(),
+            &mut scratch.sharing,
+            sink_order,
+        )?;
+    }
     // Emit each window's not-yet-emitted parents, window by window.
-    let mut emitted = vec![false; dag.num_nodes()];
-    let mut order = Vec::with_capacity(sources.len());
-    for &w in &sink_order {
+    let emitted = &mut scratch.flags;
+    emitted.clear();
+    emitted.resize(dag.num_nodes(), false);
+    let start = order.len();
+    for &w in sink_order.iter() {
         for &p in dag.parents(w) {
             if !emitted[p.index()] {
                 emitted[p.index()] = true;
@@ -114,16 +224,22 @@ fn recognize_m(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Famil
             }
         }
     }
-    if order.len() != sources.len() {
+    if order.len() - start != sources.len() {
         return None;
     }
-    Some((Family::M { s, d }, order))
+    Some(Family::M { s, d })
 }
 
 /// `d`-N-dag: the underlying undirected graph is a simple path whose
 /// endpoints are one source and one sink. The IC-optimal order lists the
 /// sources starting from the sink endpoint's side.
-fn recognize_n(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Family, Vec<NodeId>)> {
+fn recognize_n(
+    dag: DagView<'_>,
+    sources: &[NodeId],
+    sinks: &[NodeId],
+    scratch: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
     if sources.len() != sinks.len() {
         return None;
     }
@@ -131,30 +247,33 @@ fn recognize_n(dag: &Dag, sources: &[NodeId], sinks: &[NodeId]) -> Option<(Famil
     if d < 2 {
         return None;
     }
-    let path = underlying_path(dag)?;
+    let path = &mut scratch.walk;
+    underlying_path(dag, path)?;
     let first = *path.first().expect("path non-empty");
     let last = *path.last().expect("path non-empty");
-    let (start, _end) = match (dag.is_sink(first), dag.is_sink(last)) {
-        (true, false) => (first, last),
-        (false, true) => (last, first),
-        _ => return None, // both same kind: that is a W or M, not an N
-    };
     // Walk from the sink endpoint; sources appear in optimal order.
-    let walk = walk_path(dag, start);
-    let order: Vec<NodeId> = walk.into_iter().filter(|&u| !dag.is_sink(u)).collect();
-    if order.len() != d {
+    let start = order.len();
+    let from_sink = path.iter().copied().filter(|&u| !dag.is_sink(u));
+    match (dag.is_sink(first), dag.is_sink(last)) {
+        (true, false) => order.extend(from_sink),
+        (false, true) => order.extend(from_sink.rev()),
+        _ => return None, // both same kind: that is a W or M, not an N
+    }
+    if order.len() - start != d {
         return None;
     }
-    Some((Family::N { d }, order))
+    Some(Family::N { d })
 }
 
 /// `d`-Cycle-dag: the underlying undirected graph is a single cycle of
 /// length `2d`, alternating sources (out-degree 2) and sinks (in-degree 2).
 fn recognize_cycle(
-    dag: &Dag,
+    dag: DagView<'_>,
     sources: &[NodeId],
     sinks: &[NodeId],
-) -> Option<(Family, Vec<NodeId>)> {
+    _: &mut RecognizeScratch,
+    order: &mut Vec<NodeId>,
+) -> Option<Family> {
     let d = sources.len();
     if d < 3 || sinks.len() != d {
         return None;
@@ -169,114 +288,119 @@ fn recognize_cycle(
     }
     // Walk the ring starting at the smallest-index source.
     let start = sources[0];
-    let mut order = Vec::with_capacity(d);
+    let first = order.len();
     let mut prev: Option<NodeId> = None;
     let mut cur = start;
     for _ in 0..2 * d {
         if !dag.is_sink(cur) {
             order.push(cur);
         }
-        let next = neighbors(dag, cur).into_iter().find(|&w| Some(w) != prev)?;
+        let next = neighbors(dag, cur).find(|&w| Some(w) != prev)?;
         prev = Some(cur);
         cur = next;
     }
-    if cur != start || order.len() != d {
+    if cur != start || order.len() - first != d {
         return None; // not a single ring
     }
-    Some((Family::Cycle { d }, order))
+    Some(Family::Cycle { d })
 }
 
-/// Undirected neighbors of `u` (children + parents; disjoint in a DAG).
-fn neighbors(dag: &Dag, u: NodeId) -> Vec<NodeId> {
-    dag.children(u)
-        .iter()
-        .chain(dag.parents(u))
-        .copied()
-        .collect()
+/// Undirected neighbors of `u` (children, then parents; disjoint in a DAG).
+fn neighbors<'a>(dag: DagView<'a>, u: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+    dag.children(u).iter().chain(dag.parents(u)).copied()
 }
 
-/// If the underlying undirected graph is a simple path, returns its nodes in
-/// path order (from the endpoint with the smaller node index).
-fn underlying_path(dag: &Dag) -> Option<Vec<NodeId>> {
+/// If the underlying undirected graph is a simple path, fills `walk` with
+/// its nodes in path order (from the endpoint with the smaller node index).
+fn underlying_path(dag: DagView<'_>, walk: &mut Vec<NodeId>) -> Option<()> {
     let n = dag.num_nodes();
-    let mut endpoints = Vec::new();
+    let mut endpoints = [NodeId(0); 2];
+    let mut num_endpoints = 0;
     for u in dag.node_ids() {
-        match neighbors(dag, u).len() {
-            1 => endpoints.push(u),
+        match dag.in_degree(u) + dag.out_degree(u) {
+            1 => {
+                if num_endpoints < 2 {
+                    endpoints[num_endpoints] = u;
+                }
+                num_endpoints += 1;
+            }
             2 => {}
             _ => return None,
         }
     }
-    if endpoints.len() != 2 || dag.num_arcs() != n - 1 {
+    if num_endpoints != 2 || dag.num_arcs() != n - 1 {
         return None;
     }
-    let walk = walk_path(dag, endpoints[0].min(endpoints[1]));
-    if walk.len() == n {
-        Some(walk)
-    } else {
-        None
-    }
+    walk_path(dag, endpoints[0].min(endpoints[1]), walk);
+    (walk.len() == n).then_some(())
 }
 
-/// Walks a degree-≤2 graph from an endpoint, returning nodes in visit order.
-fn walk_path(dag: &Dag, start: NodeId) -> Vec<NodeId> {
-    let mut walk = vec![start];
+/// Walks a degree-≤2 graph from an endpoint, filling `walk` with the nodes
+/// in visit order.
+fn walk_path(dag: DagView<'_>, start: NodeId, walk: &mut Vec<NodeId>) {
+    walk.clear();
+    walk.push(start);
     let mut prev: Option<NodeId> = None;
     let mut cur = start;
-    loop {
-        let next = neighbors(dag, cur).into_iter().find(|&w| Some(w) != prev);
-        match next {
-            Some(w) => {
-                walk.push(w);
-                prev = Some(cur);
-                cur = w;
-            }
-            None => return walk,
-        }
+    while let Some(w) = neighbors(dag, cur).find(|&w| Some(w) != prev) {
+        walk.push(w);
+        prev = Some(cur);
+        cur = w;
     }
 }
 
-/// Orders the sources of a W-shaped dag along their sharing path: two
-/// sources are adjacent iff they share a sink; the relation must form a
-/// simple spanning path, each adjacent pair sharing exactly one sink.
-fn source_sharing_path(dag: &Dag, sources: &[NodeId], _sinks: &[NodeId]) -> Option<Vec<NodeId>> {
-    sharing_path(sources, |u| dag.children(u), |v| dag.parents(v), dag)
-}
-
-/// Orders the sinks of an M-shaped dag along their sharing path (two sinks
-/// adjacent iff they share a parent).
-fn sink_sharing_path(dag: &Dag, _sources: &[NodeId], sinks: &[NodeId]) -> Option<Vec<NodeId>> {
-    sharing_path(sinks, |v| dag.parents(v), |u| dag.children(u), dag)
-}
-
-/// Common path-builder over the "shares a middle node" relation.
+/// Orders `side` along the "shares a middle node" relation and appends
+/// the order to `out`: `fwd(x)` lists each candidate's middle nodes and
+/// `bwd(m)` the candidates incident to a middle node (every one of them
+/// in `side`). The relation must form a simple spanning path, each
+/// adjacent pair sharing exactly one middle node; otherwise `None`.
 ///
-/// `side` are the path candidates; `fwd(x)` lists each candidate's middle
-/// nodes; `bwd(m)` lists the candidates incident to a middle node.
+/// W-dags order their sources this way (middles are sinks), M-dags their
+/// sinks (middles are sources).
 fn sharing_path<'a>(
     side: &[NodeId],
     fwd: impl Fn(NodeId) -> &'a [NodeId],
     bwd: impl Fn(NodeId) -> &'a [NodeId],
-    dag: &Dag,
-) -> Option<Vec<NodeId>> {
+    n: usize,
+    scratch: &mut SharingScratch,
+    out: &mut Vec<NodeId>,
+) -> Option<()> {
     let s = side.len();
-    let mut pos = vec![usize::MAX; dag.num_nodes()];
+    let SharingScratch {
+        pos,
+        links,
+        link_len,
+    } = scratch;
+    pos.clear();
+    pos.resize(n, u32::MAX);
     for (i, &u) in side.iter().enumerate() {
-        pos[u.index()] = i;
+        pos[u.index()] = i as u32;
     }
-    // adj[i] = sharing-neighbors of side[i].
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); s];
+    links.clear();
+    links.resize(s, [0; 2]);
+    link_len.clear();
+    link_len.resize(s, 0);
+    // Links `a` to `b`; fails when the pair shares a second middle or `a`
+    // would get a third neighbour — neither is a path.
+    let mut link = |a: u32, b: u32| -> Option<()> {
+        let len = link_len[a as usize] as usize;
+        let list = &mut links[a as usize];
+        if list[..len].contains(&b) || len == 2 {
+            return None;
+        }
+        list[len] = b;
+        link_len[a as usize] += 1;
+        Some(())
+    };
     let mut shared_middles = 0usize;
     for &u in side {
         for &mid in fwd(u) {
             for &other in bwd(mid) {
-                if other != u {
-                    let (a, b) = (pos[u.index()], pos[other.index()]);
-                    if a < b {
-                        adj[a].push(b);
-                        adj[b].push(a);
-                        shared_middles += 1;
-                    }
+                let (a, b) = (pos[u.index()], pos[other.index()]);
+                if a < b {
+                    link(a, b)?;
+                    link(b, a)?;
+                    shared_middles += 1;
                 }
             }
         }
@@ -285,37 +409,26 @@ fn sharing_path<'a>(
     if shared_middles != s - 1 {
         return None;
     }
-    for list in adj.iter_mut() {
-        list.sort_unstable();
-        let before = list.len();
-        list.dedup();
-        if list.len() != before {
-            return None; // two middles shared by the same pair
-        }
-        if list.len() > 2 {
-            return None;
-        }
-    }
-    let endpoints: Vec<usize> = (0..s).filter(|&i| adj[i].len() == 1).collect();
     if s == 1 {
-        return Some(vec![side[0]]);
+        out.push(side[0]);
+        return Some(());
     }
-    if endpoints.len() != 2 {
+    let mut endpoints = (0..s as u32).filter(|&i| link_len[i as usize] == 1);
+    let (Some(e0), Some(e1), None) = (endpoints.next(), endpoints.next(), endpoints.next()) else {
         return None;
-    }
-    // Walk from the endpoint whose node index is smaller (determinism).
-    let start = if side[endpoints[0]] <= side[endpoints[1]] {
-        endpoints[0]
-    } else {
-        endpoints[1]
     };
-    let mut order = Vec::with_capacity(s);
-    let mut prev = usize::MAX;
-    let mut cur = start;
+    // Walk from the endpoint whose node index is smaller (determinism).
+    let mut cur = if side[e0 as usize] <= side[e1 as usize] {
+        e0
+    } else {
+        e1
+    };
+    let mut prev = u32::MAX;
+    let start = out.len();
     for _ in 0..s {
-        order.push(side[cur]);
-        let next = adj[cur].iter().copied().find(|&w| w != prev);
-        match next {
+        out.push(side[cur as usize]);
+        let list = &links[cur as usize][..link_len[cur as usize] as usize];
+        match list.iter().copied().find(|&w| w != prev) {
             Some(w) => {
                 prev = cur;
                 cur = w;
@@ -323,11 +436,9 @@ fn sharing_path<'a>(
             None => break,
         }
     }
-    if order.len() == s {
-        Some(order)
-    } else {
-        None // sharing graph was disconnected (path + cycle pieces)
-    }
+    // A shorter walk means the sharing graph was disconnected (path +
+    // cycle pieces).
+    (out.len() - start == s).then_some(())
 }
 
 #[cfg(test)]
@@ -335,6 +446,7 @@ mod tests {
     use super::*;
     use crate::families::{clique_dag, cycle_dag, m_dag, n_dag, w_dag};
     use crate::optimal::is_source_order_ic_optimal;
+    use prio_graph::Dag;
 
     /// Relabel a dag's nodes by a rotation permutation to make sure the
     /// recognizers do not depend on construction order.

@@ -129,15 +129,15 @@ pub fn theoretical_schedule(dag: &Dag) -> Result<TheoreticalResult, TheoreticalF
     for (i, part) in dec.parts.iter().enumerate() {
         let local_order = if part.local.num_nodes() == 1 {
             Vec::new() // isolated job: no non-sinks to schedule
-        } else if let Some((_, order)) = recognize(&part.local) {
+        } else if let Some((_, order)) = recognize(part.local) {
             order
-        } else if let Some(order) = find_ic_optimal_source_order(&part.local) {
+        } else if let Some(order) = find_ic_optimal_source_order(part.local) {
             order
         } else {
             return Err(TheoreticalFailure::NoOptimalSchedule { component: i });
         };
-        profiles.push(partial_eligibility_profile(&part.local, &local_order));
-        block_orders.push(local_order.iter().map(|&l| part.map.to_super(l)).collect());
+        profiles.push(partial_eligibility_profile(part.local, &local_order));
+        block_orders.push(local_order.iter().map(|&l| part.nodes[l.index()]).collect());
     }
 
     // Step 4: pairwise ⊵ comparability.

@@ -8,31 +8,45 @@
 //! The building blocks of the theoretical algorithm are maximal connected
 //! bipartite sub-dags.
 
-use crate::bitset::FixedBitSet;
-use crate::dag::{Dag, NodeId};
+use crate::dag::{Dag, DagView, NodeId};
 
 /// Whether every arc of `dag` goes from a source to a sink, i.e. no node has
 /// both parents and children. (Nodes with no arcs at all are permitted and
 /// may be placed on either side.)
-pub fn is_bipartite_dag(dag: &Dag) -> bool {
+pub fn is_bipartite_dag<'a>(dag: impl Into<DagView<'a>>) -> bool {
+    let dag = dag.into();
     dag.node_ids()
         .all(|u| dag.in_degree(u) == 0 || dag.out_degree(u) == 0)
 }
 
 /// Whether the underlying undirected graph of `dag` is connected.
 /// The empty dag is considered connected vacuously.
-pub fn is_weakly_connected(dag: &Dag) -> bool {
+pub fn is_weakly_connected<'a>(dag: impl Into<DagView<'a>>) -> bool {
+    is_weakly_connected_in(dag.into(), &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`is_weakly_connected`] with caller-owned `seen` marks and DFS `stack`
+/// (both cleared here), so a caller testing many small dags allocates
+/// nothing once the buffers have grown.
+pub fn is_weakly_connected_in(
+    dag: DagView<'_>,
+    seen: &mut Vec<bool>,
+    stack: &mut Vec<NodeId>,
+) -> bool {
     let n = dag.num_nodes();
     if n <= 1 {
         return true;
     }
-    let mut seen = FixedBitSet::new(n);
-    let mut stack = vec![NodeId(0)];
-    seen.insert(0);
+    seen.clear();
+    seen.resize(n, false);
+    stack.clear();
+    stack.push(NodeId(0));
+    seen[0] = true;
     let mut count = 1;
     while let Some(u) = stack.pop() {
         for &v in dag.children(u).iter().chain(dag.parents(u)) {
-            if seen.insert(v.index()) {
+            if !seen[v.index()] {
+                seen[v.index()] = true;
                 count += 1;
                 stack.push(v);
             }
@@ -81,7 +95,8 @@ pub fn weakly_connected_components(dag: &Dag) -> Vec<Vec<NodeId>> {
 /// decomposition's treatment of isolated jobs as sinks of `G`.
 ///
 /// Returns `None` if `dag` is not bipartite.
-pub fn bipartite_split(dag: &Dag) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+pub fn bipartite_split<'a>(dag: impl Into<DagView<'a>>) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+    let dag = dag.into();
     if !is_bipartite_dag(dag) {
         return None;
     }

@@ -149,6 +149,17 @@ impl Dag {
         Ok(dag)
     }
 
+    /// A borrowed view of this dag's adjacency.
+    #[inline]
+    pub fn view(&self) -> DagView<'_> {
+        DagView {
+            child_off: &self.child_off,
+            child_adj: &self.child_adj,
+            parent_off: &self.parent_off,
+            parent_adj: &self.parent_adj,
+        }
+    }
+
     /// Number of nodes (jobs).
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -174,29 +185,25 @@ impl Dag {
     /// The children of `u` (sorted by index).
     #[inline]
     pub fn children(&self, u: NodeId) -> &[NodeId] {
-        let i = u.index();
-        &self.child_adj[self.child_off[i] as usize..self.child_off[i + 1] as usize]
+        self.view().children(u)
     }
 
     /// The parents of `u` (sorted by index).
     #[inline]
     pub fn parents(&self, u: NodeId) -> &[NodeId] {
-        let i = u.index();
-        &self.parent_adj[self.parent_off[i] as usize..self.parent_off[i + 1] as usize]
+        self.view().parents(u)
     }
 
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        let i = u.index();
-        (self.child_off[i + 1] - self.child_off[i]) as usize
+        self.view().out_degree(u)
     }
 
     /// In-degree of `u`.
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        let i = u.index();
-        (self.parent_off[i + 1] - self.parent_off[i]) as usize
+        self.view().in_degree(u)
     }
 
     /// Whether `u` has no parents.
@@ -213,12 +220,12 @@ impl Dag {
 
     /// All sources (nodes with no parents), in index order.
     pub fn sources(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_ids().filter(|&u| self.is_source(u))
+        self.view().sources()
     }
 
     /// All sinks (nodes with no children), in index order.
     pub fn sinks(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_ids().filter(|&u| self.is_sink(u))
+        self.view().sinks()
     }
 
     /// The label (job name) of `u`.
@@ -238,105 +245,25 @@ impl Dag {
 
     /// Whether the arc `u -> v` is present.
     pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        self.children(u).binary_search(&v).is_ok()
+        self.view().has_arc(u, v)
     }
 
     /// Iterates over all arcs `(u, v)` in lexicographic order.
     pub fn arcs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.node_ids()
-            .flat_map(move |u| self.children(u).iter().map(move |&v| (u, v)))
-    }
-
-    /// Builds the subgraph induced by `nodes`, together with the index maps
-    /// between the subgraph and this graph.
-    ///
-    /// Nodes are renumbered densely in the order given by `nodes` (duplicates
-    /// are ignored after the first occurrence). Arcs are kept iff both
-    /// endpoints are included.
-    /// [`Dag::induced_subgraph`] for **strictly ascending** node lists,
-    /// with the O(|G|) membership and renumbering tables borrowed from
-    /// `scratch` instead of binary-searching `nodes` once per arc.
-    /// Produces exactly the same `(Dag, SubgraphMap)` as
-    /// [`Dag::induced_subgraph`] on the same input; callers that
-    /// materialize many subgraphs of one dag (the decomposition) reuse one
-    /// scratch and save the dominant share of the per-part cost.
-    pub fn induced_subgraph_in(
-        &self,
-        nodes: &[NodeId],
-        scratch: &mut SubgraphScratch,
-    ) -> (Dag, SubgraphMap) {
-        debug_assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "induced_subgraph_in requires strictly ascending nodes"
-        );
-        let stamp = scratch.next_stamp(self.num_nodes());
-        for (i, &u) in nodes.iter().enumerate() {
-            scratch.stamp_of[u.index()] = stamp;
-            scratch.local_id[u.index()] = i as u32;
-        }
-        let mut arcs: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut labels: Vec<Label> = Vec::with_capacity(nodes.len());
-        for (i, &u) in nodes.iter().enumerate() {
-            labels.push(self.labels[u.index()].clone());
-            for &v in self.children(u) {
-                if scratch.stamp_of[v.index()] == stamp {
-                    // Ascending `nodes` makes the renumbering monotone and
-                    // children are stored sorted, so arcs come out in
-                    // lexicographic order — no sort needed.
-                    arcs.push((NodeId(i as u32), NodeId(scratch.local_id[v.index()])));
-                }
-            }
-        }
-        (
-            Dag::from_sorted_unique_arcs(labels, &arcs),
-            SubgraphMap {
-                to_super: nodes.to_vec(),
-                rev: None,
-            },
-        )
+        self.view().arcs()
     }
 
     /// The subgraph induced on `nodes` (duplicates ignored, first
-    /// occurrence wins) plus the local ↔ global id mapping. Arcs between
-    /// two listed nodes are kept; everything else is dropped.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Dag, SubgraphMap) {
-        // The map is kept proportional to the subgraph, never O(|G|): a
-        // dense vector per subgraph would cost O(|G|) memory for every
-        // component of a decomposition — tens of gigabytes on the 48k-job
-        // SDSS dag. Reverse lookups go through binary search instead of a
-        // hash map: the decomposition materializes every component through
-        // this function, and the old SipHash map plus per-node label
-        // copies dominated its profile at the 10⁶-job tier.
-        let sorted_strict = nodes.windows(2).all(|w| w[0] < w[1]);
-        if sorted_strict {
-            // Fast path (every decomposition part takes it): a strictly
-            // ascending node list makes the renumbering monotone, so arcs
-            // are emitted in lexicographic order already — no sort — and
-            // `to_super` itself is the sorted reverse-lookup index.
-            let to_super: Vec<NodeId> = nodes.to_vec();
-            let mut arcs: Vec<(NodeId, NodeId)> = Vec::new();
-            for (si, &u) in to_super.iter().enumerate() {
-                for &v in self.children(u) {
-                    if let Ok(sv) = to_super.binary_search(&v) {
-                        arcs.push((NodeId(si as u32), NodeId(sv as u32)));
-                    }
-                }
-            }
-            let labels = to_super
-                .iter()
-                .map(|&u| self.labels[u.index()].clone())
-                .collect();
-            return (
-                Dag::from_sorted_unique_arcs(labels, &arcs),
-                SubgraphMap {
-                    to_super,
-                    rev: None,
-                },
-            );
-        }
-
-        // General path: dedup by first occurrence, then binary-search a
-        // sorted (super, sub) index for the reverse direction.
+    /// occurrence wins) plus its local → global id map: local node `i` is
+    /// `to_super[i]`, numbered in the order `nodes` lists them. Arcs
+    /// between two listed nodes are kept; everything else is dropped.
+    ///
+    /// The decomposition does not build its parts this way (it stores them
+    /// back to back in an [`InducedCsr`]); this owned, labelled copy is
+    /// the reference the flat store is tested against.
+    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Dag, Vec<NodeId>) {
+        // Dedup by first occurrence, then binary-search a sorted
+        // (super, sub) index for the renumbering.
         let mut pairs: Vec<(NodeId, u32)> = nodes
             .iter()
             .enumerate()
@@ -363,20 +290,15 @@ impl Dag {
                 }
             }
         }
-        // Sub ids are not monotone in super ids, so the pair list needs one
-        // sort before the CSR build (it is already duplicate-free).
+        // Sub ids need not be monotone in super ids, so the pair list
+        // needs one sort before the CSR build (it is already
+        // duplicate-free).
         arcs.sort_unstable();
         let labels = to_super
             .iter()
             .map(|&u| self.labels[u.index()].clone())
             .collect();
-        (
-            Dag::from_sorted_unique_arcs(labels, &arcs),
-            SubgraphMap {
-                to_super,
-                rev: Some(rev.into_boxed_slice()),
-            },
-        )
+        (Dag::from_sorted_unique_arcs(labels, &arcs), to_super)
     }
 
     /// Returns a copy of this dag keeping exactly the arcs for which `keep`
@@ -435,38 +357,231 @@ impl fmt::Debug for Dag {
     }
 }
 
-/// Index maps produced by [`Dag::induced_subgraph`].
+/// A borrowed, read-only view of one dag's adjacency: the CSR arrays of
+/// a [`Dag`] ([`Dag::view`]), or of one subgraph stored in an
+/// [`InducedCsr`] ([`InducedCsr::view`]). It is `Copy`, carries no
+/// labels, and offers the same structural queries as [`Dag`], so
+/// algorithms written against it run unchanged on either.
 ///
-/// Memory is proportional to the subgraph, not the original graph, so a
-/// decomposition may hold one map per component without quadratic blowup.
-/// Reverse lookups ([`SubgraphMap::to_sub`]) binary-search `to_super`
-/// directly when the subgraph's nodes were given in ascending order (the
-/// common case), or a sorted side index otherwise.
-#[derive(Debug, Clone)]
-pub struct SubgraphMap {
-    to_super: Vec<NodeId>,
-    /// Sorted `(super, sub)` pairs; `None` when `to_super` is itself
-    /// strictly ascending and can be binary-searched directly.
-    rev: Option<Box<[(NodeId, NodeId)]>>,
+/// Offsets are absolute positions in the adjacency arrays, so a view of
+/// the `k`-th subgraph of a flat store is a window onto the store's
+/// arrays, not a copy.
+#[derive(Clone, Copy)]
+pub struct DagView<'a> {
+    /// `n + 1` offsets into `child_adj`.
+    child_off: &'a [u32],
+    child_adj: &'a [NodeId],
+    /// `n + 1` offsets into `parent_adj`.
+    parent_off: &'a [u32],
+    parent_adj: &'a [NodeId],
 }
 
-impl SubgraphMap {
-    /// Maps a node of the original graph to the subgraph, if included.
-    pub fn to_sub(&self, u: NodeId) -> Option<NodeId> {
-        match &self.rev {
-            None => self
-                .to_super
-                .binary_search(&u)
-                .ok()
-                .map(|i| NodeId(i as u32)),
-            Some(rev) => rev.binary_search_by_key(&u, |p| p.0).ok().map(|i| rev[i].1),
+impl<'a> From<&'a Dag> for DagView<'a> {
+    fn from(dag: &'a Dag) -> DagView<'a> {
+        dag.view()
+    }
+}
+
+impl<'a> DagView<'a> {
+    /// Number of nodes.
+    #[inline]
+    pub fn num_nodes(self) -> usize {
+        self.child_off.len() - 1
+    }
+
+    /// Number of arcs.
+    #[inline]
+    pub fn num_arcs(self) -> usize {
+        (self.child_off[self.num_nodes()] - self.child_off[0]) as usize
+    }
+
+    /// Iterates over all node identifiers in index order.
+    pub fn node_ids(self) -> impl DoubleEndedIterator<Item = NodeId> + Clone {
+        (0..self.num_nodes() as u32).map(NodeId)
+    }
+
+    /// The children of `u` (sorted by index).
+    #[inline]
+    pub fn children(self, u: NodeId) -> &'a [NodeId] {
+        let i = u.index();
+        &self.child_adj[self.child_off[i] as usize..self.child_off[i + 1] as usize]
+    }
+
+    /// The parents of `u` (sorted by index).
+    #[inline]
+    pub fn parents(self, u: NodeId) -> &'a [NodeId] {
+        let i = u.index();
+        &self.parent_adj[self.parent_off[i] as usize..self.parent_off[i + 1] as usize]
+    }
+
+    /// Out-degree of `u`.
+    #[inline]
+    pub fn out_degree(self, u: NodeId) -> usize {
+        let i = u.index();
+        (self.child_off[i + 1] - self.child_off[i]) as usize
+    }
+
+    /// In-degree of `u`.
+    #[inline]
+    pub fn in_degree(self, u: NodeId) -> usize {
+        let i = u.index();
+        (self.parent_off[i + 1] - self.parent_off[i]) as usize
+    }
+
+    /// Whether `u` has no parents.
+    #[inline]
+    pub fn is_source(self, u: NodeId) -> bool {
+        self.in_degree(u) == 0
+    }
+
+    /// Whether `u` has no children.
+    #[inline]
+    pub fn is_sink(self, u: NodeId) -> bool {
+        self.out_degree(u) == 0
+    }
+
+    /// All sources (nodes with no parents), in index order.
+    pub fn sources(self) -> impl Iterator<Item = NodeId> + 'a {
+        self.node_ids().filter(move |&u| self.is_source(u))
+    }
+
+    /// All sinks (nodes with no children), in index order.
+    pub fn sinks(self) -> impl Iterator<Item = NodeId> + 'a {
+        self.node_ids().filter(move |&u| self.is_sink(u))
+    }
+
+    /// Whether the arc `u -> v` is present.
+    pub fn has_arc(self, u: NodeId, v: NodeId) -> bool {
+        self.children(u).binary_search(&v).is_ok()
+    }
+
+    /// Iterates over all arcs `(u, v)` in lexicographic order.
+    pub fn arcs(self) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+        self.node_ids()
+            .flat_map(move |u| self.children(u).iter().map(move |&v| (u, v)))
+    }
+}
+
+/// Two views are equal when they have the same nodes with the same
+/// children and parents — where the arrays live does not matter.
+impl PartialEq for DagView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_nodes() == other.num_nodes()
+            && self.node_ids().all(|u| {
+                self.children(u) == other.children(u) && self.parents(u) == other.parents(u)
+            })
+    }
+}
+
+impl Eq for DagView<'_> {}
+
+impl fmt::Debug for DagView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "DagView({} nodes, {} arcs)",
+            self.num_nodes(),
+            self.num_arcs()
+        )?;
+        for u in self.node_ids() {
+            if !self.children(u).is_empty() {
+                writeln!(f, "  {:?} -> {:?}", u, self.children(u))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The adjacency of many induced subgraphs of one dag, stored back to
+/// back in four flat CSR arrays.
+///
+/// Each [`InducedCsr::push_induced`] appends one subgraph's nodes as the
+/// next run of *slots*; [`InducedCsr::view`] over that slot range is the
+/// subgraph as a [`DagView`], with local ids `0..len` in the order the
+/// nodes were given. The store keeps no labels and no per-subgraph
+/// allocation: [`InducedCsr::clear`] keeps the arrays' capacity, so a
+/// caller that refills one store for many dags (the decomposition, once
+/// per pipeline run) stops allocating once it has seen its largest input.
+#[derive(Debug, Clone)]
+pub struct InducedCsr {
+    /// One entry per stored slot plus a leading 0: slot `i`'s children
+    /// are `child_adj[child_off[i] .. child_off[i + 1]]`.
+    child_off: Vec<u32>,
+    child_adj: Vec<NodeId>,
+    /// Same layout as `child_off`, for parents.
+    parent_off: Vec<u32>,
+    parent_adj: Vec<NodeId>,
+}
+
+impl Default for InducedCsr {
+    fn default() -> Self {
+        InducedCsr {
+            child_off: vec![0],
+            child_adj: Vec::new(),
+            parent_off: vec![0],
+            parent_adj: Vec::new(),
+        }
+    }
+}
+
+impl InducedCsr {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Removes every subgraph, keeping the arrays' capacity.
+    pub fn clear(&mut self) {
+        self.child_off.truncate(1);
+        self.child_adj.clear();
+        self.parent_off.truncate(1);
+        self.parent_adj.clear();
+    }
+
+    /// Appends the subgraph of `g` induced by `nodes`, which must be
+    /// strictly ascending; it takes the next `nodes.len()` slots, local id
+    /// `i` standing for `nodes[i]`. Membership and renumbering go through
+    /// `scratch`'s O(|G|) stamped tables, so there is no per-arc search,
+    /// and because the renumbering is monotone, children and parents come
+    /// out sorted straight from `g`'s sorted lists.
+    pub fn push_induced(&mut self, g: &Dag, nodes: &[NodeId], scratch: &mut SubgraphScratch) {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "push_induced requires strictly ascending nodes"
+        );
+        let stamp = scratch.next_stamp(g.num_nodes());
+        for (i, &u) in nodes.iter().enumerate() {
+            scratch.stamp_of[u.index()] = stamp;
+            scratch.local_id[u.index()] = i as u32;
+        }
+        let local = |v: &NodeId| {
+            (scratch.stamp_of[v.index()] == stamp).then(|| NodeId(scratch.local_id[v.index()]))
+        };
+        for &u in nodes {
+            self.child_adj
+                .extend(g.children(u).iter().filter_map(local));
+            self.child_off.push(offset(self.child_adj.len()));
+            self.parent_adj
+                .extend(g.parents(u).iter().filter_map(local));
+            self.parent_off.push(offset(self.parent_adj.len()));
         }
     }
 
-    /// Maps a subgraph node back to the original graph.
-    pub fn to_super(&self, s: NodeId) -> NodeId {
-        self.to_super[s.index()]
+    /// The subgraph stored in `slots` (the range one
+    /// [`InducedCsr::push_induced`] call filled).
+    pub fn view(&self, slots: std::ops::Range<usize>) -> DagView<'_> {
+        DagView {
+            child_off: &self.child_off[slots.start..=slots.end],
+            child_adj: &self.child_adj,
+            parent_off: &self.parent_off[slots.start..=slots.end],
+            parent_adj: &self.parent_adj,
+        }
     }
+}
+
+/// An adjacency length as a CSR offset.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("arc count exceeds the u32 offset range")
 }
 
 /// An incremental, validating builder for [`Dag`].
@@ -683,12 +798,8 @@ mod tests {
         assert_eq!(sub.num_nodes(), 3);
         // a->b and b->d survive; a->c->d does not.
         assert_eq!(sub.num_arcs(), 2);
-        assert_eq!(map.to_super(NodeId(0)), NodeId(0));
-        assert_eq!(map.to_sub(NodeId(3)), Some(NodeId(2)));
-        assert_eq!(map.to_sub(NodeId(2)), None);
         assert_eq!(sub.label(NodeId(2)), "j3");
-        let super_nodes: Vec<NodeId> = sub.node_ids().map(|s| map.to_super(s)).collect();
-        assert_eq!(super_nodes, [NodeId(0), NodeId(1), NodeId(3)]);
+        assert_eq!(map, [NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]
@@ -712,10 +823,37 @@ mod tests {
             assert!(sub.children(u).windows(2).all(|w| w[0] < w[1]));
             assert!(sub.parents(u).windows(2).all(|w| w[0] < w[1]));
         }
-        assert!(sub.has_arc(
-            map.to_sub(NodeId(3)).unwrap(),
-            map.to_sub(NodeId(4)).unwrap()
-        ));
+        let local = |u: u32| NodeId(map.iter().position(|&g| g == NodeId(u)).unwrap() as u32);
+        assert!(sub.has_arc(local(3), local(4)));
+    }
+
+    #[test]
+    fn induced_csr_stores_subgraphs_back_to_back() {
+        let d = Dag::from_arcs(5, &[(0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]).unwrap();
+        let mut store = InducedCsr::new();
+        let mut scratch = SubgraphScratch::new();
+        let sets: [&[NodeId]; 3] = [
+            &[NodeId(0), NodeId(2), NodeId(3)],
+            &[NodeId(1)],
+            &[NodeId(1), NodeId(3), NodeId(4)],
+        ];
+        for _round in 0..2 {
+            store.clear();
+            let mut start = 0;
+            for nodes in sets {
+                store.push_induced(&d, nodes, &mut scratch);
+                let view = store.view(start..start + nodes.len());
+                assert_eq!(view, d.induced_subgraph(nodes).0.view());
+                start += nodes.len();
+            }
+            assert_eq!(start, 7);
+        }
+        // Every earlier subgraph stays readable after later pushes.
+        assert_eq!(store.view(0..3).num_arcs(), 2);
+        assert_eq!(store.view(3..4).num_arcs(), 0);
+        assert!(store.view(4..7).has_arc(NodeId(1), NodeId(2)));
+        assert_eq!(d.view(), d.view());
+        assert_ne!(store.view(0..3), store.view(4..7));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod scratch;
 pub mod topo;
 
 pub use bitset::FixedBitSet;
-pub use dag::{Dag, DagBuilder, Label, NodeId, SubgraphMap};
+pub use dag::{Dag, DagBuilder, DagView, InducedCsr, Label, NodeId};
 pub use error::GraphError;
 pub use labelhash::{NameHashBuild, NameHasher};
 pub use scratch::{GraphScratch, ScratchArena, SubgraphScratch};

@@ -76,7 +76,7 @@ impl GraphScratch {
     }
 }
 
-/// Reusable dense tables for [`crate::Dag::induced_subgraph_in`]:
+/// Reusable dense tables for [`crate::InducedCsr::push_induced`]:
 /// stamped membership marks and local-id renumbering, both O(|G|) and
 /// grown once, so materializing many subgraphs of one dag performs no
 /// per-subgraph setup work and no per-arc binary searches.
@@ -115,8 +115,8 @@ impl SubgraphScratch {
 
 /// A reusable arena of recycled scratch buffers, typed by element.
 ///
-/// The front half of the pipeline allocates many short-lived worklists —
-/// failed bipartite-block attempts, closure searches, per-part node sets —
+/// The front half of the pipeline needs many short-lived worklists —
+/// the peel loop's tables, closure searches, the superdag's arc list —
 /// that the global allocator would otherwise serve one `malloc`/`free`
 /// pair at a time. The arena keeps returned buffers (capacity intact,
 /// contents cleared on reuse) and hands them back on the next request, so
@@ -132,6 +132,7 @@ pub struct ScratchArena {
     nodes: Vec<Vec<NodeId>>,
     u32s: Vec<Vec<u32>>,
     bools: Vec<Vec<bool>>,
+    arcs: Vec<Vec<(NodeId, NodeId)>>,
 }
 
 macro_rules! arena_pool {
@@ -170,10 +171,11 @@ impl ScratchArena {
     arena_pool!(take_nodes, put_nodes, nodes, NodeId);
     arena_pool!(take_u32s, put_u32s, u32s, u32);
     arena_pool!(take_bools, put_bools, bools, bool);
+    arena_pool!(take_arcs, put_arcs, arcs, (NodeId, NodeId));
 
     /// Buffers currently pooled across all types (diagnostic).
     pub fn pooled(&self) -> usize {
-        self.nodes.len() + self.u32s.len() + self.bools.len()
+        self.nodes.len() + self.u32s.len() + self.bools.len() + self.arcs.len()
     }
 }
 

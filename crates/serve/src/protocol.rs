@@ -199,18 +199,18 @@ struct Members<'a> {
 }
 
 /// Validates the whole line as one JSON document and pulls out the
-/// members the protocol reads, with no tree: `Ok(None)` for a valid
-/// document that is not an object. With `unescape`, the workflow's text
-/// is decoded in the same pass.
-fn scan(line: &str, unescape: bool) -> Result<Option<Members<'_>>, String> {
+/// members the protocol reads into `m`, with no tree: `Ok(false)` for a
+/// valid document that is not an object. With `unescape`, the workflow's
+/// text is decoded in the same pass. Members are stored as they are read,
+/// so on an error `m` holds every member completed before the fault.
+fn scan<'a>(line: &'a str, unescape: bool, m: &mut Members<'a>) -> Result<bool, String> {
     let mut r = Reader::new(line);
     r.skip_ws();
     if r.peek() != Some(b'{') {
         r.skip_value()?;
         r.finish()?;
-        return Ok(None);
+        return Ok(false);
     }
-    let mut m = Members::default();
     if r.begin_object()? {
         loop {
             match &*r.key()? {
@@ -244,7 +244,7 @@ fn scan(line: &str, unescape: bool) -> Result<Option<Members<'_>>, String> {
         }
     }
     r.finish()?;
-    Ok(Some(m))
+    Ok(true)
 }
 
 /// A member that counts only as a string; any other value is validated,
@@ -266,9 +266,18 @@ fn decode<'a>(
     first_version: &mut Option<u64>,
     unescape: bool,
 ) -> Result<(WireRequest, Cow<'a, str>), RequestError> {
-    let m = scan(line, unescape)
-        .map_err(|e| RequestError::new(None, format!("request: {e}")))?
-        .ok_or_else(|| RequestError::new(None, "request: not a JSON object"))?;
+    let mut m = Members::default();
+    match scan(line, unescape, &mut m) {
+        Ok(true) => {}
+        Ok(false) => return Err(RequestError::new(None, "request: not a JSON object")),
+        // A line that breaks off after its `id` still names the request
+        // it was meant to be, so a pipelining client can tell which one
+        // failed.
+        Err(e) => {
+            let id = m.id.map(Cow::into_owned);
+            return Err(RequestError::new(id, format!("request: {e}")));
+        }
+    }
     let id = m.id.map(Cow::into_owned);
     if let Some(v) = m.version {
         if v > SCHEMA_VERSION {
@@ -463,6 +472,13 @@ mod tests {
             (r#"{"id":"k","verb":"explode"}"#, Some("k")),
             (r#"{"id":"k","verb":"prioritize"}"#, Some("k")),
             (r#"{"id":"k","workflow":""}"#, Some("k")),
+            // A fault after the id keeps it; one before or inside it
+            // cannot.
+            (r#"{"id":"k","workflow":"a\u+041b"}"#, Some("k")),
+            (r#"{"id":"k","verb":"ping"} trailing"#, Some("k")),
+            (r#"{"id":"k","id":"j\x"}"#, Some("k")),
+            (r#"{"workflow":"a\u+041b","id":"k"}"#, None),
+            (r#"{"id":"k\x"}"#, None),
         ] {
             let err = parse_one(line).unwrap_err();
             assert_eq!(err.id.as_deref(), id, "{line}");

@@ -11,10 +11,33 @@ use prio_obs::json::{parse, JsonValue, SCHEMA_VERSION};
 use prio_serve::protocol::{parse_request, Request, RequestError, Verb, WireRequest};
 use proptest::prelude::*;
 
-/// The tree-based decoder, kept verbatim as the reference.
+/// The string `id` of an unparsable `line` as far as it can be read: the
+/// top-level `id` of the longest prefix that, closed with `}`, is a valid
+/// object. That prefix holds exactly the members a member-by-member
+/// reader completes before it meets the fault (a complete member after it
+/// would make a longer such prefix), and the last `id` among them wins.
+fn id_before_fault(line: &str) -> Option<String> {
+    (1..=line.len())
+        .rev()
+        .filter(|&i| line.is_char_boundary(i))
+        .find_map(|i| {
+            let value = parse(&format!("{}}}", &line[..i])).ok()?;
+            value.is_object().then(|| {
+                value
+                    .get("id")
+                    .and_then(JsonValue::as_str)
+                    .map(str::to_owned)
+            })
+        })
+        .flatten()
+}
+
+/// The tree-based decoder, kept as the reference. Its one change since
+/// it was the daemon's decoder: an unparsable line keeps the id read
+/// before the fault ([`id_before_fault`]).
 fn oracle(line: &str, first_version: &mut Option<u64>) -> Result<Request, RequestError> {
     let err = |id: Option<String>, message: String| RequestError { id, message };
-    let value = parse(line).map_err(|e| err(None, format!("request: {e}")))?;
+    let value = parse(line).map_err(|e| err(id_before_fault(line), format!("request: {e}")))?;
     if !value.is_object() {
         return Err(err(None, "request: not a JSON object".into()));
     }

@@ -158,6 +158,24 @@ sdss_sum=$(cksum < target/sdss-smoke/sdss.prio.dag)
 [ "$sdss_sum" = "2935640502 5643098" ] \
   || { echo "check.sh: paper-size SDSS output cksum is '$sdss_sum', want '2935640502 5643098'" >&2; exit 1; }
 echo "check.sh: paper-size SDSS run ok (48,013 jobs instrumented, bytes unchanged)"
+# The same run with per-span allocation counts: Steps 2–3 keep every
+# per-component list in flat buffers, so `decompose` and `schedule` make a
+# few hundred allocations on SDSS's 21,610 components, and one allocation
+# per component anywhere in either stage breaks the bound. Counting must
+# not change the output bytes.
+timeout 30 ./target/release/prio run target/sdss-smoke/sdss.dag --profile-alloc \
+  --trace-out target/sdss-smoke/spans.jsonl \
+  --output target/sdss-smoke/sdss.profiled.prio.dag 2> target/sdss-smoke/profiled.stderr \
+  || { echo "check.sh: profiled paper-size SDSS run failed or took over 30 s" >&2; exit 1; }
+cmp target/sdss-smoke/sdss.prio.dag target/sdss-smoke/sdss.profiled.prio.dag \
+  || { echo "check.sh: --profile-alloc changed the SDSS output" >&2; exit 1; }
+for stage in decompose schedule; do
+  allocs=$(grep "\"path\":\"$stage\"," target/sdss-smoke/spans.jsonl \
+    | sed -n 's/.*"alloc_count":\([0-9]*\).*/\1/p')
+  [ -n "$allocs" ] && [ "$allocs" -le 1000 ] \
+    || { echo "check.sh: paper-size SDSS $stage made '$allocs' allocations, want at most 1000" >&2; exit 1; }
+done
+echo "check.sh: paper-size SDSS steps 2-3 allocations ok (decompose and schedule at most 1000 each)"
 # JSON smoke at the same size: convert the SDSS file to prio-workflow-v1,
 # convert that JSON to JSON again (the canonical export is a fixed point,
 # so the two files must be identical), then `prio run` the JSON file and
@@ -278,8 +296,9 @@ grep '"id":"bye"' target/serve-smoke/responses.jsonl | grep -q '"shutdown":true'
   || { echo "check.sh: serve smoke: shutdown verb not acknowledged" >&2; exit 1; }
 sed -n '5,6p' target/serve-smoke/responses.jsonl | grep '"id":"edges",' | grep -q '"cached":true' \
   || { echo "check.sh: serve smoke: verbatim resend was not a cache hit" >&2; exit 1; }
-sed -n '7p' target/serve-smoke/responses.jsonl | grep '"status":"error"' | grep -q '"stage":"request"' \
-  || { echo "check.sh: serve smoke: a \\u escape with a sign was not a request error" >&2; exit 1; }
+sed -n '7p' target/serve-smoke/responses.jsonl | grep '"status":"error"' | grep '"stage":"request"' \
+  | grep -q '"id":"bad-escape"' \
+  || { echo "check.sh: serve smoke: a \\u escape with a sign was not a request error naming its id" >&2; exit 1; }
 sed -n '8p' target/serve-smoke/responses.jsonl | grep '"id":"large",' | grep -q '"status":"ok"' \
   || { echo "check.sh: serve smoke: the request over 64 KiB did not succeed" >&2; exit 1; }
 edges_outputs=$(grep -E '"id":"edges(-escaped)?",' target/serve-smoke/responses.jsonl \

@@ -36,7 +36,7 @@ fn assert_decompositions_equal(a: &Decomposition, b: &Decomposition) {
     assert_eq!(a.general_search_iterations, b.general_search_iterations);
     assert_eq!(a.superdag, b.superdag);
     assert_eq!(a.parts.len(), b.parts.len());
-    for (pa, pb) in a.parts.iter().zip(&b.parts) {
+    for (pa, pb) in a.parts.iter().zip(b.parts.iter()) {
         assert_eq!(pa.nodes, pb.nodes);
         assert_eq!(pa.removed, pb.removed);
         assert_eq!(pa.local, pb.local);
