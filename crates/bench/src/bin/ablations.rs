@@ -1,5 +1,4 @@
-//! §3.5 engineering ablations as a wall-clock table (the criterion benches
-//! `decompose` and `combine` give the statistically rigorous version).
+//! §3.5 engineering ablations as a wall-clock table.
 //!
 //! 1. Decomposition: bipartite fast path vs general-only minimal-`C(s)`
 //!    search, on growing SDSS-like field stages. The general-only arm

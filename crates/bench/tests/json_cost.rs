@@ -2,10 +2,11 @@
 //! allocation counts instead of wall time.
 //!
 //! The import streams the document into the workflow builder without a
-//! tree, with names borrowed from the input, so the one allocation it
-//! must make per job is the job's interned `Arc<str>` label; everything
-//! else (builder arrays, the CSR build, the acyclicity check) is a
-//! constant number of buffers. The export writes into one pre-sized
+//! tree, with names borrowed from the input and copied once into the
+//! dag's one name buffer, sized up front from the jobs array; the name
+//! index, the builder arrays, the CSR build and the acyclicity check are
+//! sized up front too, so the import makes the same constant number of
+//! allocations at any job count. The export writes into one pre-sized
 //! `String`. Counting every allocation in the process turns both promises
 //! into exact, machine-independent numbers.
 //!
@@ -16,14 +17,16 @@
 //!
 //! So does the DAGMan path of `prio run`, on the paper's Montage and a
 //! quarter of SDSS written as the benchmark writes them: the parse fills
-//! a fixed set of line and name tables over one copy of the text, so
-//! parsing plus extracting the dag allocates one label per job plus a
-//! constant; instrumenting and writing the file allocate a constant,
+//! a fixed set of line and name tables over one copy of the text, and
+//! extracting the dag fills its name buffer in one pass, so parsing plus
+//! extracting the dag allocates a constant, the same at both sizes;
+//! instrumenting and writing the file allocate a constant,
 //! the same at both sizes; and the frontend's canonical export writes
 //! one buffer, like the JSON one.
 //!
 //! The edge-list import is held to the JSON import's bound: it splits
-//! each record into its fields in place.
+//! each record into its fields in place, and sizes its tables from the
+//! record count and the text's length.
 //!
 //! So are Steps 2–4 of the pipeline: with a reused `PrioContext`, the
 //! decomposition, the per-component scheduling and the combine keep every
@@ -52,8 +55,8 @@ use std::sync::atomic::Ordering;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Allocations an import may make on top of one label per job.
-const IMPORT_CONSTANT: u64 = 64;
+/// Allocations a JSON or edge-list import may make in total.
+const IMPORT_MAX: u64 = 24;
 
 /// Allocations an export may make in total.
 const EXPORT_MAX: u64 = 8;
@@ -62,9 +65,9 @@ const EXPORT_MAX: u64 = 8;
 /// decoded id and format, and the response line.
 const MEMO_HIT_MAX: u64 = 16;
 
-/// Allocations parsing a DAGMan file and extracting its dag may make on
-/// top of one label per job.
-const DAGMAN_PARSE_CONSTANT: u64 = 64;
+/// Allocations parsing a DAGMan file and extracting its dag may make in
+/// total.
+const DAGMAN_PARSE_MAX: u64 = 24;
 
 /// Allocations instrumenting and writing a DAGMan file may make in total.
 const DAGMAN_INSTRUMENT_MAX: u64 = 8;
@@ -126,7 +129,9 @@ fn serve_allocations(input: &str) -> (u64, u64) {
 }
 
 #[test]
-fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
+fn imports_allocate_a_constant_and_export_one_buffer() {
+    // Import allocations per (format, input) case, at each size in turn.
+    let mut import_costs: Vec<(String, u64)> = Vec::new();
     for jobs in [2_000, 10_000] {
         let workflow = Workflow::synthetic(montage_tier(jobs));
         let n = workflow.num_jobs();
@@ -148,10 +153,11 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
                 assert!(back.expect("exported text imports").same_content(expected));
                 eprintln!("{n} jobs, {label}: {format} import made {allocs} allocations");
                 assert!(
-                    allocs <= n as u64 + IMPORT_CONSTANT,
+                    allocs <= IMPORT_MAX,
                     "{n} jobs, {label}: {format} import made {allocs} allocations, \
-                     allowed one per job plus {IMPORT_CONSTANT}"
+                     allowed {IMPORT_MAX}"
                 );
+                import_costs.push((format!("{label} {format}"), allocs));
             }
         }
 
@@ -165,6 +171,14 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
                 text.len()
             );
         }
+    }
+
+    let (small, large) = import_costs.split_at(import_costs.len() / 2);
+    for ((case, at_small), (_, at_large)) in small.iter().zip(large) {
+        assert_eq!(
+            at_small, at_large,
+            "{case} import allocations grow with the job count"
+        );
     }
 
     // A memo hit's allocations, as the difference between a session of
@@ -206,6 +220,7 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
 
     // The DAGMan path: Montage (7,881 jobs) and a quarter of SDSS
     // (12,007), one submit file per transformation.
+    let mut parse_costs = Vec::new();
     let mut instrument_costs = Vec::new();
     for dag in [
         montage::montage_paper(),
@@ -226,10 +241,10 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
         assert_eq!(parsed, dag);
         eprintln!("DAGMan {n} jobs: parse + to_dag made {allocs} allocations");
         assert!(
-            allocs <= n + DAGMAN_PARSE_CONSTANT,
-            "{n} jobs: parse + to_dag made {allocs} allocations, \
-             allowed one per job plus {DAGMAN_PARSE_CONSTANT}"
+            allocs <= DAGMAN_PARSE_MAX,
+            "{n} jobs: parse + to_dag made {allocs} allocations, allowed {DAGMAN_PARSE_MAX}"
         );
+        parse_costs.push(allocs);
         let priorities = priorities_by_job(dag.node_ids().map(|u| dag.label(u)));
         // Warm-up: the first write span registers its name.
         let mut warm = file.clone();
@@ -250,6 +265,10 @@ fn json_import_allocates_one_label_per_job_and_export_one_buffer() {
             "{n} jobs: DAGMan export made {allocs} allocations, allowed {EXPORT_MAX}"
         );
     }
+    assert_eq!(
+        parse_costs[0], parse_costs[1],
+        "parse + to_dag allocations grow with the file"
+    );
     assert_eq!(
         instrument_costs[0], instrument_costs[1],
         "instrument + write allocations grow with the file"

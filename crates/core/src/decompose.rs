@@ -33,7 +33,7 @@
 //! component `j` cannot start before `i` contributes.
 
 use prio_graph::bipartite::is_bipartite_dag;
-use prio_graph::{Dag, DagView, InducedCsr, Label, NodeId, ScratchArena, SubgraphScratch};
+use prio_graph::{Dag, DagView, InducedCsr, NameTable, NodeId, ScratchArena, SubgraphScratch};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
@@ -158,8 +158,8 @@ pub struct Decomposition {
     /// The detached blocks, in detach order.
     pub parts: Parts,
     /// The superdag: node `i` is part `i`; an arc `i → j` means some job
-    /// removed with part `i` has a child in part `j`. Its nodes share one
-    /// empty label.
+    /// removed with part `i` has a child in part `j`. Its labels are all
+    /// empty.
     pub superdag: Dag,
     /// `comp_removed[u]` = index of the part whose detach removed job `u`.
     pub comp_removed: Vec<u32>,
@@ -582,8 +582,8 @@ fn materialize(g: &Dag, parts: &mut Parts) {
 /// globally sorted quotient arc list with no quotient-wide sort. Every arc
 /// points forward in detach order (a parent is never removed after its
 /// child), so detach order is a topological witness and the acyclicity
-/// re-check is skipped too. Supernodes need no names: they share one
-/// empty label.
+/// re-check is skipped too. Supernodes need no names: their labels are
+/// all empty.
 fn build_superdag(g: &Dag, parts: &Parts, comp_removed: &[u32], arena: &mut ScratchArena) -> Dag {
     let _span = prio_obs::span("decompose.superdag");
     let k = parts.len();
@@ -607,7 +607,7 @@ fn build_superdag(g: &Dag, parts: &Parts, comp_removed: &[u32], arena: &mut Scra
         buf.sort_unstable();
         arcs.extend(buf.iter().map(|&j| (NodeId(part), NodeId(j))));
     }
-    let superdag = Dag::from_sorted_arcs_unchecked(vec![Label::from(""); k], &arcs);
+    let superdag = Dag::from_sorted_arcs_unchecked(NameTable::unnamed(k), &arcs);
     arena.put_u32s(buf);
     arena.put_u32s(seen);
     arena.put_arcs(arcs);

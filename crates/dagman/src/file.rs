@@ -10,15 +10,14 @@
 //! [`DagmanFile`] owns the text and indexes it instead of copying it into
 //! per-statement strings: one [`Line`] record per input line holding
 //! `u32` byte spans into the text, one name table filled during the parse
-//! (each distinct job name hashed once, in [`NameIndex`]), and the
+//! (each distinct job name hashed once, in a [`NameIndex`]), and the
 //! `PARENT … CHILD` lists as name ids in one flat array. The dag
 //! extraction, the IR import, instrumentation and the writer all work
 //! from these ids and spans.
 
 use crate::error::DagmanError;
-use prio_graph::{Dag, GraphError, Label, NameHashBuild, NodeId};
+use prio_graph::{Dag, GraphError, NameHashBuild, NameIndex, NameTable, NodeId};
 use std::collections::HashSet;
-use std::hash::{BuildHasher, Hasher};
 
 /// `node_of` entry of a name no `JOB`/`SUBDAG` declares.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -44,6 +43,12 @@ impl Span {
     pub(crate) fn get(self, text: &str) -> &str {
         &text[self.start as usize..self.end as usize]
     }
+}
+
+/// Name id → name, for the spans `names` of `text`: how the name index
+/// compares names.
+fn name_of<'a>(text: &'a str, names: &'a [Span]) -> impl Fn(u32) -> &'a str + Copy {
+    move |id| names[id as usize].get(text)
 }
 
 /// One input line, classified by its keyword. Names are name ids.
@@ -106,6 +111,7 @@ pub struct DagmanFile {
     pub(crate) nodes: Vec<Node>,
     /// The `PARENT … CHILD` name lists, flat.
     pub(crate) refs: Vec<u32>,
+    /// Name → name id, compared through `names`.
     pub(crate) index: NameIndex,
     /// The first repeated declaration: `(line index, name id)`.
     pub(crate) duplicate: Option<(u32, u32)>,
@@ -126,7 +132,7 @@ impl DagmanFile {
 
     /// The node named `name`, if a `JOB`/`SUBDAG` line declares it.
     pub(crate) fn node(&self, name: &str) -> Option<NodeId> {
-        let id = self.index.get(&self.text, &self.names, name)?;
+        let id = self.index.get(name, name_of(&self.text, &self.names))?;
         Some(NodeId(self.node_of[id as usize])).filter(|u| u.0 != NONE)
     }
 
@@ -218,11 +224,16 @@ impl DagmanFile {
     /// The name id of the name at `span` of `text` (the text the file
     /// will own), giving it the next id on first mention.
     pub(crate) fn intern(&mut self, text: &str, span: Span) -> u32 {
-        let id = self.index.intern(text, &mut self.names, span);
-        if id as usize == self.node_of.len() {
-            self.node_of.push(NONE);
+        match self.index.find(span.get(text), name_of(text, &self.names)) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = self.names.len() as u32;
+                self.names.push(span);
+                self.node_of.push(NONE);
+                self.index.insert(slot, id, name_of(text, &self.names));
+                id
+            }
         }
-        id
     }
 
     /// [`DagmanFile::intern`], declaring the name a node on line index
@@ -298,8 +309,12 @@ impl DagmanFile {
                 }
             }
         }
-        let labels = self.nodes.iter().map(|n| Label::from(self.name(n.name)));
-        Dag::from_labeled_arcs(labels.collect(), arcs).map_err(|e| match e {
+        let bytes = self.nodes.iter().map(|n| self.name(n.name).len()).sum();
+        let mut labels = NameTable::with_capacity(self.nodes.len(), bytes);
+        for n in &self.nodes {
+            labels.push(self.name(n.name));
+        }
+        Dag::from_named_arcs(labels, arcs).map_err(|e| match e {
             GraphError::Cycle { on_cycle } => DagmanError::Cyclic {
                 job: self.name(self.nodes[on_cycle as usize].name).to_string(),
             },
@@ -314,7 +329,7 @@ impl DagmanFile {
     /// would be written: the last definition wins, counting the
     /// statements instrumentation inserted and the values it set.
     pub fn vars_value(&self, job: &str, key: &str) -> Option<String> {
-        let id = self.index.get(&self.text, &self.names, job)?;
+        let id = self.index.get(job, name_of(&self.text, &self.names))?;
         let node = self.node_of[id as usize];
         self.lines.iter().rev().find_map(|line| match *line {
             Line::Vars {
@@ -333,72 +348,6 @@ impl DagmanFile {
             }
             _ => None,
         })
-    }
-}
-
-/// The hash of a name, as the name index uses it.
-fn hash(name: &str) -> usize {
-    let mut h = NameHashBuild.build_hasher();
-    h.write(name.as_bytes());
-    h.finish() as usize
-}
-
-/// The name → name-id table: open addressing over [`NameHashBuild`]
-/// hashes with linear probing, kept under half full. A slot holds
-/// `id + 1`; `0` is empty. Names are compared through their spans, so the
-/// table holds no strings.
-#[derive(Debug, Clone)]
-pub(crate) struct NameIndex {
-    slots: Vec<u32>,
-}
-
-impl NameIndex {
-    /// A table sized for about `names` names.
-    pub(crate) fn with_capacity(names: usize) -> NameIndex {
-        NameIndex {
-            slots: vec![0; (names * 2).next_power_of_two().max(16)],
-        }
-    }
-
-    /// The id of `name`, or the empty slot where it belongs.
-    fn probe(&self, text: &str, names: &[Span], name: &str) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = hash(name) & mask;
-        loop {
-            match self.slots[i] {
-                0 => return Err(i),
-                id if names[id as usize - 1].get(text) == name => return Ok(id - 1),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// The id of `name`, if it has one.
-    pub(crate) fn get(&self, text: &str, names: &[Span], name: &str) -> Option<u32> {
-        self.probe(text, names, name).ok()
-    }
-
-    /// The id of the name at `span`, giving it the next id on first
-    /// mention.
-    pub(crate) fn intern(&mut self, text: &str, names: &mut Vec<Span>, span: Span) -> u32 {
-        if (names.len() + 1) * 2 > self.slots.len() {
-            let mut grown = NameIndex {
-                slots: vec![0; self.slots.len() * 2],
-            };
-            for (id, span) in names.iter().enumerate() {
-                let slot = grown.probe(text, names, span.get(text));
-                grown.slots[slot.expect_err("names are distinct")] = id as u32 + 1;
-            }
-            *self = grown;
-        }
-        match self.probe(text, names, span.get(text)) {
-            Ok(id) => id,
-            Err(slot) => {
-                names.push(span);
-                self.slots[slot] = names.len() as u32;
-                names.len() as u32 - 1
-            }
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! [`str::split_whitespace`] splits. `VARS` values are double-quoted
 //! strings with backslash escapes for `"` and `\`. Each line becomes one
 //! [`Line`] record of spans into the text, and each name gets its id from
-//! the file's [`NameIndex`] as it is read, so a name is hashed once per
-//! mention and never copied.
+//! the file's [`prio_graph::NameIndex`] as it is read, so a name is hashed
+//! once per mention and never copied.
 
 use crate::error::DagmanError;
 use crate::file::{DagmanFile, Line, Span};

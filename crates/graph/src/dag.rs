@@ -12,21 +12,14 @@
 //! in a single cache-friendly array, and makes `children`/`parents` a pair
 //! of index loads. Offsets are `u32` (arc counts are bounded by
 //! `u32::MAX`), halving the offset tables' footprint on 64-bit targets.
+//!
+//! Node labels are stored the same way: every label's bytes back to back
+//! in one [`NameTable`] buffer, with a `u32` end offset per node.
 
 use crate::error::GraphError;
-use crate::labelhash::NameHashBuild;
 use crate::scratch::SubgraphScratch;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// A node label (job name).
-///
-/// Reference-counted so that subgraph induction, arc filtering and
-/// reversal — all of which preserve labels — bump a refcount instead of
-/// copying the string.
-pub type Label = Arc<str>;
 
 /// A node (job) identifier: a dense index into a [`Dag`].
 ///
@@ -54,14 +47,73 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// Node labels (job names), stored once: the labels' bytes back to back
+/// in one buffer, and where each label ends. Label `i` is the buffer from
+/// the end of label `i - 1` (or 0) to its own end.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NameTable {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl NameTable {
+    /// An empty table with room for `names` labels of `bytes` bytes in
+    /// all.
+    pub fn with_capacity(names: usize, bytes: usize) -> NameTable {
+        NameTable {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(names),
+        }
+    }
+
+    /// `n` empty labels, for nodes that need none.
+    pub fn unnamed(n: usize) -> NameTable {
+        NameTable {
+            text: String::new(),
+            ends: vec![0; n],
+        }
+    }
+
+    /// Number of labels.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Appends `name` and returns its node id.
+    pub fn push(&mut self, name: &str) -> NodeId {
+        let id = NodeId(self.ends.len() as u32);
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("labels exceed the u32 offset range");
+        self.ends.push(end);
+        id
+    }
+
+    /// The label of node `u`.
+    #[inline]
+    pub(crate) fn get(&self, u: NodeId) -> &str {
+        let i = u.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start as usize..self.ends[i] as usize]
+    }
+
+    /// The table, with any spare capacity given back.
+    fn shrunk(mut self) -> NameTable {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self
+    }
+}
+
 /// An immutable directed acyclic graph with labelled nodes.
 ///
 /// Both forward (`children`) and backward (`parents`) adjacency are stored
 /// in CSR form, each neighbour list sorted by node index, so all traversals
-/// are deterministic.
+/// are deterministic. The labels are shared, not copied, by the dags
+/// [`Dag::filter_arcs`] and [`Dag::reversed`] derive.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Dag {
-    labels: Vec<Label>,
+    labels: Arc<NameTable>,
     /// `n + 1` offsets into `child_adj`; children of `u` are
     /// `child_adj[child_off[u] .. child_off[u + 1]]`.
     child_off: Box<[u32]>,
@@ -79,7 +131,7 @@ impl Dag {
     /// a per-node list: the sorted arc targets *are* the child array, and
     /// filling the transpose in lexicographic arc order keeps every parent
     /// list sorted by source index. Acyclicity is **not** checked here.
-    fn from_sorted_unique_arcs(labels: Vec<Label>, arcs: &[(NodeId, NodeId)]) -> Dag {
+    fn from_sorted_unique_arcs(labels: Arc<NameTable>, arcs: &[(NodeId, NodeId)]) -> Dag {
         let n = labels.len();
         assert!(
             arcs.len() <= u32::MAX as usize,
@@ -122,7 +174,7 @@ impl Dag {
     /// input produces a structurally valid `Dag` whose traversals violate
     /// the DAG contract downstream. Sortedness and uniqueness are
     /// `debug_assert`ed.
-    pub fn from_sorted_arcs_unchecked(labels: Vec<Label>, arcs: &[(NodeId, NodeId)]) -> Dag {
+    pub fn from_sorted_arcs_unchecked(labels: NameTable, arcs: &[(NodeId, NodeId)]) -> Dag {
         debug_assert!(
             arcs.windows(2).all(|w| w[0] < w[1]),
             "arc list must be sorted and duplicate-free"
@@ -130,21 +182,21 @@ impl Dag {
         debug_assert!(arcs
             .iter()
             .all(|&(u, v)| u.index() < labels.len() && v.index() < labels.len()));
-        Dag::from_sorted_unique_arcs(labels, arcs)
+        Dag::from_sorted_unique_arcs(Arc::new(labels.shrunk()), arcs)
     }
 
     /// Builds a dag from its node labels and an arc list in any order,
     /// possibly with duplicates, verifying acyclicity (a self-loop fails
     /// as a cycle). The caller vouches that every endpoint is
     /// `< labels.len()`. Frontends that resolve names to ids themselves
-    /// build through this, without [`DagBuilder`]'s label index.
-    pub fn from_labeled_arcs(
-        labels: Vec<Label>,
+    /// build through this.
+    pub fn from_named_arcs(
+        labels: NameTable,
         mut arcs: Vec<(NodeId, NodeId)>,
     ) -> Result<Dag, GraphError> {
         arcs.sort_unstable();
         arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs(labels, &arcs);
+        let dag = Dag::from_sorted_unique_arcs(Arc::new(labels.shrunk()), &arcs);
         kahn_acyclicity_check(&dag)?;
         Ok(dag)
     }
@@ -174,7 +226,7 @@ impl Dag {
 
     /// Whether the DAG has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.labels.len() == 0
     }
 
     /// Iterates over all node identifiers in index order.
@@ -231,16 +283,12 @@ impl Dag {
     /// The label (job name) of `u`.
     #[inline]
     pub fn label(&self, u: NodeId) -> &str {
-        &self.labels[u.index()]
+        self.labels.get(u)
     }
 
-    /// Finds the node with the given label, if any (linear scan; use a
-    /// [`DagBuilder`]'s handle instead when building).
+    /// Finds the node with the given label, if any (linear scan).
     pub fn find(&self, label: &str) -> Option<NodeId> {
-        self.labels
-            .iter()
-            .position(|l| &**l == label)
-            .map(|i| NodeId(i as u32))
+        self.node_ids().find(|&u| self.label(u) == label)
     }
 
     /// Whether the arc `u -> v` is present.
@@ -294,15 +342,19 @@ impl Dag {
         // needs one sort before the CSR build (it is already
         // duplicate-free).
         arcs.sort_unstable();
-        let labels = to_super
-            .iter()
-            .map(|&u| self.labels[u.index()].clone())
-            .collect();
-        (Dag::from_sorted_unique_arcs(labels, &arcs), to_super)
+        let bytes = to_super.iter().map(|&u| self.label(u).len()).sum();
+        let mut labels = NameTable::with_capacity(to_super.len(), bytes);
+        for &u in &to_super {
+            labels.push(self.label(u));
+        }
+        (
+            Dag::from_sorted_unique_arcs(Arc::new(labels), &arcs),
+            to_super,
+        )
     }
 
     /// Returns a copy of this dag keeping exactly the arcs for which `keep`
-    /// returns `true` (node set unchanged).
+    /// returns `true` (node set and labels unchanged, and shared).
     ///
     /// Removing arcs from a DAG cannot create a cycle, so no re-validation
     /// happens — this is the cheap path behind shortcut removal.
@@ -586,13 +638,15 @@ fn offset(len: usize) -> u32 {
 
 /// An incremental, validating builder for [`Dag`].
 ///
-/// Nodes are created with [`DagBuilder::add_node`]; duplicate arcs are
-/// silently deduplicated; self-loops are rejected eagerly and cycles at
-/// [`DagBuilder::build`] time.
+/// Nodes are created with [`DagBuilder::add_node`], which appends the
+/// label to the builder's [`NameTable`]; labels need not be unique (a
+/// caller that needs them unique keeps a [`crate::NameIndex`] over
+/// [`DagBuilder::label`]). Duplicate arcs are silently deduplicated;
+/// self-loops are rejected eagerly and cycles at [`DagBuilder::build`]
+/// time.
 #[derive(Debug, Default, Clone)]
 pub struct DagBuilder {
-    labels: Vec<Label>,
-    by_label: HashMap<Label, NodeId, NameHashBuild>,
+    labels: NameTable,
     arcs: Vec<(NodeId, NodeId)>,
 }
 
@@ -605,10 +659,14 @@ impl DagBuilder {
     /// Creates a builder expecting roughly `nodes` nodes and `arcs` arcs.
     pub fn with_capacity(nodes: usize, arcs: usize) -> Self {
         DagBuilder {
-            labels: Vec::with_capacity(nodes),
-            by_label: HashMap::with_capacity_and_hasher(nodes, NameHashBuild),
+            labels: NameTable::with_capacity(nodes, 0),
             arcs: Vec::with_capacity(arcs),
         }
+    }
+
+    /// Reserves room for `bytes` more label bytes.
+    pub fn reserve_label_bytes(&mut self, bytes: usize) {
+        self.labels.text.reserve(bytes);
     }
 
     /// Number of nodes added so far.
@@ -616,48 +674,14 @@ impl DagBuilder {
         self.labels.len()
     }
 
+    /// The label of node `u`, added earlier.
+    pub fn label(&self, u: NodeId) -> &str {
+        self.labels.get(u)
+    }
+
     /// Adds a node with the given label and returns its identifier.
-    ///
-    /// Labels are not required to be unique here (generated workloads use
-    /// unique names; uniqueness can be enforced with
-    /// [`DagBuilder::add_unique_node`]).
-    pub fn add_node(&mut self, label: impl Into<Label>) -> NodeId {
-        let id = NodeId(self.labels.len() as u32);
-        let label = label.into();
-        self.by_label.entry(label.clone()).or_insert(id);
-        self.labels.push(label);
-        id
-    }
-
-    /// Adds a node whose label must be new, erroring on duplicates.
-    pub fn add_unique_node(&mut self, label: impl Into<Label>) -> Result<NodeId, GraphError> {
-        let label = label.into();
-        let id = NodeId(self.labels.len() as u32);
-        match self.by_label.entry(label.clone()) {
-            Entry::Occupied(_) => Err(GraphError::DuplicateLabel {
-                label: label.to_string(),
-            }),
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-                self.labels.push(label);
-                Ok(id)
-            }
-        }
-    }
-
-    /// Returns the node previously added with `label` (first occurrence), or
-    /// adds a fresh one.
-    pub fn node_for_label(&mut self, label: &str) -> NodeId {
-        if let Some(&id) = self.by_label.get(label) {
-            id
-        } else {
-            self.add_node(label)
-        }
-    }
-
-    /// Looks up a label without inserting.
-    pub fn get(&self, label: &str) -> Option<NodeId> {
-        self.by_label.get(label).copied()
+    pub fn add_node(&mut self, label: impl AsRef<str>) -> NodeId {
+        self.labels.push(label.as_ref())
     }
 
     /// Adds the arc `u -> v`. Duplicates are deduplicated at build time.
@@ -677,7 +701,7 @@ impl DagBuilder {
 
     /// Finalizes the graph, verifying acyclicity.
     pub fn build(self) -> Result<Dag, GraphError> {
-        Dag::from_labeled_arcs(self.labels, self.arcs)
+        Dag::from_named_arcs(self.labels, self.arcs)
     }
 }
 
@@ -686,10 +710,10 @@ impl DagBuilder {
 fn kahn_acyclicity_check(dag: &Dag) -> Result<(), GraphError> {
     let n = dag.num_nodes();
     let mut indeg: Vec<u32> = dag.node_ids().map(|u| dag.in_degree(u) as u32).collect();
-    let mut stack: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|u| indeg[u.index()] == 0)
-        .collect();
+    // Sized for every node at once, so the check allocates the same at
+    // any size.
+    let mut stack: Vec<NodeId> = Vec::with_capacity(n);
+    stack.extend(dag.node_ids().filter(|u| indeg[u.index()] == 0));
     let mut seen = 0usize;
     while let Some(u) = stack.pop() {
         seen += 1;
@@ -771,24 +795,19 @@ mod tests {
     }
 
     #[test]
-    fn unique_labels_enforced() {
+    fn labels_live_in_one_table() {
         let mut b = DagBuilder::new();
-        b.add_unique_node("x").unwrap();
-        assert!(matches!(
-            b.add_unique_node("x"),
-            Err(GraphError::DuplicateLabel { .. })
-        ));
-    }
-
-    #[test]
-    fn node_for_label_reuses() {
-        let mut b = DagBuilder::new();
-        let x = b.node_for_label("x");
-        let y = b.node_for_label("y");
-        assert_eq!(b.node_for_label("x"), x);
-        assert_ne!(x, y);
-        assert_eq!(b.get("y"), Some(y));
-        assert_eq!(b.get("z"), None);
+        for label in ["x", "", "yz", "x", "non-ascii é"] {
+            b.add_node(label);
+        }
+        b.add_node(String::from("owned"));
+        assert_eq!(b.label(NodeId(2)), "yz");
+        let d = b.build().unwrap();
+        let labels: Vec<&str> = d.node_ids().map(|u| d.label(u)).collect();
+        assert_eq!(labels, ["x", "", "yz", "x", "non-ascii é", "owned"]);
+        assert_eq!(d.find("x"), Some(NodeId(0)));
+        let unnamed = Dag::from_sorted_arcs_unchecked(NameTable::unnamed(3), &[]);
+        assert!(unnamed.node_ids().all(|u| unnamed.label(u).is_empty()));
     }
 
     #[test]
@@ -865,6 +884,7 @@ mod tests {
         assert!(!f.has_arc(NodeId(0), NodeId(1)));
         assert!(f.has_arc(NodeId(1), NodeId(3)));
         assert_eq!(f.label(NodeId(0)), "j0");
+        assert!(Arc::ptr_eq(&f.labels, &d.labels), "labels are shared");
         // Keeping everything is an identity copy.
         assert_eq!(d.filter_arcs(|_, _| true), d);
     }
@@ -877,6 +897,7 @@ mod tests {
         assert_eq!(r.sinks().collect::<Vec<_>>(), vec![NodeId(0)]);
         assert_eq!(r.num_arcs(), d.num_arcs());
         assert!(r.has_arc(NodeId(3), NodeId(1)));
+        assert!(Arc::ptr_eq(&r.labels, &d.labels), "labels are shared");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The label/job-name hash shared across the workspace.
+//! The job-name hash and the one name → id index of the workspace.
 //!
-//! It lives in the graph layer so the graph's own label maps —
-//! [`crate::DagBuilder`]'s label → id index — and the frontends' name
-//! tables share one function: every crate that handles job names already
-//! depends on `prio-graph`.
+//! They live in the graph layer, next to the name table every [`crate::Dag`]
+//! keeps, because every crate that handles job names already depends on
+//! `prio-graph`: the DAGMan line index and the JSON and edge-list
+//! builders all look names up through [`NameIndex`].
 
 use std::hash::{BuildHasher, Hasher};
 
@@ -72,9 +72,98 @@ impl BuildHasher for NameHashBuild {
     }
 }
 
+/// The hash of a name, as [`NameIndex`] uses it.
+fn hash(name: &str) -> usize {
+    let mut h = NameHashBuild.build_hasher();
+    h.write(name.as_bytes());
+    h.finish() as usize
+}
+
+/// A name → id table that stores ids only: open addressing over
+/// [`NameHashBuild`] hashes with linear probing, kept under half full. A
+/// slot holds `id + 1`; `0` is empty. The names live with the caller,
+/// which hands every lookup a `name_of: id → &str` to compare through.
+#[derive(Debug, Clone)]
+pub struct NameIndex {
+    slots: Vec<u32>,
+    /// Number of names indexed.
+    len: usize,
+}
+
+/// The empty slot where a name [`NameIndex::find`] missed belongs; pass
+/// it to [`NameIndex::insert`] before the index changes again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Vacant(usize);
+
+impl NameIndex {
+    /// An index sized for about `names` names.
+    pub fn with_capacity(names: usize) -> NameIndex {
+        NameIndex {
+            slots: vec![0; (names * 2).next_power_of_two().max(16)],
+            len: 0,
+        }
+    }
+
+    /// The id of `name`, or the slot where it belongs.
+    pub fn find<'a>(&self, name: &str, name_of: impl Fn(u32) -> &'a str) -> Result<u32, Vacant> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash(name) & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(Vacant(i)),
+                id if name_of(id - 1) == name => return Ok(id - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of `name`, if it is indexed.
+    pub fn get<'a>(&self, name: &str, name_of: impl Fn(u32) -> &'a str) -> Option<u32> {
+        self.find(name, name_of).ok()
+    }
+
+    /// Records `id` for the name whose [`NameIndex::find`] returned
+    /// `slot`. `name_of` must already resolve `id` and every id indexed
+    /// before it: the table rehashes through it when it grows.
+    pub fn insert<'a>(&mut self, slot: Vacant, id: u32, name_of: impl Fn(u32) -> &'a str) {
+        debug_assert_eq!(self.slots[slot.0], 0, "slot is taken");
+        self.slots[slot.0] = id + 1;
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let mut grown = vec![0; self.slots.len() * 2];
+            let mask = grown.len() - 1;
+            for &id in self.slots.iter().filter(|&&id| id != 0) {
+                let mut i = hash(name_of(id - 1)) & mask;
+                while grown[i] != 0 {
+                    i = (i + 1) & mask;
+                }
+                grown[i] = id;
+            }
+            self.slots = grown;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn name_index_finds_inserts_and_grows() {
+        let names: Vec<String> = (0..100).map(|i| format!("job{i}")).collect();
+        let mut index = NameIndex::with_capacity(4);
+        let name_of = |id: u32| names[id as usize].as_str();
+        for (id, name) in names.iter().enumerate() {
+            let slot = index.find(name, name_of).expect_err("a new name");
+            index.insert(slot, id as u32, name_of);
+            assert_eq!(index.find(name, name_of), Ok(id as u32));
+        }
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(index.get(name, name_of), Some(id as u32));
+        }
+        assert_eq!(index.get("job100", name_of), None);
+        assert_eq!(index.get("", name_of), None);
+    }
 
     fn h(s: &str) -> u64 {
         let mut hasher = NameHashBuild.build_hasher();

@@ -6,7 +6,10 @@
 //! built on:
 //!
 //! * a compact, immutable [`Dag`] representation with forward and backward
-//!   adjacency, built through a validating [`DagBuilder`];
+//!   adjacency and one [`NameTable`] of labels, built through a validating
+//!   [`DagBuilder`];
+//! * the one name → id index, [`NameIndex`], that every frontend looks
+//!   job names up through;
 //! * deterministic topological sorting and linear-extension checking
 //!   ([`topo`]);
 //! * reachability queries, transitive closure and critical-path lengths
@@ -52,7 +55,7 @@ pub mod scratch;
 pub mod topo;
 
 pub use bitset::FixedBitSet;
-pub use dag::{Dag, DagBuilder, DagView, InducedCsr, Label, NodeId};
+pub use dag::{Dag, DagBuilder, DagView, InducedCsr, NameTable, NodeId};
 pub use error::GraphError;
-pub use labelhash::{NameHashBuild, NameHasher};
+pub use labelhash::{NameHashBuild, NameHasher, NameIndex, Vacant};
 pub use scratch::{GraphScratch, ScratchArena, SubgraphScratch};

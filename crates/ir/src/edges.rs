@@ -97,7 +97,11 @@ impl Frontend for EdgesFrontend {
 
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
         let _span = prio_obs::span(prio_obs::stage::PARSE);
-        let mut b = WorkflowBuilder::with_capacity(FormatId::Edges, 0, scan::count_lines(text));
+        // A record names at most two jobs, and the names are read from the
+        // text: both bound what the builder holds.
+        let records = scan::count_lines(text);
+        let mut b = WorkflowBuilder::with_capacity(FormatId::Edges, 2 * records, records);
+        b.reserve_name_bytes(text.len());
         for (i, raw) in scan::lines(text).enumerate() {
             let line = i + 1;
             let t = raw.trim();

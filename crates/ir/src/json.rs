@@ -62,11 +62,12 @@ fn scalar<'a>(r: &mut Reader<'a>) -> Result<Scalar<'a>, String> {
     })
 }
 
-/// Where a top-level member's value starts, and its item count if it is
-/// an array.
+/// Where a top-level member's value starts, its length in bytes, and
+/// its item count if it is an array.
 #[derive(Clone, Copy)]
 struct Member {
     pos: usize,
+    len: usize,
     items: usize,
 }
 
@@ -104,7 +105,8 @@ fn layout(text: &str) -> Result<Option<Layout>, String> {
                 Some(member) => {
                     let pos = r.pos();
                     let items = skip_counting_items(&mut r)?;
-                    *member = Some(Member { pos, items });
+                    let len = r.pos() - pos;
+                    *member = Some(Member { pos, len, items });
                 }
                 None => r.skip_value()?,
             }
@@ -308,6 +310,8 @@ impl Frontend for JsonFrontend {
 
         let arcs = layout.arcs.map_or(0, |arcs| arcs.items);
         let mut b = WorkflowBuilder::with_capacity(FormatId::Json, jobs.items, arcs);
+        // The names are read from the jobs array, so it bounds their bytes.
+        b.reserve_name_bytes(jobs.len);
         read_jobs(&mut Reader::at(text, jobs.pos), &mut b).map_err(err)?;
         if let Some(arcs) = layout.arcs {
             read_arcs(&mut Reader::at(text, arcs.pos), &mut b).map_err(err)?;

@@ -1,5 +1,6 @@
-//! The workflow IR: a CSR dag of interned job names plus priorities and
-//! sparse per-job metadata, tagged with the format it came from.
+//! The workflow IR: a CSR dag with its table of job names, plus
+//! priorities and sparse per-job metadata, tagged with the format it came
+//! from.
 //!
 //! Every frontend imports into a [`Workflow`] and exports from one, so the
 //! PRIO pipeline (`prio-core`), the simulator and the benches never see
@@ -7,7 +8,7 @@
 //! API taking `&Dag` accepts `&Workflow` unchanged.
 
 use crate::error::{ImportError, PrioError};
-use prio_graph::{Dag, DagBuilder, GraphError, NodeId};
+use prio_graph::{Dag, DagBuilder, GraphError, NameIndex, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
@@ -236,12 +237,17 @@ impl Deref for Workflow {
 
 /// Incrementally assembles a [`Workflow`]: get-or-insert jobs by name,
 /// arcs by id, sparse priorities and metadata. Wraps the CSR-friendly
-/// [`DagBuilder`]; frontends layer duplicate checks and line numbers on
-/// top (via [`WorkflowBuilder::get`]) so errors carry their own format
-/// provenance.
+/// [`DagBuilder`], whose name table holds each job name once, and a
+/// [`NameIndex`] over that table; frontends layer duplicate checks and
+/// line numbers on top (via [`WorkflowBuilder::get`]) so errors carry
+/// their own format provenance.
 pub struct WorkflowBuilder {
     source: FormatId,
     dag: DagBuilder,
+    /// Job name → job id, compared through `dag`'s labels.
+    index: NameIndex,
+    /// The job count the builder was sized for.
+    jobs: usize,
     num_arcs: usize,
     priorities: Vec<(NodeId, i64)>,
     meta: Vec<(NodeId, String, String)>,
@@ -258,26 +264,45 @@ impl WorkflowBuilder {
         WorkflowBuilder {
             source,
             dag: DagBuilder::with_capacity(jobs, arcs),
+            index: NameIndex::with_capacity(jobs),
+            jobs,
             num_arcs: 0,
             priorities: Vec::new(),
             meta: Vec::new(),
         }
     }
 
+    /// Reserves room for `bytes` more bytes of job names.
+    pub fn reserve_name_bytes(&mut self, bytes: usize) {
+        self.dag.reserve_label_bytes(bytes);
+    }
+
     /// Returns the job named `name`, inserting it on first mention.
     pub fn job(&mut self, name: &str) -> NodeId {
-        self.dag.node_for_label(name)
+        self.lookup(name).unwrap_or_else(|u| u)
     }
 
     /// Inserts a job that must be new, in one lookup: `None` if `name` is
     /// already a job.
     pub fn new_job(&mut self, name: &str) -> Option<NodeId> {
-        self.dag.add_unique_node(name).ok()
+        self.lookup(name).err()
     }
 
     /// Looks a job up without inserting.
     pub fn get(&self, name: &str) -> Option<NodeId> {
-        self.dag.get(name)
+        self.index.get(name, label_of(&self.dag)).map(NodeId)
+    }
+
+    /// The job named `name` if there is one, else `Err` with the job it
+    /// inserts.
+    fn lookup(&mut self, name: &str) -> Result<NodeId, NodeId> {
+        let slot = match self.index.find(name, label_of(&self.dag)) {
+            Ok(id) => return Ok(NodeId(id)),
+            Err(slot) => slot,
+        };
+        let u = self.dag.add_node(name);
+        self.index.insert(slot, u.0, label_of(&self.dag));
+        Err(u)
     }
 
     /// Number of jobs added so far.
@@ -292,8 +317,12 @@ impl WorkflowBuilder {
         Ok(())
     }
 
-    /// Assigns job `u`'s priority (last assignment wins).
+    /// Assigns job `u`'s priority (last assignment wins). The first
+    /// assignment makes room for one per expected job.
     pub fn set_priority(&mut self, u: NodeId, priority: i64) {
+        if self.priorities.capacity() == 0 {
+            self.priorities.reserve(self.jobs);
+        }
         self.priorities.push((u, priority));
     }
 
@@ -321,6 +350,11 @@ impl WorkflowBuilder {
         }
         Ok(wf)
     }
+}
+
+/// Job id → job name, for `dag`: how the name index compares names.
+fn label_of<'a>(dag: &'a DagBuilder) -> impl Fn(u32) -> &'a str + Copy {
+    move |id| dag.label(NodeId(id))
 }
 
 #[cfg(test)]
@@ -372,6 +406,20 @@ mod tests {
         assert_eq!(b.num_jobs(), 1);
         assert_eq!(b.get("a"), Some(a1));
         assert_eq!(b.get("zz"), None);
+    }
+
+    #[test]
+    fn new_job_rejects_a_repeated_name() {
+        let mut b = WorkflowBuilder::new(FormatId::Json);
+        let x = b.new_job("x").unwrap();
+        assert_eq!(b.new_job("x"), None);
+        assert_eq!(b.job("x"), x);
+        // Enough names to grow the index past its first size.
+        for i in 0..100 {
+            assert_eq!(b.new_job(&format!("j{i}")), Some(NodeId(i + 1)));
+        }
+        assert_eq!(b.get("j42"), Some(NodeId(43)));
+        assert_eq!(b.build().unwrap().job_name(NodeId(43)), "j42");
     }
 
     #[test]

@@ -549,6 +549,21 @@ mod tests {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 
+    /// Cache keys outlive a build: the key of a workflow must not move
+    /// when the way `Dag` stores its labels changes. Pinned on the
+    /// paper's Fig. 3 and AIRSN dags.
+    #[test]
+    fn workflow_key_is_pinned() {
+        assert_eq!(
+            workflow_key(&prio_workloads::classic::fig3_dag()),
+            CacheKey(0x874b_b132_fa88_9072, 0x3aca_e384_7552_d210)
+        );
+        assert_eq!(
+            workflow_key(&prio_workloads::airsn::airsn_paper()),
+            CacheKey(0xf166_2e47_8e8f_b7ea, 0x727e_9bf3_f6aa_be22)
+        );
+    }
+
     #[test]
     fn key_covers_labels_and_arcs_only() {
         let base = dag(&["a", "b", "c"], &[(0, 1), (0, 2)]);

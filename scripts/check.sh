@@ -195,6 +195,21 @@ json_prios=$(grep -o '"priority":' target/json-smoke/sdss.prio.json | wc -l)
 [ "$json_prios" -eq 48013 ] \
   || { echo "check.sh: paper-size SDSS JSON has $json_prios priorities, want 48013" >&2; exit 1; }
 echo "check.sh: paper-size SDSS JSON ok (fixed-point convert, 48,013 priorities)"
+# The JSON run again with per-span allocation counts: the import copies
+# every job name into one name buffer and sizes its tables up front, so
+# `parse` makes a constant few dozen allocations, and one allocation per
+# job breaks the bound. Counting must not change the output bytes.
+timeout 30 ./target/release/prio run target/json-smoke/sdss.again.json --profile-alloc \
+  --trace-out target/json-smoke/spans.jsonl \
+  --output target/json-smoke/sdss.profiled.prio.json 2> target/json-smoke/profiled.stderr \
+  || { echo "check.sh: profiled paper-size SDSS JSON run failed or took over 30 s" >&2; exit 1; }
+cmp target/json-smoke/sdss.prio.json target/json-smoke/sdss.profiled.prio.json \
+  || { echo "check.sh: --profile-alloc changed the SDSS JSON output" >&2; exit 1; }
+allocs=$(grep '"path":"parse",' target/json-smoke/spans.jsonl \
+  | sed -n 's/.*"alloc_count":\([0-9]*\).*/\1/p')
+[ -n "$allocs" ] && [ "$allocs" -le 1000 ] \
+  || { echo "check.sh: paper-size SDSS JSON parse made '$allocs' allocations, want at most 1000" >&2; exit 1; }
+echo "check.sh: paper-size SDSS JSON parse allocations ok ($allocs, at most 1000)"
 # Scaled Inspiral smoke: `prio generate inspiral --scale 8` and
 # `--workload inspiral --scale 8` must build the same dag (one scale
 # path), so their schedules must be identical. `prio run` on the file
@@ -311,7 +326,6 @@ wait "$serve_pid" \
 grep -q "serve exiting" target/serve-smoke/daemon.stderr \
   || { echo "check.sh: serve daemon exit summary missing" >&2; exit 1; }
 echo "check.sh: serve smoke ok (3-format matrix, memo resend, escaped variant, signed \\u escape, request over 64 KiB, stats verb, graceful shutdown)"
-run_cargo bench --no-run
 # The end-to-end benchmark runner (benchmark/, declared in BENCHMARK.json)
 # is a workspace of its own; run its unit tests against this checkout.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
