@@ -10,6 +10,12 @@
 //! `String`. Counting every allocation in the process turns both promises
 //! into exact, machine-independent numbers.
 //!
+//! Every exporter streams through one fixed chunk, so exporting into a
+//! writer that keeps nothing (`io::sink()`) raises the heap's peak by
+//! that chunk and a constant, the same at 2,008 and 9,998 jobs: the
+//! JSON, edge-list and canonical DAGMan `export_to`, and the
+//! instrumented DAGMan file's `write_dagman_to`.
+//!
 //! A `prio serve` memo hit rides in the same test: a request line resent
 //! verbatim is keyed and answered from its escaped bytes, so the
 //! allocations it costs are a small constant, whatever the workflow's
@@ -41,15 +47,17 @@
 
 use prio_bench::scaling::montage_tier;
 use prio_core::{PrioContext, Prioritizer};
+use prio_dagman::write::{write_dagman, write_dagman_to};
 use prio_dagman::{
-    instrument_dagman_with, parse_dagman, priorities_by_job, write::write_dagman, DagmanFile,
-    DagmanFrontend, InstrumentMode,
+    instrument_dagman_with, parse_dagman, priorities_by_job, DagmanFile, DagmanFrontend,
+    InstrumentMode,
 };
 use prio_graph::Dag;
 use prio_ir::{EdgesFrontend, Frontend, JsonFrontend, Priorities, Workflow};
-use prio_obs::mem::{set_span_profiling, CountingAllocator, ALLOC_COUNT};
+use prio_obs::mem::{peak_since, reset_peak, set_span_profiling, CountingAllocator, ALLOC_COUNT};
 use prio_serve::{encode_request, serve_streams, ServeConfig};
 use prio_workloads::{montage, sdss};
+use std::io;
 use std::sync::atomic::Ordering;
 
 #[global_allocator]
@@ -60,6 +68,10 @@ const IMPORT_MAX: u64 = 24;
 
 /// Allocations an export may make in total.
 const EXPORT_MAX: u64 = 8;
+
+/// Bytes a streaming export into `io::sink()` may raise the heap's peak
+/// by: its one 64 KiB chunk and a constant, whatever the workflow's size.
+const EXPORT_PEAK_MAX: usize = 128 * 1024;
 
 /// Allocations one `prio serve` memo hit may make: the request line, its
 /// decoded id and format, and the response line.
@@ -85,6 +97,20 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_COUNT.load(Ordering::SeqCst);
     let out = f();
     (ALLOC_COUNT.load(Ordering::SeqCst) - before, out)
+}
+
+/// How far the heap's peak rises above the live bytes while `f` runs.
+fn peak_rise(f: impl FnOnce()) -> usize {
+    let base = reset_peak();
+    f();
+    peak_since(base)
+}
+
+/// The submit file the benchmark writes for a job: one per
+/// transformation (the label without its trailing index).
+fn transformation(label: &str) -> String {
+    let t = label.trim_end_matches(|c: char| c.is_ascii_digit() || c == '_');
+    format!("{t}.submit")
 }
 
 /// Allocations recorded so far under the top-level `decompose`,
@@ -181,6 +207,51 @@ fn imports_allocate_a_constant_and_export_one_buffer() {
         );
     }
 
+    // Streaming exports into a sink, at 2,008 and 9,998 jobs: the peak's
+    // rise per (format, size), every job with a priority.
+    let mut export_peaks: Vec<(String, usize)> = Vec::new();
+    for jobs in [2_000, 10_000] {
+        let mut workflow = Workflow::synthetic(montage_tier(jobs));
+        let n = workflow.num_jobs();
+        let order: Vec<_> = workflow.node_ids().collect();
+        workflow.set_priorities(Priorities::from_order(&order, n));
+        let frontends: [(&str, &dyn Frontend); 3] = [
+            ("JSON", &JsonFrontend),
+            ("edges", &EdgesFrontend),
+            ("DAGMan", &DagmanFrontend),
+        ];
+        for (format, frontend) in frontends {
+            let export = || {
+                frontend
+                    .export_to(&workflow, workflow.priorities(), &mut io::sink())
+                    .unwrap()
+            };
+            // Warm-up: the first write span registers its name.
+            export();
+            export_peaks.push((format!("{format} export_to"), peak_rise(export)));
+        }
+        let mut file = DagmanFile::from_dag_with(workflow.dag(), transformation);
+        let priorities = priorities_by_job(order.iter().map(|&u| workflow.job_name(u)));
+        instrument_dagman_with(&mut file, &priorities, InstrumentMode::VarsMacro).unwrap();
+        let write = || write_dagman_to(&file, &mut io::sink()).unwrap();
+        write();
+        export_peaks.push(("write_dagman_to".to_string(), peak_rise(write)));
+        for (case, rise) in &export_peaks[export_peaks.len() - 4..] {
+            eprintln!("{n} jobs: {case} into a sink raised the peak by {rise} bytes");
+        }
+    }
+    let (small, large) = export_peaks.split_at(export_peaks.len() / 2);
+    for ((case, at_small), (_, at_large)) in small.iter().zip(large) {
+        assert_eq!(
+            at_small, at_large,
+            "{case}: the peak grows with the job count"
+        );
+        assert!(
+            *at_small <= EXPORT_PEAK_MAX,
+            "{case} raised the peak by {at_small} bytes, allowed {EXPORT_PEAK_MAX}"
+        );
+    }
+
     // A memo hit's allocations, as the difference between a session of
     // one cold request plus RESENDS verbatim resends and one with twice
     // as many resends: every per-session cost cancels.
@@ -227,10 +298,6 @@ fn imports_allocate_a_constant_and_export_one_buffer() {
         sdss::sdss(sdss::SdssParams::scaled(0.25)),
     ] {
         let n = dag.num_nodes() as u64;
-        let transformation = |label: &str| {
-            let t = label.trim_end_matches(|c: char| c.is_ascii_digit() || c == '_');
-            format!("{t}.submit")
-        };
         let text = write_dagman(&DagmanFile::from_dag_with(&dag, transformation));
         parse_dagman(&text).unwrap().to_dag().unwrap();
         let (allocs, (mut file, parsed)) = allocations(|| {

@@ -4,9 +4,9 @@
 //! `--format` or by default, every extension a registered frontend claims
 //! (`*.json`, `*.edges`, `*.tsv`) — sorted by name and skipping previous
 //! `*.prio.*` outputs. Each file runs through the same per-file pipeline
-//! as `prio run` ([`prio_dagman::pipeline::prioritize_file`]), with one
-//! scratch context shared across the batch, and is written next to its
-//! input as `<stem>.prio.<ext>`. A DAGMan input's submit files are
+//! as `prio run` ([`prio_dagman::pipeline`]), with one scratch context
+//! shared across the batch, and is streamed next to its input as
+//! `<stem>.prio.<ext>`. A DAGMan input's submit files are
 //! instrumented next to that input, as `prio run` does by default.
 //!
 //! Per-file failures do not abort the batch: every remaining file is still
@@ -15,10 +15,10 @@
 
 use crate::args::Args;
 use crate::commands::instrument::{input_dir, instrument_submit_files, output_path, prio_options};
-use crate::commands::{named_frontend, resolve_frontend};
+use crate::commands::{named_frontend, resolve_frontend, write_file};
 use crate::error::CliError;
 use prio_core::PrioContext;
-use prio_dagman::pipeline::{prioritize_file, FileOptions};
+use prio_dagman::pipeline::{parse_file, FileOptions};
 use prio_dagman::registry;
 use prio_ir::{FormatId, FormatRegistry};
 use std::path::{Path, PathBuf};
@@ -117,10 +117,9 @@ fn prioritize_one(
 ) -> Result<(PathBuf, usize), CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| CliError::input(e.to_string()))?;
     let frontend = resolve_frontend(reg, format, path.to_str(), &text)?;
-    let out = prioritize_file(frontend, &text, opts, ctx)?;
-    instrument_submit_files(&input_dir(path), &out.submit_files)?;
+    let out = parse_file(frontend, text)?.prioritize(opts, ctx)?;
+    instrument_submit_files(&input_dir(path), out.submit_files())?;
     let dest = output_path(path, frontend);
-    std::fs::write(&dest, &out.text)
-        .map_err(|e| CliError::input(format!("{}: {e}", dest.display())))?;
-    Ok((dest, out.dag.num_nodes()))
+    write_file(&dest, |w| out.write_to(w))?;
+    Ok((dest, out.dag().num_nodes()))
 }

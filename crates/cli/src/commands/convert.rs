@@ -12,9 +12,11 @@
 //! path writes to stdout, in which case `--to` is required.
 
 use crate::args::Args;
+use crate::commands::{write_file, write_stdout};
 use crate::error::CliError;
 use prio_dagman::{frontend::representable, registry};
 use prio_ir::{FormatId, FormatRegistry, Frontend};
+use std::path::Path;
 
 /// The flags `prio convert` accepts.
 const FLAGS: &[&str] = &["from", "to"];
@@ -43,12 +45,13 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         // Refuse to write names DAGMan's tokenizer would mangle.
         representable(&workflow).map_err(|e| CliError::input(format!("{input}: {e}")))?;
     }
-    let rendered = to.export(&workflow, workflow.priorities());
-
+    // The workflow owns its names: the text is not needed to export.
+    drop(text);
+    let export = |w: &mut dyn std::io::Write| to.export_to(&workflow, workflow.priorities(), w);
     if output == "-" {
-        print!("{rendered}");
+        write_stdout(export)?;
     } else {
-        std::fs::write(output, rendered).map_err(|e| CliError::input(format!("{output}: {e}")))?;
+        write_file(Path::new(output), export)?;
         eprintln!(
             "prio: converted {input} ({}) -> {output} ({}), {} jobs, {} arcs",
             from.id(),

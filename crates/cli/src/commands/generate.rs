@@ -4,11 +4,13 @@
 //! F = 1 is the paper instance, any other finite F > 0 scales down or up.
 
 use crate::args::Args;
+use crate::commands::{write_file, write_stdout};
 use crate::error::CliError;
 use prio_dagman::registry;
 use prio_ir::Workflow;
 use prio_workloads::spec::scaled_workload;
 use prio_workloads::{airsn, classic};
+use std::path::Path;
 
 /// The flags `prio generate` accepts.
 const FLAGS: &[&str] = &["width", "scale", "format", "output"];
@@ -38,14 +40,14 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             CliError::usage(format!("unknown --format {name:?} (dagman|json|edges)"))
         })?,
     };
-    let text = frontend.export(&workflow, workflow.priorities());
-    let dag = workflow.dag();
+    let export =
+        |w: &mut dyn std::io::Write| frontend.export_to(&workflow, workflow.priorities(), w);
     match args.get("output") {
         Some(path) => {
-            std::fs::write(path, text).map_err(|e| CliError::input(format!("{path}: {e}")))?;
-            eprintln!("prio: wrote {path} ({} jobs)", dag.num_nodes());
+            write_file(Path::new(path), export)?;
+            eprintln!("prio: wrote {path} ({} jobs)", workflow.num_jobs());
         }
-        None => print!("{text}"),
+        None => write_stdout(export)?,
     }
     Ok(())
 }

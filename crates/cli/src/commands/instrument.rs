@@ -1,18 +1,20 @@
 //! `prio instrument` (alias `run`) — the paper's tool: prioritize a
 //! workflow file.
 //!
-//! The work is [`prio_dagman::pipeline::prioritize_file`]: DAGMan inputs
-//! get `jobpriority` statements inserted into a minimal diff of the
-//! original file, other formats (`--format json|edges`, or auto-detected)
-//! are re-exported with the computed priorities attached. This module is
-//! the shell around it: flags, file I/O, and the submit-file edits that
-//! `prio batch` shares.
+//! The work is [`prio_dagman::pipeline`]: DAGMan inputs get
+//! `jobpriority` statements inserted into a minimal diff of the original
+//! file, other formats (`--format json|edges`, or auto-detected) are
+//! re-exported with the computed priorities attached. This module is the
+//! shell around it: flags, file I/O, and the submit-file edits that
+//! `prio batch` shares. No buffer outlives its use: JSON and edge-list
+//! text is dropped once imported, the scheduler's scratch context once
+//! the schedule is computed, and the output streams into its file.
 
 use crate::args::Args;
-use crate::commands::resolve_frontend;
+use crate::commands::{resolve_frontend, write_file};
 use crate::error::CliError;
-use prio_core::{PrioContext, PrioOptions, Stage};
-use prio_dagman::pipeline::{prioritize_file, FileOptions};
+use prio_core::{PrioContext, PrioError, PrioOptions, Stage};
+use prio_dagman::pipeline::{parse_file, FileOptions};
 use prio_dagman::{registry, InstrumentMode, Jsdf};
 use prio_graph::Dag;
 use prio_ir::Frontend;
@@ -45,19 +47,24 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         mode: mode_option(&args)?,
     };
 
-    let out = prioritize_file(frontend, &text, &opts, &mut PrioContext::new()).map_err(|e| {
-        // Input errors name the file; later stages keep their class.
+    // Input errors name the file; later stages keep their class.
+    let error = |e: PrioError| {
         if e.stage() == Stage::Parse {
             CliError::input(format!("{path}: {e}"))
         } else {
             CliError::from(e)
         }
-    })?;
+    };
+    let parsed = parse_file(frontend, text).map_err(error)?;
+    // The context is a temporary: it is freed as soon as the schedule is.
+    let out = parsed
+        .prioritize(&opts, &mut PrioContext::new())
+        .map_err(error)?;
     let jsdf_dir = match args.get("jsdf-dir") {
         Some(dir) => PathBuf::from(dir),
         None => input_dir(Path::new(&path)),
     };
-    instrument_submit_files(&jsdf_dir, &out.submit_files)?;
+    instrument_submit_files(&jsdf_dir, out.submit_files())?;
 
     let output = if args.has("in-place") {
         PathBuf::from(&path)
@@ -66,20 +73,19 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     } else {
         output_path(Path::new(&path), frontend)
     };
-    std::fs::write(&output, &out.text)
-        .map_err(|e| CliError::input(format!("{}: {e}", output.display())))?;
+    write_file(&output, |w| out.write_to(w))?;
     let stats = &out.result.stats;
     eprintln!(
         "prio: wrote {} ({} jobs, {} components, {} shortcuts removed)",
         output.display(),
-        out.dag.num_nodes(),
+        out.dag().num_nodes(),
         stats.num_components,
         stats.shortcuts_removed,
     );
 
     // Structured snapshot of the pipeline's spans and counters as JSONL.
     if let Some(trace) = args.get("trace-out") {
-        write_trace(trace, &path, &out.dag)?;
+        write_trace(trace, &path, out.dag())?;
     }
     Ok(())
 }
@@ -117,7 +123,10 @@ const MISSING_NAMED: usize = 3;
 /// Adds `priority = $(jobpriority)` to each submit file found under
 /// `dir`; missing ones are skipped and summarized in one note (their
 /// count and the first [`MISSING_NAMED`] paths).
-pub(crate) fn instrument_submit_files(dir: &Path, files: &[String]) -> Result<(), CliError> {
+pub(crate) fn instrument_submit_files<'a>(
+    dir: &Path,
+    files: impl IntoIterator<Item = &'a str>,
+) -> Result<(), CliError> {
     let mut missing: Vec<PathBuf> = Vec::new();
     let mut missing_count = 0usize;
     for submit in files {

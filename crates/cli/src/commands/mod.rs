@@ -22,6 +22,8 @@ use prio_dagman::registry;
 use prio_graph::Dag;
 use prio_ir::{FormatRegistry, Frontend, ResolveError, Workflow};
 use prio_workloads::spec::scaled_workload;
+use std::io::{self, Write as _};
+use std::path::Path;
 
 /// Resolves which frontend handles `text` ([`FormatRegistry::resolve`]):
 /// an explicit `--format` name wins, otherwise the registry auto-detects
@@ -90,4 +92,25 @@ pub fn load_workflow(args: &Args) -> Result<(String, Workflow), CliError> {
 pub fn load_dag(args: &Args) -> Result<(String, Dag), CliError> {
     let (name, workflow) = load_workflow(args)?;
     Ok((name, workflow.into_dag()))
+}
+
+/// Creates (or truncates) `path` and streams `write` into it, through
+/// the exporter's own chunk; a failure is an input error naming the path.
+pub fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
+) -> Result<(), CliError> {
+    let error = |e: io::Error| CliError::input(format!("{}: {e}", path.display()));
+    let mut file = std::fs::File::create(path).map_err(error)?;
+    write(&mut file).map_err(error)
+}
+
+/// Streams `write` to standard output; a failure is an input error.
+pub fn write_stdout(
+    write: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
+) -> Result<(), CliError> {
+    let mut out = io::stdout().lock();
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| CliError::input(format!("<stdout>: {e}")))
 }

@@ -16,8 +16,7 @@
 //! from these ids and spans.
 
 use crate::error::DagmanError;
-use prio_graph::{Dag, GraphError, NameHashBuild, NameIndex, NameTable, NodeId};
-use std::collections::HashSet;
+use prio_graph::{Dag, GraphError, NameIndex, NameTable, NodeId};
 
 /// `node_of` entry of a name no `JOB`/`SUBDAG` declares.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -264,13 +263,22 @@ impl DagmanFile {
     }
 
     /// The distinct submit files the `JOB` statements declare, each once,
-    /// in the order they are first referenced.
+    /// in the order they are first referenced, borrowed from the text:
+    /// deduplicated as spans through a name index, the way the parse
+    /// interns job names.
     pub fn submit_files(&self) -> impl Iterator<Item = &str> {
-        let mut seen: HashSet<&str, NameHashBuild> = HashSet::default();
-        self.lines.iter().filter_map(move |line| match *line {
-            Line::Job { submit, .. } if seen.insert(self.str(submit)) => Some(self.str(submit)),
-            _ => None,
-        })
+        let mut distinct: Vec<Span> = Vec::new();
+        let mut index = NameIndex::with_capacity(0);
+        for line in &self.lines {
+            if let Line::Job { submit, .. } = *line {
+                if let Err(slot) = index.find(self.str(submit), name_of(&self.text, &distinct)) {
+                    distinct.push(submit);
+                    let id = distinct.len() as u32 - 1;
+                    index.insert(slot, id, name_of(&self.text, &distinct));
+                }
+            }
+        }
+        distinct.into_iter().map(|span| self.str(span))
     }
 
     /// Extracts the job-dependency DAG. Node indices follow declaration

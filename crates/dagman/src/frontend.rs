@@ -16,9 +16,11 @@ use crate::error::DagmanError;
 use crate::file::{DagmanFile, Line, NONE};
 use crate::instrument::JOBPRIORITY;
 use crate::parse::{parse_dagman, vars_pairs};
-use crate::write::{push_all, push_int};
 use prio_graph::NodeId;
-use prio_ir::{FormatId, FormatRegistry, Frontend, ImportError, PrioError, Priorities, Workflow};
+use prio_ir::{
+    ChunkWriter, FormatId, FormatRegistry, Frontend, ImportError, PrioError, Priorities, Workflow,
+};
+use std::io;
 
 /// Metadata key: a job's submit description file, recorded only when it
 /// differs from the `<name>.submit` default.
@@ -98,10 +100,9 @@ fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, DagmanError> {
     Ok(wf)
 }
 
-/// The canonical DAGMan text of a workflow (the export half of the
-/// frontend).
-fn export_text(workflow: &Workflow, priorities: &Priorities) -> String {
-    let mut out = String::with_capacity(workflow.num_jobs() * 64 + workflow.num_arcs() * 16);
+/// Streams the canonical DAGMan text of a workflow into `w` (the export
+/// half of the frontend).
+fn export_text(workflow: &Workflow, priorities: &Priorities, w: &mut ChunkWriter) {
     for u in workflow.node_ids() {
         let name = workflow.job_name(u);
         let (mut subdag, mut submit, mut options) = (None, None, "");
@@ -114,19 +115,19 @@ fn export_text(workflow: &Workflow, priorities: &Priorities) -> String {
             }
         }
         match subdag {
-            Some(dag_file) => push_all(&mut out, &["SUBDAG EXTERNAL ", name, " ", dag_file]),
+            Some(dag_file) => w.strs(&["SUBDAG EXTERNAL ", name, " ", dag_file]),
             None => {
-                push_all(&mut out, &["JOB ", name, " "]);
+                w.strs(&["JOB ", name, " "]);
                 match submit {
-                    Some(submit) => out.push_str(submit),
-                    None => push_all(&mut out, &[name, ".submit"]),
+                    Some(submit) => w.str(submit),
+                    None => w.strs(&[name, ".submit"]),
                 }
                 for option in options.split_whitespace() {
-                    push_all(&mut out, &[" ", option]);
+                    w.strs(&[" ", option]);
                 }
             }
         }
-        out.push('\n');
+        w.str("\n");
         // The paper's Fig. 3 layout: the priority statement directly
         // follows its node. External sub-dags have no JSDF, so they get a
         // PRIORITY statement instead of the VARS macro.
@@ -135,22 +136,21 @@ fn export_text(workflow: &Workflow, priorities: &Priorities) -> String {
                 Some(_) => (["PRIORITY ", name, " "], "\n"),
                 None => (["VARS ", name, " jobpriority=\""], "\"\n"),
             };
-            push_all(&mut out, &head);
-            push_int(&mut out, p);
-            out.push_str(tail);
+            w.strs(&head);
+            w.int(p);
+            w.str(tail);
         }
     }
     for u in workflow.node_ids() {
         let children = workflow.children(u);
         if !children.is_empty() {
-            push_all(&mut out, &["PARENT ", workflow.job_name(u), " CHILD"]);
+            w.strs(&["PARENT ", workflow.job_name(u), " CHILD"]);
             for &c in children {
-                push_all(&mut out, &[" ", workflow.job_name(c)]);
+                w.strs(&[" ", workflow.job_name(c)]);
             }
-            out.push('\n');
+            w.str("\n");
         }
     }
-    out
 }
 
 /// Whether every job name survives DAGMan's whitespace tokenization.
@@ -195,8 +195,20 @@ impl Frontend for DagmanFrontend {
         Ok(workflow_from_file(&parse_dagman(text)?)?)
     }
 
-    fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
-        export_text(workflow, priorities)
+    fn export_to(
+        &self,
+        workflow: &Workflow,
+        priorities: &Priorities,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
+        let _span = prio_obs::span(prio_obs::stage::WRITE);
+        let mut w = ChunkWriter::new(out);
+        export_text(workflow, priorities, &mut w);
+        w.finish()
+    }
+
+    fn export_len(&self, workflow: &Workflow, _: &Priorities) -> usize {
+        workflow.num_jobs() * 64 + workflow.num_arcs() * 16
     }
 }
 

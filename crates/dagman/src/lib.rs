@@ -21,11 +21,12 @@
 //! [`prio_ir::Frontend`], importing DAGMan text into a
 //! [`prio_ir::Workflow`] and exporting workflows back to canonical DAGMan
 //! text, and [`frontend::registry()`] assembles the full format registry
-//! (DAGMan + JSON + edge list). [`pipeline::prioritize_file`] composes a
-//! frontend with the scheduler for one whole file — text in, prioritized
-//! text and the submit files to instrument out — and is what `prio run`,
-//! `prio batch` and the `dagprio` facade call, mirroring how the paper's
-//! tool wraps the heuristic.
+//! (DAGMan + JSON + edge list). [`pipeline`] composes a frontend with
+//! the scheduler for one whole file — text in, prioritized text streamed
+//! out and the submit files to instrument listed — in steps whose buffers
+//! the caller frees in between; it is what `prio run`, `prio batch` and
+//! the `dagprio` facade call, mirroring how the paper's tool wraps the
+//! heuristic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +45,5 @@ pub use file::DagmanFile;
 pub use frontend::{registry, DagmanFrontend};
 pub use instrument::{instrument_dagman_with, priorities_by_job, InstrumentMode};
 pub use jsdf::Jsdf;
-pub use parse::{parse_dagman, parse_dagman_threads};
-pub use pipeline::{prioritize_file, FileOptions, PrioritizedFile};
+pub use parse::{parse_dagman, parse_dagman_owned, parse_dagman_threads};
+pub use pipeline::{parse_file, FileOptions, ParsedFile, PrioritizedFile};

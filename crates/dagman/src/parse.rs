@@ -13,9 +13,19 @@ use crate::file::{DagmanFile, Line, Span};
 use crate::instrument::JOBPRIORITY;
 use prio_obs::scan;
 
-/// Parses the text of a DAGMan input file.
+/// Parses the text of a DAGMan input file; the file keeps a copy.
 pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
+    parse_text(text)
+}
+
+/// [`parse_dagman`] over text the file takes over instead of copying.
+pub fn parse_dagman_owned(text: String) -> Result<DagmanFile, DagmanError> {
+    parse_text(text)
+}
+
+fn parse_text<T: AsRef<str> + Into<String>>(owned: T) -> Result<DagmanFile, DagmanError> {
     let _span = prio_obs::span(prio_obs::stage::PARSE);
+    let text = owned.as_ref();
     if text.len() >= u32::MAX as usize {
         return Err(malformed(0, "file exceeds 4 GiB"));
     }
@@ -27,8 +37,9 @@ pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
         let line = p.line(raw, i)?;
         p.file.lines.push(line);
     }
-    p.file.text = text.to_owned();
-    Ok(p.file)
+    let mut file = p.file;
+    file.text = owned.into();
+    Ok(file)
 }
 
 /// [`parse_dagman`]; `threads` is ignored (the parse is serial).

@@ -5,15 +5,28 @@
 //! `VARS` values re-escaped, numbers in decimal. Comments and statements
 //! the tool does not interpret are copied verbatim. The statements
 //! instrumentation inserted follow their node's `JOB`/`SUBDAG` line.
+//! The text streams through one fixed [`ChunkWriter`], as every
+//! frontend's export does.
 
 use crate::file::{DagmanFile, Line};
 use crate::instrument::JOBPRIORITY;
 use crate::parse::vars_pairs;
+use prio_ir::ChunkWriter;
+use std::io;
 
-/// Serializes the file, one statement per line, into one pre-sized
-/// `String` ending with a newline for non-empty files.
-pub fn write_dagman(file: &DagmanFile) -> String {
+/// Serializes the file, one statement per line, ending with a newline
+/// for non-empty files, into `out` one chunk at a time.
+pub fn write_dagman_to(file: &DagmanFile, out: &mut dyn io::Write) -> io::Result<()> {
     let _span = prio_obs::span(prio_obs::stage::WRITE);
+    let mut w = ChunkWriter::new(out);
+    for line in &file.lines {
+        render(file, line, &mut w);
+    }
+    w.finish()
+}
+
+/// [`write_dagman_to`] into one pre-sized `String`.
+pub fn write_dagman(file: &DagmanFile) -> String {
     let inserted: usize = file
         .inserted
         .iter()
@@ -23,115 +36,86 @@ pub fn write_dagman(file: &DagmanFile) -> String {
             statements * (file.name(node.name).len() + 32)
         })
         .sum();
-    let mut out = String::with_capacity(file.text.len() + inserted + 1);
-    for line in &file.lines {
-        render(file, line, &mut out);
-    }
-    out
+    let mut out = Vec::with_capacity(file.text.len() + inserted + 1);
+    write_dagman_to(file, &mut out).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the file's text is UTF-8")
 }
 
 /// Appends `line` and the statements inserted after it.
-fn render(file: &DagmanFile, line: &Line, out: &mut String) {
+fn render(file: &DagmanFile, line: &Line, w: &mut ChunkWriter) {
     match *line {
         Line::Blank => {}
-        Line::Verbatim(span) => out.push_str(file.str(span)),
+        Line::Verbatim(span) => w.str(file.str(span)),
         Line::Job {
             name,
             submit,
             options,
         } => {
-            push_all(out, &["JOB ", file.name(name), " ", file.str(submit)]);
+            w.strs(&["JOB ", file.name(name), " ", file.str(submit)]);
             for option in file.str(options).split_whitespace() {
-                push_all(out, &[" ", option]);
+                w.strs(&[" ", option]);
             }
         }
-        Line::Subdag { name, dag_file } => push_all(
-            out,
-            &["SUBDAG EXTERNAL ", file.name(name), " ", file.str(dag_file)],
-        ),
+        Line::Subdag { name, dag_file } => {
+            w.strs(&["SUBDAG EXTERNAL ", file.name(name), " ", file.str(dag_file)])
+        }
         Line::Parent { start, split, end } => {
-            out.push_str("PARENT");
+            w.str("PARENT");
             for (i, &name) in file.refs[start as usize..end as usize].iter().enumerate() {
                 if i == (split - start) as usize {
-                    out.push_str(" CHILD");
+                    w.str(" CHILD");
                 }
-                push_all(out, &[" ", file.name(name)]);
+                w.strs(&[" ", file.name(name)]);
             }
         }
         Line::Vars {
             name, pairs, set, ..
         } => {
-            push_all(out, &["VARS ", file.name(name)]);
+            w.strs(&["VARS ", file.name(name)]);
             for (key, value) in vars_pairs(file.str(pairs)).map_while(Result::ok) {
-                push_all(out, &[" ", key, "=\""]);
+                w.strs(&[" ", key, "=\""]);
                 match set {
-                    Some(p) if key == JOBPRIORITY => push_int(out, p.into()),
-                    _ => push_escaped(out, value),
+                    Some(p) if key == JOBPRIORITY => w.int(p.into()),
+                    _ => push_escaped(w, value),
                 }
-                out.push('"');
+                w.str("\"");
             }
         }
         Line::Priority { name, value } => {
-            push_all(out, &["PRIORITY ", file.name(name), " "]);
-            push_int(out, value);
+            w.strs(&["PRIORITY ", file.name(name), " "]);
+            w.int(value);
         }
     }
-    out.push('\n');
+    w.str("\n");
     if let Line::Job { name, .. } | Line::Subdag { name, .. } = *line {
         let Some(ins) = file.inserted.get(file.node_of[name as usize] as usize) else {
             return;
         };
         if let Some(p) = ins.priority {
-            push_all(out, &["PRIORITY ", file.name(name), " "]);
-            push_int(out, p.into());
-            out.push('\n');
+            w.strs(&["PRIORITY ", file.name(name), " "]);
+            w.int(p.into());
+            w.str("\n");
         }
         if let Some(p) = ins.vars {
-            push_all(out, &["VARS ", file.name(name), " jobpriority=\""]);
-            push_int(out, p.into());
-            out.push_str("\"\n");
+            w.strs(&["VARS ", file.name(name), " jobpriority=\""]);
+            w.int(p.into());
+            w.str("\"\n");
         }
     }
-}
-
-/// Appends every part in order.
-pub(crate) fn push_all(out: &mut String, parts: &[&str]) {
-    for part in parts {
-        out.push_str(part);
-    }
-}
-
-/// Appends `v` in decimal.
-pub(crate) fn push_int(out: &mut String, v: i64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    let mut n = v.unsigned_abs();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    if v < 0 {
-        out.push('-');
-    }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Appends a `VARS` value as written, escaped the way the writer escapes
 /// the unescaped value: `\"` and `\\` stay, and a backslash the parser
 /// kept (`\q`) is doubled.
-fn push_escaped(out: &mut String, raw: &str) {
+fn push_escaped(w: &mut ChunkWriter, raw: &str) {
     let mut rest = raw;
     while let Some(i) = rest.find('\\') {
-        out.push_str(&rest[..i]);
+        w.str(&rest[..i]);
         let kept = matches!(rest.as_bytes().get(i + 1), Some(b'"' | b'\\'));
-        out.push_str(if kept { &rest[i..i + 2] } else { "\\\\" });
+        w.str(if kept { &rest[i..i + 2] } else { "\\\\" });
         rest = &rest[i + if kept { 2 } else { 1 }..];
     }
-    out.push_str(rest);
+    w.str(rest);
 }
 
 #[cfg(test)]
@@ -205,9 +189,21 @@ RETRY b 3
     #[test]
     fn integers_render_in_decimal() {
         for v in [0, 7, -3, 1_000_000, i64::MAX, i64::MIN] {
-            let mut out = String::new();
-            push_int(&mut out, v);
-            assert_eq!(out, v.to_string());
+            let text = format!("JOB a a.sub\nPRIORITY a {v}\n");
+            assert_eq!(write_dagman(&parse_dagman(&text).unwrap()), text);
         }
+    }
+
+    #[test]
+    fn streaming_writes_the_same_bytes() {
+        let text: String = (0..20_000)
+            .map(|i| format!("JOB j{i} j{i}.sub\nVARS j{i} note=\"a\\\\b\"\n"))
+            .collect();
+        let f = parse_dagman(&text).unwrap();
+        let mut out = Vec::new();
+        write_dagman_to(&f, &mut out).unwrap();
+        assert!(out.len() > 2 * prio_ir::EXPORT_CHUNK);
+        assert_eq!(out, write_dagman(&f).as_bytes());
+        assert_eq!(out, text.as_bytes());
     }
 }

@@ -15,11 +15,12 @@
 //! arcs), then the arcs in index order, then the `@priority` lines —
 //! all tab-separated.
 
+use crate::chunk::ChunkWriter;
 use crate::error::{ImportError, PrioError};
 use crate::frontend::Frontend;
 use crate::workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};
 use prio_obs::scan;
-use std::fmt::Write as _;
+use std::io;
 
 /// The directive that assigns a job priority.
 pub const PRIORITY_DIRECTIVE: &str = "@priority";
@@ -153,29 +154,37 @@ impl Frontend for EdgesFrontend {
         Ok(wf)
     }
 
-    fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
+    fn export_to(
+        &self,
+        workflow: &Workflow,
+        priorities: &Priorities,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
         let _span = prio_obs::span(prio_obs::stage::WRITE);
-        let mut out = String::with_capacity(workflow.num_nodes() * 16);
-        out.push_str("# prio workflow edge list: node | parent\tchild | @priority\tjob\tvalue\n");
+        let mut w = ChunkWriter::new(out);
+        w.str("# prio workflow edge list: node | parent\tchild | @priority\tjob\tvalue\n");
         for u in workflow.node_ids() {
             let name = workflow.job_name(u);
-            if name.contains(char::is_whitespace) {
-                // A trailing tab forces TSV splitting on re-import, so the
-                // single field keeps its internal spaces.
-                let _ = writeln!(out, "{name}\t");
+            w.str(name);
+            // A trailing tab forces TSV splitting on re-import, so the
+            // single field keeps its internal spaces.
+            w.str(if name.contains(char::is_whitespace) {
+                "\t\n"
             } else {
-                let _ = writeln!(out, "{name}");
-            }
+                "\n"
+            });
         }
         for u in workflow.node_ids() {
             for &c in workflow.children(u) {
-                let _ = writeln!(out, "{}\t{}", workflow.job_name(u), workflow.job_name(c));
+                w.strs(&[workflow.job_name(u), "\t", workflow.job_name(c), "\n"]);
             }
         }
         for (u, p) in priorities.iter() {
-            let _ = writeln!(out, "{PRIORITY_DIRECTIVE}\t{}\t{p}", workflow.job_name(u));
+            w.strs(&[PRIORITY_DIRECTIVE, "\t", workflow.job_name(u), "\t"]);
+            w.int(p);
+            w.str("\n");
         }
-        out
+        w.finish()
     }
 }
 

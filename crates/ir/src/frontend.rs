@@ -8,6 +8,7 @@
 
 use crate::error::{ImportError, PrioError};
 use crate::workflow::{FormatId, Priorities, Workflow};
+use std::io;
 
 /// One importer/exporter pair for a workflow text format.
 ///
@@ -30,13 +31,36 @@ pub trait Frontend: Send + Sync {
     fn import(&self, text: &str) -> Result<Workflow, PrioError>;
 
     /// Serializes `workflow` (with the given priorities; unassigned jobs
-    /// get no priority line/field) to the format's canonical text.
+    /// get no priority line/field) to the format's canonical text,
+    /// streamed into `out` one [`EXPORT_CHUNK`](crate::EXPORT_CHUNK) at a
+    /// time through a [`ChunkWriter`](crate::ChunkWriter), so exporting
+    /// holds one chunk of memory whatever the workflow's size.
     ///
     /// Canonical means deterministic: exporting the same workflow and
     /// priorities twice yields byte-identical text, and re-importing an
     /// export yields a workflow with the same content
-    /// ([`Workflow::same_content`]).
-    fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String;
+    /// ([`Workflow::same_content`]). Only `out` can fail.
+    fn export_to(
+        &self,
+        workflow: &Workflow,
+        priorities: &Priorities,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()>;
+
+    /// About how many bytes [`Frontend::export`] writes: the capacity its
+    /// buffer starts with.
+    fn export_len(&self, workflow: &Workflow, _priorities: &Priorities) -> usize {
+        workflow.num_jobs() * 16
+    }
+
+    /// [`Frontend::export_to`] into one `String`, pre-sized by
+    /// [`Frontend::export_len`].
+    fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
+        let mut out = Vec::with_capacity(self.export_len(workflow, priorities));
+        self.export_to(workflow, priorities, &mut out)
+            .expect("a Vec takes every write");
+        String::from_utf8(out).expect("exports are UTF-8")
+    }
 }
 
 /// All available frontends, with extension- and sniff-based detection.

@@ -21,12 +21,14 @@
 //! is canonical: jobs in index order (one per line), then arcs in index
 //! order, with metadata keys sorted.
 
+use crate::chunk::ChunkWriter;
 use crate::error::{ImportError, PrioError};
 use crate::frontend::Frontend;
 use crate::workflow::{FormatId, Priorities, Workflow, WorkflowBuilder};
 use prio_graph::NodeId;
-use prio_obs::json::{write_escaped, write_json_u64, Reader};
+use prio_obs::json::Reader;
 use std::borrow::Cow;
+use std::io;
 
 /// The value of the `"format"` tag this frontend reads and writes.
 pub const FORMAT_TAG: &str = "prio-workflow-v1";
@@ -248,7 +250,7 @@ fn read_arcs(r: &mut Reader, b: &mut WorkflowBuilder) -> Result<(), String> {
 }
 
 /// The export's length when no string needs escaping (escapes only add
-/// to it), so the output is written into one allocation.
+/// to it), so [`Frontend::export`] writes into one allocation.
 fn export_len(workflow: &Workflow, priorities: &Priorities) -> usize {
     // Header and footer lines, then `    [p, c],\n` around each arc's names.
     let mut len = 96 + 10 * workflow.num_arcs();
@@ -323,56 +325,52 @@ impl Frontend for JsonFrontend {
         Ok(wf)
     }
 
-    fn export(&self, workflow: &Workflow, priorities: &Priorities) -> String {
+    fn export_to(
+        &self,
+        workflow: &Workflow,
+        priorities: &Priorities,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
         let _span = prio_obs::span(prio_obs::stage::WRITE);
         let name = |u| workflow.job_name(u);
-        let mut out = String::with_capacity(export_len(workflow, priorities));
-        out.push_str("{\n  \"format\": ");
-        write_escaped(FORMAT_TAG, &mut out);
-        out.push_str(",\n  \"jobs\": [\n");
+        let mut w = ChunkWriter::new(out);
+        w.str("{\n  \"format\": ");
+        w.json_str(FORMAT_TAG);
+        w.str(",\n  \"jobs\": [\n");
         let n = workflow.num_nodes();
         for u in workflow.node_ids() {
-            out.push_str("    {\"name\": ");
-            write_escaped(name(u), &mut out);
+            w.str("    {\"name\": ");
+            w.json_str(name(u));
             if let Some(p) = priorities.get(u) {
-                out.push_str(", \"priority\": ");
-                if p < 0 {
-                    out.push('-');
-                }
-                write_json_u64(p.unsigned_abs(), &mut out);
+                w.str(", \"priority\": ");
+                w.int(p);
             }
             for (k, v) in workflow.meta_of(u) {
-                out.push_str(", ");
-                write_escaped(k, &mut out);
-                out.push_str(": ");
-                write_escaped(v, &mut out);
+                w.str(", ");
+                w.json_str(k);
+                w.str(": ");
+                w.json_str(v);
             }
-            out.push('}');
-            if u.index() + 1 < n {
-                out.push(',');
-            }
-            out.push('\n');
+            w.str(if u.index() + 1 < n { "},\n" } else { "}\n" });
         }
-        out.push_str("  ],\n  \"arcs\": [\n");
+        w.str("  ],\n  \"arcs\": [\n");
         let mut first = true;
         for u in workflow.node_ids() {
             for &c in workflow.children(u) {
-                if !first {
-                    out.push_str(",\n");
-                }
+                w.str(if first { "    [" } else { ",\n    [" });
                 first = false;
-                out.push_str("    [");
-                write_escaped(name(u), &mut out);
-                out.push_str(", ");
-                write_escaped(name(c), &mut out);
-                out.push(']');
+                w.json_str(name(u));
+                w.str(", ");
+                w.json_str(name(c));
+                w.str("]");
             }
         }
-        if !first {
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        w.str(if first { "  ]\n}\n" } else { "\n  ]\n}\n" });
+        w.finish()
+    }
+
+    fn export_len(&self, workflow: &Workflow, priorities: &Priorities) -> usize {
+        export_len(workflow, priorities)
     }
 }
 

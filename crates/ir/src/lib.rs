@@ -9,8 +9,9 @@
 //!   from. It dereferences to [`prio_graph::Dag`], so the whole pipeline
 //!   consumes `&Workflow` without knowing any concrete format;
 //! * [`Frontend`] — one importer/exporter pair per format
-//!   (`import(&str) -> Result<Workflow, PrioError>`,
-//!   `export(&Workflow, &Priorities) -> String`), collected in a
+//!   (`import(&str) -> Result<Workflow, PrioError>`, and
+//!   `export_to(&Workflow, &Priorities, &mut dyn io::Write)`, which
+//!   streams through one fixed [`ChunkWriter`]), collected in a
 //!   [`FormatRegistry`] with auto-detection by file extension and content
 //!   sniff;
 //! * two frontends live here: the Makeflow/JSON-style graph format
@@ -25,12 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chunk;
 pub mod edges;
 pub mod error;
 pub mod frontend;
 pub mod json;
 pub mod workflow;
 
+pub use chunk::{ChunkWriter, EXPORT_CHUNK};
 pub use edges::EdgesFrontend;
 pub use error::{ImportError, PrioError, Stage};
 pub use frontend::{FormatRegistry, Frontend, ResolveError};

@@ -38,33 +38,49 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// Appends the JSON string literal for `s` (including the quotes) to
 /// `out`.
 pub fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    // Copy maximal runs of bytes that need no escaping in one push_str
-    // instead of pushing char by char — escapable bytes are all ASCII,
-    // so a run boundary never splits a UTF-8 scalar. Multi-KB payloads
-    // (the serve daemon's workflow texts) make per-char appends a real
-    // cost.
+    escaped_pieces(s, |piece| out.push_str(piece));
+}
+
+/// Calls `emit` with the JSON string literal for `s`, quotes included,
+/// piece by piece in order, so a writer with its own buffer escapes
+/// without an intermediate string.
+#[inline]
+pub fn escaped_pieces(s: &str, mut emit: impl FnMut(&str)) {
+    emit("\"");
+    // Emit maximal runs of bytes that need no escaping as one piece
+    // instead of char by char — escapable bytes are all ASCII, so a run
+    // boundary never splits a UTF-8 scalar. Multi-KB payloads (the serve
+    // daemon's workflow texts) make per-char appends a real cost.
     let bytes = s.as_bytes();
     let mut start = 0;
     while let Some(run) = scan::find_json_stop(&bytes[start..]) {
         let i = start + run;
-        out.push_str(&s[start..i]);
+        emit(&s[start..i]);
         start = i + 1;
         match bytes[i] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            0x08 => out.push_str("\\b"),
-            0x0C => out.push_str("\\f"),
+            b'"' => emit("\\\""),
+            b'\\' => emit("\\\\"),
+            b'\n' => emit("\\n"),
+            b'\r' => emit("\\r"),
+            b'\t' => emit("\\t"),
+            0x08 => emit("\\b"),
+            0x0C => emit("\\f"),
             other => {
-                let _ = write!(out, "\\u{:04x}", other as u32);
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(other >> 4)],
+                    HEX[usize::from(other & 0xF)],
+                ];
+                emit(std::str::from_utf8(&code).expect("ASCII escape"));
             }
         }
     }
-    out.push_str(&s[start..]);
-    out.push('"');
+    emit(&s[start..]);
+    emit("\"");
 }
 
 /// The JSON string literal for `s`.

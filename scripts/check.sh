@@ -210,6 +210,15 @@ allocs=$(grep '"path":"parse",' target/json-smoke/spans.jsonl \
 [ -n "$allocs" ] && [ "$allocs" -le 1000 ] \
   || { echo "check.sh: paper-size SDSS JSON parse made '$allocs' allocations, want at most 1000" >&2; exit 1; }
 echo "check.sh: paper-size SDSS JSON parse allocations ok ($allocs, at most 1000)"
+# The export streams into the output file through one 64 KiB chunk, so
+# the `write` span's heap peak is that chunk whatever the output's size
+# (4.66 MB here). Buffering the whole output again (a 5.4 MB peak)
+# breaks the bound.
+write_peak=$(grep '"path":"write",' target/json-smoke/spans.jsonl \
+  | sed -n 's/.*"peak_bytes":\([0-9]*\).*/\1/p')
+[ -n "$write_peak" ] && [ "$write_peak" -le 262144 ] \
+  || { echo "check.sh: paper-size SDSS JSON write span peaked at '$write_peak' bytes, want at most 262144" >&2; exit 1; }
+echo "check.sh: paper-size SDSS JSON write peak ok ($write_peak bytes, at most 262144)"
 # Scaled Inspiral smoke: `prio generate inspiral --scale 8` and
 # `--workload inspiral --scale 8` must build the same dag (one scale
 # path), so their schedules must be identical. `prio run` on the file

@@ -62,7 +62,7 @@ pub use prio_stats as stats;
 pub use prio_workloads as workloads;
 
 use prio_core::PrioContext;
-use prio_dagman::pipeline::{prioritize_file, FileOptions};
+use prio_dagman::pipeline::{parse_file, FileOptions};
 use prio_dagman::DagmanFrontend;
 use prio_ir::Workflow;
 
@@ -86,23 +86,20 @@ pub struct PrioritizedDagman {
 /// [`prio_core::PrioError::Parse`], pipeline bugs as
 /// [`prio_core::PrioError::InternalInvariant`].
 pub fn prioritize_dagman_text(text: &str) -> Result<PrioritizedDagman, prio_core::PrioError> {
-    let out = prioritize_file(
-        &DagmanFrontend,
-        text,
-        &FileOptions::default(),
-        &mut PrioContext::new(),
-    )?;
+    let out = parse_file(&DagmanFrontend, text.to_string())?
+        .prioritize(&FileOptions::default(), &mut PrioContext::new())?;
+    let dag = out.dag().clone();
     let schedule_names = out
         .result
         .schedule
         .order()
         .iter()
-        .map(|&u| out.dag.label(u).to_string())
+        .map(|&u| dag.label(u).to_string())
         .collect();
     Ok(PrioritizedDagman {
-        instrumented: out.text,
+        instrumented: out.render(),
         schedule_names,
-        dag: out.dag,
+        dag,
         result: out.result,
     })
 }
