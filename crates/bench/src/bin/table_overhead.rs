@@ -11,7 +11,7 @@
 use prio_bench::report::{fmt_bytes, fmt_duration, Table};
 use prio_core::prio::prioritize;
 use prio_obs::mem::{peak_since, reset_peak, CountingAllocator};
-use prio_obs::span;
+use prio_obs::{span, Stage};
 use prio_workloads::paper_suite;
 use std::time::Duration;
 
@@ -26,24 +26,20 @@ const PAPER: [(&str, &str, &str); 4] = [
     ("SDSS", "845 s", "1.3 GB"),
 ];
 
-/// The phase spans broken out as columns — the stage vocabulary shared by
-/// the span registry and the error taxonomy, recorded at their
-/// implementation sites inside prio-graph and prio-core.
-const PHASES: [&str; 5] = [
-    prio_obs::stage::REDUCE,
-    prio_obs::stage::DECOMPOSE,
-    prio_obs::stage::SCHEDULE,
-    prio_obs::stage::COMBINE,
-    prio_obs::stage::EMIT,
+/// The phase spans broken out as columns — the [`Stage`]s that spans and
+/// the error taxonomy share, recorded at their implementation sites
+/// inside prio-graph and prio-core.
+const PHASES: [Stage; 5] = [
+    Stage::Reduce,
+    Stage::Decompose,
+    Stage::Schedule,
+    Stage::Combine,
+    Stage::Emit,
 ];
-
-fn phase_total(path: &str) -> Duration {
-    span::stat_of(path).map(|s| s.total).unwrap_or_default()
-}
 
 fn main() {
     let mut headers = vec!["dag", "jobs", "time (ours)"];
-    headers.extend(PHASES);
+    headers.extend(PHASES.map(Stage::name));
     headers.extend(["peak mem (ours)", "time (paper, P4/MSVC)", "mem (paper)"]);
     let mut t = Table::new(&headers);
     for (i, w) in paper_suite().into_iter().enumerate() {
@@ -57,7 +53,7 @@ fn main() {
         prio_obs::reset();
         let baseline = reset_peak();
         let total = {
-            let guard = span::span("prioritize");
+            let guard = span::span(Stage::Prioritize);
             let result = prioritize(w.dag()).unwrap();
             assert!(result.schedule.is_valid_for(w.dag()));
             guard.elapsed()
@@ -70,11 +66,13 @@ fn main() {
             w.dag().num_nodes().to_string(),
             fmt_duration(total),
         ];
-        row.extend(
-            PHASES
-                .iter()
-                .map(|p| fmt_duration(phase_total(&format!("prioritize/{p}")))),
-        );
+        // Each phase's time under `prioritize/<phase>`.
+        let spans = span::snapshot();
+        row.extend(PHASES.map(|p| {
+            let path = format!("{}/{p}", Stage::Prioritize);
+            let r = spans.iter().find(|r| r.path == path);
+            fmt_duration(r.map_or(Duration::ZERO, |r| r.stat.total))
+        }));
         row.extend([fmt_bytes(peak), ptime.to_string(), pmem.to_string()]);
         t.row(row);
     }

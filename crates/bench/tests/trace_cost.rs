@@ -11,6 +11,9 @@
 //! the process turns that promise into exact, machine-independent
 //! numbers.
 //!
+//! Span records make the same promise: after a warm-up, opening and
+//! closing a span allocates nothing.
+//!
 //! One `#[test]` only: [`ALLOC_COUNT`] is process-wide, so a second test
 //! running concurrently would pollute the counts.
 
@@ -18,7 +21,7 @@ use prio_bench::scaling::montage_tier;
 use prio_core::prio::prioritize;
 use prio_graph::Dag;
 use prio_obs::mem::{CountingAllocator, ALLOC_COUNT};
-use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
+use prio_obs::{span, JobSampler, JsonlSink, Stage, DEFAULT_RING_CAPACITY};
 use prio_sim::engine::{simulate, simulate_streamed};
 use prio_sim::model::GridModel;
 use prio_sim::trace_json::{event_pipeline, StreamingTraceWriter};
@@ -39,6 +42,9 @@ const TRACE_CONSTANT: u64 = 64;
 
 /// Sampling modulus of the sampled run (1 job in 1000 keeps its events).
 const SAMPLE: u64 = 1_000;
+
+/// Nested span pairs opened and closed in the span check.
+const SPAN_PAIRS: usize = 10_000;
 
 /// Allocations made while `f` runs, on any thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -111,5 +117,20 @@ fn tracing_allocates_a_constant_not_per_event() {
     assert_eq!(
         full_rate_added[0], full_rate_added[1],
         "a full-rate trace adds the same allocations at 2k and 10k jobs"
+    );
+
+    // The open path is a thread-local word and a close adds into a fixed
+    // store; only a path's first close allocates (its histogram).
+    let nested_spans = || {
+        for _ in 0..SPAN_PAIRS {
+            let _outer = span(Stage::Schedule);
+            let _inner = span(Stage::Combine);
+        }
+    };
+    nested_spans();
+    let (span_allocations, ()) = allocations(nested_spans);
+    assert_eq!(
+        span_allocations, 0,
+        "{SPAN_PAIRS} nested span pairs allocated after warm-up"
     );
 }

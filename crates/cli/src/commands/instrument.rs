@@ -122,11 +122,14 @@ const MISSING_NAMED: usize = 3;
 
 /// Adds `priority = $(jobpriority)` to each submit file found under
 /// `dir`; missing ones are skipped and summarized in one note (their
-/// count and the first [`MISSING_NAMED`] paths).
+/// count and the first [`MISSING_NAMED`] paths). Recorded as the `apply`
+/// stage when there is any file to look for.
 pub(crate) fn instrument_submit_files<'a>(
     dir: &Path,
     files: impl IntoIterator<Item = &'a str>,
 ) -> Result<(), CliError> {
+    let mut files = files.into_iter().peekable();
+    let _span = files.peek().map(|_| prio_obs::span(prio_obs::Stage::Apply));
     let mut missing: Vec<PathBuf> = Vec::new();
     let mut missing_count = 0usize;
     for submit in files {

@@ -720,3 +720,37 @@ fn trace_readers_reject_malformed_and_old_schema_records() {
         }
     }
 }
+
+/// The `span` record of `path` in a `--trace-out` file, if any.
+fn span_record<'a>(trace: &'a str, path: &str) -> Option<&'a str> {
+    let key = format!("\"type\":\"span\",\"v\":3,\"path\":\"{path}\",");
+    trace.lines().find(|l| l.contains(&key))
+}
+
+#[test]
+fn dagman_run_records_apply_apart_from_write() {
+    let dir = tempdir("apply-span");
+    std::fs::write(dir.join("IV.dag"), FIG3).unwrap();
+    std::fs::write(dir.join("c.submit"), "universe = vanilla\nqueue\n").unwrap();
+    let out = prio(&["run", "IV.dag", "--trace-out", "t.jsonl"], &dir);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
+    // Priorities into the file and its submit files are `apply`; only
+    // the output text is `write`.
+    assert!(span_record(&trace, "apply").is_some(), "{trace}");
+    let write = span_record(&trace, "write").unwrap_or_else(|| panic!("{trace}"));
+    assert!(write.contains("\"count\":1,"), "{write}");
+
+    // A JSON workflow has nothing to apply.
+    let json = prio(&["convert", "IV.dag", "IV.json", "--to", "json"], &dir);
+    assert!(json.status.success());
+    let out = prio(&["run", "IV.json", "--trace-out", "j.jsonl"], &dir);
+    assert!(out.status.success());
+    let trace = std::fs::read_to_string(dir.join("j.jsonl")).unwrap();
+    assert!(span_record(&trace, "apply").is_none(), "{trace}");
+    assert!(span_record(&trace, "write").is_some(), "{trace}");
+}

@@ -85,7 +85,7 @@ pub(crate) fn combine_in<P: AsRef<[usize]>>(
         profiles.len(),
         "one profile per supernode"
     );
-    let _span = prio_obs::span(prio_obs::stage::COMBINE);
+    let _span = prio_obs::span(prio_obs::Stage::Combine);
     match engine {
         CombineEngine::Naive => combine_naive(superdag, profiles),
         CombineEngine::ClassHeap => combine_class_heap(superdag, profiles, scratch),
@@ -238,9 +238,9 @@ fn combine_class_heap<P: AsRef<[usize]>>(
         }
     }
     debug_assert_eq!(order.len(), n, "superdag is acyclic");
-    prio_obs::counter("core.combine.profile_classes").add(num_classes as u64);
-    prio_obs::counter("core.combine.priority_cache_hits").add(cache.hits as u64);
-    prio_obs::counter("core.combine.priority_cache_misses").add(cache.misses as u64);
+    prio_obs::counter!("core.combine.profile_classes").add(num_classes as u64);
+    prio_obs::counter!("core.combine.priority_cache_hits").add(cache.hits as u64);
+    prio_obs::counter!("core.combine.priority_cache_misses").add(cache.misses as u64);
     order
 }
 

@@ -229,17 +229,17 @@ pub(crate) fn decompose_into(
     parts: &mut Parts,
     comp_removed: &mut Vec<u32>,
 ) -> (Dag, PeelWork) {
-    let _span = prio_obs::span(prio_obs::stage::DECOMPOSE);
+    let _span = prio_obs::span(prio_obs::Stage::Decompose);
     parts.clear();
     let work = peel(g, opts, arena, parts, comp_removed);
     let superdag = build_superdag(g, parts, comp_removed, arena);
     materialize(g, parts);
 
-    prio_obs::counter("core.decompose.components_detached").add(parts.len() as u64);
-    prio_obs::counter("core.decompose.general_search_iterations")
+    prio_obs::counter!("core.decompose.components_detached").add(parts.len() as u64);
+    prio_obs::counter!("core.decompose.general_search_iterations")
         .add(work.general_search_iterations as u64);
-    prio_obs::counter("core.decompose.block_parent_visits").add(work.block_parent_visits as u64);
-    prio_obs::counter("core.decompose.closure_visits").add(work.closure_visits as u64);
+    prio_obs::counter!("core.decompose.block_parent_visits").add(work.block_parent_visits as u64);
+    prio_obs::counter!("core.decompose.closure_visits").add(work.closure_visits as u64);
     (superdag, work)
 }
 
@@ -270,7 +270,7 @@ fn peel(
     parts: &mut Parts,
     comp_removed: &mut Vec<u32>,
 ) -> PeelWork {
-    let _span = prio_obs::span("decompose.peel");
+    let _span = prio_obs::span(prio_obs::Stage::DecomposePeel);
     let n = g.num_nodes();
     let mut alive = arena.take_bools();
     alive.resize(n, true);
@@ -442,7 +442,7 @@ fn peel(
             // minimal closures are equal or disjoint, so the smallest one
             // is minimal).
             work.general_search_iterations += 1;
-            let _span = prio_obs::span("decompose.general_search");
+            let _span = prio_obs::span(prio_obs::Stage::DecomposeGeneralSearch);
             let remnant = Remnant {
                 g,
                 alive: &alive,
@@ -561,7 +561,7 @@ fn peel(
 /// Induces each part's local adjacency into the flat store and classifies
 /// bipartiteness — the per-part work the peel loop deferred.
 fn materialize(g: &Dag, parts: &mut Parts) {
-    let _span = prio_obs::span("decompose.materialize");
+    let _span = prio_obs::span(prio_obs::Stage::DecomposeMaterialize);
     let mut scratch = SubgraphScratch::new();
     for i in 0..parts.len() {
         let slots = range(&parts.node_bounds, i);
@@ -585,7 +585,7 @@ fn materialize(g: &Dag, parts: &mut Parts) {
 /// re-check is skipped too. Supernodes need no names: their labels are
 /// all empty.
 fn build_superdag(g: &Dag, parts: &Parts, comp_removed: &[u32], arena: &mut ScratchArena) -> Dag {
-    let _span = prio_obs::span("decompose.superdag");
+    let _span = prio_obs::span(prio_obs::Stage::DecomposeSuperdag);
     let k = parts.len();
     let mut arcs = arena.take_arcs();
     let mut seen = arena.take_u32s();

@@ -126,7 +126,7 @@ impl Prioritizer {
         // the reduced dag are schedules on the original. When there is
         // nothing to remove, the input dag is used as-is (no clone).
         shortcut_arcs_into(dag, &mut ctx.graph, &mut ctx.shortcuts);
-        prio_obs::counter("graph.reduce.shortcut_arcs_removed").add(ctx.shortcuts.len() as u64);
+        prio_obs::counter!("graph.reduce.shortcut_arcs_removed").add(ctx.shortcuts.len() as u64);
         let reduced_storage;
         let reduced: &Dag = if ctx.shortcuts.is_empty() {
             dag
@@ -164,7 +164,7 @@ impl Prioritizer {
         // Emit: non-sinks per component in greedy order, then every sink of
         // G in index order (the paper executes sinks "in arbitrary order";
         // index order matches the Fig. 3 output and is deterministic).
-        let emit_span = prio_obs::span(prio_obs::stage::EMIT);
+        let emit_span = prio_obs::span(prio_obs::Stage::Emit);
         let mut order: Vec<NodeId> = Vec::with_capacity(dag.num_nodes());
         for &ci in &component_order {
             order.extend_from_slice(components.order(ci));
@@ -206,7 +206,7 @@ impl Prioritizer {
         kernel: &mut ScheduleScratch,
         stats: &mut PrioStats,
     ) -> Components {
-        let _span = prio_obs::span(prio_obs::stage::SCHEDULE);
+        let _span = prio_obs::span(prio_obs::Stage::Schedule);
         let limit = self.opts.optimal_search_limit;
         // Every non-sink of `reduced` is scheduled by exactly one part.
         let nonsinks = reduced.node_ids().filter(|&u| !reduced.is_sink(u)).count();

@@ -145,15 +145,10 @@ impl DagmanFile {
         self.nodes.iter().map(|n| self.name(n.name)).collect()
     }
 
-    /// Builds a DAGMan file from a dag: one `JOB` per node (submit file
-    /// `<label>.submit`) and one `PARENT … CHILD` per node with children.
-    pub fn from_dag(dag: &Dag) -> DagmanFile {
-        Self::from_dag_with(dag, |label| format!("{label}.submit"))
-    }
-
-    /// [`DagmanFile::from_dag`] with a caller-chosen submit-file name per
-    /// job label. The text and its index are built together; parsing the
-    /// text gives the same file.
+    /// Builds a DAGMan file from a dag: one `JOB` per node, with the
+    /// submit file the caller names for its label, and one `PARENT …
+    /// CHILD` per node with children. The text and its index are built
+    /// together; parsing the text gives the same file.
     pub fn from_dag_with(dag: &Dag, submit_file_for: impl Fn(&str) -> String) -> DagmanFile {
         let parents = dag.node_ids().filter(|&u| dag.out_degree(u) > 0).count();
         let mut file = DagmanFile::with_capacity(dag.num_nodes() + parents);
@@ -448,7 +443,7 @@ mod tests {
     #[test]
     fn from_dag_writes_one_job_and_one_parent_line_per_node() {
         let dag = parse_dagman(FIG3).unwrap().to_dag().unwrap();
-        let f = DagmanFile::from_dag(&dag);
+        let f = DagmanFile::from_dag_with(&dag, |label| format!("{label}.submit"));
         assert_eq!(f.to_dag().unwrap(), dag);
         assert_eq!(
             crate::write::write_dagman(&f),

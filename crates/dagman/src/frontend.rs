@@ -94,9 +94,9 @@ fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, DagmanError> {
         }
     }
     wf.set_priorities(priorities);
-    prio_obs::counter("dagman.parse.files").add(1);
-    prio_obs::counter("dagman.parse.jobs").add(wf.num_jobs() as u64);
-    prio_obs::counter("dagman.parse.arcs").add(wf.num_arcs() as u64);
+    prio_obs::counter!("dagman.parse.files").add(1);
+    prio_obs::counter!("dagman.parse.jobs").add(wf.num_jobs() as u64);
+    prio_obs::counter!("dagman.parse.arcs").add(wf.num_arcs() as u64);
     Ok(wf)
 }
 
@@ -201,7 +201,7 @@ impl Frontend for DagmanFrontend {
         priorities: &Priorities,
         out: &mut dyn io::Write,
     ) -> io::Result<()> {
-        let _span = prio_obs::span(prio_obs::stage::WRITE);
+        let _span = prio_obs::span(prio_obs::Stage::Write);
         let mut w = ChunkWriter::new(out);
         export_text(workflow, priorities, &mut w);
         w.finish()

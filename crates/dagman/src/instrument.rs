@@ -68,7 +68,7 @@ pub(crate) fn instrument_nodes(
     by_node: &[Option<u32>],
     mode: InstrumentMode,
 ) -> Result<(), DagmanError> {
-    let _span = prio_obs::span(prio_obs::stage::WRITE);
+    let _span = prio_obs::span(prio_obs::Stage::Apply);
     if let Some(u) = by_node.iter().position(Option::is_none) {
         let node = file.nodes[u];
         return Err(DagmanError::UnknownJob {
@@ -134,8 +134,8 @@ pub(crate) fn instrument_nodes(
         }
         inserted += 1;
     }
-    prio_obs::counter("dagman.instrument.statements_updated").add(updated);
-    prio_obs::counter("dagman.instrument.statements_inserted").add(inserted);
+    prio_obs::counter!("dagman.instrument.statements_updated").add(updated);
+    prio_obs::counter!("dagman.instrument.statements_inserted").add(inserted);
     Ok(())
 }
 

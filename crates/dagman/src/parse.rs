@@ -24,7 +24,7 @@ pub fn parse_dagman_owned(text: String) -> Result<DagmanFile, DagmanError> {
 }
 
 fn parse_text<T: AsRef<str> + Into<String>>(owned: T) -> Result<DagmanFile, DagmanError> {
-    let _span = prio_obs::span(prio_obs::stage::PARSE);
+    let _span = prio_obs::span(prio_obs::Stage::Parse);
     let text = owned.as_ref();
     if text.len() >= u32::MAX as usize {
         return Err(malformed(0, "file exceeds 4 GiB"));

@@ -17,7 +17,7 @@ use std::io;
 /// Serializes the file, one statement per line, ending with a newline
 /// for non-empty files, into `out` one chunk at a time.
 pub fn write_dagman_to(file: &DagmanFile, out: &mut dyn io::Write) -> io::Result<()> {
-    let _span = prio_obs::span(prio_obs::stage::WRITE);
+    let _span = prio_obs::span(prio_obs::Stage::Write);
     let mut w = ChunkWriter::new(out);
     for line in &file.lines {
         render(file, line, &mut w);

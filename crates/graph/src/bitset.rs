@@ -93,33 +93,6 @@ impl FixedBitSet {
         }
     }
 
-    /// In-place intersection: `self &= other`. Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &FixedBitSet) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "capacity mismatch in intersect"
-        );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
-    /// Whether `self` and `other` share no element.
-    pub fn is_disjoint(&self, other: &FixedBitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & b == 0)
-    }
-
-    /// Whether every element of `self` is in `other`.
-    pub fn is_subset(&self, other: &FixedBitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Iterates over the contained indices in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
@@ -183,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_merges_both_sets() {
         let mut a = FixedBitSet::new(100);
         let mut b = FixedBitSet::new(100);
         a.insert(1);
@@ -193,11 +166,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 50, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![50]);
-        assert!(!a.is_disjoint(&b));
-        assert!(i.is_subset(&a) && i.is_subset(&b));
     }
 
     #[test]

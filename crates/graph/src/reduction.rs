@@ -39,7 +39,7 @@ pub fn shortcut_arcs(dag: &Dag) -> Vec<(NodeId, NodeId)> {
 /// the rank table, visited marks and DFS worklist from `scratch`, so a
 /// caller prioritizing many dags performs no per-call allocations here.
 pub fn shortcut_arcs_into(dag: &Dag, scratch: &mut GraphScratch, out: &mut Vec<(NodeId, NodeId)>) {
-    let _span = prio_obs::span(prio_obs::stage::REDUCE);
+    let _span = prio_obs::span(prio_obs::Stage::Reduce);
     let n = dag.num_nodes();
     out.clear();
     // Rank table and traversal state all live in the scratch.
@@ -126,7 +126,7 @@ pub fn shortcut_arcs_via_closure(dag: &Dag) -> Vec<(NodeId, NodeId)> {
 /// at least one other incident arc by definition).
 pub fn transitive_reduction(dag: &Dag) -> Dag {
     let shortcuts = shortcut_arcs(dag);
-    prio_obs::counter("graph.reduce.shortcut_arcs_removed").add(shortcuts.len() as u64);
+    prio_obs::counter!("graph.reduce.shortcut_arcs_removed").add(shortcuts.len() as u64);
     remove_arcs(dag, &shortcuts)
 }
 

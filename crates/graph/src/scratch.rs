@@ -143,11 +143,11 @@ macro_rules! arena_pool {
             match self.$field.pop() {
                 Some(mut v) => {
                     v.clear();
-                    prio_obs::counter("graph.arena.vecs_reused").add(1);
+                    prio_obs::counter!("graph.arena.vecs_reused").add(1);
                     v
                 }
                 None => {
-                    prio_obs::counter("graph.arena.vecs_allocated").add(1);
+                    prio_obs::counter!("graph.arena.vecs_allocated").add(1);
                     Vec::new()
                 }
             }

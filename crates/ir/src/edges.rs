@@ -97,7 +97,7 @@ impl Frontend for EdgesFrontend {
     }
 
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
-        let _span = prio_obs::span(prio_obs::stage::PARSE);
+        let _span = prio_obs::span(prio_obs::Stage::Parse);
         // A record names at most two jobs, and the names are read from the
         // text: both bound what the builder holds.
         let records = scan::count_lines(text);
@@ -148,9 +148,9 @@ impl Frontend for EdgesFrontend {
             }
         }
         let wf = b.build()?;
-        prio_obs::counter("edges.parse.files").add(1);
-        prio_obs::counter("edges.parse.jobs").add(wf.num_jobs() as u64);
-        prio_obs::counter("edges.parse.arcs").add(wf.num_arcs() as u64);
+        prio_obs::counter!("edges.parse.files").add(1);
+        prio_obs::counter!("edges.parse.jobs").add(wf.num_jobs() as u64);
+        prio_obs::counter!("edges.parse.arcs").add(wf.num_arcs() as u64);
         Ok(wf)
     }
 
@@ -160,7 +160,7 @@ impl Frontend for EdgesFrontend {
         priorities: &Priorities,
         out: &mut dyn io::Write,
     ) -> io::Result<()> {
-        let _span = prio_obs::span(prio_obs::stage::WRITE);
+        let _span = prio_obs::span(prio_obs::Stage::Write);
         let mut w = ChunkWriter::new(out);
         w.str("# prio workflow edge list: node | parent\tchild | @priority\tjob\tvalue\n");
         for u in workflow.node_ids() {

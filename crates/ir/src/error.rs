@@ -19,52 +19,19 @@
 //!   arc when one is known, so a long-running service loses one request,
 //!   not the process.
 //!
-//! Stage names are shared with the observability spans
-//! ([`prio_obs::stage`]), keeping error messages, `--timings` footers and
-//! the §3.6 overhead table vocabulary identical.
+//! The stage type is the observability spans' [`prio_obs::Stage`],
+//! keeping error messages, `--timings` footers and the §3.6 overhead
+//! table vocabulary identical.
 
 use crate::workflow::FormatId;
 use prio_graph::{GraphError, NodeId};
 use std::fmt;
 
-/// The pipeline stage an error originated in. Display equals the span
-/// name recorded by that stage ([`prio_obs::stage`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Workflow input-file parsing (any frontend).
-    Parse,
-    /// Shortcut removal (transitive reduction).
-    Reduce,
-    /// Decomposition into components plus the superdag.
-    Decompose,
-    /// Per-component scheduling.
-    Schedule,
-    /// Greedy component ordering.
-    Combine,
-    /// Emission and validation of the global job order.
-    Emit,
-}
-
-impl Stage {
-    /// The canonical stage name — identical to the span path segment the
-    /// stage records ([`prio_obs::stage`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Parse => prio_obs::stage::PARSE,
-            Stage::Reduce => prio_obs::stage::REDUCE,
-            Stage::Decompose => prio_obs::stage::DECOMPOSE,
-            Stage::Schedule => prio_obs::stage::SCHEDULE,
-            Stage::Combine => prio_obs::stage::COMBINE,
-            Stage::Emit => prio_obs::stage::EMIT,
-        }
-    }
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The pipeline stage an error originated in: the span vocabulary's
+/// [`prio_obs::Stage`], so an error renders with the name its stage's
+/// span records under. Errors come from the six pipeline stages, parse
+/// through emit.
+pub use prio_obs::Stage;
 
 /// A parse failure reported by one frontend, with format provenance.
 ///
@@ -222,7 +189,6 @@ mod tests {
         ] {
             assert_eq!(stage.name(), name);
             assert_eq!(stage.to_string(), name);
-            assert!(prio_obs::stage::PIPELINE.contains(&stage.name()));
         }
     }
 

@@ -75,16 +75,6 @@ impl FormatRegistry {
         FormatRegistry::default()
     }
 
-    /// The registry of frontends defined by this crate (JSON and
-    /// edge-list). The DAGMan frontend lives in `prio-dagman`; its
-    /// `registry()` helper assembles the full set.
-    pub fn with_builtins() -> FormatRegistry {
-        let mut r = FormatRegistry::new();
-        r.register(Box::new(crate::json::JsonFrontend));
-        r.register(Box::new(crate::edges::EdgesFrontend));
-        r
-    }
-
     /// Adds a frontend. Detection order follows registration order.
     pub fn register(&mut self, frontend: Box<dyn Frontend>) {
         self.frontends.push(frontend);
@@ -185,9 +175,18 @@ fn extension_of(path: &str) -> Option<&str> {
 mod tests {
     use super::*;
 
+    /// The frontends this crate defines (JSON and edge-list); the DAGMan
+    /// frontend lives upstream.
+    fn builtins() -> FormatRegistry {
+        let mut r = FormatRegistry::new();
+        r.register(Box::new(crate::json::JsonFrontend));
+        r.register(Box::new(crate::edges::EdgesFrontend));
+        r
+    }
+
     #[test]
     fn builtin_registry_detects_by_extension_and_sniff() {
-        let r = FormatRegistry::with_builtins();
+        let r = builtins();
         assert_eq!(r.get(FormatId::Json).map(|f| f.id()), Some(FormatId::Json));
         assert!(r.get(FormatId::Dagman).is_none(), "dagman lives upstream");
         assert_eq!(r.by_name("edges").map(|f| f.id()), Some(FormatId::Edges));
@@ -213,7 +212,7 @@ mod tests {
 
     #[test]
     fn resolve_honours_names_and_detects_on_auto() {
-        let r = FormatRegistry::with_builtins();
+        let r = builtins();
         let id = |res: Result<&dyn Frontend, ResolveError>| res.map(|f| f.id());
         assert_eq!(
             id(r.resolve(Some("JSON"), None, "a\tb\n")),

@@ -288,7 +288,7 @@ impl Frontend for JsonFrontend {
     /// `"arcs"` values start; pass 2 reads those values in place, feeding
     /// names borrowed from `text` to the builder.
     fn import(&self, text: &str) -> Result<Workflow, PrioError> {
-        let _span = prio_obs::span(prio_obs::stage::PARSE);
+        let _span = prio_obs::span(prio_obs::Stage::Parse);
         let layout = layout(text)
             .map_err(err)?
             .ok_or_else(|| err("top level must be an object"))?;
@@ -319,9 +319,9 @@ impl Frontend for JsonFrontend {
             read_arcs(&mut Reader::at(text, arcs.pos), &mut b).map_err(err)?;
         }
         let wf = b.build()?;
-        prio_obs::counter("json.parse.files").add(1);
-        prio_obs::counter("json.parse.jobs").add(wf.num_jobs() as u64);
-        prio_obs::counter("json.parse.arcs").add(wf.num_arcs() as u64);
+        prio_obs::counter!("json.parse.files").add(1);
+        prio_obs::counter!("json.parse.jobs").add(wf.num_jobs() as u64);
+        prio_obs::counter!("json.parse.arcs").add(wf.num_arcs() as u64);
         Ok(wf)
     }
 
@@ -331,7 +331,7 @@ impl Frontend for JsonFrontend {
         priorities: &Priorities,
         out: &mut dyn io::Write,
     ) -> io::Result<()> {
-        let _span = prio_obs::span(prio_obs::stage::WRITE);
+        let _span = prio_obs::span(prio_obs::Stage::Write);
         let name = |u| workflow.job_name(u);
         let mut w = ChunkWriter::new(out);
         w.str("{\n  \"format\": ");

@@ -156,8 +156,8 @@ impl Workflow {
     /// priorities or metadata yet, and records the
     /// `ir.import.{jobs,arcs}` counters.
     pub fn imported(dag: Dag, source: FormatId) -> Workflow {
-        prio_obs::counter("ir.import.jobs").add(dag.num_nodes() as u64);
-        prio_obs::counter("ir.import.arcs").add(dag.num_arcs() as u64);
+        prio_obs::counter!("ir.import.jobs").add(dag.num_nodes() as u64);
+        prio_obs::counter!("ir.import.arcs").add(dag.num_arcs() as u64);
         Workflow {
             source,
             ..Workflow::synthetic(dag)
@@ -445,11 +445,11 @@ mod tests {
 
     #[test]
     fn import_counters_accumulate() {
-        let jobs = prio_obs::counter("ir.import.jobs").get();
-        let arcs = prio_obs::counter("ir.import.arcs").get();
+        let jobs = prio_obs::counter!("ir.import.jobs").get();
+        let arcs = prio_obs::counter!("ir.import.arcs").get();
         let _ = fig3();
-        assert!(prio_obs::counter("ir.import.jobs").get() >= jobs + 5);
-        assert!(prio_obs::counter("ir.import.arcs").get() >= arcs + 3);
+        assert!(prio_obs::counter!("ir.import.jobs").get() >= jobs + 5);
+        assert!(prio_obs::counter!("ir.import.arcs").get() >= arcs + 3);
     }
 
     #[test]

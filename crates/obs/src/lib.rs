@@ -7,15 +7,15 @@
 //! measurement needs, with `std` only (atomics, [`std::time::Instant`], a
 //! hand-rolled JSON writer):
 //!
-//! * **[`span`]s** — RAII guards timing named scopes. Nesting composes
-//!   paths (`decompose` inside `prio` records as `prio/decompose`), and
-//!   every completed span feeds a thread-safe registry of per-path
-//!   count / total / max statistics.
+//! * **[`span`]s** — RAII guards timing the tool's [`Stage`]s, the one
+//!   enum of stage names. Nesting composes paths (`decompose` inside
+//!   `prioritize` records as `prioritize/decompose`), and every completed
+//!   span adds into a fixed, lock-free store of per-path statistics.
 //! * **[`metrics`]** — named atomic [`metrics::Counter`]s,
 //!   high-water-mark [`metrics::Gauge`]s, and log-bucketed
 //!   [`hist::Histogram`]s recording hot-path facts (shortcut arcs
-//!   removed, profile-interner hit ratio, simulator events processed,
-//!   per-job latencies, …).
+//!   removed, simulator events processed, per-job latencies, …), reached
+//!   through the [`counter!`], [`gauge!`] and [`histogram!`] macros.
 //! * **[`sink`]** — a structured JSONL event sink serializing span,
 //!   counter, and histogram snapshots (and, via `prio-sim`, the
 //!   simulator's trace and telemetry events) to a file or stderr;
@@ -69,11 +69,12 @@ pub mod timeseries;
 
 pub use config::{init_from_env, set_verbosity, verbosity, Level};
 pub use hist::{Histogram, HistogramSnapshot, HistogramSummary};
-pub use metrics::{counter, gauge, histogram, Counter, Gauge};
+pub use metrics::{Counter, Gauge};
 pub use pipeline::{PipelineStats, TracePipeline, DEFAULT_RING_CAPACITY};
 pub use sample::JobSampler;
 pub use sink::JsonlSink;
 pub use span::{span, SpanGuard};
+pub use stage::Stage;
 pub use timeseries::{TimeSeries, TimeSeriesDigest};
 
 /// Clears all recorded spans and zeroes all counters and gauges, so a

@@ -4,55 +4,70 @@
 //! Names are `&'static str` dot-paths of exactly three segments,
 //! `crate.subsystem.metric` (`sim.engine.events_processed`,
 //! `core.combine.priority_cache_hits`); each segment is lowercase
-//! `[a-z0-9_]+`. [`name_follows_convention`] checks the convention and a
-//! unit test enforces it over the registry. The first use of a name
-//! allocates the metric, later uses return the same `&'static` handle,
-//! so hot paths can look a metric up once and then touch only an atomic.
+//! `[a-z0-9_]+`. Product code reaches a metric through the
+//! [`counter!`](crate::counter!), [`gauge!`](crate::gauge!) and
+//! [`histogram!`](crate::histogram!) macros, which check the name against
+//! [`name_follows_convention`] at compile time and hold the metric's
+//! `&'static` handle in a per-call-site static: the registry's lock is
+//! taken once per call site, and every later use touches only atomics.
+//! The registry itself serves registration and snapshots.
 
 use crate::hist::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Stripes per counter. A power of two a little above typical worker
-/// counts: parallel Step 3 and concurrent simulator replicates run at
-/// most a few threads per core group, so 16 stripes keep the collision
-/// probability (two hot threads sharing a stripe) low while a snapshot
-/// still only sums 16 loads.
-const STRIPES: usize = 16;
-
-/// One stripe, padded to its own cache line (two lines on aarch64, where
-/// prefetch pairs lines) so concurrent writers on different stripes never
-/// ping-pong ownership of shared lines.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Stripe(AtomicU64);
-
-/// The calling thread's stripe index: assigned round-robin on first use,
-/// so up to [`STRIPES`] concurrent threads write disjoint cache lines.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-    }
-    STRIPE.with(|s| *s)
+/// The `&'static` [`Counter`] named by the literal `$name`, registered on
+/// this call site's first use and held after that. A name that breaks
+/// the `crate.subsystem.metric` convention fails the build.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {
+        $crate::metric_handle!($name, $crate::Counter, $crate::metrics::counter)
+    };
 }
 
-/// A monotonically increasing counter, striped across per-thread cache
-/// lines: writers touch only their own stripe's atomic, a snapshot sums
-/// all stripes. Increments are never lost; a `get` concurrent with
-/// writers sees some monotone intermediate total.
-#[derive(Debug, Default)]
-pub struct Counter {
-    stripes: [Stripe; STRIPES],
+/// [`counter!`] for a [`Gauge`](crate::Gauge).
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {
+        $crate::metric_handle!($name, $crate::Gauge, $crate::metrics::gauge)
+    };
 }
+
+/// [`counter!`] for a [`Histogram`](crate::Histogram).
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal) => {
+        $crate::metric_handle!($name, $crate::Histogram, $crate::metrics::histogram)
+    };
+}
+
+/// The body shared by [`counter!`], [`gauge!`] and [`histogram!`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! metric_handle {
+    ($name:literal, $kind:ty, $register:path) => {{
+        const {
+            assert!(
+                $crate::metrics::name_follows_convention($name),
+                concat!("metric name `", $name, "` is not crate.subsystem.metric")
+            )
+        };
+        static HANDLE: ::std::sync::OnceLock<&'static $kind> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $register($name))
+    }};
+}
+
+/// A monotonically increasing counter: one relaxed atomic. Increments
+/// are never lost.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds `n` to the calling thread's stripe.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.stripes[stripe_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -60,18 +75,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current value: the sum over all stripes.
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in &self.stripes {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -122,8 +132,9 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> 
     }
 }
 
-/// The counter named `name`, allocated on first use. Panics if `name` is
-/// already registered as another kind.
+/// The counter named `name`, allocated on first use; [`counter!`] calls
+/// it once per call site. Panics if `name` is already registered as
+/// another kind.
 pub fn counter(name: &'static str) -> &'static Counter {
     match registry()
         .entry(name)
@@ -216,26 +227,25 @@ pub fn histograms_snapshot() -> Vec<HistogramRecord> {
 /// Whether `name` follows the metric-naming convention: exactly three
 /// dot-separated segments (`crate.subsystem.metric`), each a non-empty
 /// run of lowercase `[a-z0-9_]`.
-pub fn name_follows_convention(name: &str) -> bool {
-    let mut segments = 0;
-    for seg in name.split('.') {
-        segments += 1;
-        if seg.is_empty()
-            || !seg
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        {
+pub const fn name_follows_convention(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    let (mut i, mut dots, mut segment_len) = (0, 0, 0);
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b == b'.' {
+            if segment_len == 0 {
+                return false;
+            }
+            dots += 1;
+            segment_len = 0;
+        } else if b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' {
+            segment_len += 1;
+        } else {
             return false;
         }
+        i += 1;
     }
-    segments == 3
-}
-
-/// Every registered metric name (counters, gauges, and histograms),
-/// sorted. Used by the naming-convention test and `prio report`'s
-/// diagnostics.
-pub fn registered_names() -> Vec<&'static str> {
-    registry().keys().copied().collect()
+    dots == 2 && segment_len > 0
 }
 
 /// Zeroes every registered counter, gauge, and histogram (names stay
@@ -262,9 +272,12 @@ mod tests {
         let a = counter("test.metrics.stable");
         let b = counter("test.metrics.stable");
         assert!(std::ptr::eq(a, b), "same name must yield the same handle");
+        assert!(std::ptr::eq(a, crate::counter!("test.metrics.stable")));
         a.inc();
         b.add(4);
         assert_eq!(a.get(), 5);
+        a.reset();
+        assert_eq!(b.get(), 0);
     }
 
     #[test]
@@ -382,90 +395,6 @@ mod tests {
         ] {
             assert!(!name_follows_convention(bad), "{bad} should fail");
         }
-    }
-
-    #[test]
-    fn every_registered_metric_follows_the_convention() {
-        // The registry is process-global, so by the time this runs it
-        // holds whatever names other tests in this process registered —
-        // the point: *all* of them must follow `crate.subsystem.metric`.
-        let offenders: Vec<_> = registered_names()
-            .into_iter()
-            .filter(|n| !name_follows_convention(n))
-            .collect();
-        assert!(
-            offenders.is_empty(),
-            "metric names must be crate.subsystem.metric: {offenders:?}"
-        );
-    }
-
-    #[test]
-    fn striped_counter_hammer_snapshot_equals_sum_of_increments() {
-        // The sharded-counter contract: with many threads adding through
-        // disjoint stripes, the snapshot (sum over stripes) must equal
-        // the exact number of increments — nothing lost to striping.
-        const THREADS: u64 = 16;
-        const PER_THREAD: u64 = 20_000;
-        let c = counter("test.metrics.striped_hammer");
-        let before = c.get();
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    for _ in 0..PER_THREAD {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get() - before, THREADS * PER_THREAD);
-        // More than one stripe actually absorbed writes (16 threads over
-        // 16 round-robin stripes cannot all collide on one).
-        let touched = c
-            .stripes
-            .iter()
-            .filter(|s| s.0.load(Ordering::Relaxed) > 0)
-            .count();
-        assert!(touched > 1, "expected striping, all writes hit one stripe");
-    }
-
-    #[test]
-    fn striped_counter_snapshots_are_monotone_under_writers() {
-        // A reader concurrent with writers must see non-decreasing
-        // totals (each stripe is monotone, and the sum of monotone
-        // sequences read in any interleaving stays monotone).
-        let c = counter("test.metrics.striped_monotone");
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..50_000 {
-                        c.inc();
-                    }
-                });
-            }
-            scope.spawn(|| {
-                let mut last = 0;
-                for _ in 0..1_000 {
-                    let now = c.get();
-                    assert!(now >= last, "snapshot went backwards: {now} < {last}");
-                    last = now;
-                }
-            });
-        });
-        assert_eq!(c.get(), 200_000);
-    }
-
-    #[test]
-    fn striped_counter_reset_zeroes_every_stripe() {
-        let c = counter("test.metrics.striped_reset");
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| c.add(3));
-            }
-        });
-        assert_eq!(c.get(), 24);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert!(c.stripes.iter().all(|s| s.0.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Renders the phase-timing footer from the current span registry:
+/// Renders the phase-timing footer from the current span store:
 /// one line per span path, indented by nesting depth, with count, total,
 /// and max. Returns an empty string when nothing was recorded.
 pub fn phase_timing_footer() -> String {
@@ -111,23 +111,28 @@ pub fn print_footer(force_timings: bool) {
 mod tests {
     use super::*;
 
+    use crate::{span, Stage};
+
+    // The span store is process-global: these tests use stages whose
+    // names no other test in this crate records.
+    fn line_of(footer: &str, stage: Stage) -> &str {
+        footer
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{stage} ")))
+            .unwrap_or_else(|| panic!("no {stage} line in {footer}"))
+    }
+
     #[test]
     fn footer_lists_phases_with_nesting() {
-        crate::span::time("test_report_outer", || {
-            crate::span::time("test_report_inner", || {
-                std::thread::sleep(Duration::from_millis(1));
-            });
-        });
+        {
+            let _outer = span(Stage::Schedule);
+            let _inner = span(Stage::Combine);
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let footer = phase_timing_footer();
         assert!(footer.starts_with("timings:"), "{footer}");
-        let outer_line = footer
-            .lines()
-            .find(|l| l.trim_start().starts_with("test_report_outer"))
-            .expect("outer line");
-        let inner_line = footer
-            .lines()
-            .find(|l| l.trim_start().starts_with("test_report_inner"))
-            .expect("inner line");
+        let outer_line = line_of(&footer, Stage::Schedule);
+        let inner_line = line_of(&footer, Stage::Combine);
         let indent = |l: &str| l.len() - l.trim_start().len();
         assert!(
             indent(inner_line) > indent(outer_line),
@@ -138,13 +143,10 @@ mod tests {
     #[test]
     fn footer_reports_counts_for_repeated_spans() {
         for _ in 0..3 {
-            crate::span::time("test_report_repeat", || ());
+            let _g = span(Stage::Decompose);
         }
         let footer = phase_timing_footer();
-        let line = footer
-            .lines()
-            .find(|l| l.trim_start().starts_with("test_report_repeat"))
-            .expect("repeat line");
+        let line = line_of(&footer, Stage::Decompose);
         assert!(line.contains("n=3"), "{line}");
     }
 

@@ -167,6 +167,7 @@ impl JsonlSink {
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
+    use crate::Stage;
     use std::sync::{Arc, Mutex as StdMutex};
 
     /// A Write that appends into a shared Vec<u8> so the test can read
@@ -202,7 +203,11 @@ mod tests {
     fn every_line_is_a_typed_json_object() {
         let (sink, buf) = capture();
         sink.write_meta("simulate", "workload=airsn").unwrap();
-        crate::span::time("test_sink_span", || ());
+        // Span paths unique to this test (the store is process-global).
+        {
+            let _parse = crate::span(Stage::Parse);
+            let _emit = crate::span(Stage::Emit);
+        }
         crate::metrics::counter("test.sink.counter").add(3);
         crate::metrics::gauge("test.sink.gauge").record_max(11);
         sink.write_span_snapshot().unwrap();
@@ -222,7 +227,7 @@ mod tests {
         assert!(lines.iter().any(|l| {
             let v = parse(l).unwrap();
             v.get("type").and_then(JsonValue::as_str) == Some("span")
-                && v.get("path").and_then(JsonValue::as_str) == Some("test_sink_span")
+                && v.get("path").and_then(JsonValue::as_str) == Some("parse/emit")
         }));
         assert!(lines.iter().any(|l| {
             let v = parse(l).unwrap();
@@ -239,7 +244,10 @@ mod tests {
     #[test]
     fn v2_records_carry_version_percentiles_and_histograms() {
         let (sink, buf) = capture();
-        crate::span::time("test_sink_v2_span", || ());
+        {
+            let _parse = crate::span(Stage::Parse);
+            let _write = crate::span(Stage::Write);
+        }
         crate::metrics::histogram("test.sink.hist").record(42);
         sink.write_span_snapshot().unwrap();
         sink.write_histograms_snapshot().unwrap();
@@ -257,7 +265,7 @@ mod tests {
         let span_line = lines
             .iter()
             .map(|l| parse(l).unwrap())
-            .find(|v| v.get("path").and_then(JsonValue::as_str) == Some("test_sink_v2_span"))
+            .find(|v| v.get("path").and_then(JsonValue::as_str) == Some("parse/write"))
             .expect("span line");
         for key in ["p50_ms", "p90_ms", "p99_ms"] {
             assert!(

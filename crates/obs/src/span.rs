@@ -1,18 +1,27 @@
-//! Scoped spans: RAII guards timing named scopes, feeding a thread-safe
-//! registry of per-path statistics.
+//! Scoped spans: RAII guards timing the tool's [`Stage`]s. Nesting
+//! composes paths per thread: `span(Stage::Decompose)` opened inside
+//! `span(Stage::Prioritize)` records as `prioritize/decompose`.
 //!
-//! Nesting composes paths per thread: a `span("decompose")` opened while
-//! `span("prio")` is live records as `prio/decompose`. The six pipeline
-//! phases (`parse`, `reduce`, `decompose`, `schedule`, `combine`,
-//! `emit` — canonical names in [`crate::stage`], plus `write` for
-//! serialization) are instrumented at their implementation sites, so whoever
-//! runs the pipeline — CLI, bench harness, tests — reads the same clock.
+//! The open path is a thread-local `u64` of packed 4-bit stage codes. A
+//! close records into the slot of a fixed, lock-free store keyed by that
+//! word: a latency histogram (which keeps the exact count, total and
+//! maximum too) and, with `alloc-profile`, allocation deltas. Only a
+//! slot's first close allocates (its histogram). [`snapshot`] decodes
+//! each path into its `/`-joined names.
 
 use crate::hist::{Histogram, HistogramSummary};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use crate::stage::Stage;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// Bits per stage code in a packed path.
+const CODE_BITS: u32 = 4;
+/// The deepest nesting a path holds; spans opened deeper record nothing.
+const MAX_DEPTH: u32 = u64::BITS / CODE_BITS;
+/// Distinct paths the store holds (a power of two); more record nothing.
+const SLOTS: usize = 128;
 
 /// Aggregate statistics of one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,7 +51,7 @@ pub struct MemStat {
 /// latency distribution of its individual spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// The `/`-joined nesting path, e.g. `prio/decompose`.
+    /// The `/`-joined nesting path, e.g. `prioritize/decompose`.
     pub path: String,
     /// Aggregate statistics for the path.
     pub stat: SpanStat,
@@ -55,27 +64,88 @@ pub struct SpanRecord {
     pub mem: Option<MemStat>,
 }
 
-/// Per-path registry entry: running aggregates plus a log-bucketed
-/// histogram of individual span durations (nanoseconds).
-#[derive(Debug, Default)]
-struct SpanEntry {
-    stat: SpanStat,
-    hist: Histogram,
-    mem: Option<MemStat>,
+/// One path's span durations and allocation deltas (`[profiled spans,
+/// alloc_count, alloc_bytes, peak_bytes]`). `path` is 0 while the slot is
+/// free and is claimed once, by compare-and-swap. All orderings are
+/// `Relaxed`: `path` publishes no other data, and `hist` is a `OnceLock`.
+struct Slot {
+    path: AtomicU64,
+    hist: OnceLock<Histogram>,
+    mem: [AtomicU64; 4],
 }
 
-fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, SpanEntry>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, SpanEntry>>> = OnceLock::new();
-    // Guards drop during unwinding; recover from poisoning so a panic in
-    // a spanned scope never turns into a double panic (abort).
-    match REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new())).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+impl Slot {
+    /// The statistics, latency summary and allocation deltas of the spans
+    /// recorded so far, if any.
+    fn record(&self) -> Option<(SpanStat, HistogramSummary, Option<MemStat>)> {
+        let snapshot = self.hist.get()?.snapshot();
+        let stat = SpanStat {
+            count: snapshot.count,
+            total: Duration::from_nanos(snapshot.sum),
+            max: Duration::from_nanos(snapshot.max),
+        };
+        let [profiled, alloc_count, alloc_bytes, peak_bytes] =
+            self.mem.each_ref().map(|a| a.load(Ordering::Relaxed));
+        let mem = (profiled > 0).then_some(MemStat {
+            alloc_count,
+            alloc_bytes,
+            peak_bytes,
+        });
+        (stat.count > 0).then(|| (stat, snapshot.summary(), mem))
     }
 }
 
+/// The store: open addressing over packed paths, linear probing.
+static STORE: [Slot; SLOTS] = [const {
+    Slot {
+        path: AtomicU64::new(0),
+        hist: OnceLock::new(),
+        mem: [const { AtomicU64::new(0) }; 4],
+    }
+}; SLOTS];
+
+/// The slot of `path`, claimed on first use; `None` when the store is
+/// full.
+fn slot_for(path: u64) -> Option<&'static Slot> {
+    let start = (path.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - SLOTS.ilog2())) as usize;
+    (0..SLOTS)
+        .map(|i| &STORE[(start + i) % SLOTS])
+        .find(|slot| match slot.path.load(Ordering::Relaxed) {
+            0 => slot
+                .path
+                .compare_exchange(0, path, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|owner| owner == path, |_| true),
+            owner => owner == path,
+        })
+}
+
+/// `parent` with `stage` nested inside it, or 0 when `parent` is already
+/// [`MAX_DEPTH`] deep.
+fn push(parent: u64, stage: Stage) -> u64 {
+    if parent >> (CODE_BITS * (MAX_DEPTH - 1)) != 0 {
+        return 0;
+    }
+    parent << CODE_BITS | (stage as u64 + 1)
+}
+
+/// The `/`-joined names of a packed path.
+fn path_name(path: u64) -> String {
+    let mut name = String::new();
+    for depth in (0..MAX_DEPTH).rev() {
+        let code = (path >> (depth * CODE_BITS)) & ((1 << CODE_BITS) - 1);
+        if code != 0 {
+            if !name.is_empty() {
+                name.push('/');
+            }
+            name.push_str(Stage::ALL[code as usize - 1].name());
+        }
+    }
+    name
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's open path.
+    static OPEN: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocation-counter baselines captured at span open (profiling on).
@@ -90,28 +160,29 @@ struct MemBaseline {
     prev_peak: usize,
 }
 
-/// An open span; records its elapsed time into the registry on drop.
+/// An open span; records its elapsed time into the store on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     start: Instant,
-    /// Stack depth *after* pushing this span's name; drop truncates back
-    /// to `depth - 1` so a non-LIFO drop cannot corrupt deeper paths.
-    depth: usize,
+    /// The path this span records under (0: nested too deep to record).
+    path: u64,
+    /// The thread's open path before this span; drop restores it, so a
+    /// non-LIFO drop cannot corrupt deeper paths.
+    parent: u64,
     #[cfg(feature = "alloc-profile")]
     mem: Option<MemBaseline>,
 }
 
-/// Opens a span named `name` nested under the calling thread's current
+/// Opens a span of `stage` nested under the calling thread's current
 /// span path. Drop the returned guard to record it.
-pub fn span(name: &'static str) -> SpanGuard {
-    let depth = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        stack.push(name);
-        stack.len()
-    });
+pub fn span(stage: Stage) -> SpanGuard {
+    let parent = OPEN.get();
+    let path = push(parent, stage);
+    if path != 0 {
+        OPEN.set(path);
+    }
     #[cfg(feature = "alloc-profile")]
     let mem = crate::mem::span_profiling().then(|| {
-        use std::sync::atomic::Ordering;
         let live = crate::mem::LIVE_BYTES.load(Ordering::Relaxed);
         MemBaseline {
             alloc_count: crate::mem::ALLOC_COUNT.load(Ordering::Relaxed),
@@ -122,16 +193,11 @@ pub fn span(name: &'static str) -> SpanGuard {
     });
     SpanGuard {
         start: Instant::now(),
-        depth,
+        path,
+        parent,
         #[cfg(feature = "alloc-profile")]
         mem,
     }
-}
-
-/// Times a closure under a span.
-pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let _guard = span(name);
-    f()
 }
 
 impl SpanGuard {
@@ -143,10 +209,9 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         #[cfg(feature = "alloc-profile")]
         let mem_delta = self.mem.map(|base| {
-            use std::sync::atomic::Ordering;
             let peak = crate::mem::PEAK_BYTES.load(Ordering::Relaxed);
             // Restore the enclosing span's peak tracking.
             crate::mem::PEAK_BYTES.fetch_max(base.prev_peak, Ordering::Relaxed);
@@ -160,92 +225,100 @@ impl Drop for SpanGuard {
                 peak_bytes: peak.saturating_sub(base.live) as u64,
             }
         });
-        let path = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = stack[..self.depth].join("/");
-            stack.truncate(self.depth - 1);
-            path
-        });
-        let mut registry = registry();
-        let entry = registry.entry(path).or_default();
-        entry.stat.count += 1;
-        entry.stat.total += elapsed;
-        entry.stat.max = entry.stat.max.max(elapsed);
-        entry
-            .hist
-            .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        OPEN.set(self.parent);
+        let Some(slot) = Some(self.path).filter(|&p| p != 0).and_then(slot_for) else {
+            return;
+        };
+        slot.hist.get_or_init(Histogram::new).record(ns);
         #[cfg(feature = "alloc-profile")]
         if let Some(delta) = mem_delta {
-            let agg = entry.mem.get_or_insert_with(MemStat::default);
-            agg.alloc_count += delta.alloc_count;
-            agg.alloc_bytes += delta.alloc_bytes;
-            agg.peak_bytes = agg.peak_bytes.max(delta.peak_bytes);
+            let [profiled, alloc_count, alloc_bytes, peak_bytes] = &slot.mem;
+            profiled.fetch_add(1, Ordering::Relaxed);
+            alloc_count.fetch_add(delta.alloc_count, Ordering::Relaxed);
+            alloc_bytes.fetch_add(delta.alloc_bytes, Ordering::Relaxed);
+            peak_bytes.fetch_max(delta.peak_bytes, Ordering::Relaxed);
         }
     }
 }
 
 /// A snapshot of every recorded span path, sorted by path.
 pub fn snapshot() -> Vec<SpanRecord> {
-    registry()
+    let mut records: Vec<SpanRecord> = STORE
         .iter()
-        .map(|(path, entry)| SpanRecord {
-            path: path.clone(),
-            stat: entry.stat,
-            latency_ns: entry.hist.summary(),
-            mem: entry.mem,
+        .filter_map(|slot| {
+            let (stat, latency_ns, mem) = slot.record()?;
+            Some(SpanRecord {
+                path: path_name(slot.path.load(Ordering::Relaxed)),
+                stat,
+                latency_ns,
+                mem,
+            })
         })
-        .collect()
+        .collect();
+    records.sort_by(|a, b| a.path.cmp(&b.path));
+    records
 }
 
-/// The aggregate statistics of one path, if recorded.
-pub fn stat_of(path: &str) -> Option<SpanStat> {
-    registry().get(path).map(|e| e.stat)
-}
-
-/// Clears every recorded span.
+/// Zeroes every recorded span, so none appears until it closes again.
 pub fn reset_spans() {
-    registry().clear();
+    for slot in &STORE {
+        if let Some(hist) = slot.hist.get() {
+            hist.reset();
+        }
+        for a in &slot.mem {
+            a.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Stage::*;
 
-    // The registry is process-global and tests run concurrently, so every
-    // test here uses span names unique to itself and asserts only on them.
+    // The store is process-global and tests run concurrently, so every
+    // test here records under paths no other test in this crate opens,
+    // and asserts only on them.
+
+    fn stat_of(path: &str) -> Option<SpanStat> {
+        snapshot()
+            .into_iter()
+            .find(|r| r.path == path)
+            .map(|r| r.stat)
+    }
 
     #[test]
     fn nesting_composes_paths() {
         {
-            let _a = span("test_nest_outer");
+            let _a = span(Emit);
             {
-                let _b = span("test_nest_inner");
+                let _b = span(DecomposeSuperdag);
             }
         }
-        let outer = stat_of("test_nest_outer").expect("outer recorded");
-        let inner = stat_of("test_nest_outer/test_nest_inner").expect("inner recorded");
+        let outer = stat_of("emit").expect("outer recorded");
+        let inner = stat_of("emit/decompose.superdag").expect("inner recorded");
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 1);
         assert!(
-            stat_of("test_nest_inner").is_none(),
+            stat_of("decompose.superdag").is_none(),
             "inner must not appear top-level"
         );
     }
 
     #[test]
     fn elapsed_is_monotone_and_parent_covers_child() {
-        let parent_guard = span("test_mono_parent");
+        let parent_guard = span(DecomposeMaterialize);
         let t1 = parent_guard.elapsed();
         std::thread::sleep(Duration::from_millis(2));
         let t2 = parent_guard.elapsed();
         assert!(t2 >= t1, "elapsed must be monotone: {t2:?} < {t1:?}");
         {
-            let _child = span("test_mono_child");
+            let _child = span(Emit);
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(parent_guard);
-        let parent = stat_of("test_mono_parent").unwrap();
-        let child = stat_of("test_mono_parent/test_mono_child").unwrap();
+        let parent = stat_of("decompose.materialize").unwrap();
+        let child = stat_of("decompose.materialize/emit").unwrap();
         assert!(
             parent.total >= child.total,
             "parent {parent:?} must cover child {child:?}"
@@ -259,11 +332,13 @@ mod tests {
 
     #[test]
     fn repeated_spans_accumulate() {
+        let before = stat_of("apply/apply").map_or(0, |s| s.count);
         for _ in 0..5 {
-            let _g = span("test_accumulate");
+            let _a = span(Apply);
+            let _g = span(Apply);
         }
-        let stat = stat_of("test_accumulate").unwrap();
-        assert_eq!(stat.count, 5);
+        let stat = stat_of("apply/apply").unwrap();
+        assert_eq!(stat.count - before, 5);
         assert!(stat.total >= stat.max);
     }
 
@@ -271,37 +346,61 @@ mod tests {
     fn sibling_threads_do_not_nest_under_each_other() {
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _a = span("test_thread_a");
+                let _a = span(DecomposePeel);
                 std::thread::sleep(Duration::from_millis(1));
             });
             scope.spawn(|| {
-                let _b = span("test_thread_b");
+                let _b = span(DecomposeGeneralSearch);
                 std::thread::sleep(Duration::from_millis(1));
             });
         });
-        assert!(stat_of("test_thread_a").is_some());
-        assert!(stat_of("test_thread_b").is_some());
-        assert!(stat_of("test_thread_a/test_thread_b").is_none());
-        assert!(stat_of("test_thread_b/test_thread_a").is_none());
+        assert!(stat_of("decompose.peel").is_some());
+        assert!(stat_of("decompose.general_search").is_some());
+        assert!(stat_of("decompose.peel/decompose.general_search").is_none());
+        assert!(stat_of("decompose.general_search/decompose.peel").is_none());
     }
 
     #[test]
-    fn time_helper_records_and_returns() {
-        let v = time("test_time_helper", || 41 + 1);
-        assert_eq!(v, 42);
-        assert_eq!(stat_of("test_time_helper").unwrap().count, 1);
+    fn two_threads_closing_one_path_merge_exactly() {
+        const N: u64 = 20_000;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    let _root = span(Prioritize);
+                    for _ in 0..N {
+                        let _g = span(Parse);
+                    }
+                });
+            }
+        });
+        assert_eq!(stat_of("prioritize/parse").unwrap().count, 2 * N);
+        assert_eq!(stat_of("prioritize").unwrap().count, 2);
+    }
+
+    #[test]
+    fn spans_nested_too_deep_record_nothing_and_unwind_cleanly() {
+        let guards: Vec<SpanGuard> = (0..MAX_DEPTH + 1).map(|_| span(Reduce)).collect();
+        assert_eq!(guards.last().map(|g| g.path), Some(0));
+        for guard in guards.into_iter().rev() {
+            drop(guard);
+        }
+        let deepest = "reduce/".repeat(MAX_DEPTH as usize - 1) + "reduce";
+        assert_eq!(stat_of(&deepest).unwrap().count, 1);
+        assert_eq!(OPEN.get(), 0, "the open path unwinds to the root");
     }
 
     #[test]
     fn snapshot_carries_latency_percentiles() {
         for _ in 0..10 {
-            time("test_span_latency", || {
-                std::thread::sleep(Duration::from_micros(200));
-            });
+            let _outer = span(Write);
+            let _g = span(Apply);
+            std::thread::sleep(Duration::from_micros(200));
         }
         let record = snapshot()
             .into_iter()
-            .find(|r| r.path == "test_span_latency")
+            .find(|r| r.path == "write/apply")
             .expect("recorded");
         let lat = record.latency_ns;
         assert_eq!(lat.count, 10);

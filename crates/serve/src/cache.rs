@@ -317,13 +317,13 @@ impl ResultCache {
                 shard.lru.insert(tick, key);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.cache.hits").inc();
+                prio_obs::counter!("serve.cache.hits").inc();
                 return Some(order);
             }
         }
         drop(shard);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        counter!("serve.cache.misses").inc();
+        prio_obs::counter!("serve.cache.misses").inc();
         None
     }
 
@@ -369,7 +369,7 @@ impl ResultCache {
         }
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            counter!("serve.cache.evictions").add(evicted);
+            prio_obs::counter!("serve.cache.evictions").add(evicted);
         }
     }
 
@@ -398,13 +398,13 @@ impl ResultCache {
                 shard.lru.insert(tick, key);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.cache.hits").inc();
+                prio_obs::counter!("serve.cache.hits").inc();
                 return Some((order, rendered));
             }
         }
         drop(shard);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        counter!("serve.cache.misses").inc();
+        prio_obs::counter!("serve.cache.misses").inc();
         None
     }
 
@@ -439,7 +439,7 @@ impl ResultCache {
         shard.lru.insert(tick, key);
         drop(shard);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        counter!("serve.cache.hits").inc();
+        prio_obs::counter!("serve.cache.hits").inc();
         Some(text)
     }
 

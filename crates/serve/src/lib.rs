@@ -31,26 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The `&'static` handle of the `serve.*` counter `$name`, looked up in
-/// the global registry on this call site's first use and held after that:
-/// a lookup takes the registry's process-wide mutex, and the request path
-/// touches a handful of counters per request.
-macro_rules! counter {
-    ($name:literal) => {{
-        static HANDLE: std::sync::OnceLock<&'static prio_obs::Counter> = std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| prio_obs::counter($name))
-    }};
-}
-
-/// [`counter!`] for a histogram.
-macro_rules! histogram {
-    ($name:literal) => {{
-        static HANDLE: std::sync::OnceLock<&'static prio_obs::Histogram> =
-            std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| prio_obs::histogram($name))
-    }};
-}
-
 pub mod cache;
 pub mod protocol;
 pub mod queue;

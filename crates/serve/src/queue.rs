@@ -68,7 +68,7 @@ impl<T> RequestQueue<T> {
         {
             let mut state = self.lock();
             if state.closed || state.items.len() >= self.capacity {
-                counter!("serve.queue.shed").inc();
+                prio_obs::counter!("serve.queue.shed").inc();
                 return Err(item);
             }
             state.items.push_back(item);

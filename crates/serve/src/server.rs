@@ -144,7 +144,7 @@ impl Conn {
         let mut w = self.writer.lock().unwrap();
         let result = w.write_all(line.as_bytes()).and_then(|()| w.flush());
         if result.is_err() {
-            counter!("serve.conn.write_errors").inc();
+            prio_obs::counter!("serve.conn.write_errors").inc();
         }
     }
 }
@@ -240,7 +240,7 @@ fn handle_prioritize(shared: &Shared, request: &WireRequest, ctx: &mut PrioConte
     match prioritize_request(shared, request, ctx) {
         Ok(line) => {
             shared.counters.ok.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.request.ok").inc();
+            prio_obs::counter!("serve.request.ok").inc();
             line
         }
         Err(error) => {
@@ -248,7 +248,7 @@ fn handle_prioritize(shared: &Shared, request: &WireRequest, ctx: &mut PrioConte
                 *ctx = PrioContext::new();
             }
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.request.error").inc();
+            prio_obs::counter!("serve.request.error").inc();
             prio_error_response(&request.id, &error)
         }
     }
@@ -371,7 +371,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let response = handle_prioritize(shared, &job.request, &mut ctx);
         job.conn.send_line(response);
         let micros = job.enqueued.elapsed().as_micros() as u64;
-        histogram!("serve.request.micros").record(micros);
+        prio_obs::histogram!("serve.request.micros").record(micros);
     }
 }
 
@@ -385,12 +385,12 @@ fn handle_line(
     first_version: &mut Option<u64>,
 ) {
     shared.counters.received.fetch_add(1, Ordering::Relaxed);
-    counter!("serve.request.received").inc();
+    prio_obs::counter!("serve.request.received").inc();
     let request = match WireRequest::decode(line, first_version) {
         Ok(request) => request,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.request.error").inc();
+            prio_obs::counter!("serve.request.error").inc();
             conn.send_line(error_response(e.id.as_deref(), "request", &e.message));
             return;
         }
@@ -410,7 +410,7 @@ fn handle_line(
             };
             if let Err(job) = shared.queue.push(job) {
                 shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.request.overloaded").inc();
+                prio_obs::counter!("serve.request.overloaded").inc();
                 job.conn.send_line(overloaded_response(&job.request.id));
             }
         }
@@ -504,9 +504,9 @@ fn read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, reader: &mut impl BufRead) 
             Ok(Line::Eof) | Err(_) => return,
             Ok(Line::TooLong) => {
                 shared.counters.received.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.request.received").inc();
+                prio_obs::counter!("serve.request.received").inc();
                 shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.request.error").inc();
+                prio_obs::counter!("serve.request.error").inc();
                 conn.send_line(error_response(
                     None,
                     "request",
@@ -632,7 +632,7 @@ fn accept_loop(
     while !shared.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                counter!("serve.conn.accepted").inc();
+                prio_obs::counter!("serve.conn.accepted").inc();
                 // Every response leaves in one write: send it at once
                 // rather than hold it until the peer acknowledges the
                 // previous one, which a delayed ACK stalls by ~40 ms.

@@ -503,17 +503,18 @@ impl<'a, S: TraceConsumer> Run<'a, S> {
         self.trace.flush();
 
         let out = &mut self.out;
-        prio_obs::counter("sim.engine.runs").inc();
-        prio_obs::counter("sim.engine.events_processed").add(events_processed);
-        prio_obs::counter("sim.engine.stalled_batches").add(out.stalled_batches);
+        prio_obs::counter!("sim.engine.runs").inc();
+        prio_obs::counter!("sim.engine.events_processed").add(events_processed);
+        prio_obs::counter!("sim.engine.stalled_batches").add(out.stalled_batches);
         if out.failed_attempts > 0 {
-            prio_obs::counter("sim.engine.failed_attempts").add(out.failed_attempts);
+            prio_obs::counter!("sim.engine.failed_attempts").add(out.failed_attempts);
         }
         let aborted = out.failed_permanent + out.unreachable;
         if aborted > 0 {
-            prio_obs::counter("sim.engine.jobs_aborted").add(aborted as u64);
+            prio_obs::counter!("sim.engine.jobs_aborted").add(aborted as u64);
         }
-        prio_obs::gauge("sim.engine.completion_heap_high_water").record_max(heap_high_water as u64);
+        prio_obs::gauge!("sim.engine.completion_heap_high_water")
+            .record_max(heap_high_water as u64);
 
         out.outcomes = self.fs.map(|fs| {
             fs.outcomes

@@ -219,8 +219,8 @@ mod tests {
         // concurrently (≥ not = for the same reason).
         let dag = small_dag();
         let model = GridModel::paper(0.7, 3.0);
-        let runs_before = prio_obs::counter("sim.engine.runs").get();
-        let events_before = prio_obs::counter("sim.engine.events_processed").get();
+        let runs_before = prio_obs::counter!("sim.engine.runs").get();
+        let events_before = prio_obs::counter!("sim.engine.events_processed").get();
         let plan = ReplicationPlan {
             p: 8,
             q: 4,
@@ -228,8 +228,8 @@ mod tests {
             threads: 4,
         };
         let _ = sampling_distributions(&dag, &PolicySpec::Fifo, &model, &plan);
-        let runs = prio_obs::counter("sim.engine.runs").get() - runs_before;
-        let events = prio_obs::counter("sim.engine.events_processed").get() - events_before;
+        let runs = prio_obs::counter!("sim.engine.runs").get() - runs_before;
+        let events = prio_obs::counter!("sim.engine.events_processed").get() - events_before;
         assert!(
             runs >= 32,
             "8×4 threaded runs must all be counted, got {runs}"
@@ -239,7 +239,7 @@ mod tests {
             "every run processes at least one event, got {events}"
         );
         assert!(
-            prio_obs::gauge("sim.engine.completion_heap_high_water").get() >= 1,
+            prio_obs::gauge!("sim.engine.completion_heap_high_water").get() >= 1,
             "some run must have had a job in flight"
         );
     }

@@ -25,11 +25,6 @@ impl ConfidenceInterval {
         self.hi < x
     }
 
-    /// Whether the whole interval lies strictly above `x`.
-    pub fn entirely_above(&self, x: f64) -> bool {
-        self.lo > x
-    }
-
     /// Whether `x` lies within the interval (inclusive).
     pub fn contains(&self, x: f64) -> bool {
         self.lo <= x && x <= self.hi
@@ -66,7 +61,6 @@ mod tests {
         };
         assert!(ci.entirely_below(1.0));
         assert!(!ci.entirely_below(0.85));
-        assert!(ci.entirely_above(0.5));
         assert!(ci.contains(0.8) && ci.contains(0.9) && !ci.contains(0.95));
         assert!((ci.width() - 0.1).abs() < 1e-12);
     }

@@ -71,12 +71,6 @@ impl TruncatedNormal {
         TruncatedNormal { mean, sd, min }
     }
 
-    /// The paper's job-running-time distribution: `N(1, 0.1)` truncated at
-    /// a small positive epsilon.
-    pub fn job_runtime() -> Self {
-        TruncatedNormal::new(1.0, 0.1, 1e-3)
-    }
-
     /// The configured mean (of the untruncated normal).
     pub fn mean(&self) -> f64 {
         self.mean
@@ -214,7 +208,7 @@ mod tests {
     #[test]
     fn normal_moments() {
         let mut rng = seeded_rng(3);
-        let d = TruncatedNormal::job_runtime();
+        let d = TruncatedNormal::new(1.0, 0.1, 1e-3);
         let xs: Vec<f64> = (0..N).map(|_| d.sample(&mut rng)).collect();
         let m = xs.iter().sum::<f64>() / N as f64;
         let v = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (N - 1) as f64;

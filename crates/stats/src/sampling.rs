@@ -34,13 +34,6 @@ impl SamplingDistribution {
         SamplingDistribution { samples, q }
     }
 
-    /// Wraps precomputed per-sample means (each assumed to average `q`
-    /// measurements).
-    pub fn from_sample_means(samples: Vec<f64>, q: usize) -> Self {
-        assert!(!samples.is_empty(), "at least one sample required");
-        SamplingDistribution { samples, q }
-    }
-
     /// The `p` sample means.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -126,6 +119,12 @@ pub fn trimmed_ci(mut values: Vec<f64>, tail: f64) -> ConfidenceInterval {
 mod tests {
     use super::*;
 
+    /// A distribution whose sample means are `samples` (one measurement
+    /// each).
+    fn means(samples: Vec<f64>) -> SamplingDistribution {
+        SamplingDistribution::from_measurements(&samples, samples.len(), 1)
+    }
+
     #[test]
     fn from_measurements_averages_groups() {
         let d = SamplingDistribution::from_measurements(&[1.0, 3.0, 5.0, 7.0], 2, 2);
@@ -142,8 +141,8 @@ mod tests {
 
     #[test]
     fn ratio_distribution_has_p_squared_entries() {
-        let a = SamplingDistribution::from_sample_means(vec![2.0, 4.0], 1);
-        let b = SamplingDistribution::from_sample_means(vec![1.0, 2.0], 1);
+        let a = means(vec![2.0, 4.0]);
+        let b = means(vec![1.0, 2.0]);
         let r = a.ratio_distribution(&b).unwrap();
         assert_eq!(r.len(), 4);
         let mut sorted = r.clone();
@@ -153,8 +152,8 @@ mod tests {
 
     #[test]
     fn zero_denominator_yields_none() {
-        let a = SamplingDistribution::from_sample_means(vec![1.0], 1);
-        let b = SamplingDistribution::from_sample_means(vec![0.0, 1.0], 1);
+        let a = means(vec![1.0]);
+        let b = means(vec![0.0, 1.0]);
         assert!(a.ratio_distribution(&b).is_none());
         assert!(a.ratio_ci(&b).is_none());
     }
@@ -162,8 +161,8 @@ mod tests {
     #[test]
     fn identical_distributions_give_ci_containing_one() {
         let xs: Vec<f64> = (1..=100).map(|i| 10.0 + (i as f64) * 0.01).collect();
-        let a = SamplingDistribution::from_sample_means(xs.clone(), 1);
-        let b = SamplingDistribution::from_sample_means(xs, 1);
+        let a = means(xs.clone());
+        let b = means(xs);
         let ci = a.ratio_ci(&b).unwrap();
         assert!(ci.contains(1.0), "{ci}");
         assert!((ci.median - 1.0).abs() < 0.01);
@@ -188,8 +187,8 @@ mod tests {
 
     #[test]
     fn shifted_distributions_separate_from_one() {
-        let a = SamplingDistribution::from_sample_means(vec![0.8, 0.82, 0.81, 0.79], 1);
-        let b = SamplingDistribution::from_sample_means(vec![1.0, 1.01, 0.99, 1.0], 1);
+        let a = means(vec![0.8, 0.82, 0.81, 0.79]);
+        let b = means(vec![1.0, 1.01, 0.99, 1.0]);
         let ci = a.ratio_ci(&b).unwrap();
         assert!(ci.entirely_below(1.0), "{ci}");
         assert!(ci.median < 0.85);

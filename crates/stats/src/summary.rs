@@ -62,21 +62,6 @@ pub fn median_of_sorted(sorted: &[f64]) -> f64 {
     }
 }
 
-/// Linear-interpolation quantile of an already-sorted slice, `q ∈ [0, 1]`.
-pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    assert!(n > 0, "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-    if n == 1 {
-        return sorted[0];
-    }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// Numerically stable online mean/variance accumulator (Welford).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
@@ -170,15 +155,6 @@ mod tests {
     fn median_odd_even() {
         assert_eq!(median_of_sorted(&[1.0, 2.0, 5.0]), 2.0);
         assert_eq!(median_of_sorted(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let xs = [0.0, 10.0, 20.0, 30.0, 40.0];
-        assert_eq!(quantile_of_sorted(&xs, 0.0), 0.0);
-        assert_eq!(quantile_of_sorted(&xs, 1.0), 40.0);
-        assert_eq!(quantile_of_sorted(&xs, 0.5), 20.0);
-        assert!((quantile_of_sorted(&xs, 0.025) - 1.0).abs() < 1e-12);
     }
 
     #[test]

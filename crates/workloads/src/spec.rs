@@ -119,11 +119,6 @@ pub fn scaled_workload(name: &str, scale: f64) -> Result<Workload, WorkloadError
     Ok(Workload::new(name, dag))
 }
 
-/// Looks a workload up by (case-insensitive) name in the paper suite.
-pub fn paper_workload(name: &str) -> Option<Workload> {
-    scaled_workload(name, 1.0).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn workloads_are_synthetic_workflows() {
-        let w = paper_workload("AIRSN").unwrap();
+        let w = scaled_workload("AIRSN", 1.0).unwrap();
         assert_eq!(w.workflow.source(), FormatId::Synthetic);
         assert!(w.workflow.priorities().is_empty());
         // Deref: Dag methods are reachable through the workflow.
@@ -197,8 +192,9 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert_eq!(paper_workload("airsn").unwrap().dag().num_nodes(), 773);
-        assert_eq!(paper_workload("SDSS").unwrap().dag().num_nodes(), 48013);
-        assert!(paper_workload("nope").is_none());
+        let paper = |name| scaled_workload(name, 1.0).ok();
+        assert_eq!(paper("airsn").unwrap().dag().num_nodes(), 773);
+        assert_eq!(paper("SDSS").unwrap().dag().num_nodes(), 48013);
+        assert!(paper("nope").is_none());
     }
 }

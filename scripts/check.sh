@@ -176,6 +176,16 @@ for stage in decompose schedule; do
     || { echo "check.sh: paper-size SDSS $stage made '$allocs' allocations, want at most 1000" >&2; exit 1; }
 done
 echo "check.sh: paper-size SDSS steps 2-3 allocations ok (decompose and schedule at most 1000 each)"
+# Writing priorities into the file is `apply`; the `write` span is only
+# the export, which streams through one 64 KiB chunk, so its heap peak is
+# that chunk (the JSON step below holds the same bound). Recording the
+# per-node priority table under `write` again (16 MiB at a million jobs)
+# breaks the bound.
+write_peak=$(grep '"path":"write",' target/sdss-smoke/spans.jsonl \
+  | sed -n 's/.*"peak_bytes":\([0-9]*\).*/\1/p')
+[ -n "$write_peak" ] && [ "$write_peak" -le 262144 ] \
+  || { echo "check.sh: paper-size SDSS DAGMan write span peaked at '$write_peak' bytes, want at most 262144" >&2; exit 1; }
+echo "check.sh: paper-size SDSS DAGMan write peak ok ($write_peak bytes, at most 262144)"
 # JSON smoke at the same size: convert the SDSS file to prio-workflow-v1,
 # convert that JSON to JSON again (the canonical export is a fixed point,
 # so the two files must be identical), then `prio run` the JSON file and

@@ -51,7 +51,7 @@ fn u64_field(v: &JsonValue, key: &str) -> u64 {
 #[test]
 fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
     let _serial = serial();
-    let shed_before = dagprio::obs::counter("serve.queue.shed").get();
+    let shed_before = dagprio::obs::counter!("serve.queue.shed").get();
 
     // Capacity 2 and a single deliberately slow worker: the reader
     // ingests the pipelined burst far faster than the worker drains it,
@@ -111,7 +111,7 @@ fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
     assert_eq!(u64_field(stats_verb, "shed"), overloaded);
     assert_eq!(u64_field(stats_verb, "queue_capacity"), 2);
     // ...in the process-wide counter...
-    let shed_after = dagprio::obs::counter("serve.queue.shed").get();
+    let shed_after = dagprio::obs::counter!("serve.queue.shed").get();
     assert_eq!(shed_after - shed_before, overloaded);
     // ...and in the Prometheus exposition of that counter.
     let prom = dagprio::obs::prom::render_snapshot();
