@@ -3,10 +3,10 @@
 //! Sweeps the seeded fault layer (per-attempt failure probability with
 //! DAGMan-style retries) at the AIRSN sweet-spot cell (`μ_BIT = 1`,
 //! `μ_BS = 2⁴`) and reports, per intensity, the PRIO/FIFO makespan ratio
-//! with its 95% CI plus the wasted-work means. Unlike `robustness` (which
-//! exercises the legacy main-stream failure path), this sweep drives the
-//! dedicated fault layer: derived fault streams, bounded retries, and
-//! wasted-work accounting. Rate 0 is the reliable §4 baseline.
+//! with its 95% CI plus the wasted-work means. It runs the same fault
+//! layer as `robustness`, but with DAGMan's bounded retries (`RETRY 3`)
+//! instead of unlimited ones, so jobs can abort, and it reports wasted
+//! work. Rate 0 is the reliable §4 baseline.
 //!
 //! Usage: `fault_sweep [airsn-width]` (default 100). Writes
 //! `results/fault_sweep.txt`.

@@ -3,16 +3,22 @@
 //!
 //! The paper's model is reliable ("a more comprehensive model that
 //! explicitly models a worker temporarily quitting … is beyond the scope
-//! of this paper"). This extension sweeps a per-assignment failure
-//! probability — a failed job re-enters the eligible queue — at the AIRSN
-//! sweet-spot cell (`μ_BIT = 1`, `μ_BS = 2⁴`) and reports the PRIO/FIFO
-//! ratios. Expected shape: PRIO's edge persists (failures delay both
+//! of this paper"). This extension sweeps the seeded fault layer's
+//! per-attempt failure probability with unlimited immediate retries — a
+//! failed job re-enters the eligible queue at once and every job
+//! eventually completes — at the AIRSN sweet-spot cell (`μ_BIT = 1`,
+//! `μ_BS = 2⁴`) and reports the PRIO/FIFO ratios. Rate 0 is the reliable
+//! §4 baseline. Expected shape: PRIO's edge persists (failures delay both
 //! policies roughly proportionally) and erodes only slowly.
+//!
+//! Usage: `robustness [airsn-width]` (default 100). Writes
+//! `results/robustness.txt`.
 
 use prio_bench::report::{fmt_ci, Table};
 use prio_core::prio::prioritize;
 use prio_sim::replicate::ReplicationPlan;
-use prio_sim::{compare_policies, GridModel, PolicySpec};
+use prio_sim::sweep::sweep_fault_rates;
+use prio_sim::{GridModel, PolicySpec, RetryPolicy};
 use prio_workloads::airsn::airsn;
 
 fn main() {
@@ -29,6 +35,16 @@ fn main() {
         threads: 0,
     };
 
+    let cells = sweep_fault_rates(
+        &dag,
+        &prio,
+        &PolicySpec::Fifo,
+        &GridModel::paper(1.0, 16.0),
+        &[0.0, 0.05, 0.1, 0.2, 0.3],
+        RetryPolicy::unlimited(),
+        &plan,
+    );
+
     let mut table = Table::new(&[
         "failure prob",
         "PRIO mean time",
@@ -36,11 +52,10 @@ fn main() {
         "time ratio (median, CI)",
         "util ratio (median, CI)",
     ]);
-    for f in [0.0, 0.05, 0.1, 0.2, 0.3] {
-        let model = GridModel::paper(1.0, 16.0).with_failures(f);
-        let r = compare_policies(&dag, &prio, &PolicySpec::Fifo, &model, &plan);
+    for cell in &cells {
+        let r = &cell.result;
         table.row(vec![
-            format!("{f:.2}"),
+            format!("{:.2}", cell.fault_rate),
             format!("{:.2}", r.a.execution_time.summary().mean),
             format!("{:.2}", r.b.execution_time.summary().mean),
             fmt_ci(&r.execution_time_ratio),

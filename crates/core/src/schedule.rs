@@ -78,14 +78,6 @@ impl Schedule {
         prio
     }
 
-    /// Reconstructs a schedule from Condor-style priorities (larger value =
-    /// earlier). Ties are broken by node index, mirroring a stable queue.
-    pub fn from_priorities(priorities: &[u32]) -> Schedule {
-        let mut order: Vec<NodeId> = (0..priorities.len() as u32).map(NodeId).collect();
-        order.sort_by_key(|u| (std::cmp::Reverse(priorities[u.index()]), u.0));
-        Schedule { order }
-    }
-
     /// The eligibility profile `E(0) ..= E(n)` of this schedule on `dag`.
     pub fn eligibility_profile(&self, dag: &Dag) -> Vec<usize> {
         eligibility_profile(dag, &self.order)
@@ -137,15 +129,10 @@ mod tests {
         assert_eq!(prio[2], 5);
         assert_eq!(prio[0], 4);
         assert_eq!(prio[4], 1);
-        let back = Schedule::from_priorities(&prio);
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn from_priorities_breaks_ties_by_index() {
-        let s = Schedule::from_priorities(&[3, 3, 7]);
-        let order: Vec<u32> = s.order().iter().map(|u| u.0).collect();
-        assert_eq!(order, vec![2, 0, 1]);
+        // Sorting by descending priority recovers the order.
+        let mut by_priority: Vec<NodeId> = d.node_ids().collect();
+        by_priority.sort_by_key(|u| std::cmp::Reverse(prio[u.index()]));
+        assert_eq!(by_priority, s.order());
     }
 
     #[test]

@@ -10,29 +10,6 @@
 use crate::dag::{Dag, DagBuilder, NodeId};
 use crate::error::GraphError;
 
-/// Disjoint union of two dags. Nodes of `b` are renumbered after `a`'s;
-/// labels are prefixed (`a.`/`b.`) to stay unique.
-pub fn disjoint_union(a: &Dag, b: &Dag) -> Dag {
-    let mut builder =
-        DagBuilder::with_capacity(a.num_nodes() + b.num_nodes(), a.num_arcs() + b.num_arcs());
-    for u in a.node_ids() {
-        builder.add_node(format!("a.{}", a.label(u)));
-    }
-    for u in b.node_ids() {
-        builder.add_node(format!("b.{}", b.label(u)));
-    }
-    let off = a.num_nodes() as u32;
-    for (u, v) in a.arcs() {
-        builder.add_arc(u, v).expect("a-arc");
-    }
-    for (u, v) in b.arcs() {
-        builder
-            .add_arc(NodeId(u.0 + off), NodeId(v.0 + off))
-            .expect("b-arc");
-    }
-    builder.build().expect("union of dags is a dag")
-}
-
 /// Series composition: glue `b` on top of `a` by *identifying* pairs of
 /// (`a`-sink, `b`-source) nodes. The identified node keeps `a`'s label and
 /// inherits both `a`'s in-arcs and `b`'s out-arcs — exactly how a
@@ -110,16 +87,6 @@ mod tests {
     fn join() -> Dag {
         // 0 -> 2, 1 -> 2
         Dag::from_arcs(3, &[(0, 2), (1, 2)]).unwrap()
-    }
-
-    #[test]
-    fn union_keeps_both_sides() {
-        let u = disjoint_union(&fork(), &join());
-        assert_eq!(u.num_nodes(), 6);
-        assert_eq!(u.num_arcs(), 4);
-        assert_eq!(u.sources().count(), 3);
-        assert_eq!(u.find("a.j0"), Some(NodeId(0)));
-        assert!(u.find("b.j0").is_some());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! [`name_follows_convention`] at compile time and hold the metric's
 //! `&'static` handle in a per-call-site static: the registry's lock is
 //! taken once per call site, and every later use touches only atomics.
-//! The registry itself serves registration and snapshots.
+//! The registry itself serves registration and snapshots, and checks the
+//! convention again whenever it registers a new name, so the plain
+//! [`counter`], [`gauge`] and [`histogram`] functions cannot register a
+//! misnamed metric either.
 
 use crate::hist::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
@@ -106,6 +109,7 @@ impl Gauge {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -132,41 +136,68 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> 
     }
 }
 
+/// The metric named `name`, created by `new` and registered on first
+/// use, then narrowed by `pick` to the kind the caller asked for.
+/// Registering a new name checks it against [`name_follows_convention`]
+/// (once per name, off the hot path); a name already registered as
+/// another kind panics.
+fn register<T>(
+    name: &'static str,
+    kind: &str,
+    new: fn() -> Metric,
+    pick: fn(Metric) -> Option<&'static T>,
+) -> &'static T {
+    let metric = *registry().entry(name).or_insert_with(|| {
+        assert!(
+            name_follows_convention(name),
+            "metric name {name:?} is not crate.subsystem.metric"
+        );
+        new()
+    });
+    pick(metric).unwrap_or_else(|| panic!("metric {name:?} is a {}, not a {kind}", metric.kind()))
+}
+
 /// The counter named `name`, allocated on first use; [`counter!`] calls
-/// it once per call site. Panics if `name` is already registered as
-/// another kind.
+/// it once per call site. Panics if `name` breaks the naming convention
+/// or is already registered as another kind.
 pub fn counter(name: &'static str) -> &'static Counter {
-    match registry()
-        .entry(name)
-        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::default()))))
-    {
-        Metric::Counter(c) => c,
-        other => panic!("metric {name:?} is a {}, not a counter", other.kind()),
-    }
+    register(
+        name,
+        "counter",
+        || Metric::Counter(Box::leak(Box::default())),
+        |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        },
+    )
 }
 
-/// The gauge named `name`, allocated on first use. Panics if `name` is
-/// already registered as another kind.
+/// The gauge named `name`, allocated on first use. Panics like
+/// [`counter`].
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    match registry()
-        .entry(name)
-        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::default()))))
-    {
-        Metric::Gauge(g) => g,
-        other => panic!("metric {name:?} is a {}, not a gauge", other.kind()),
-    }
+    register(
+        name,
+        "gauge",
+        || Metric::Gauge(Box::leak(Box::default())),
+        |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        },
+    )
 }
 
-/// The histogram named `name`, allocated on first use. Panics if `name`
-/// is already registered as another kind.
+/// The histogram named `name`, allocated on first use. Panics like
+/// [`counter`].
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    match registry()
-        .entry(name)
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))))
-    {
-        Metric::Histogram(h) => h,
-        other => panic!("metric {name:?} is a {}, not a histogram", other.kind()),
-    }
+    register(
+        name,
+        "histogram",
+        || Metric::Histogram(Box::leak(Box::new(Histogram::new()))),
+        |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        },
+    )
 }
 
 /// One row of a [`metrics_snapshot`].
@@ -354,6 +385,12 @@ mod tests {
     fn histogram_kind_mismatch_panics() {
         histogram("test.metrics.histkind");
         counter("test.metrics.histkind");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not crate.subsystem.metric")]
+    fn misnamed_plain_counter_panics_at_registration() {
+        counter("a.b");
     }
 
     #[test]

@@ -108,7 +108,7 @@ mod tests {
     fn snapshot_is_sorted_and_deterministic() {
         // Other tests update the shared registry concurrently, so compare
         // only the families this test owns.
-        for name in ["test.prom.det.b", "test.prom.det.a", "test.prom.det.c"] {
+        for name in ["test.prom_det.b", "test.prom_det.a", "test.prom_det.c"] {
             metrics::counter(name).add(1);
         }
         let own = |text: String| -> Vec<String> {

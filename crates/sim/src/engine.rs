@@ -147,8 +147,7 @@ pub struct SimOutcome {
     pub failed_permanent: usize,
     /// Jobs unreachable because an ancestor aborted (fault layer only).
     pub unreachable: usize,
-    /// Failed attempts across all jobs (legacy worker failures plus
-    /// injected faults).
+    /// Failed attempts across all jobs (fault layer only).
     pub failed_attempts: u64,
     /// Simulated time spent on attempts that failed ("wasted work");
     /// tracked whenever failures are possible.
@@ -321,9 +320,6 @@ struct Run<'a, S: TraceConsumer> {
     dag: &'a Dag,
     rng: SimRng,
     runtime: TruncatedNormal,
-    /// Legacy per-completion failure probability (0 under the paper's
-    /// model).
-    failures: f64,
     /// Rollover ablation: unfilled requests park as idle workers.
     wait_mode: bool,
     queue: PolicyQueue<'a>,
@@ -365,13 +361,11 @@ impl<'a, S: TraceConsumer> Run<'a, S> {
         let fs = faults
             .filter(|f| f.is_active())
             .map(|f| FaultState::new(f, n, seed));
-        let failures = model.failure_probability;
-        let track_assignments = S::ENABLED || failures > 0.0 || fs.is_some();
+        let track_assignments = S::ENABLED || fs.is_some();
         let mut run = Run {
             dag,
             rng: seeded_rng(seed),
             runtime: model.runtime(),
-            failures,
             wait_mode: model.unfilled == UnfilledRequests::Wait,
             queue: policy.make_queue(n),
             missing_parents: dag.node_ids().map(|u| dag.in_degree(u) as u32).collect(),
@@ -457,10 +451,7 @@ impl<'a, S: TraceConsumer> Run<'a, S> {
             // skipped entirely (keeping the RNG stream identical to the
             // paper's model).
             let take_event = match next_event {
-                Some(tc) => {
-                    (unassigned == 0 && self.failures == 0.0 && self.fs.is_none())
-                        || tc <= next_batch
-                }
+                Some(tc) => (unassigned == 0 && self.fs.is_none()) || tc <= next_batch,
                 None => false,
             };
             if take_event {
@@ -551,28 +542,12 @@ impl<'a, S: TraceConsumer> Run<'a, S> {
         }
     }
 
-    /// A live completion event of `job` at `t`: a legacy worker failure,
-    /// an injected fault, or a success that may free children.
+    /// A live completion event of `job` at `t`: an injected fault, or a
+    /// success that may free children.
     fn completion(&mut self, t: f64, job: NodeId) {
         self.in_flight -= 1;
         if let Some(fs) = self.fs.as_mut() {
             fs.running[job.index()] = false;
-        }
-        if self.failures > 0.0 && self.rng.gen_bool(self.failures) {
-            // Legacy unreliable-worker model: the job becomes eligible
-            // again immediately, with no retry cap.
-            self.out.failed_attempts += 1;
-            let waste = t - self.assigned_at[job.index()];
-            self.out.wasted_time += waste;
-            if let Some(ts) = self.telem.as_mut() {
-                ts.telemetry.record_waste(waste);
-            }
-            self.make_eligible(t, job);
-            self.trace.push(TraceEvent::JobFailed { time: t, job });
-            self.trace.push(TraceEvent::JobEligible { time: t, job });
-            return;
-        }
-        if let Some(fs) = self.fs.as_ref() {
             let attempt = fs.attempts[job.index()];
             if fs.config.model.attempt_fails(fs.fault_seed, job, attempt) {
                 self.fault(t, job, false);
@@ -820,6 +795,14 @@ mod tests {
         Dag::from_arcs(n, &arcs).unwrap()
     }
 
+    /// Per-attempt failures at rate `p`, retried without limit.
+    fn unlimited_faults(p: f64) -> FaultConfig {
+        FaultConfig {
+            model: FaultModel::with_rate(p),
+            retry: RetryPolicy::unlimited(),
+        }
+    }
+
     #[test]
     fn determinism_per_seed() {
         let dag = chain(20);
@@ -978,8 +961,9 @@ mod tests {
     #[test]
     fn failures_retry_until_success() {
         let dag = chain(6);
-        let model = GridModel::paper(0.5, 4.0).with_failures(0.4);
-        let (out, trace) = traced(&dag, &fifo(), &model, None, 21);
+        let model = GridModel::paper(0.5, 4.0);
+        let faults = unlimited_faults(0.4);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 21);
         let failures = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
@@ -1003,7 +987,8 @@ mod tests {
             "with p=0.4 over many assignments some failure occurs"
         );
         assert_eq!(out.failed_attempts, failures as u64);
-        assert!(out.wasted_time > 0.0, "traced legacy runs track waste");
+        assert_eq!(out.failed_permanent, 0, "unlimited retries never abort");
+        assert!(out.wasted_time > 0.0, "traced faulty runs track waste");
         // Dependencies still respected: completion order is the chain.
         let order: Vec<NodeId> = trace
             .iter()
@@ -1020,30 +1005,19 @@ mod tests {
     #[test]
     fn failures_increase_makespan() {
         let dag = chain(12);
-        let reliable = GridModel::paper(0.5, 4.0);
-        let flaky = reliable.with_failures(0.3);
-        let mean = |m: &GridModel| -> f64 {
+        let model = GridModel::paper(0.5, 4.0);
+        let flaky = unlimited_faults(0.3);
+        let mean = |faults: Option<&FaultConfig>| -> f64 {
             (0..40)
-                .map(|s| simulate(&dag, &fifo(), m, s).makespan)
+                .map(|s| simulate_streamed(&dag, &fifo(), &model, faults, s, &NoTrace).makespan)
                 .sum::<f64>()
                 / 40.0
         };
-        let t_reliable = mean(&reliable);
-        let t_flaky = mean(&flaky);
+        let t_reliable = mean(None);
+        let t_flaky = mean(Some(&flaky));
         assert!(
             t_flaky > t_reliable * 1.15,
             "retries must cost time: {t_flaky} vs {t_reliable}"
-        );
-    }
-
-    #[test]
-    fn zero_failure_probability_matches_reliable_model_exactly() {
-        let dag = chain(10);
-        let a = GridModel::paper(0.7, 3.0);
-        let b = a.with_failures(0.0);
-        assert_eq!(
-            simulate(&dag, &fifo(), &a, 5),
-            simulate(&dag, &fifo(), &b, 5)
         );
     }
 
@@ -1075,23 +1049,24 @@ mod tests {
                 backoff: Backoff::Fixed(0.5),
             },
         };
+        let unlimited = unlimited_faults(0.3);
         let cases = [
-            (reliable, None),
-            (reliable.with_failures(0.3), None),
-            (reliable, Some(&churn)),
+            (None, "reliable"),
+            (Some(&unlimited), "unlimited"),
+            (Some(&churn), "churn"),
         ];
-        for (model, faults) in cases {
+        for (faults, case) in cases {
             for seed in 1..=3 {
                 for policy in [&fifo(), &prio] {
-                    let plain = simulate_streamed(&dag, policy, &model, faults, seed, &NoTrace);
-                    let (recorded, _) = traced(&dag, policy, &model, faults, seed);
+                    let plain = simulate_streamed(&dag, policy, &reliable, faults, seed, &NoTrace);
+                    let (recorded, _) = traced(&dag, policy, &reliable, faults, seed);
                     assert!(plain.telemetry.is_none());
                     assert!(recorded.telemetry.is_some());
                     let without_telemetry = SimOutcome {
                         telemetry: None,
                         ..recorded
                     };
-                    assert_eq!(plain, without_telemetry, "{model:?} {faults:?} seed {seed}");
+                    assert_eq!(plain, without_telemetry, "{case} seed {seed}");
                 }
             }
         }
@@ -1298,9 +1273,10 @@ mod tests {
     #[test]
     fn telemetry_is_deterministic_per_seed() {
         let dag = chain(15);
-        let model = GridModel::paper(0.5, 4.0).with_failures(0.2);
-        let a = traced(&dag, &fifo(), &model, None, 17);
-        let b = traced(&dag, &fifo(), &model, None, 17);
+        let model = GridModel::paper(0.5, 4.0);
+        let faults = unlimited_faults(0.2);
+        let a = traced(&dag, &fifo(), &model, Some(&faults), 17);
+        let b = traced(&dag, &fifo(), &model, Some(&faults), 17);
         assert_eq!(a, b, "telemetry must be a pure function of the seed");
         // With failures, waits outnumber services by the retry count.
         let (out, trace) = a;

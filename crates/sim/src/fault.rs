@@ -131,8 +131,8 @@ impl RetryPolicy {
         }
     }
 
-    /// Unlimited immediate retries (the legacy robustness-extension
-    /// behavior, as a policy).
+    /// Unlimited immediate retries: every job eventually completes (the
+    /// robustness experiment's policy).
     pub fn unlimited() -> RetryPolicy {
         RetryPolicy {
             max_attempts: u32::MAX,

@@ -39,7 +39,7 @@ pub use engine::{simulate, simulate_streamed, JobOutcome, SimOutcome};
 pub use experiment::{compare_policies, ComparisonResult};
 pub use fault::{Backoff, FaultConfig, FaultModel, RetryPolicy};
 pub use metrics::RunMetrics;
-pub use model::{BatchSizeModel, GridModel};
+pub use model::GridModel;
 pub use policy::PolicySpec;
 pub use telemetry::SimTelemetry;
 pub use trace::{NoTrace, TraceConsumer};

@@ -1,20 +1,6 @@
 //! The grid model parameters (§4.1).
 
-use prio_stats::dist::CeilExponential;
 use prio_stats::{Exponential, Geometric, TruncatedNormal};
-use rand::Rng;
-
-/// How the integer batch size is drawn (the paper says "exponentially
-/// distributed with mean μ_BS" without fixing the discretization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSizeModel {
-    /// Geometric on {1, 2, …} with exact mean `μ_BS` — the discrete
-    /// memoryless analog (default).
-    #[default]
-    Geometric,
-    /// `ceil(Exp(μ_BS))` — the literal continuous sample, rounded up.
-    CeilExponential,
-}
 
 /// What happens to worker requests the server cannot fill immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,16 +22,10 @@ pub struct GridModel {
     pub mean_batch_interarrival: f64,
     /// Mean batch size `μ_BS`.
     pub mean_batch_size: f64,
-    /// Integer batch-size model.
-    pub batch_size_model: BatchSizeModel,
     /// Mean job running time (paper: 1).
     pub runtime_mean: f64,
     /// Standard deviation of the job running time (paper: 0.1).
     pub runtime_sd: f64,
-    /// Probability that an assigned job fails (worker quits or returns
-    /// garbage) and must be re-assigned. The paper's model is reliable
-    /// (`0.0`, the default); the robustness extension sweeps this.
-    pub failure_probability: f64,
     /// Fate of unfilled requests (paper: discard).
     pub unfilled: UnfilledRequests,
 }
@@ -57,22 +37,10 @@ impl GridModel {
         GridModel {
             mean_batch_interarrival: mu_bit,
             mean_batch_size: mu_bs,
-            batch_size_model: BatchSizeModel::Geometric,
             runtime_mean: 1.0,
             runtime_sd: 0.1,
-            failure_probability: 0.0,
             unfilled: UnfilledRequests::Discard,
         }
-    }
-
-    /// The paper's model with unreliable workers (robustness extension).
-    pub fn with_failures(mut self, failure_probability: f64) -> GridModel {
-        assert!(
-            (0.0..1.0).contains(&failure_probability),
-            "failure probability must be in [0, 1)"
-        );
-        self.failure_probability = failure_probability;
-        self
     }
 
     /// The paper's model with parked (rather than discarded) unfilled
@@ -92,33 +60,11 @@ impl GridModel {
         TruncatedNormal::new(self.runtime_mean, self.runtime_sd, 1e-3)
     }
 
-    /// The batch-size distribution, built once per run.
-    pub fn batch_size(&self) -> BatchSize {
-        match self.batch_size_model {
-            BatchSizeModel::Geometric => BatchSize::Geometric(Geometric::new(self.mean_batch_size)),
-            BatchSizeModel::CeilExponential => {
-                BatchSize::CeilExponential(CeilExponential::new(self.mean_batch_size))
-            }
-        }
-    }
-}
-
-/// A batch-size sampler under one [`BatchSizeModel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchSize {
-    /// See [`BatchSizeModel::Geometric`].
-    Geometric(Geometric),
-    /// See [`BatchSizeModel::CeilExponential`].
-    CeilExponential(CeilExponential),
-}
-
-impl BatchSize {
-    /// Draws one batch size.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        match self {
-            BatchSize::Geometric(d) => d.sample(rng),
-            BatchSize::CeilExponential(d) => d.sample(rng),
-        }
+    /// The batch-size distribution, built once per run: geometric on
+    /// {1, 2, …} with exact mean `μ_BS`, the discrete memoryless analog of
+    /// the paper's "exponentially distributed" batch size.
+    pub fn batch_size(&self) -> Geometric {
+        Geometric::new(self.mean_batch_size)
     }
 }
 
@@ -132,22 +78,16 @@ mod tests {
         let m = GridModel::paper(1.0, 16.0);
         assert_eq!(m.runtime_mean, 1.0);
         assert_eq!(m.runtime_sd, 0.1);
-        assert_eq!(m.batch_size_model, BatchSizeModel::Geometric);
+        assert_eq!(m.batch_size().mean(), 16.0);
         assert_eq!(m.interarrival().mean(), 1.0);
     }
 
     #[test]
-    fn batch_sizes_are_positive_under_both_models() {
+    fn batch_sizes_are_positive() {
         let mut rng = seeded_rng(1);
-        for model in [BatchSizeModel::Geometric, BatchSizeModel::CeilExponential] {
-            let m = GridModel {
-                batch_size_model: model,
-                ..GridModel::paper(1.0, 4.0)
-            };
-            let d = m.batch_size();
-            for _ in 0..1000 {
-                assert!(d.sample(&mut rng) >= 1);
-            }
+        let d = GridModel::paper(1.0, 4.0).batch_size();
+        for _ in 0..1000 {
+            assert!(d.sample(&mut rng) >= 1);
         }
     }
 

@@ -33,8 +33,8 @@ pub enum TraceEvent {
     },
     /// A job became eligible to run — all parents done (schema v3).
     /// Sources are eligible at time `0.0`; other jobs when their last
-    /// parent completes; failed jobs re-enter eligibility via this event
-    /// (legacy failure model) or `JobRetried` (fault-injection layer).
+    /// parent completes; failed jobs re-enter eligibility via
+    /// `JobRetried` instead.
     JobEligible {
         /// Eligibility time.
         time: f64,
@@ -60,9 +60,9 @@ pub enum TraceEvent {
         /// The job.
         job: NodeId,
     },
-    /// A worker failed; the job re-entered the eligible queue
-    /// (robustness extension; never emitted under the paper's reliable
-    /// model).
+    /// An attempt of the job failed (fault layer; never emitted under
+    /// the paper's reliable model). A transient failure is followed by
+    /// `JobRetried`.
     JobFailed {
         /// Failure time.
         time: f64,

@@ -72,19 +72,24 @@ fn diamond_chain() -> Dag {
 #[test]
 fn jsonl_trace_replays_event_for_event() {
     let dag = diamond_chain();
-    // A high failure probability so JobFailed events actually occur.
-    let model = GridModel::paper(0.8, 2.0).with_failures(0.4);
+    let model = GridModel::paper(0.8, 2.0);
+    // A high failure rate, retried without limit, so JobFailed and
+    // JobRetried events actually occur.
+    let faults = FaultConfig {
+        model: FaultModel::with_rate(0.4),
+        retry: RetryPolicy::unlimited(),
+    };
 
     // Find a seed whose run contains every event variant (deterministic:
     // the first qualifying seed never changes). Arrivals, assignments,
     // and completions occur in any finished run; failures need p > 0.
     let (seed, (outcome, trace)) = (0..100)
         .find_map(|seed| {
-            let run = recorded(&dag, &model, None, seed);
+            let run = recorded(&dag, &model, Some(&faults), seed);
             let covered: std::collections::BTreeSet<_> = run.1.iter().map(variant_name).collect();
-            (covered.len() == 6).then_some((seed, run))
+            (covered.len() == 7).then_some((seed, run))
         })
-        .expect("some seed under p=0.4 must cover all six reliable-path event variants");
+        .expect("some seed under p=0.4 must cover all seven churn-free event variants");
     let telemetry = outcome.telemetry.expect("traced run records telemetry");
 
     // Serialize through the sink with non-event lines interleaved, exactly
@@ -142,6 +147,7 @@ fn jsonl_trace_replays_event_for_event() {
         "job_assigned",
         "job_completed",
         "job_failed",
+        "job_retried",
         "ts",
         "hist",
     ] {

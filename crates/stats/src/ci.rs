@@ -20,11 +20,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Whether the whole interval lies strictly below `x`.
-    pub fn entirely_below(&self, x: f64) -> bool {
-        self.hi < x
-    }
-
     /// Whether `x` lies within the interval (inclusive).
     pub fn contains(&self, x: f64) -> bool {
         self.lo <= x && x <= self.hi
@@ -59,8 +54,6 @@ mod tests {
             mean: 0.85,
             sd: 0.02,
         };
-        assert!(ci.entirely_below(1.0));
-        assert!(!ci.entirely_below(0.85));
         assert!(ci.contains(0.8) && ci.contains(0.9) && !ci.contains(0.95));
         assert!((ci.width() - 0.1).abs() < 1e-12);
     }

@@ -6,7 +6,7 @@
 //! * batch size — the paper states "exponentially distributed with mean
 //!   `μ_BS`" but a batch size is an integer; we provide the geometric
 //!   distribution on {1, 2, …} (the discrete memoryless analog, exact mean
-//!   `μ_BS` for any `μ_BS ≥ 1`) and a ceil-of-exponential alternative.
+//!   `μ_BS` for any `μ_BS ≥ 1`).
 //!
 //! Implemented by inverse-CDF / Box–Muller on top of `rand`'s uniform
 //! source, keeping the dependency set minimal.
@@ -142,30 +142,6 @@ impl Geometric {
     }
 }
 
-/// Ceiling-of-exponential batch size: `ceil(Exp(mean))`, an alternative
-/// integer reading of the paper's "exponentially distributed" batch size.
-/// Its mean is `1 / (1 - e^{-1/mean})`, slightly above `mean` for small
-/// means and converging to `mean + 1/2` for large ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CeilExponential {
-    inner: Exponential,
-}
-
-impl CeilExponential {
-    /// Creates the distribution with the mean of the underlying exponential.
-    pub fn new(mean: f64) -> Self {
-        CeilExponential {
-            inner: Exponential::new(mean),
-        }
-    }
-
-    /// Draws an integer sample ≥ 1.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let x = self.inner.sample(rng);
-        (x.ceil().max(1.0)).min(u64::MAX as f64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,20 +231,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(d.sample(&mut rng), 1);
         }
-    }
-
-    #[test]
-    fn ceil_exponential_at_least_one() {
-        let mut rng = seeded_rng(8);
-        let d = CeilExponential::new(4.0);
-        let mut total = 0u64;
-        for _ in 0..N {
-            let x = d.sample(&mut rng);
-            assert!(x >= 1);
-            total += x;
-        }
-        let m = total as f64 / N as f64;
-        // E[ceil(Exp(4))] = 1 / (1 - e^{-1/4}) ≈ 4.521.
-        assert!((m - 4.521).abs() < 0.05, "mean {m}");
     }
 }

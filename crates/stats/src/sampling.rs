@@ -190,7 +190,7 @@ mod tests {
         let a = means(vec![0.8, 0.82, 0.81, 0.79]);
         let b = means(vec![1.0, 1.01, 0.99, 1.0]);
         let ci = a.ratio_ci(&b).unwrap();
-        assert!(ci.entirely_below(1.0), "{ci}");
+        assert!(ci.hi < 1.0, "{ci}");
         assert!(ci.median < 0.85);
     }
 }

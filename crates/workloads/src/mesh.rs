@@ -65,21 +65,6 @@ pub fn mesh_triangle(levels: usize) -> Dag {
     b.build().expect("triangular mesh is acyclic")
 }
 
-/// The diagonal-by-diagonal schedule of a `rows × cols` mesh — the
-/// theory's IC-optimal order, provided for comparison with PRIO's output.
-pub fn mesh2d_diagonal_order(dag: &Dag, rows: usize, cols: usize) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(rows * cols);
-    for d in 0..(rows + cols - 1) {
-        for i in 0..rows {
-            if d >= i && d - i < cols {
-                let j = d - i;
-                order.push(dag.find(&format!("m_{i}_{j}")).expect("mesh node"));
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +89,6 @@ mod tests {
         assert_eq!(d.sources().count(), 1);
         // The last anti-diagonal nodes are the sinks.
         assert_eq!(d.sinks().count(), 4);
-    }
-
-    #[test]
-    fn diagonal_order_is_valid() {
-        let d = mesh2d(3, 3);
-        let order = mesh2d_diagonal_order(&d, 3, 3);
-        assert_eq!(order.len(), 9);
-        assert!(prio_graph::topo::is_linear_extension(&d, &order));
     }
 
     #[test]

@@ -95,6 +95,21 @@ fi
 grep -q '^prio_' target/trace-smoke/metrics.prom \
   || { echo "check.sh: Prometheus snapshot is empty" >&2; exit 1; }
 echo "check.sh: observability runtime smoke ok (full-rate lossless, metrics snapshot)"
+# Fault-experiment regeneration: `robustness 250` and `fault_sweep 100`
+# each write results/<name>.txt under their working directory, so they
+# run in a temp dir (the committed tables are never touched) and must
+# write exactly the committed bytes.
+regen_dir=$(mktemp -d)
+repo_root=$(pwd)
+(cd "$regen_dir" && "$repo_root/target/release/robustness" 250 > /dev/null   && "$repo_root/target/release/fault_sweep" 100 > /dev/null)   || { echo "check.sh: a fault experiment failed to run" >&2; rm -rf "$regen_dir"; exit 1; }
+regen_ok=1
+for table in robustness fault_sweep; do
+  cmp "results/$table.txt" "$regen_dir/results/$table.txt" || regen_ok=0
+done
+rm -rf "$regen_dir"
+[ "$regen_ok" = 1 ] \
+  || { echo "check.sh: a committed fault-experiment table does not regenerate" >&2; exit 1; }
+echo "check.sh: fault experiments regenerate (robustness 250, fault_sweep 100)"
 # Format-matrix smoke: generate the Montage example, convert it through
 # every frontend pair, re-prioritize each conversion, and assert every
 # format yields the identical schedule (and therefore identical
