@@ -20,8 +20,8 @@
 use super::ingest::{self, count, fmt, num, text, Item, PipelineMeta, TsRecord};
 use crate::args::Args;
 use crate::error::CliError;
-use prio_bench::report::Table;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
+use prio_obs::report::Table;
 use prio_obs::stream::Record;
 use prio_sim::trace::TraceEvent;
 

@@ -32,8 +32,8 @@
 use super::ingest::{self, fmt, opt, Item, PipelineMeta};
 use crate::args::Args;
 use crate::error::CliError;
-use prio_bench::report::Table;
 use prio_obs::json::{escape, JsonObject, SCHEMA_VERSION};
+use prio_obs::report::Table;
 use prio_sim::trace::TraceEvent;
 
 const USAGE: &str = "usage: prio trace <timeline|critical-path|curve|diff> ...\n\
